@@ -1,7 +1,7 @@
 //! `compare_bundles` — diff two provenance-stamped run bundles.
 //!
 //! The single comparison path for every `--bundle-out` artefact
-//! (`serve_throughput`, `serve_soak`, `class-cli datasets run`): load
+//! (`serve_soak`, `class-cli datasets run`): load
 //! two `class-run-bundle/v1` documents, check that they are comparable
 //! at all (same schema version, tool, and config — anything else errors
 //! loudly instead of producing a meaningless diff), then judge each

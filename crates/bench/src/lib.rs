@@ -11,20 +11,21 @@
 //! | `fig6` | Figure 6 — runtime vs quality, throughput, d-sweep |
 //! | `fig7` | Figure 7 — scalability ClaSS vs FLOSS |
 //! | `ablation` | §4.2 — design-choice ablations (a)-(g) |
-//! | `flink_throughput` | §4.4 — stream-engine window operator throughput |
-//! | `serve_throughput` | §4.4 at serving scale — hundreds of concurrent streams on the sharded engine → `BENCH_serve.json` |
-//! | `perf_trajectory` | §4.4 — pinned hot-path workload → `BENCH_perf.json` |
+//! | `early_stss` | §4.5 — early-segmentation study (detection delay) |
+//! | `serve_soak` | §4.4 deployment — seeded fault-plan soak of a ClaSS fleet (`--features fault-inject`) |
+//! | `compare_bundles` | diffs two `--bundle-out` run bundles |
 //!
 //! Criterion micro-benchmarks (`cargo bench -p bench`) validate the two
-//! core algorithmic speedups against naive baselines; `perf_trajectory`
-//! (see [`perf`]) tracks the absolute numbers across PRs.
+//! core algorithmic speedups against naive baselines. The §4.4 throughput
+//! numbers (window operator at d = 10k, a stream fleet on the engine, and
+//! paced wire ingest) come from the repository's benchmark package
+//! (`benchmark/`, declared in `BENCHMARK.json`), not from this crate.
 
 #![warn(missing_docs)]
 
 pub mod args;
 pub mod experiments;
 pub mod naive;
-pub mod perf;
 
 pub use args::Args;
 pub use experiments::{

@@ -4,9 +4,9 @@
 //! A `RunBundle` records *how* a run was produced — tool, preset-style
 //! config, seed, SIMD backend, `git describe` — next to its final
 //! metrics, so any two runs can be diffed mechanically instead of
-//! eyeballing ad-hoc `BENCH_*.json` files. `bench --bin compare_bundles`
-//! is the CLI over [`compare`]; `serve_throughput`, `serve_soak`, and
-//! `class-cli datasets run` all emit bundles via `--bundle-out`.
+//! eyeballing ad-hoc JSON reports. `bench --bin compare_bundles` is the
+//! CLI over [`compare`]; `serve_soak` and `class-cli datasets run` both
+//! emit bundles via `--bundle-out`.
 //!
 //! The module also hosts the crate's minimal JSON value parser
 //! ([`parse_json`]) — enough of RFC 8259 for the documents this

@@ -76,6 +76,7 @@ use crate::latency::{LatencyHistogram, ServingStats, ShardStats, StreamStats};
 use crate::operator::Operator;
 use crate::ring::{self, PushError, RingConfig, RingCounters};
 use crate::Record;
+use class_core::SplitMix64;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -89,12 +90,13 @@ const FEED_CHUNK: usize = 64;
 /// How long an idle worker (or starved feeder) sleeps before re-polling.
 const IDLE_PARK: Duration = Duration::from_micros(200);
 
-/// Locks a monitor mutex, recovering from poisoning. Monitor state
-/// (latency histogram, quarantine cell) is only ever mutated by the
-/// owning shard between operator steps — never *during* user code — so a
-/// poisoned lock means some unrelated holder panicked while the data
-/// itself is consistent; stats must keep flowing for surviving streams.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Locks a mutex, recovering from poisoning. Every mutex in this crate
+/// guards monitor or registry state (latency histograms, quarantine
+/// cells, connection lists, exporter sources) whose updates are single
+/// assignments, pushes or merges made outside user code, so a poisoned
+/// lock means some unrelated holder panicked while the data itself is
+/// consistent; stats must keep flowing for surviving streams.
+pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -960,7 +962,9 @@ where
     let shards = inboxes.len();
     let shard = match opts.shard {
         Some(s) => s % shards,
-        None => (splitmix64(id as u64) % shards as u64) as usize,
+        // The first SplitMix64 output seeded with the id: a cheap,
+        // well-mixed hash, so consecutive ids spread across shards.
+        None => (SplitMix64::new(id as u64).next_u64() % shards as u64) as usize,
     };
     let (producer, consumer) = ring::ring(opts.ring);
     let monitor = Arc::new(StreamMonitor {
@@ -1398,14 +1402,6 @@ where
             }
         }
     }
-}
-
-/// SplitMix64 finalizer — the stream-id hash for shard assignment.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -19,6 +19,7 @@
 use crate::engine::{IngestError, RetryPolicy, StreamHandle};
 use crate::operator::Operator;
 use crate::Record;
+use class_core::SplitMix64;
 use std::time::Duration;
 
 /// Marker prefix for panics raised by [`FaultingOperator`] — lets the
@@ -91,16 +92,6 @@ pub struct FaultPlan {
     pub faults: Vec<StreamFault>,
 }
 
-/// SplitMix64 — the same generator the engine uses for shard hashing;
-/// one `u64` of state, full-period, and trivially reproducible.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl FaultPlan {
     /// A plan with no faults (the baseline run).
     pub fn none() -> Self {
@@ -116,12 +107,11 @@ impl FaultPlan {
     /// streams to fault), with the fault kind and position drawn from
     /// the seed. Same arguments, same plan — always.
     pub fn seeded(seed: u64, n_streams: usize, points: usize, density: f64) -> Self {
-        let mut rng = seed;
+        let mut rng = SplitMix64::new(seed);
         let mut faults = Vec::new();
         let points = points.max(2);
         for stream in 0..n_streams {
-            let roll = (splitmix64(&mut rng) >> 11) as f64 / (1u64 << 53) as f64;
-            if roll >= density {
+            if rng.next_f64() >= density {
                 continue;
             }
             faults.push(StreamFault {
@@ -130,7 +120,7 @@ impl FaultPlan {
             });
         }
         if faults.is_empty() && density > 0.0 && n_streams > 0 {
-            let stream = (splitmix64(&mut rng) % n_streams as u64) as usize;
+            let stream = (rng.next_u64() % n_streams as u64) as usize;
             faults.push(StreamFault {
                 stream,
                 kind: Self::draw_kind(&mut rng, points),
@@ -139,17 +129,17 @@ impl FaultPlan {
         Self { seed, faults }
     }
 
-    fn draw_kind(rng: &mut u64, points: usize) -> FaultKind {
-        let at = (splitmix64(rng) % (points as u64 / 2).max(1)) as usize + points / 4;
-        let len = (splitmix64(rng) % 16 + 4) as usize;
-        match splitmix64(rng) % 6 {
+    fn draw_kind(rng: &mut SplitMix64, points: usize) -> FaultKind {
+        let at = (rng.next_u64() % (points as u64 / 2).max(1)) as usize + points / 4;
+        let len = (rng.next_u64() % 16 + 4) as usize;
+        match rng.next_u64() % 6 {
             0 => FaultKind::PanicAt { record: at as u64 },
             1 => FaultKind::PanicInFlush,
             2 => FaultKind::NanBurst { at, len },
             3 => FaultKind::Flatline { at, len },
             4 => FaultKind::Stall {
                 at,
-                millis: splitmix64(rng) % 20 + 1,
+                millis: rng.next_u64() % 20 + 1,
             },
             _ => FaultKind::OverflowStorm { at, len: len * 8 },
         }

@@ -26,10 +26,6 @@
 //!   runtime ([`ServingEngine::registrar`]) and surfacing each ring's
 //!   backpressure policy as protocol responses (THROTTLE / ACK drop
 //!   counts / typed ERROR),
-//! * [`parallel::run_streams`] runs a batch of in-memory streams to
-//!   completion on the engine (the §4.4 experiment shape),
-//! * a single-threaded [`Pipeline`] composes operator chains for
-//!   in-process use and differential testing against the engine,
 //! * [`SegmenterOperator`] adapts any [`class_core::StreamingSegmenter`]
 //!   into a window operator emitting change point records,
 //! * [`MultivariateSegmenterOperator`] registers a fused multi-channel
@@ -49,8 +45,6 @@ pub mod latency;
 pub mod metrics;
 pub mod net;
 pub mod operator;
-pub mod parallel;
-pub mod pipeline;
 pub mod ring;
 pub mod source;
 
@@ -66,10 +60,7 @@ pub use fault::{
 };
 pub use guard::{GuardAction, GuardConfig, GuardTrip, GuardVerdict, InputGuard};
 pub use latency::{LatencyHistogram, ServingStats, ShardStats, StreamStats};
-pub use metrics::{
-    render_prometheus, render_prometheus_with_net, render_stats_json, render_stats_json_with_net,
-    vm_hwm_kb, MetricsServer, SnapshotWriter,
-};
+pub use metrics::{render_prometheus, render_stats_json, vm_hwm_kb, MetricsServer, SnapshotWriter};
 pub use net::{
     AckInfo, ConnStats, ErrorCode, Frame, FrameError, IngestServer, NetClient, NetError, NetStats,
     NetStatsHandle, RegisterRequest,
@@ -78,8 +69,6 @@ pub use operator::{
     FilterOperator, MapOperator, MultivariateSegmenterOperator, Operator, SegmenterOperator,
     TumblingWindowMean,
 };
-pub use parallel::{run_streams, StreamJobResult};
-pub use pipeline::{Pipeline, ThroughputReport};
 pub use ring::{Backpressure, OverflowError, PushError, RingConfig};
 pub use source::{
     interleave_channels, MultiChannelReplayIter, MultiChannelReplaySource, ReplayIter, ReplaySource,

@@ -23,14 +23,14 @@
 //!   snapshots to a file, the "either source" half of `serve-status`
 //!   when no port can be opened.
 
-use crate::engine::StatsHandle;
+use crate::engine::{lock_recover, StatsHandle};
 use crate::latency::{ServingStats, ShardStats, StreamStats};
 use crate::net::{ConnStats, NetStats, NetStatsHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Schema identifier stamped into every [`render_stats_json`] document.
@@ -103,15 +103,11 @@ fn stream_labels(s: &StreamStats) -> String {
 /// (format 0.0.4). Families appear in a fixed order; series within a
 /// family are ordered by shard index / stream id, so two renders of the
 /// same snapshot are byte-identical (pinned by a golden-fixture test).
-pub fn render_prometheus(stats: &ServingStats) -> String {
-    render_prometheus_with_net(stats, None)
-}
-
-/// [`render_prometheus`] plus the network ingestion tier's families
-/// (`class_net_*`): engine-level connection/frame totals and one series
-/// per producer connection (`conn`/`peer` labels). With `net: None` the
-/// output is byte-identical to [`render_prometheus`].
-pub fn render_prometheus_with_net(stats: &ServingStats, net: Option<&NetStats>) -> String {
+///
+/// With `net: Some(_)` the network ingestion tier's families
+/// (`class_net_*`) follow: engine-level connection/frame totals and one
+/// series per producer connection (`conn`/`peer` labels).
+pub fn render_prometheus(stats: &ServingStats, net: Option<&NetStats>) -> String {
     let mut out = String::with_capacity(4096);
 
     // Engine-level gauges.
@@ -461,14 +457,12 @@ fn render_net_families(out: &mut String, net: &NetStats) {
 /// Renders a [`ServingStats`] snapshot as a `class-serving-stats/v1`
 /// JSON document — the payload behind `GET /stats.json`, the
 /// [`SnapshotWriter`] file, and `class-cli serve-status`.
-pub fn render_stats_json(stats: &ServingStats) -> String {
-    render_stats_json_with_net(stats, None)
-}
-
-/// [`render_stats_json`] plus a `"net"` object describing the network
-/// ingestion tier (additive — the schema stays `class-serving-stats/v1`
-/// and the object is simply absent when no ingest server is attached).
-pub fn render_stats_json_with_net(stats: &ServingStats, net: Option<&NetStats>) -> String {
+///
+/// With `net: Some(_)` the document carries a `"net"` object describing
+/// the network ingestion tier (additive — the schema stays
+/// `class-serving-stats/v1` and the object is simply absent when no
+/// ingest server is attached).
+pub fn render_stats_json(stats: &ServingStats, net: Option<&NetStats>) -> String {
     let mut out = String::with_capacity(4096);
     out.push_str("{\n");
     out.push_str(&format!("  \"schema\": \"{STATS_JSON_SCHEMA}\",\n"));
@@ -598,10 +592,6 @@ pub fn vm_hwm_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// A minimal std-only HTTP metrics endpoint on its own thread.
 ///
 /// Serves `GET /metrics` (Prometheus text exposition) and
@@ -661,14 +651,14 @@ impl MetricsServer {
 
     /// Attaches (or replaces) the stats source served from now on.
     pub fn attach(&self, handle: StatsHandle) {
-        *lock(&self.source) = Some(handle);
+        *lock_recover(&self.source) = Some(handle);
     }
 
     /// Attaches (or replaces) a network ingestion tier: `/metrics`
     /// grows the `class_net_*` families and `/stats.json` a `"net"`
     /// object (see [`crate::IngestServer::net_stats`]).
     pub fn attach_net(&self, handle: NetStatsHandle) {
-        *lock(&self.net_source) = Some(handle);
+        *lock_recover(&self.net_source) = Some(handle);
     }
 
     /// How many `/metrics` scrapes have been answered.
@@ -730,21 +720,21 @@ fn handle_conn(
     }
     let request = String::from_utf8_lossy(&head);
     let path = request.split_whitespace().nth(1).unwrap_or("/").to_string();
-    let snapshot = lock(source).as_ref().map(StatsHandle::stats);
-    let net_snapshot = lock(net_source).as_ref().map(NetStatsHandle::stats);
+    let snapshot = lock_recover(source).as_ref().map(StatsHandle::stats);
+    let net_snapshot = lock_recover(net_source).as_ref().map(NetStatsHandle::stats);
     let (status, content_type, body) = match (path.as_str(), snapshot) {
         ("/metrics", Some(stats)) => {
             scrapes.fetch_add(1, Ordering::Relaxed);
             (
                 "200 OK",
                 "text/plain; version=0.0.4; charset=utf-8",
-                render_prometheus_with_net(&stats, net_snapshot.as_ref()),
+                render_prometheus(&stats, net_snapshot.as_ref()),
             )
         }
         ("/stats.json", Some(stats)) => (
             "200 OK",
             "application/json",
-            render_stats_json_with_net(&stats, net_snapshot.as_ref()),
+            render_stats_json(&stats, net_snapshot.as_ref()),
         ),
         ("/metrics" | "/stats.json", None) => (
             "503 Service Unavailable",
@@ -830,7 +820,7 @@ fn write_snapshot(handle: &StatsHandle, path: &Path) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, render_stats_json(&handle.stats()))?;
+    std::fs::write(&tmp, render_stats_json(&handle.stats(), None))?;
     std::fs::rename(&tmp, path)
 }
 
@@ -867,7 +857,7 @@ mod tests {
 
     #[test]
     fn label_escaping_covers_quotes_backslashes_newlines() {
-        let rendered = render_prometheus(&one_stream("a \"quoted\\path\"\nline"));
+        let rendered = render_prometheus(&one_stream("a \"quoted\\path\"\nline"), None);
         assert!(
             rendered.contains(r#"name="a \"quoted\\path\"\nline""#),
             "{rendered}"
@@ -883,14 +873,14 @@ mod tests {
 
     #[test]
     fn json_escaping_keeps_document_single_value() {
-        let doc = render_stats_json(&one_stream("tab\there \"q\" \\"));
+        let doc = render_stats_json(&one_stream("tab\there \"q\" \\"), None);
         assert!(doc.contains(r#""name": "tab\there \"q\" \\""#), "{doc}");
     }
 
     #[test]
     fn counters_render_from_snapshot_fields() {
         let stats = one_stream("s");
-        let rendered = render_prometheus(&stats);
+        let rendered = render_prometheus(&stats, None);
         assert!(rendered
             .contains("class_stream_records_in_total{stream=\"0\",shard=\"0\",name=\"s\"} 10"));
         assert!(

@@ -38,14 +38,14 @@
 //! * **error** — a `RECORDS` frame that overflows gets a typed
 //!   `ERROR` (`overflow`) and the connection is closed.
 
-use crate::engine::{Registrar, StreamHandle, StreamOptions};
+use crate::engine::{lock_recover, Registrar, StreamHandle, StreamOptions};
 use crate::operator::Operator;
 use crate::ring::{Backpressure, PushError, RingConfig};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Protocol version carried in `HELLO`; mismatches are refused.
@@ -75,12 +75,6 @@ const TAG_DETACH: u8 = 4;
 const TAG_ACK: u8 = 5;
 const TAG_THROTTLE: u8 = 6;
 const TAG_ERROR: u8 = 7;
-
-/// Locks a net-registry mutex, recovering from poisoning (the data is
-/// plain counters, always consistent; stats must keep flowing).
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Typed error codes carried in `ERROR` frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

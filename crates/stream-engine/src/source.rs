@@ -1,5 +1,6 @@
-//! Replay sources: feed a loaded (file-backed or in-memory) series through
-//! a pipeline, optionally paced at a configurable record rate.
+//! Replay sources: feed a loaded (file-backed or in-memory) series into
+//! an operator or an engine stream, optionally paced at a configurable
+//! record rate.
 //!
 //! The paper's throughput experiment (§4.4) replays each benchmark series
 //! from RAM as fast as the operator can drain it; a live deployment sees
@@ -275,8 +276,8 @@ impl Iterator for MultiChannelReplayIter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::TumblingWindowMean;
-    use crate::pipeline::Pipeline;
+    use crate::operator::{Operator, TumblingWindowMean};
+    use crate::Record;
 
     #[test]
     fn unpaced_replay_preserves_order_and_count() {
@@ -291,11 +292,15 @@ mod tests {
     #[test]
     fn replay_feeds_a_pipeline() {
         let src = ReplaySource::new((0..8).map(|i| i as f64).collect());
-        let p = Pipeline::source_type::<f64>().then(TumblingWindowMean::new(4));
-        let (out, report) = p.run(src);
-        assert_eq!(report.records_in, 8);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].value, 1.5);
+        let mut op = TumblingWindowMean::new(4);
+        let mut out = Vec::new();
+        for (t, x) in src.into_iter().enumerate() {
+            op.process(Record::new(t as u64, x), &mut out);
+        }
+        op.flush(&mut out);
+        // Two full windows: all eight records arrived, in order.
+        let means: Vec<f64> = out.iter().map(|r| r.value).collect();
+        assert_eq!(means, [1.5, 5.5]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! * `block` is lossless — every record is delivered in order, so a
 //!   ClaSS stream served through the engine scores *exactly* like the
-//!   single-threaded pipeline and the standalone segmenter;
+//!   single-threaded reference loop and the standalone segmenter;
 //! * `drop-oldest` accounts for every record — processed + dropped
 //!   equals pushed, and what survives is the freshest suffix-window of
 //!   the feed in order;
@@ -17,8 +17,8 @@ use class_core::{ClassConfig, ClassSegmenter, StreamingSegmenter, WidthSelection
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 use stream_engine::{
-    feed_all, serve, Backpressure, EngineConfig, Operator, OverflowError, Pipeline, PushError,
-    Record, RingConfig, SegmenterOperator, TumblingWindowMean,
+    feed_all, serve, Backpressure, EngineConfig, Operator, OverflowError, PushError, Record,
+    RingConfig, SegmenterOperator, TumblingWindowMean,
 };
 
 /// Two-regime stream: sine whose frequency doubles at `cp`.
@@ -30,6 +30,17 @@ fn freq_shift(n: usize, cp: usize, seed: u64) -> Vec<f64> {
             (i as f64 * f).sin() + 0.05 * (rng.next_f64() - 0.5)
         })
         .collect()
+}
+
+/// The single-threaded reference the engine is compared against: `op`
+/// stepped over `xs` in order, timestamped by position, then flushed.
+fn direct_loop<Op: Operator<In = f64>>(mut op: Op, xs: &[f64]) -> Vec<Record<Op::Out>> {
+    let mut out = Vec::new();
+    for (t, &x) in xs.iter().enumerate() {
+        op.process(Record::new(t as u64, x), &mut out);
+    }
+    op.flush(&mut out);
+    out
 }
 
 fn class_cfg() -> ClassConfig {
@@ -52,10 +63,11 @@ fn block_preserves_every_record_and_scores_equal_the_single_stream_path() {
         standalone.step(x, &mut direct_cps);
     }
 
-    // Single-threaded pipeline.
-    let pipeline = Pipeline::source_type::<f64>()
-        .then(SegmenterOperator::new(ClassSegmenter::new(class_cfg())));
-    let (pipe_records, _) = pipeline.run(xs.iter().copied());
+    // Single-threaded reference loop.
+    let loop_records = direct_loop(
+        SegmenterOperator::new(ClassSegmenter::new(class_cfg())),
+        &xs,
+    );
 
     // The serving engine with a deliberately tiny blocking ring: the
     // producer stalls repeatedly, but no record may be lost or reordered.
@@ -72,9 +84,10 @@ fn block_preserves_every_record_and_scores_equal_the_single_stream_path() {
 
     assert_eq!(r.records_in as usize, xs.len(), "lossless: every record");
     assert_eq!(r.drops, 0);
-    // Full record-level equality with the pipeline: values, emission
-    // timestamps, and flush-emitted records all survive the ring transit.
-    assert_eq!(r.output, pipe_records, "engine == pipeline, exactly");
+    // Full record-level equality with the reference loop: values,
+    // emission timestamps, and flush-emitted records all survive the
+    // ring transit.
+    assert_eq!(r.output, loop_records, "engine == direct loop, exactly");
     let engine_cps: Vec<u64> = r
         .output
         .iter()
@@ -179,14 +192,15 @@ fn error_policy_surfaces_a_typed_overflow_and_loses_only_rejected_records() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 16 } else { 64 }))]
 
-    /// Arbitrary interleavings: many streams of arbitrary lengths and
-    /// values, fed through tiny blocking rings onto 1..4 shards, must
-    /// each reproduce the single-threaded pipeline's output exactly.
+    /// Arbitrary interleavings: up to 64 streams of arbitrary lengths
+    /// and values, fed through tiny blocking rings (capacity 1 included)
+    /// onto 1..4 shards — one shard or many, and far more streams than
+    /// shards — must each reproduce the direct loop's output exactly.
     #[test]
-    fn interleaved_streams_match_the_pipeline_per_stream(
+    fn interleaved_streams_match_the_direct_loop_per_stream(
         streams in prop::collection::vec(
             prop::collection::vec(-1000.0f64..1000.0, 0..120),
-            2..7,
+            2..65,
         ),
         shards in 1usize..4,
         ring in 1usize..9,
@@ -205,9 +219,7 @@ proptest! {
         });
         prop_assert_eq!(results.len(), streams.len());
         for (k, r) in results.iter().enumerate() {
-            let (want, _) = Pipeline::source_type::<f64>()
-                .then(TumblingWindowMean::new(width))
-                .run(streams[k].iter().copied());
+            let want = direct_loop(TumblingWindowMean::new(width), &streams[k]);
             prop_assert_eq!(r.records_in as usize, streams[k].len());
             prop_assert_eq!(r.drops, 0u64);
             prop_assert_eq!(&r.output, &want);

@@ -14,9 +14,9 @@
 
 use proptest::prelude::*;
 use stream_engine::{
-    drive, serve, silence_injected_panics, Backpressure, DriveOutcome, EngineConfig, FaultKind,
-    FaultPlan, FaultingOperator, GuardConfig, GuardTrip, QuarantineCause, RetryPolicy, RingConfig,
-    StreamFault, StreamOptions, StreamResult, StreamState, TumblingWindowMean,
+    drive, feed_all, serve, silence_injected_panics, Backpressure, DriveOutcome, EngineConfig,
+    FaultKind, FaultPlan, FaultingOperator, GuardConfig, GuardTrip, QuarantineCause, RetryPolicy,
+    RingConfig, StreamFault, StreamOptions, StreamResult, StreamState, TumblingWindowMean,
     INJECTED_PANIC_PREFIX,
 };
 
@@ -276,6 +276,48 @@ fn overflow_storm_rejections_are_counted_at_the_edge() {
     );
     assert_eq!(r.drops, 0, "error policy drops nothing silently");
     assert_eq!(r.records_in, POINTS as u64 - outcome.rejected[3]);
+}
+
+/// Both seeded derivations — the engine's stream-id shard hash and
+/// `FaultPlan::seeded` — draw from `class_core::SplitMix64`. Their
+/// outputs are pinned so a replayed CI seed keeps naming the same plan
+/// and default shard placement stays stable across releases.
+#[test]
+fn shard_hash_and_seeded_fault_plan_are_pinned() {
+    let (results, ()) = serve(EngineConfig::new(4), |engine| {
+        let handles: Vec<_> = (0..32)
+            .map(|_| engine.register(|| TumblingWindowMean::new(1)))
+            .collect();
+        feed_all(handles, &[&[] as &[f64]; 32]).expect("empty feeds complete");
+    });
+    let shards: Vec<usize> = results.iter().map(|r| r.shard).collect();
+    assert_eq!(
+        shards,
+        [
+            3, 1, 2, 1, 2, 2, 0, 3, 2, 0, 2, 1, 3, 3, 2, 1, 3, 3, 2, 0, 0, 3, 2, 2, 0, 1, 2, 2, 0,
+            0, 2, 2
+        ]
+    );
+
+    let fault = |stream, kind| StreamFault { stream, kind };
+    assert_eq!(
+        FaultPlan::seeded(0xC1A55, 12, 1000, 0.5).faults,
+        [
+            fault(0, FaultKind::NanBurst { at: 747, len: 10 }),
+            fault(3, FaultKind::NanBurst { at: 473, len: 16 }),
+            fault(
+                4,
+                FaultKind::Stall {
+                    at: 274,
+                    millis: 13
+                }
+            ),
+            fault(6, FaultKind::Flatline { at: 714, len: 18 }),
+            fault(8, FaultKind::PanicInFlush),
+            fault(9, FaultKind::OverflowStorm { at: 603, len: 112 }),
+            fault(10, FaultKind::OverflowStorm { at: 645, len: 144 }),
+        ]
+    );
 }
 
 proptest! {

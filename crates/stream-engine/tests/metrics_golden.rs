@@ -23,10 +23,9 @@ use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::time::Duration;
 use stream_engine::{
-    feed_all, render_prometheus, render_prometheus_with_net, render_stats_json,
-    render_stats_json_with_net, serve, ConnStats, EngineConfig, NetStats, QuarantineCause,
-    ServingStats, ShardStats, SnapshotWriter, StreamOptions, StreamState, StreamStats,
-    TumblingWindowMean,
+    feed_all, render_prometheus, render_stats_json, serve, ConnStats, EngineConfig, NetStats,
+    QuarantineCause, ServingStats, ShardStats, SnapshotWriter, StreamOptions, StreamState,
+    StreamStats, TumblingWindowMean,
 };
 
 /// A fixed, fully deterministic snapshot exercising every family the
@@ -126,7 +125,7 @@ const GOLDEN_PATH: &str = concat!(
 
 #[test]
 fn render_matches_committed_golden_byte_for_byte() {
-    let rendered = render_prometheus_with_net(&fixture(), Some(&net_fixture()));
+    let rendered = render_prometheus(&fixture(), Some(&net_fixture()));
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(GOLDEN_PATH, &rendered).expect("writing golden fixture");
         return;
@@ -144,7 +143,7 @@ fn render_matches_committed_golden_byte_for_byte() {
 
 #[test]
 fn label_values_escape_backslash_quote_and_newline() {
-    let out = render_prometheus_with_net(&fixture(), Some(&net_fixture()));
+    let out = render_prometheus(&fixture(), Some(&net_fixture()));
     // `sensor "B" \ west` must appear with escaped quotes + backslash.
     assert!(
         out.contains(r#"name="sensor \"B\" \\ west""#),
@@ -241,7 +240,7 @@ fn parse_sample(line: &str) -> Option<Sample> {
 
 #[test]
 fn every_line_is_valid_exposition_syntax() {
-    let out = render_prometheus_with_net(&fixture(), Some(&net_fixture()));
+    let out = render_prometheus(&fixture(), Some(&net_fixture()));
     let mut samples = 0usize;
     let mut helped: Vec<String> = Vec::new();
     let mut typed: Vec<String> = Vec::new();
@@ -294,7 +293,7 @@ fn every_line_is_valid_exposition_syntax() {
 #[test]
 fn counters_reconcile_with_the_snapshot() {
     let stats = fixture();
-    let out = render_prometheus(&stats);
+    let out = render_prometheus(&stats, None);
     let find = |name: &str, stream: &str| -> f64 {
         out.lines()
             .filter_map(parse_sample_line_for(name, stream))
@@ -329,17 +328,12 @@ fn counters_reconcile_with_the_snapshot() {
 fn net_families_reconcile_and_degrade_cleanly() {
     let stats = fixture();
     let net = net_fixture();
-    // Without an ingest tier both renders stay byte-identical to the
-    // plain ones — attaching the network tier is purely additive.
-    assert_eq!(
-        render_prometheus_with_net(&stats, None),
-        render_prometheus(&stats)
-    );
-    assert_eq!(
-        render_stats_json_with_net(&stats, None),
-        render_stats_json(&stats)
-    );
-    let out = render_prometheus_with_net(&stats, Some(&net));
+    // Without an ingest tier neither render carries a net section.
+    let plain = render_prometheus(&stats, None);
+    assert!(!plain.contains("class_net_"), "{plain}");
+    let plain_json = render_stats_json(&stats, None);
+    assert!(!plain_json.contains("\"net\""), "{plain_json}");
+    let out = render_prometheus(&stats, Some(&net));
     assert!(out.contains("class_net_connections 2\n"), "{out}");
     assert!(out.contains("class_net_connections_total 3\n"), "{out}");
     assert!(
@@ -352,7 +346,7 @@ fn net_families_reconcile_and_degrade_cleanly() {
         out.contains(r#"class_net_conn_open{conn="2",peer="127.0.0.1:50003"} 0"#),
         "closed connections stay listed: {out}"
     );
-    let json = render_stats_json_with_net(&stats, Some(&net));
+    let json = render_stats_json(&stats, Some(&net));
     assert!(json.contains("\"net\": {"), "{json}");
     assert!(json.contains("\"accepted\": 3, \"active\": 2"), "{json}");
     assert!(
@@ -453,7 +447,7 @@ fn live_endpoint_serves_scrapes_that_reconcile_with_stats() {
     };
     assert_eq!(
         stable(&json_body),
-        stable(&render_stats_json(&stats)),
+        stable(&render_stats_json(&stats, None)),
         "JSON route renders the live snapshot"
     );
     let (head, _) = http_get(server.addr(), "/nope");
@@ -513,7 +507,10 @@ fn snapshot_writer_maintains_a_parseable_file_and_flushes_on_drop() {
             .collect::<Vec<_>>()
             .join("\n")
     };
-    assert_eq!(stable(&doc), stable(&render_stats_json(&handle.stats())));
+    assert_eq!(
+        stable(&doc),
+        stable(&render_stats_json(&handle.stats(), None))
+    );
     assert!(!std::path::Path::new(&format!("{}.tmp", path.display())).exists());
     std::fs::remove_file(&path).ok();
 }

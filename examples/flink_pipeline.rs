@@ -1,81 +1,31 @@
-//! ClaSS inside a stream-processing pipeline (paper §4.4).
+//! ClaSS as a window operator on the serving engine (paper §4.4).
 //!
 //! Run with `cargo run --example flink_pipeline --release`.
 //!
-//! Builds the Flink-style topology the paper deploys: a source feeding a
-//! pre-processing operator (tumbling-window smoothing) and the ClaSS window
-//! operator, whose output is a stream of change point records. Then runs
-//! many independent sensor streams on the sharded serving engine (a
-//! bounded worker pool fed through backpressured ring buffers) and
-//! reports operator throughput plus a live `ServingStats` snapshot.
+//! The paper deploys ClaSS inside Apache Flink: every sensor stream gets
+//! its own ClaSS window operator, whose output is a stream of change
+//! point records. This example registers a handful of such streams on
+//! the sharded serving engine (a bounded worker pool fed through
+//! backpressured ring buffers), feeds them to completion, and prints a
+//! live `ServingStats` snapshot plus each stream's change points and
+//! operator latency.
 
-use class_core::{ClassConfig, ClassSegmenter, WidthSelection};
+use class_core::{ClassConfig, ClassSegmenter};
 use datasets::{Archive, GenConfig};
-use stream_engine::{
-    feed_all, run_streams, serve, Backpressure, EngineConfig, Pipeline, RingConfig,
-    SegmenterOperator,
-};
+use stream_engine::{feed_all, serve, Backpressure, EngineConfig, RingConfig, SegmenterOperator};
 
 fn main() {
-    // --- Single pipeline: source -> smoothing -> ClaSS -> sink. ---
-    let series = &Archive::Wesad.generate(&GenConfig::default())[0];
-    let mut cfg = ClassConfig::with_window_size(2_000);
-    cfg.warmup = Some(1_500);
-    cfg.log10_alpha = -15.0;
-    let pipeline =
-        Pipeline::source_type::<f64>().then(SegmenterOperator::new(ClassSegmenter::new(cfg)));
-    println!("topology: {:?}", pipeline.stages());
-    let (cps, report) = pipeline.run(series.values.iter().copied());
-    println!(
-        "stream of {} points -> {} change point records at {:.0} points/s",
-        report.records_in,
-        cps.len(),
-        report.throughput()
-    );
-    for r in &cps {
-        println!(
-            "  cp at position {} (emitted at t = {})",
-            r.value, r.timestamp
-        );
-    }
-    println!("ground truth: {:?}", series.change_points);
-
-    // --- Many streams on a slot pool (the §4.4 experiment in miniature). ---
-    let streams: Vec<Vec<f64>> = Archive::Wesad
+    let series: Vec<_> = Archive::Wesad
         .generate(&GenConfig::default())
         .into_iter()
         .take(8)
-        .map(|s| s.values)
         .collect();
-    let results = run_streams(
-        &streams,
-        |_| {
-            let mut c = ClassConfig::with_window_size(2_000);
-            c.width = WidthSelection::Learn(class_core::WssMethod::Suss);
-            c.warmup = Some(1_500);
-            SegmenterOperator::new(ClassSegmenter::new(c))
-        },
-        4,    // task slots
-        1024, // channel buffer (backpressure)
-    );
-    println!("\nparallel run of {} streams on 4 slots:", results.len());
-    for r in &results {
-        println!(
-            "  stream {}: {} points, {} cps, {:.0} points/s",
-            r.stream_index,
-            r.records_in,
-            r.output.len(),
-            r.throughput()
-        );
-    }
-
-    // --- The serving engine directly: live stats while streams flow. ---
     let config = EngineConfig {
         shards: 2,
         ring: RingConfig::new(128, Backpressure::Block),
     };
     let (served, snapshot) = serve(config, |engine| {
-        let handles: Vec<_> = (0..streams.len())
+        let handles: Vec<_> = (0..series.len())
             .map(|_| {
                 engine.register(|| {
                     let mut c = ClassConfig::with_window_size(2_000);
@@ -86,24 +36,27 @@ fn main() {
             })
             .collect();
         let snapshot = engine.stats(); // all streams live, none finished
-        let slices: Vec<&[f64]> = streams.iter().map(|s| s.as_slice()).collect();
+        let slices: Vec<&[f64]> = series.iter().map(|s| s.values.as_slice()).collect();
         feed_all(handles, &slices).expect("feed completes: rings block, never error");
         snapshot
     });
     println!(
-        "\nserving engine: {} streams registered on {} shards ({} active at snapshot)",
+        "serving engine: {} streams registered on {} shards ({} active at snapshot)",
         served.len(),
         config.shards,
         snapshot.active_streams()
     );
-    for r in &served {
+    for (r, s) in served.iter().zip(&series) {
+        let cps: Vec<u64> = r.output.iter().map(|rec| rec.value).collect();
         println!(
-            "  stream {} (shard {}): {} records, p99 {:?}, {} drops",
+            "  stream {} (shard {}): {} records, {:.0} points/s, p99 {:?}, {} drops",
             r.stream,
             r.shard,
             r.records_in,
+            r.throughput(),
             r.latency.quantile(0.99),
             r.drops
         );
+        println!("    cps {cps:?} (ground truth {:?})", s.change_points);
     }
 }

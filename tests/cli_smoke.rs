@@ -835,7 +835,7 @@ fn serve_status_falls_back_to_a_snapshot_file_and_flags_quarantines() {
     std::fs::create_dir_all(&dir).unwrap();
 
     let ok_path = dir.join("healthy.json");
-    std::fs::write(&ok_path, render_stats_json(&healthy)).unwrap();
+    std::fs::write(&ok_path, render_stats_json(&healthy, None)).unwrap();
     let (stdout, stderr, code) = run_cli(
         &["serve-status", "--snapshot", &ok_path.display().to_string()],
         "",
@@ -844,7 +844,7 @@ fn serve_status_falls_back_to_a_snapshot_file_and_flags_quarantines() {
     assert!(stdout.contains("records in:   900"), "{stdout}");
 
     let bad_path = dir.join("degraded.json");
-    std::fs::write(&bad_path, render_stats_json(&degraded)).unwrap();
+    std::fs::write(&bad_path, render_stats_json(&degraded, None)).unwrap();
     let (stdout, stderr, code) = run_cli(
         &[
             "serve-status",
