@@ -16,6 +16,9 @@ use crate::similarity::Similarity;
 use crate::stats::{significance_ln_p, SampleSize, SplitMix64};
 use crate::wss::{select_width, WidthBounds, WssMethod};
 
+/// Smallest sliding window [`ClassSegmenter::new`] accepts.
+pub const MIN_WINDOW_SIZE: usize = 16;
+
 /// How the subsequence width `w` is determined (paper §3.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WidthSelection {
@@ -190,7 +193,7 @@ impl ClassSegmenter {
     /// Panics if the configuration is inconsistent (e.g. fixed width not
     /// smaller than the window size, `k` of 0).
     pub fn new(cfg: ClassConfig) -> Self {
-        assert!(cfg.window_size >= 16, "window size too small");
+        assert!(cfg.window_size >= MIN_WINDOW_SIZE, "window size too small");
         assert!(cfg.k >= 1, "k must be positive");
         assert!(cfg.cp_margin_factor >= 1.0, "cp_margin_factor must be >= 1");
         assert!(cfg.jump >= 1, "jump must be >= 1");

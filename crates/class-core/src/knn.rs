@@ -7,12 +7,33 @@
 //!    every other subsequence in the window in O(d) total, by maintaining
 //!    the (w-1)-length dot products of the previous step (Eq. 3-5, the
 //!    STOMP recurrence adapted to streaming),
-//! 2. selects the k nearest neighbours of the newest subsequence with a
-//!    single bounded-insertion pass over the scores (O(d + i·k) where `i`
-//!    is the number of top-k improvements), honouring a trivial-match
-//!    exclusion radius of 1.5·w, and
+//! 2. selects the k nearest neighbours of the newest subsequence, honouring
+//!    a trivial-match exclusion radius of 1.5·w, and
 //! 3. updates the stored neighbour lists of all older subsequences for which
 //!    the newest subsequence is a closer neighbour than their current k-th.
+//!
+//! Steps 2 and 3 are *filter-then-insert* sweeps. Almost every score is
+//! rejected by a single compare against an admission threshold, so each
+//! sweep first ORs that compare over a chunk of [`CHUNK`] slots (a loop
+//! LLVM vectorizes) and runs the scalar insertion body only on chunks with
+//! a hit. The sweep costs O(d) compares plus O(k) per insertion.
+//!
+//! Both filters are exact because they never reject a score the insertion
+//! body would accept; the body then applies the unchanged exact test.
+//! * Selection admits `score > row[kk-1]`, where `row` is the candidate
+//!   list under construction. That value is −∞ until the list fills, and
+//!   NaN and −∞ never compare greater, so the filter *is* the exact test.
+//!   The threshold only rises during the sweep, so a rejected chunk holds
+//!   no score the body would have taken later.
+//! * Reverse insertion admits `score >= kth[r]`, where `kth` is a
+//!   contiguous per-row column holding the k-th score of a full row and −∞
+//!   for a row with room. This is a superset of the exact test
+//!   `score > k-th score` (full row) or `score` not NaN (row with room):
+//!   ties, and −∞ offered to a row with room, reach the body and get the
+//!   exact verdict there.
+//!
+//! Neighbour lists, tie order and the change journal are therefore the
+//! same as those of a plain scalar sweep, bit for bit.
 //!
 //! Neighbour identities are stored as *absolute* subsequence ids (the
 //! position of the subsequence start in the stream). This avoids the O(k·d)
@@ -38,6 +59,11 @@ pub const MAX_K: usize = 16;
 /// than this, [`StreamingKnn::events_since`] reports the loss and the
 /// consumer rebuilds from the neighbour lists instead.
 const JOURNAL_CAP: usize = 1024;
+
+/// Slots per admission-filter chunk of the selection and reverse-insertion
+/// sweeps (see the module docs): wide enough for LLVM to vectorize the
+/// compare-OR, narrow enough that a hit re-scans few slots.
+const CHUNK: usize = 8;
 
 /// One neighbour-list mutation, as recorded in the change journal.
 ///
@@ -170,6 +196,10 @@ pub struct StreamingKnn {
     nn_score: ShiftMatrix<f64>,
     /// Number of valid neighbours per row.
     nn_len: ShiftBuffer<u8>,
+    /// Admission threshold per row: the k-th score of a full row, −∞ for a
+    /// row with room. Contiguous copy of `nn_score` column k-1 that the
+    /// reverse-insertion filter scans (see module docs).
+    kth: ShiftBuffer<f64>,
     /// Absolute id (stream start position) of the next subsequence.
     next_sid: i64,
     /// Remaining pushes until the most recent non-finite observation has
@@ -201,6 +231,7 @@ impl Clone for StreamingKnn {
             nn_sid: self.nn_sid.clone(),
             nn_score: self.nn_score.clone(),
             nn_len: self.nn_len.clone(),
+            kth: self.kth.clone(),
             next_sid: self.next_sid,
             nan_heal: self.nan_heal,
         }
@@ -233,6 +264,7 @@ impl StreamingKnn {
             nn_sid: ShiftMatrix::new(m_max, k),
             nn_score: ShiftMatrix::new(m_max, k),
             nn_len: ShiftBuffer::new(m_max),
+            kth: ShiftBuffer::new(m_max),
             next_sid: 0,
             nan_heal: 0,
             cfg,
@@ -464,47 +496,57 @@ impl StreamingKnn {
             }
         }
 
-        // --- k-NN selection for the newest subsequence: one bounded
-        // insertion pass over the scores. Semantics match the former
-        // k-sequential-scan selection exactly: candidates are ranked by
-        // descending score, ties broken towards the older slot, and
-        // NaN / -inf scores are never selected (a NaN in the window must
-        // shorten the list rather than fabricate neighbours). ---
+        // --- k-NN selection for the newest subsequence. Candidates are
+        // ranked by descending score, ties broken towards the older slot,
+        // and NaN / -inf scores are never selected (a NaN in the window
+        // must shorten the list rather than fabricate neighbours). ---
         let k = self.cfg.k;
-        let elig_end = self.m_max - self.excl; // exclusive slot bound
-        let n_elig = elig_end.saturating_sub(qstart);
-        let kk = k.min(n_elig);
+        // Exclusive slot bound; empty when the exclusion radius covers the
+        // whole window (tiny d relative to w).
+        let elig_end = self.m_max.saturating_sub(self.excl);
+        let kk = k.min(elig_end.saturating_sub(qstart));
         let mut row_sid = [i64::MIN; MAX_K];
         let mut row_score = [f64::NEG_INFINITY; MAX_K];
         let mut n_chosen = 0usize;
-        for s in qstart..elig_end {
-            let sc = self.scores[s];
-            // NaN and -inf are never selectable, mirroring the old argmax
-            // that never advanced past its -inf initialisation.
-            if sc.is_nan() || sc == f64::NEG_INFINITY {
+        let mut c0 = qstart;
+        while c0 < elig_end {
+            let c1 = (c0 + CHUNK).min(elig_end);
+            let chunk = &self.scores[c0..c1];
+            // -inf until the list fills and only rising afterwards, so
+            // this filter is the exact admission test.
+            let thr = row_score[kk - 1];
+            if !any_admitted(chunk, &[thr; CHUNK][..chunk.len()], |sc, t| sc > t) {
+                c0 = c1;
                 continue;
             }
-            if n_chosen == kk && sc <= row_score[kk - 1] {
-                continue;
+            for (s, &sc) in (c0..c1).zip(chunk) {
+                if sc > row_score[kk - 1] {
+                    let mut pos = n_chosen;
+                    while pos > 0 && row_score[pos - 1] < sc {
+                        pos -= 1;
+                    }
+                    let end = if n_chosen == kk { kk - 1 } else { n_chosen };
+                    for j in (pos..end).rev() {
+                        row_score[j + 1] = row_score[j];
+                        row_sid[j + 1] = row_sid[j];
+                    }
+                    row_score[pos] = sc;
+                    row_sid[pos] = self.sid_of_slot(s);
+                    if n_chosen < kk {
+                        n_chosen += 1;
+                    }
+                }
             }
-            let mut pos = n_chosen;
-            while pos > 0 && row_score[pos - 1] < sc {
-                pos -= 1;
-            }
-            let end = if n_chosen == kk { kk - 1 } else { n_chosen };
-            for j in (pos..end).rev() {
-                row_score[j + 1] = row_score[j];
-                row_sid[j + 1] = row_sid[j];
-            }
-            row_score[pos] = sc;
-            row_sid[pos] = self.sid_of_slot(s);
-            if n_chosen < kk {
-                n_chosen += 1;
-            }
+            c0 = c1;
         }
         self.nn_sid.push_row(&row_sid[..k]);
         self.nn_score.push_row(&row_score[..k]);
         self.nn_len.push(n_chosen as u8);
+        self.kth.push(if n_chosen == k {
+            row_score[k - 1]
+        } else {
+            f64::NEG_INFINITY
+        });
         // Journal: row creation precedes its initial edges, so a replaying
         // consumer resets the row's slot before applying them.
         self.push_event(KnnEvent::RowCreated { sid });
@@ -524,58 +566,98 @@ impl StreamingKnn {
             // 0 .. n_subs - excl (matching the eligibility of the initial
             // selection above).
             let upto = n_subs.saturating_sub(self.excl);
-            for r in 0..upto {
-                let s = qstart + r;
-                let sc = self.scores[s];
-                if sc.is_nan() {
-                    // A NaN in the window poisons the recursion's scores; a
-                    // NaN neighbour entry would break the lists' sortedness.
-                    continue;
-                }
-                let len = self.nn_len.get(r) as usize;
-                if len == k && sc <= self.nn_score.row(r)[k - 1] {
-                    continue;
-                }
-                // Insertion position by descending score.
-                let mut pos = 0;
-                {
-                    let sr = self.nn_score.row(r);
-                    while pos < len && sr[pos] >= sc {
-                        pos += 1;
+            let mut r0 = 0;
+            while r0 < upto {
+                let r1 = (r0 + CHUNK).min(upto);
+                // Superset of the exact test in `admit` (see module docs).
+                let hit = any_admitted(
+                    &self.scores[qstart + r0..qstart + r1],
+                    &self.kth.as_slice()[r0..r1],
+                    |sc, kth| sc >= kth,
+                );
+                if hit {
+                    for r in r0..r1 {
+                        self.admit(r, qstart + r, sid);
                     }
                 }
-                let end = len.min(k - 1);
-                // Journaled before the shift below overwrites it.
-                let evicted = (len == k).then(|| self.nn_sid.row(r)[k - 1]);
-                {
-                    let sr = self.nn_score.row_mut(r);
-                    for j in (pos..end).rev() {
-                        sr[j + 1] = sr[j];
-                    }
-                    sr[pos] = sc;
-                }
-                {
-                    let ir = self.nn_sid.row_mut(r);
-                    for j in (pos..end).rev() {
-                        ir[j + 1] = ir[j];
-                    }
-                    ir[pos] = sid;
-                }
-                if len < k {
-                    self.nn_len.as_mut_slice()[r] += 1;
-                }
-                let owner = self.sid_of_slot(s);
-                match evicted {
-                    Some(evicted) => self.push_event(KnnEvent::EdgeReplaced {
-                        owner,
-                        target: sid,
-                        evicted,
-                    }),
-                    None => self.push_event(KnnEvent::EdgeAdded { owner, target: sid }),
-                }
+                r0 = r1;
             }
         }
         true
+    }
+
+    /// Offers the newest subsequence `sid`, scored `self.scores[s]`, to the
+    /// neighbour list of row `r` (slot `s`): the exact admission test, then
+    /// a sorted insertion that keeps `kth` and the journal in step.
+    fn admit(&mut self, r: usize, s: usize, sid: i64) {
+        let k = self.cfg.k;
+        let sc = self.scores[s];
+        if sc.is_nan() {
+            // A NaN in the window poisons the recursion's scores; a NaN
+            // neighbour entry would break the lists' sortedness.
+            return;
+        }
+        let len = self.nn_len.get(r) as usize;
+        if len == k && sc <= self.nn_score.row(r)[k - 1] {
+            return;
+        }
+        // Insertion position by descending score.
+        let mut pos = 0;
+        {
+            let sr = self.nn_score.row(r);
+            while pos < len && sr[pos] >= sc {
+                pos += 1;
+            }
+        }
+        let end = len.min(k - 1);
+        // Journaled before the shift below overwrites it.
+        let evicted = (len == k).then(|| self.nn_sid.row(r)[k - 1]);
+        {
+            let sr = self.nn_score.row_mut(r);
+            for j in (pos..end).rev() {
+                sr[j + 1] = sr[j];
+            }
+            sr[pos] = sc;
+            if len + 1 >= k {
+                self.kth.as_mut_slice()[r] = sr[k - 1];
+            }
+        }
+        {
+            let ir = self.nn_sid.row_mut(r);
+            for j in (pos..end).rev() {
+                ir[j + 1] = ir[j];
+            }
+            ir[pos] = sid;
+        }
+        if len < k {
+            self.nn_len.as_mut_slice()[r] += 1;
+        }
+        let owner = self.sid_of_slot(s);
+        match evicted {
+            Some(evicted) => self.push_event(KnnEvent::EdgeReplaced {
+                owner,
+                target: sid,
+                evicted,
+            }),
+            None => self.push_event(KnnEvent::EdgeAdded { owner, target: sid }),
+        }
+    }
+}
+
+/// Chunk filter of the filter-then-insert sweeps: whether `admit(x[i],
+/// t[i])` holds for any `i`. A full chunk is matched as a fixed-size array
+/// so LLVM unrolls and vectorizes the compare-OR; the ragged tail of a
+/// sweep takes the same fold over slices.
+#[inline(always)]
+fn any_admitted(x: &[f64], t: &[f64], admit: impl Fn(f64, f64) -> bool) -> bool {
+    let fold = |x: &[f64], t: &[f64]| {
+        x.iter()
+            .zip(t)
+            .fold(false, |hit, (&x, &t)| hit | admit(x, t))
+    };
+    match (<&[f64; CHUNK]>::try_from(x), <&[f64; CHUNK]>::try_from(t)) {
+        (Ok(x), Ok(t)) => fold(x, t),
+        _ => fold(x, t),
     }
 }
 
@@ -588,6 +670,21 @@ mod tests {
     fn random_series(n: usize, seed: u64) -> Vec<f64> {
         let mut rng = SplitMix64::new(seed);
         (0..n).map(|_| rng.next_f64() * 4.0 - 2.0).collect()
+    }
+
+    /// The reverse-insertion admission column mirrors the neighbour lists:
+    /// the k-th score of every full row, -inf for every row with room.
+    fn assert_kth_in_step(knn: &StreamingKnn) {
+        let k = knn.cfg.k;
+        assert_eq!(knn.kth.len(), knn.nn_score.rows());
+        for r in 0..knn.kth.len() {
+            let want = if knn.nn_len.get(r) as usize == k {
+                knn.nn_score.row(r)[k - 1]
+            } else {
+                f64::NEG_INFINITY
+            };
+            assert_eq!(knn.kth.get(r).to_bits(), want.to_bits(), "row {r}");
+        }
     }
 
     /// Brute-force mirror of the streaming semantics: same exclusion, same
@@ -873,6 +970,7 @@ mod tests {
             if !knn.update(x) {
                 continue;
             }
+            assert_kth_in_step(&knn);
             if t < clean_from {
                 continue;
             }
@@ -919,6 +1017,7 @@ mod tests {
             if !knn.update(x) {
                 continue;
             }
+            assert_kth_in_step(&knn);
             if t >= nan_at && t < clean_from {
                 // Dirty window: the recursion poisons every slot one step
                 // after the NaN arrives; poisoned scores must surface as
@@ -948,6 +1047,21 @@ mod tests {
                     "t={t} slot={slot}: {got} vs {want}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn exclusion_wider_than_the_window_leaves_lists_empty() {
+        // d - w + 1 = 3 subsequences, exclusion radius ceil(1.5 * 8) = 12:
+        // no pair is ever eligible, so every list stays empty.
+        let mut knn = StreamingKnn::new(KnnConfig::new(10, 8, 1));
+        for x in random_series(40, 14) {
+            knn.update(x);
+            assert_kth_in_step(&knn);
+        }
+        assert_eq!(knn.n_subsequences(), 3);
+        for slot in knn.qstart()..knn.max_subsequences() {
+            assert!(knn.neighbors(slot).0.is_empty(), "slot {slot}");
         }
     }
 

@@ -38,6 +38,7 @@
 //! class-cli feed --connect 127.0.0.1:9600 sensor-a.txt sensor-b.txt
 //! ```
 
+use class_core::class::MIN_WINDOW_SIZE;
 use class_core::{ClassConfig, ClassSegmenter, StreamingSegmenter, WidthSelection, WssMethod};
 use std::io::{BufRead, BufReader, Read, Write};
 
@@ -84,7 +85,7 @@ USAGE:
 
 OPTIONS:
     --input FILE       read from FILE instead of stdin
-    --window N         sliding window size d (default 10000)
+    --window N         sliding window size d (default 10000, at least 16)
     --width N          fixed subsequence width (default: learned via SuSS)
     --wss METHOD       width selection: suss | fft | acf | mwf
     --alpha P          significance level (default 1e-50)
@@ -186,6 +187,18 @@ SERVE-STATUS (read a serving engine's stats from either source):
         error, 3 the engine reports quarantined streams.
 ";
 
+/// Parses a `--window` value: a window `ClassSegmenter` accepts, so a
+/// too-small one is a usage error rather than a panic.
+fn parse_window(v: &str) -> Result<usize, String> {
+    let d: usize = v.parse().map_err(|_| "numeric --window")?;
+    if d < MIN_WINDOW_SIZE {
+        return Err(format!(
+            "--window must be at least {MIN_WINDOW_SIZE}, got {d}"
+        ));
+    }
+    Ok(d)
+}
+
 fn parse_args() -> CliArgs {
     let mut args = CliArgs::default();
     let mut it = std::env::args().skip(1);
@@ -198,7 +211,12 @@ fn parse_args() -> CliArgs {
         };
         match arg.as_str() {
             "--input" => args.input = Some(grab("--input")),
-            "--window" => args.window = grab("--window").parse().expect("numeric --window"),
+            "--window" => {
+                args.window = parse_window(&grab("--window")).unwrap_or_else(|e| {
+                    eprintln!("error: {e}");
+                    std::process::exit(2);
+                })
+            }
             "--width" => args.width = Some(grab("--width").parse().expect("numeric --width")),
             "--wss" => {
                 args.wss = match grab("--wss").as_str() {
@@ -471,9 +489,7 @@ fn parse_datasets_run_args(rest: &[String]) -> Result<DatasetsRunArgs, String> {
                 .ok_or_else(|| format!("{name} requires a value"))
         };
         match arg.as_str() {
-            "--window" => {
-                out.window = Some(grab("--window")?.parse().map_err(|_| "numeric --window")?)
-            }
+            "--window" => out.window = Some(parse_window(&grab("--window")?)?),
             "--width" => out.width = Some(grab("--width")?.parse().map_err(|_| "numeric --width")?),
             "--alpha" => out.alpha = grab("--alpha")?.parse().map_err(|_| "numeric --alpha")?,
             "--rate" => {
@@ -1315,7 +1331,7 @@ fn parse_serve_args(rest: &[String]) -> Result<ServeArgs, String> {
                 }
                 out.shards = s;
             }
-            "--window" => out.window = grab("--window")?.parse().map_err(|_| "numeric --window")?,
+            "--window" => out.window = parse_window(&grab("--window")?)?,
             "--width" => out.width = Some(grab("--width")?.parse().map_err(|_| "numeric --width")?),
             "--wss" => {
                 out.wss = match grab("--wss")?.as_str() {

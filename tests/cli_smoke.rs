@@ -200,6 +200,33 @@ fn serve_and_feed_usage_errors_exit_2() {
 }
 
 #[test]
+fn small_window_with_a_wide_width_runs_to_completion() {
+    // ceil(1.5 w) exceeds d - w + 1 here, so no subsequence is ever
+    // eligible as a neighbour: every list stays empty, nothing panics.
+    let (stdout, stderr, code) = run_cli(&["--window", "16", "--width", "8"], &two_regime_input());
+    assert_eq!(code, 0, "stderr: {stderr}");
+    assert!(stdout.lines().last().is_some(), "no summary line");
+}
+
+#[test]
+fn too_small_windows_are_usage_errors() {
+    let runs: [&[&str]; 3] = [
+        &["--window", "10"],
+        &["datasets", "run", "--window", "15", "ignored.txt"],
+        &["serve", "--listen", "127.0.0.1:0", "--window", "8"],
+    ];
+    for args in runs {
+        let (_, stderr, code) = run_cli(args, "");
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("--window must be at least 16"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn help_exits_cleanly_and_unknown_flags_do_not() {
     let (stdout, _, code) = run_cli(&["--help"], "");
     assert_eq!(code, 0);
