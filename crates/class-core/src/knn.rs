@@ -12,25 +12,33 @@
 //! 3. updates the stored neighbour lists of all older subsequences for which
 //!    the newest subsequence is a closer neighbour than their current k-th.
 //!
-//! Steps 2 and 3 are *filter-then-insert* sweeps. Almost every score is
-//! rejected by a single compare against an admission threshold, so each
-//! sweep first ORs that compare over a chunk of [`CHUNK`] slots (a loop
-//! LLVM vectorizes) and runs the scalar insertion body only on chunks with
-//! a hit. The sweep costs O(d) compares plus O(k) per insertion.
+//! Step 1 also runs the admission filters of steps 2 and 3, in the same
+//! SIMD loop (see [`crate::simd::QStepIo`]): over the eligible slots, for
+//! each 64-slot block, it reports the block's largest score and a bit mask
+//! of the slots whose score is `>=` the row's admission threshold. Almost
+//! every score is rejected by those two summaries, so steps 2 and 3 read
+//! them instead of re-reading the d scores, and run their scalar insertion
+//! body only where a block or a bit lets a score through. An update costs
+//! one O(d) sweep plus O(k) per insertion.
 //!
 //! Both filters are exact because they never reject a score the insertion
 //! body would accept; the body then applies the unchanged exact test.
-//! * Selection admits `score > row[kk-1]`, where `row` is the candidate
-//!   list under construction. That value is −∞ until the list fills, and
-//!   NaN and −∞ never compare greater, so the filter *is* the exact test.
-//!   The threshold only rises during the sweep, so a rejected chunk holds
-//!   no score the body would have taken later.
-//! * Reverse insertion admits `score >= kth[r]`, where `kth` is a
-//!   contiguous per-row column holding the k-th score of a full row and −∞
-//!   for a row with room. This is a superset of the exact test
-//!   `score > k-th score` (full row) or `score` not NaN (row with room):
-//!   ties, and −∞ offered to a row with room, reach the body and get the
-//!   exact verdict there.
+//! * Selection scans a block only if its maximum beats `row[kk-1]`, where
+//!   `row` is the candidate list under construction. That value is −∞
+//!   until the list fills and only rises during the sweep, and a block
+//!   maximum is never NaN, so a skipped block holds no score the body
+//!   would take, now or later in the sweep. Selection also skips a block
+//!   whose maximum is below the kk-th largest block maximum: each of the
+//!   kk blocks with the largest maxima holds a score at least that large,
+//!   so the final k-th score is too, and a score below it is never kept.
+//! * Reverse insertion offers the newest subsequence to row `r` only if
+//!   hit bit `r` is set: `score >= kth[r]`, where `kth` is a contiguous
+//!   per-row column holding the k-th score of a full row and −∞ for a row
+//!   with room. This is a superset of the exact test `score > k-th score`
+//!   (full row) or `score` not NaN (row with room): ties, and −∞ offered
+//!   to a row with room, reach the body and get the exact verdict there.
+//!   Each row's threshold changes only when that row admits, so the masks
+//!   computed before the sweep stay valid throughout it.
 //!
 //! Neighbour lists, tie order and the change journal are therefore the
 //! same as those of a plain scalar sweep, bit for bit.
@@ -59,11 +67,6 @@ pub const MAX_K: usize = 16;
 /// than this, [`StreamingKnn::events_since`] reports the loss and the
 /// consumer rebuilds from the neighbour lists instead.
 const JOURNAL_CAP: usize = 1024;
-
-/// Slots per admission-filter chunk of the selection and reverse-insertion
-/// sweeps (see the module docs): wide enough for LLVM to vectorize the
-/// compare-OR, narrow enough that a hit re-scans few slots.
-const CHUNK: usize = 8;
 
 /// One neighbour-list mutation, as recorded in the change journal.
 ///
@@ -198,8 +201,13 @@ pub struct StreamingKnn {
     nn_len: ShiftBuffer<u8>,
     /// Admission threshold per row: the k-th score of a full row, −∞ for a
     /// row with room. Contiguous copy of `nn_score` column k-1 that the
-    /// reverse-insertion filter scans (see module docs).
+    /// Q-step kernel filters against (see module docs).
     kth: ShiftBuffer<f64>,
+    /// Scratch: per 64-slot block of the eligible range, the largest score
+    /// of the latest update (the Q-step kernel's `block_max`).
+    block_max: Vec<f64>,
+    /// Scratch: per block, the `score >= kth` hit bits (`block_hits`).
+    block_hits: Vec<u64>,
     /// Absolute id (stream start position) of the next subsequence.
     next_sid: i64,
     /// Remaining pushes until the most recent non-finite observation has
@@ -232,6 +240,8 @@ impl Clone for StreamingKnn {
             nn_score: self.nn_score.clone(),
             nn_len: self.nn_len.clone(),
             kth: self.kth.clone(),
+            block_max: self.block_max.clone(),
+            block_hits: self.block_hits.clone(),
             next_sid: self.next_sid,
             nan_heal: self.nan_heal,
         }
@@ -265,6 +275,8 @@ impl StreamingKnn {
             nn_score: ShiftMatrix::new(m_max, k),
             nn_len: ShiftBuffer::new(m_max),
             kth: ShiftBuffer::new(m_max),
+            block_max: vec![0.0; m_max.div_ceil(simd::BLOCK)],
+            block_hits: vec![0; m_max.div_ceil(simd::BLOCK)],
             next_sid: 0,
             nan_heal: 0,
             cfg,
@@ -458,8 +470,14 @@ impl StreamingKnn {
             }
         }
 
-        // --- Q maintenance & similarity scores (Eq. 3-5), one fused
-        // SIMD pass per update (see `crate::simd`). ---
+        // Only subsequences at slot distance >= excl from the newest are
+        // eligible neighbours: the first `nfilt` live slots. Empty when the
+        // exclusion radius covers the whole window (tiny d relative to w).
+        let nfilt = n_subs.saturating_sub(self.excl);
+        let nblocks = nfilt.div_ceil(simd::BLOCK);
+
+        // --- Q maintenance, similarity scores (Eq. 3-5) and the admission
+        // filter, one fused SIMD pass per update (see `crate::simd`). ---
         {
             let win = self.win.as_slice();
             if grew {
@@ -475,6 +493,11 @@ impl StreamingKnn {
             let ssq = self.ssq.as_slice();
             let ce2 = self.ce2.as_slice();
             let o_new = n_subs - 1;
+            // The rows still hold the previous update's subsequences: one
+            // fewer than `n_subs` while the window grows, or all of them
+            // with the oldest (about to be evicted) first once it is full.
+            let kth = self.kth.as_slice();
+            let row0 = kth.len() + 1 - n_subs;
             let io = simd::QStepIo {
                 q: &mut self.q[qstart..],
                 scores: &mut self.scores[qstart..],
@@ -482,6 +505,9 @@ impl StreamingKnn {
                 head: &win[..n_subs],
                 last,
                 first: first_of_newest,
+                kth: &kth[row0..row0 + nfilt],
+                block_max: &mut self.block_max[..nblocks],
+                block_hits: &mut self.block_hits[..nblocks],
             };
             match self.cfg.similarity {
                 Similarity::Pearson => {
@@ -501,25 +527,31 @@ impl StreamingKnn {
         // and NaN / -inf scores are never selected (a NaN in the window
         // must shorten the list rather than fabricate neighbours). ---
         let k = self.cfg.k;
-        // Exclusive slot bound; empty when the exclusion radius covers the
-        // whole window (tiny d relative to w).
-        let elig_end = self.m_max.saturating_sub(self.excl);
-        let kk = k.min(elig_end.saturating_sub(qstart));
+        let kk = k.min(nfilt);
         let mut row_sid = [i64::MIN; MAX_K];
         let mut row_score = [f64::NEG_INFINITY; MAX_K];
         let mut n_chosen = 0usize;
-        let mut c0 = qstart;
-        while c0 < elig_end {
-            let c1 = (c0 + CHUNK).min(elig_end);
-            let chunk = &self.scores[c0..c1];
-            // -inf until the list fills and only rising afterwards, so
-            // this filter is the exact admission test.
-            let thr = row_score[kk - 1];
-            if !any_admitted(chunk, &[thr; CHUNK][..chunk.len()], |sc, t| sc > t) {
-                c0 = c1;
+        // The kk-th largest block maximum, a lower bound on the final k-th
+        // score (see module docs).
+        let mut top = [f64::NEG_INFINITY; MAX_K];
+        for &m in &self.block_max[..nblocks] {
+            if m > top[kk - 1] {
+                let pos = top[..kk].iter().position(|&t| t < m).unwrap_or(kk - 1);
+                top.copy_within(pos..kk - 1, pos + 1);
+                top[pos] = m;
+            }
+        }
+        let floor = top[kk.saturating_sub(1)];
+        for b in 0..nblocks {
+            // Exact block filters (see module docs); never NaN on any side.
+            let m = self.block_max[b];
+            if m < floor || m <= row_score[kk - 1] {
                 continue;
             }
-            for (s, &sc) in (c0..c1).zip(chunk) {
+            let c0 = qstart + b * simd::BLOCK;
+            let c1 = (c0 + simd::BLOCK).min(qstart + nfilt);
+            for s in c0..c1 {
+                let sc = self.scores[s];
                 if sc > row_score[kk - 1] {
                     let mut pos = n_chosen;
                     while pos > 0 && row_score[pos - 1] < sc {
@@ -537,7 +569,6 @@ impl StreamingKnn {
                     }
                 }
             }
-            c0 = c1;
         }
         self.nn_sid.push_row(&row_sid[..k]);
         self.nn_score.push_row(&row_score[..k]);
@@ -557,30 +588,18 @@ impl StreamingKnn {
             });
         }
 
-        // --- Insert the newest subsequence into older neighbour lists. ---
+        // --- Insert the newest subsequence into older neighbour lists:
+        // row r (slot qstart + r) for every hit bit r of the eligible
+        // range, in ascending order. ---
         if self.cfg.update_existing {
-            let rows = self.nn_sid.rows();
-            debug_assert_eq!(rows, n_subs);
-            // Rows are ordered oldest -> newest; only rows at slot distance
-            // >= excl from the newest are eligible, i.e. row indices
-            // 0 .. n_subs - excl (matching the eligibility of the initial
-            // selection above).
-            let upto = n_subs.saturating_sub(self.excl);
-            let mut r0 = 0;
-            while r0 < upto {
-                let r1 = (r0 + CHUNK).min(upto);
-                // Superset of the exact test in `admit` (see module docs).
-                let hit = any_admitted(
-                    &self.scores[qstart + r0..qstart + r1],
-                    &self.kth.as_slice()[r0..r1],
-                    |sc, kth| sc >= kth,
-                );
-                if hit {
-                    for r in r0..r1 {
-                        self.admit(r, qstart + r, sid);
-                    }
+            debug_assert_eq!(self.nn_sid.rows(), n_subs);
+            for b in 0..nblocks {
+                let mut hits = self.block_hits[b];
+                while hits != 0 {
+                    let r = b * simd::BLOCK + hits.trailing_zeros() as usize;
+                    self.admit(r, qstart + r, sid);
+                    hits &= hits - 1;
                 }
-                r0 = r1;
             }
         }
         true
@@ -641,23 +660,6 @@ impl StreamingKnn {
             }),
             None => self.push_event(KnnEvent::EdgeAdded { owner, target: sid }),
         }
-    }
-}
-
-/// Chunk filter of the filter-then-insert sweeps: whether `admit(x[i],
-/// t[i])` holds for any `i`. A full chunk is matched as a fixed-size array
-/// so LLVM unrolls and vectorizes the compare-OR; the ragged tail of a
-/// sweep takes the same fold over slices.
-#[inline(always)]
-fn any_admitted(x: &[f64], t: &[f64], admit: impl Fn(f64, f64) -> bool) -> bool {
-    let fold = |x: &[f64], t: &[f64]| {
-        x.iter()
-            .zip(t)
-            .fold(false, |hit, (&x, &t)| hit | admit(x, t))
-    };
-    match (<&[f64; CHUNK]>::try_from(x), <&[f64; CHUNK]>::try_from(t)) {
-        (Ok(x), Ok(t)) => fold(x, t),
-        _ => fold(x, t),
     }
 }
 

@@ -2,12 +2,13 @@
 //!
 //! The per-update cost of ClaSS is the O(d) work of
 //! [`crate::knn::StreamingKnn::update`]. A TSC-cycle split of one update at
-//! d = 10k (`paper-d10k` streams, seed 7, 2-core x86-64 VM, AVX2 backend)
-//! gives about 23k cycles for the fused Q-recursion + scoring sweep, 11k
-//! for k-NN selection and 14k for the insertion into older neighbour lists,
-//! of about 49k in total. The last two are plain-Rust filter-then-insert
-//! sweeps in [`crate::knn`], not kernels of this module; before their
-//! chunked admission filter they took about 31k and 70k of 127k.
+//! d = 10k (`paper-d10k` streams, seed 7, 2-core x86-64 VM, AVX2 backend,
+//! median of three runs) gives about 31k cycles for the fused Q-step sweep,
+//! 3k for k-NN selection and 1k for the insertion into older neighbour
+//! lists, of about 36k in total. The sweep also emits the admission-filter
+//! summaries those two steps consume (see [`QStepIo`]); when they re-read
+//! the scores in two plain-Rust sweeps of their own, the split on the same
+//! host was about 23k, 12k and 14k of 50k.
 //!
 //! This module provides fused kernels for the Q-step sweep, the
 //! subsequence-moment sums and the explicit dot products that seed the
@@ -104,6 +105,10 @@ fn detect() -> Backend {
     }
 }
 
+/// Slots per admission block of the Q-step's filter outputs (one `u64` of
+/// hit bits each).
+pub const BLOCK: usize = 64;
+
 /// In/out state of one fused Q-recursion + score + Q-shift pass.
 ///
 /// For every slot `i` the kernels compute, in a single traversal,
@@ -116,6 +121,21 @@ fn detect() -> Backend {
 ///
 /// replacing the previous load → dot → score → store sequence of
 /// `StreamingKnn::update` (paper Eq. 3–5, Algorithm 2).
+///
+/// The same traversal filters the eligible prefix `[0, kth.len())` for
+/// the k-NN admission tests, one [`BLOCK`]-slot block `b` at a time (the
+/// last block may be ragged; slots past the prefix are scored, not
+/// filtered):
+///
+/// ```text
+/// block_max[b]  = max of the block's non-NaN scores (−∞ if none),
+///                 with −0.0 reported as +0.0
+/// block_hits[b] = bit j set iff scores[64b + j] >= kth[64b + j]
+/// ```
+///
+/// The maximum is order-independent once the zero sign is canonicalized,
+/// and the compare is ordered (NaN sets no bit), so both outputs are
+/// bit-identical across backends.
 #[derive(Debug)]
 pub struct QStepIo<'a> {
     /// Maintained (w-1)-length dot products; rewritten in place to the
@@ -131,6 +151,13 @@ pub struct QStepIo<'a> {
     pub last: f64,
     /// First value of the newest subsequence (multiplies `head`).
     pub first: f64,
+    /// Admission threshold per slot of the eligible prefix; its length
+    /// sets the prefix.
+    pub kth: &'a [f64],
+    /// Output: largest score per block of the eligible prefix.
+    pub block_max: &'a mut [f64],
+    /// Output: `scores >= kth` hit bits per block of the eligible prefix.
+    pub block_hits: &'a mut [u64],
 }
 
 impl QStepIo<'_> {
@@ -140,6 +167,10 @@ impl QStepIo<'_> {
         assert_eq!(self.scores.len(), n, "scores length mismatch");
         assert_eq!(self.tail.len(), n, "tail length mismatch");
         assert_eq!(self.head.len(), n, "head length mismatch");
+        assert!(self.kth.len() <= n, "kth longer than q");
+        let blocks = self.kth.len().div_ceil(BLOCK);
+        assert_eq!(self.block_max.len(), blocks, "block_max length mismatch");
+        assert_eq!(self.block_hits.len(), blocks, "block_hits length mismatch");
     }
 }
 
@@ -271,8 +302,13 @@ pub mod scalar {
         acc
     }
 
-    /// Fused Q-step, Pearson scoring (see [`QStepIo`]).
-    pub fn qstep_pearson(io: QStepIo<'_>, mu: &[f64], sig: &[f64], w: f64, mu_n: f64, sig_n: f64) {
+    /// The Q-step skeleton shared by the three measures: `score(i, dot)`
+    /// is slot `i`'s similarity given its completed dot product. Scores
+    /// every slot first, then derives the block outputs from them — the
+    /// definition the fused backends must reproduce.
+    #[inline(always)]
+    fn qstep(io: QStepIo<'_>, score: impl Fn(usize, f64) -> f64) {
+        io.check();
         let QStepIo {
             q,
             scores,
@@ -280,46 +316,69 @@ pub mod scalar {
             head,
             last,
             first,
+            kth,
+            block_max,
+            block_hits,
         } = io;
         for i in 0..q.len() {
             let dot = q[i] + tail[i] * last;
-            scores[i] = pearson_from_dot(dot, w, mu[i], sig[i], mu_n, sig_n);
+            scores[i] = score(i, dot);
             q[i] = dot - head[i] * first;
         }
+        let blocks = scores[..kth.len()].chunks(BLOCK).zip(kth.chunks(BLOCK));
+        let outs = block_max.iter_mut().zip(block_hits.iter_mut());
+        for ((sb, kb), (mx, hits)) in blocks.zip(outs) {
+            *mx = sb.iter().fold(f64::NEG_INFINITY, |m, &s| m.max(s)) + 0.0;
+            *hits = sb
+                .iter()
+                .zip(kb)
+                .enumerate()
+                .fold(0, |h, (j, (&s, &t))| h | u64::from(s >= t) << j);
+        }
+    }
+
+    /// Fused Q-step, Pearson scoring (see [`QStepIo`]).
+    pub fn qstep_pearson(io: QStepIo<'_>, mu: &[f64], sig: &[f64], w: f64, mu_n: f64, sig_n: f64) {
+        qstep(io, pearson(mu, sig, w, mu_n, sig_n));
     }
 
     /// Fused Q-step, negated squared Euclidean scoring.
     pub fn qstep_euclidean(io: QStepIo<'_>, ssq: &[f64], ssq_n: f64) {
-        let QStepIo {
-            q,
-            scores,
-            tail,
-            head,
-            last,
-            first,
-        } = io;
-        for i in 0..q.len() {
-            let dot = q[i] + tail[i] * last;
-            scores[i] = -sq_euclidean_from_dot(dot, ssq[i], ssq_n);
-            q[i] = dot - head[i] * first;
-        }
+        qstep(io, euclidean(ssq, ssq_n));
     }
 
     /// Fused Q-step, negated squared CID scoring.
     pub fn qstep_cid(io: QStepIo<'_>, ssq: &[f64], ce2: &[f64], ssq_n: f64, ce2_n: f64) {
-        let QStepIo {
-            q,
-            scores,
-            tail,
-            head,
-            last,
-            first,
-        } = io;
-        for i in 0..q.len() {
-            let dot = q[i] + tail[i] * last;
-            scores[i] = -sq_cid_from_dot(dot, ssq[i], ssq_n, ce2[i], ce2_n);
-            q[i] = dot - head[i] * first;
-        }
+        qstep(io, cid(ssq, ce2, ssq_n, ce2_n));
+    }
+
+    /// Per-slot Pearson score; also the remainder path of the lane backends.
+    #[inline(always)]
+    pub(super) fn pearson<'a>(
+        mu: &'a [f64],
+        sig: &'a [f64],
+        w: f64,
+        mu_n: f64,
+        sig_n: f64,
+    ) -> impl Fn(usize, f64) -> f64 + 'a {
+        move |i, dot| pearson_from_dot(dot, w, mu[i], sig[i], mu_n, sig_n)
+    }
+
+    /// Per-slot negated squared Euclidean score.
+    #[inline(always)]
+    pub(super) fn euclidean(ssq: &[f64], ssq_n: f64) -> impl Fn(usize, f64) -> f64 + '_ {
+        move |i, dot| -sq_euclidean_from_dot(dot, ssq[i], ssq_n)
+    }
+
+    /// Per-slot negated squared CID score.
+    #[inline(always)]
+    pub(super) fn cid<'a>(
+        ssq: &'a [f64],
+        ce2: &'a [f64],
+        ssq_n: f64,
+        ce2_n: f64,
+    ) -> impl Fn(usize, f64) -> f64 + 'a {
+        move |i, dot| -sq_cid_from_dot(dot, ssq[i], ssq_n, ce2[i], ce2_n)
     }
 }
 
@@ -416,158 +475,135 @@ pub mod autovec {
         }
     }
 
+    impl QStepIo<'_> {
+        /// One Q-step over the lane block at slot `i`, scored by `lanes`;
+        /// returns the scores. Fixed-size views keep it to one bounds check
+        /// per slice.
+        #[inline(always)]
+        fn lane_step(
+            &mut self,
+            i: usize,
+            lanes: &impl Fn(usize, [f64; LANES]) -> [f64; LANES],
+        ) -> [f64; LANES] {
+            let (last, first) = (self.last, self.first);
+            let qb: &mut [f64; LANES] = (&mut self.q[i..i + LANES]).try_into().unwrap();
+            let tb: &[f64; LANES] = self.tail[i..i + LANES].try_into().unwrap();
+            let hb: &[f64; LANES] = self.head[i..i + LANES].try_into().unwrap();
+            let dot: [f64; LANES] = std::array::from_fn(|l| qb[l] + tb[l] * last);
+            let sc = lanes(i, dot);
+            self.scores[i..i + LANES].copy_from_slice(&sc);
+            for l in 0..LANES {
+                qb[l] = dot[l] - hb[l] * first;
+            }
+            sc
+        }
+
+        /// One Q-step at the single slot `i`, scored by `slot`.
+        #[inline(always)]
+        fn slot_step(&mut self, i: usize, slot: &impl Fn(usize, f64) -> f64) -> f64 {
+            let dot = self.q[i] + self.tail[i] * self.last;
+            self.scores[i] = slot(i, dot);
+            self.q[i] = dot - self.head[i] * self.first;
+            self.scores[i]
+        }
+    }
+
+    /// The Q-step skeleton shared by the three measures, fused with the
+    /// admission filter: `lanes(i, dot)` scores the lane block at slot
+    /// `i`, `slot(i, dot)` a single remainder slot. The sweep filters each
+    /// [`BLOCK`] of the eligible prefix as it scores it, then scores the
+    /// unfiltered rest. Hit bits enter a block's word at the top and shift
+    /// down by a constant, so one final shift aligns its first slot to
+    /// bit 0.
+    #[inline(always)]
+    fn qstep(
+        mut io: QStepIo<'_>,
+        lanes: impl Fn(usize, [f64; LANES]) -> [f64; LANES],
+        slot: impl Fn(usize, f64) -> f64,
+    ) {
+        io.check();
+        let (n, nfilt) = (io.q.len(), io.kth.len());
+        for b in 0..nfilt.div_ceil(BLOCK) {
+            let (lo, hi) = (b * BLOCK, (b * BLOCK + BLOCK).min(nfilt));
+            let mut vmax = [f64::NEG_INFINITY; LANES];
+            let mut hits = 0u64;
+            let mut i = lo;
+            while i + LANES <= hi {
+                let sc = io.lane_step(i, &lanes);
+                let kb: &[f64; LANES] = io.kth[i..i + LANES].try_into().unwrap();
+                let mut bits = 0u64;
+                for l in 0..LANES {
+                    // NaN compares false, so it never displaces the max.
+                    vmax[l] = if sc[l] > vmax[l] { sc[l] } else { vmax[l] };
+                    bits |= u64::from(sc[l] >= kb[l]) << l;
+                }
+                hits = hits >> LANES | bits << (BLOCK - LANES);
+                i += LANES;
+            }
+            let mut mx = vmax.into_iter().fold(f64::NEG_INFINITY, f64::max);
+            while i < hi {
+                let sc = io.slot_step(i, &slot);
+                mx = mx.max(sc);
+                hits = hits >> 1 | u64::from(sc >= io.kth[i]) << (BLOCK - 1);
+                i += 1;
+            }
+            io.block_max[b] = mx + 0.0;
+            io.block_hits[b] = hits >> (BLOCK - (hi - lo));
+        }
+        let mut i = nfilt;
+        while i + LANES <= n {
+            io.lane_step(i, &lanes);
+            i += LANES;
+        }
+        while i < n {
+            io.slot_step(i, &slot);
+            i += 1;
+        }
+    }
+
     /// Fused Q-step, Pearson scoring; value-identical to the scalar kernel.
     pub fn qstep_pearson(io: QStepIo<'_>, mu: &[f64], sig: &[f64], w: f64, mu_n: f64, sig_n: f64) {
-        let QStepIo {
-            q,
-            scores,
-            tail,
-            head,
-            last,
-            first,
-        } = io;
-        let n = q.len();
-        let m = n - n % LANES;
         let flat_n = sig_n < SIGMA_FLOOR;
-        let blocks = q[..m]
-            .chunks_exact_mut(LANES)
-            .zip(scores[..m].chunks_exact_mut(LANES))
-            .zip(
-                tail[..m]
-                    .chunks_exact(LANES)
-                    .zip(head[..m].chunks_exact(LANES)),
-            )
-            .zip(
-                mu[..m]
-                    .chunks_exact(LANES)
-                    .zip(sig[..m].chunks_exact(LANES)),
-            );
-        for (((qb, sb), (tb, hb)), (mb, gb)) in blocks {
-            for l in 0..LANES {
-                let dot = qb[l] + tb[l] * last;
-                let c = clamp1((dot - w * mb[l] * mu_n) / (w * gb[l] * sig_n));
-                sb[l] = if flat_n || gb[l] < SIGMA_FLOOR {
+        let lanes = |i: usize, dot: [f64; LANES]| {
+            let (mb, gb) = (&mu[i..i + LANES], &sig[i..i + LANES]);
+            std::array::from_fn(|l| {
+                let c = clamp1((dot[l] - w * mb[l] * mu_n) / (w * gb[l] * sig_n));
+                if flat_n || gb[l] < SIGMA_FLOOR {
                     0.0
                 } else {
                     c
-                };
-                qb[l] = dot - hb[l] * first;
-            }
-        }
-        scalar::qstep_pearson(
-            QStepIo {
-                q: &mut q[m..],
-                scores: &mut scores[m..],
-                tail: &tail[m..],
-                head: &head[m..],
-                last,
-                first,
-            },
-            &mu[m..],
-            &sig[m..],
-            w,
-            mu_n,
-            sig_n,
-        );
+                }
+            })
+        };
+        qstep(io, lanes, scalar::pearson(mu, sig, w, mu_n, sig_n));
     }
 
     /// Fused Q-step, negated squared Euclidean scoring; value-identical to
     /// the scalar kernel.
     pub fn qstep_euclidean(io: QStepIo<'_>, ssq: &[f64], ssq_n: f64) {
-        let QStepIo {
-            q,
-            scores,
-            tail,
-            head,
-            last,
-            first,
-        } = io;
-        let n = q.len();
-        let m = n - n % LANES;
-        let blocks = q[..m]
-            .chunks_exact_mut(LANES)
-            .zip(scores[..m].chunks_exact_mut(LANES))
-            .zip(
-                tail[..m]
-                    .chunks_exact(LANES)
-                    .zip(head[..m].chunks_exact(LANES)),
-            )
-            .zip(ssq[..m].chunks_exact(LANES));
-        for (((qb, sb), (tb, hb)), cb) in blocks {
-            for l in 0..LANES {
-                let dot = qb[l] + tb[l] * last;
-                let ed2 = floor0(cb[l] + ssq_n - 2.0 * dot);
-                sb[l] = -ed2;
-                qb[l] = dot - hb[l] * first;
-            }
-        }
-        scalar::qstep_euclidean(
-            QStepIo {
-                q: &mut q[m..],
-                scores: &mut scores[m..],
-                tail: &tail[m..],
-                head: &head[m..],
-                last,
-                first,
-            },
-            &ssq[m..],
-            ssq_n,
-        );
+        let lanes = |i: usize, dot: [f64; LANES]| {
+            let cb = &ssq[i..i + LANES];
+            std::array::from_fn(|l| -floor0(cb[l] + ssq_n - 2.0 * dot[l]))
+        };
+        qstep(io, lanes, scalar::euclidean(ssq, ssq_n));
     }
 
     /// Fused Q-step, negated squared CID scoring; value-identical to the
     /// scalar kernel.
     pub fn qstep_cid(io: QStepIo<'_>, ssq: &[f64], ce2: &[f64], ssq_n: f64, ce2_n: f64) {
-        let QStepIo {
-            q,
-            scores,
-            tail,
-            head,
-            last,
-            first,
-        } = io;
-        let n = q.len();
-        let m = n - n % LANES;
-        let blocks = q[..m]
-            .chunks_exact_mut(LANES)
-            .zip(scores[..m].chunks_exact_mut(LANES))
-            .zip(
-                tail[..m]
-                    .chunks_exact(LANES)
-                    .zip(head[..m].chunks_exact(LANES)),
-            )
-            .zip(
-                ssq[..m]
-                    .chunks_exact(LANES)
-                    .zip(ce2[..m].chunks_exact(LANES)),
-            );
-        for (((qb, sb), (tb, hb)), (cb, eb)) in blocks {
-            for l in 0..LANES {
-                let dot = qb[l] + tb[l] * last;
-                let ed2 = floor0(cb[l] + ssq_n - 2.0 * dot);
+        let lanes = |i: usize, dot: [f64; LANES]| {
+            let (cb, eb) = (&ssq[i..i + LANES], &ce2[i..i + LANES]);
+            std::array::from_fn(|l| {
+                let ed2 = floor0(cb[l] + ssq_n - 2.0 * dot[l]);
                 let (hi, lo) = if eb[l] >= ce2_n {
                     (eb[l], ce2_n)
                 } else {
                     (ce2_n, eb[l])
                 };
-                sb[l] = -(ed2 * (hi / lo.max(CE_FLOOR)));
-                qb[l] = dot - hb[l] * first;
-            }
-        }
-        scalar::qstep_cid(
-            QStepIo {
-                q: &mut q[m..],
-                scores: &mut scores[m..],
-                tail: &tail[m..],
-                head: &head[m..],
-                last,
-                first,
-            },
-            &ssq[m..],
-            &ce2[m..],
-            ssq_n,
-            ce2_n,
-        );
+                -(ed2 * (hi / lo.max(CE_FLOOR)))
+            })
+        };
+        qstep(io, lanes, scalar::cid(ssq, ce2, ssq_n, ce2_n));
     }
 }
 
@@ -687,6 +723,102 @@ pub mod avx2 {
         (lanes[0] + lanes[2]) + (lanes[1] + lanes[3])
     }
 
+    /// Largest lane of `v`, whose lanes are not NaN.
+    #[target_feature(enable = "avx2")]
+    unsafe fn hmax(v: __m256d) -> f64 {
+        let mut lanes = [0.0f64; LANES];
+        _mm256_storeu_pd(lanes.as_mut_ptr(), v);
+        lanes.into_iter().fold(f64::NEG_INFINITY, f64::max)
+    }
+
+    /// The Q-step skeleton shared by the three measures, fused with the
+    /// admission filter; the structure of [`autovec`]'s, with `lanes(i,
+    /// dot)` scoring a 256-bit lane block and `slot(i, dot)` a remainder
+    /// slot. Callers define `lanes` inside their own `avx2` function, so
+    /// that the closure inherits the target feature and inlines here.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2, `io` must pass [`QStepIo::check`], and
+    /// `lanes` must read only the lane block `i..i + LANES` of slices at
+    /// least as long as `io.q`: the sweep accesses every slice by raw
+    /// pointer.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn qstep<L, S>(io: QStepIo<'_>, lanes: L, slot: S)
+    where
+        L: Fn(usize, __m256d) -> __m256d,
+        S: Fn(usize, f64) -> f64,
+    {
+        let QStepIo {
+            q,
+            scores,
+            tail,
+            head,
+            last,
+            first,
+            kth,
+            block_max,
+            block_hits,
+        } = io;
+        let (n, nfilt) = (q.len(), kth.len());
+        let (qp, sp) = (q.as_mut_ptr(), scores.as_mut_ptr());
+        let (tp, hp, kp) = (tail.as_ptr(), head.as_ptr(), kth.as_ptr());
+        let vlast = _mm256_set1_pd(last);
+        let vfirst = _mm256_set1_pd(first);
+        let step = |i: usize| {
+            let dot = _mm256_add_pd(
+                _mm256_loadu_pd(qp.add(i)),
+                _mm256_mul_pd(_mm256_loadu_pd(tp.add(i)), vlast),
+            );
+            let sc = lanes(i, dot);
+            _mm256_storeu_pd(sp.add(i), sc);
+            let qn = _mm256_sub_pd(dot, _mm256_mul_pd(_mm256_loadu_pd(hp.add(i)), vfirst));
+            _mm256_storeu_pd(qp.add(i), qn);
+            sc
+        };
+        let step1 = |i: usize| {
+            let dot = *qp.add(i) + *tp.add(i) * last;
+            let sc = slot(i, dot);
+            *sp.add(i) = sc;
+            *qp.add(i) = dot - *hp.add(i) * first;
+            sc
+        };
+        for (b, lo) in (0..nfilt).step_by(BLOCK).enumerate() {
+            let hi = (lo + BLOCK).min(nfilt);
+            let mut vmax = _mm256_set1_pd(f64::NEG_INFINITY);
+            let mut hits = 0u64;
+            let mut i = lo;
+            while i + LANES <= hi {
+                let sc = step(i);
+                // maxpd returns its second operand when either is NaN, so a
+                // NaN score leaves the running max alone.
+                vmax = _mm256_max_pd(sc, vmax);
+                let ge = _mm256_cmp_pd::<_CMP_GE_OQ>(sc, _mm256_loadu_pd(kp.add(i)));
+                let bits = u64::from(_mm256_movemask_pd(ge) as u32);
+                hits = hits >> LANES | bits << (BLOCK - LANES);
+                i += LANES;
+            }
+            let mut mx = hmax(vmax);
+            while i < hi {
+                let sc = step1(i);
+                mx = mx.max(sc);
+                hits = hits >> 1 | u64::from(sc >= *kp.add(i)) << (BLOCK - 1);
+                i += 1;
+            }
+            block_max[b] = mx + 0.0;
+            block_hits[b] = hits >> (BLOCK - (hi - lo));
+        }
+        let mut i = nfilt;
+        while i + LANES <= n {
+            step(i);
+            i += LANES;
+        }
+        while i < n {
+            step1(i);
+            i += 1;
+        }
+    }
+
     /// Fused Q-step, Pearson scoring; value-identical to the scalar kernel
     /// (flat-σ zeroing and NaN propagation included).
     pub fn qstep_pearson(io: QStepIo<'_>, mu: &[f64], sig: &[f64], w: f64, mu_n: f64, sig_n: f64) {
@@ -707,18 +839,6 @@ pub mod avx2 {
         mu_n: f64,
         sig_n: f64,
     ) {
-        let QStepIo {
-            q,
-            scores,
-            tail,
-            head,
-            last,
-            first,
-        } = io;
-        let n = q.len();
-        let m = n - n % LANES;
-        let vlast = _mm256_set1_pd(last);
-        let vfirst = _mm256_set1_pd(first);
         let vw = _mm256_set1_pd(w);
         let vmun = _mm256_set1_pd(mu_n);
         let vsign = _mm256_set1_pd(sig_n);
@@ -728,14 +848,9 @@ pub mod avx2 {
         let vzero = _mm256_setzero_pd();
         // sig_n < floor zeroes every lane (scalar checks it per call).
         let flat_n = _mm256_cmp_pd::<_CMP_LT_OQ>(vsign, vfloor);
-        let mut i = 0;
-        while i < m {
-            let vq = _mm256_loadu_pd(q.as_ptr().add(i));
-            let vt = _mm256_loadu_pd(tail.as_ptr().add(i));
-            let vh = _mm256_loadu_pd(head.as_ptr().add(i));
+        let lanes = |i: usize, dot: __m256d| {
             let vmu = _mm256_loadu_pd(mu.as_ptr().add(i));
             let vsig = _mm256_loadu_pd(sig.as_ptr().add(i));
-            let dot = _mm256_add_pd(vq, _mm256_mul_pd(vt, vlast));
             // Same association as the scalar kernel: (w*mu_a)*mu_n etc.
             let num = _mm256_sub_pd(dot, _mm256_mul_pd(_mm256_mul_pd(vw, vmu), vmun));
             let den = _mm256_mul_pd(_mm256_mul_pd(vw, vsig), vsign);
@@ -745,27 +860,9 @@ pub mod avx2 {
             let unord = _mm256_cmp_pd::<_CMP_UNORD_Q>(c, c);
             let val = _mm256_blendv_pd(clamped, c, unord);
             let flat = _mm256_or_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(vsig, vfloor), flat_n);
-            let score = _mm256_blendv_pd(val, vzero, flat);
-            _mm256_storeu_pd(scores.as_mut_ptr().add(i), score);
-            let qn = _mm256_sub_pd(dot, _mm256_mul_pd(vh, vfirst));
-            _mm256_storeu_pd(q.as_mut_ptr().add(i), qn);
-            i += LANES;
-        }
-        scalar::qstep_pearson(
-            QStepIo {
-                q: &mut q[m..],
-                scores: &mut scores[m..],
-                tail: &tail[m..],
-                head: &head[m..],
-                last,
-                first,
-            },
-            &mu[m..],
-            &sig[m..],
-            w,
-            mu_n,
-            sig_n,
-        );
+            _mm256_blendv_pd(val, vzero, flat)
+        };
+        qstep(io, lanes, scalar::pearson(mu, sig, w, mu_n, sig_n));
     }
 
     /// Fused Q-step, negated squared Euclidean scoring; value-identical to
@@ -779,50 +876,19 @@ pub mod avx2 {
 
     #[target_feature(enable = "avx2")]
     unsafe fn qstep_euclidean_impl(io: QStepIo<'_>, ssq: &[f64], ssq_n: f64) {
-        let QStepIo {
-            q,
-            scores,
-            tail,
-            head,
-            last,
-            first,
-        } = io;
-        let n = q.len();
-        let m = n - n % LANES;
-        let vlast = _mm256_set1_pd(last);
-        let vfirst = _mm256_set1_pd(first);
         let vssqn = _mm256_set1_pd(ssq_n);
         let vtwo = _mm256_set1_pd(2.0);
         let vzero = _mm256_setzero_pd();
         let vsign = _mm256_set1_pd(-0.0);
-        let mut i = 0;
-        while i < m {
-            let vq = _mm256_loadu_pd(q.as_ptr().add(i));
-            let vt = _mm256_loadu_pd(tail.as_ptr().add(i));
-            let vh = _mm256_loadu_pd(head.as_ptr().add(i));
+        let lanes = |i: usize, dot: __m256d| {
             let vssq = _mm256_loadu_pd(ssq.as_ptr().add(i));
-            let dot = _mm256_add_pd(vq, _mm256_mul_pd(vt, vlast));
             let inner = _mm256_sub_pd(_mm256_add_pd(vssq, vssqn), _mm256_mul_pd(vtwo, dot));
             // maxpd returns the *second* operand on NaN, so this order
             // preserves a NaN `inner` like the scalar floor does.
             let ed2 = _mm256_max_pd(vzero, inner);
-            _mm256_storeu_pd(scores.as_mut_ptr().add(i), _mm256_xor_pd(ed2, vsign));
-            let qn = _mm256_sub_pd(dot, _mm256_mul_pd(vh, vfirst));
-            _mm256_storeu_pd(q.as_mut_ptr().add(i), qn);
-            i += LANES;
-        }
-        scalar::qstep_euclidean(
-            QStepIo {
-                q: &mut q[m..],
-                scores: &mut scores[m..],
-                tail: &tail[m..],
-                head: &head[m..],
-                last,
-                first,
-            },
-            &ssq[m..],
-            ssq_n,
-        );
+            _mm256_xor_pd(ed2, vsign)
+        };
+        qstep(io, lanes, scalar::euclidean(ssq, ssq_n));
     }
 
     /// Fused Q-step, negated squared CID scoring; value-identical to the
@@ -839,32 +905,15 @@ pub mod avx2 {
 
     #[target_feature(enable = "avx2")]
     unsafe fn qstep_cid_impl(io: QStepIo<'_>, ssq: &[f64], ce2: &[f64], ssq_n: f64, ce2_n: f64) {
-        let QStepIo {
-            q,
-            scores,
-            tail,
-            head,
-            last,
-            first,
-        } = io;
-        let n = q.len();
-        let m = n - n % LANES;
-        let vlast = _mm256_set1_pd(last);
-        let vfirst = _mm256_set1_pd(first);
         let vssqn = _mm256_set1_pd(ssq_n);
         let vce2n = _mm256_set1_pd(ce2_n);
         let vtwo = _mm256_set1_pd(2.0);
         let vzero = _mm256_setzero_pd();
         let vsign = _mm256_set1_pd(-0.0);
         let vtiny = _mm256_set1_pd(CE_FLOOR);
-        let mut i = 0;
-        while i < m {
-            let vq = _mm256_loadu_pd(q.as_ptr().add(i));
-            let vt = _mm256_loadu_pd(tail.as_ptr().add(i));
-            let vh = _mm256_loadu_pd(head.as_ptr().add(i));
+        let lanes = |i: usize, dot: __m256d| {
             let vssq = _mm256_loadu_pd(ssq.as_ptr().add(i));
             let vce2 = _mm256_loadu_pd(ce2.as_ptr().add(i));
-            let dot = _mm256_add_pd(vq, _mm256_mul_pd(vt, vlast));
             let inner = _mm256_sub_pd(_mm256_add_pd(vssq, vssqn), _mm256_mul_pd(vtwo, dot));
             // NaN-preserving floor at zero (maxpd returns src2 on NaN).
             let ed2 = _mm256_max_pd(vzero, inner);
@@ -875,25 +924,9 @@ pub mod avx2 {
             let lo = _mm256_blendv_pd(vce2, vce2n, ge);
             let lo = _mm256_max_pd(lo, vtiny);
             let cid2 = _mm256_mul_pd(ed2, _mm256_div_pd(hi, lo));
-            _mm256_storeu_pd(scores.as_mut_ptr().add(i), _mm256_xor_pd(cid2, vsign));
-            let qn = _mm256_sub_pd(dot, _mm256_mul_pd(vh, vfirst));
-            _mm256_storeu_pd(q.as_mut_ptr().add(i), qn);
-            i += LANES;
-        }
-        scalar::qstep_cid(
-            QStepIo {
-                q: &mut q[m..],
-                scores: &mut scores[m..],
-                tail: &tail[m..],
-                head: &head[m..],
-                last,
-                first,
-            },
-            &ssq[m..],
-            &ce2[m..],
-            ssq_n,
-            ce2_n,
-        );
+            _mm256_xor_pd(cid2, vsign)
+        };
+        qstep(io, lanes, scalar::cid(ssq, ce2, ssq_n, ce2_n));
     }
 }
 
@@ -956,6 +989,31 @@ mod tests {
                 head: &head,
                 last: 0.0,
                 first: 0.0,
+                kth: &[],
+                block_max: &mut [],
+                block_hits: &mut [],
+            },
+            &[0.0; 4],
+            0.0,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "block_hits length mismatch")]
+    fn qstep_rejects_missing_block_outputs() {
+        let mut q = vec![0.0; 4];
+        let mut scores = vec![0.0; 4];
+        qstep_euclidean(
+            QStepIo {
+                q: &mut q,
+                scores: &mut scores,
+                tail: &[0.0; 4],
+                head: &[0.0; 4],
+                last: 0.0,
+                first: 0.0,
+                kth: &[0.0; 2],
+                block_max: &mut [0.0],
+                block_hits: &mut [],
             },
             &[0.0; 4],
             0.0,

@@ -15,9 +15,18 @@ use class_core::{KnnConfig, KnnEvent, Similarity, SplitMix64, StreamingKnn};
 const N: usize = 400;
 
 /// `(d, w)` pairs. The eligible range of the newest row has
-/// `d - w + 1 - ceil(1.5 w)` slots: 81 and 53 (not multiples of 8) and 5
-/// (shorter than one 8-slot chunk).
+/// `d - w + 1 - ceil(1.5 w)` slots: 81 and 53 (not multiples of the 4-slot
+/// lane block) and 5 (one short admission block).
 const SIZES: [(usize, usize); 3] = [(100, 8), (67, 6), (24, 8)];
+
+/// Points fed per stream at [`BLOCK_SIZES`]: enough for the NaN burst to
+/// leave a 300-point window and for more than one and a half turnovers.
+const N_BLOCK: usize = 800;
+
+/// `(d, w)` pairs whose eligible ranges span several 64-slot admission
+/// blocks: 281 = 4·64 + 25 slots (a ragged last block) and 256 = 4·64
+/// (an exact multiple).
+const BLOCK_SIZES: [(usize, usize); 2] = [(300, 8), (275, 8)];
 
 /// 64-bit FNV-1a over little-endian words.
 struct Fnv(u64);
@@ -48,11 +57,11 @@ impl Fnv {
 /// The four integer-valued input regimes: a periodic stream that changes
 /// regime, seeded noise, noise with a NaN burst, and a flatline on which
 /// every score ties.
-fn streams() -> [Vec<f64>; 4] {
+fn streams(n: usize) -> [Vec<f64>; 4] {
     const WAVE: [f64; 8] = [0.0, 3.0, 5.0, 3.0, 0.0, -3.0, -5.0, -3.0];
-    let periodic = (0..N)
+    let periodic = (0..n)
         .map(|t| {
-            if t < N / 2 {
+            if t < n / 2 {
                 WAVE[t % 8]
             } else {
                 (t % 5) as f64 * 2.0 - 4.0
@@ -61,7 +70,7 @@ fn streams() -> [Vec<f64>; 4] {
         .collect();
     let noise = |seed| {
         let mut rng = SplitMix64::new(seed);
-        (0..N)
+        (0..n)
             .map(|_| rng.next_below(21) as f64 - 10.0)
             .collect::<Vec<_>>()
     };
@@ -69,7 +78,7 @@ fn streams() -> [Vec<f64>; 4] {
     for x in &mut nan_burst[150..154] {
         *x = f64::NAN;
     }
-    let flatline = (0..N)
+    let flatline = (0..n)
         .map(|t| if t < 60 { WAVE[t % 8] } else { 5.0 })
         .collect();
     [periodic, noise(7), nan_burst, flatline]
@@ -123,10 +132,16 @@ fn digest_stream(h: &mut Fnv, cfg: KnnConfig, xs: &[f64]) {
     }
 }
 
-fn digest(similarity: Similarity, k: usize, update_existing: bool) -> u64 {
+fn digest(
+    n: usize,
+    sizes: &[(usize, usize)],
+    similarity: Similarity,
+    k: usize,
+    update_existing: bool,
+) -> u64 {
     let mut h = Fnv::new();
-    for xs in streams() {
-        for (d, w) in SIZES {
+    for xs in streams(n) {
+        for &(d, w) in sizes {
             let cfg = KnnConfig {
                 similarity,
                 update_existing,
@@ -161,12 +176,35 @@ const GOLDEN: [(Similarity, usize, bool, u64); 18] = [
     (Similarity::Cid, 16, false, 0xf361_2397_782f_62f1),
 ];
 
-#[test]
-fn streaming_knn_matches_golden_digest() {
-    let mismatches: Vec<String> = GOLDEN
+/// Digests at [`BLOCK_SIZES`], captured before the admission filters
+/// moved into the Q-step kernels.
+const GOLDEN_BLOCKS: [(Similarity, usize, bool, u64); 18] = [
+    (Similarity::Pearson, 1, true, 0xb831_7b38_4afb_b68e),
+    (Similarity::Pearson, 3, true, 0x84d1_7f97_4fb5_f67f),
+    (Similarity::Pearson, 16, true, 0x2c75_f179_47ad_39ac),
+    (Similarity::Pearson, 1, false, 0x5da0_5a73_847b_2c49),
+    (Similarity::Pearson, 3, false, 0x78fc_8c15_9263_85ee),
+    (Similarity::Pearson, 16, false, 0x947e_6a66_a1c1_e6ed),
+    (Similarity::Euclidean, 1, true, 0xe0e1_f52d_2f1b_b636),
+    (Similarity::Euclidean, 3, true, 0x0a23_c14e_96e9_c798),
+    (Similarity::Euclidean, 16, true, 0xb00d_0909_5077_65c5),
+    (Similarity::Euclidean, 1, false, 0xa18e_e890_da85_eaae),
+    (Similarity::Euclidean, 3, false, 0x128e_1a47_0dd4_6d44),
+    (Similarity::Euclidean, 16, false, 0x4194_b292_a81f_e643),
+    (Similarity::Cid, 1, true, 0x0842_cd98_dd3f_b058),
+    (Similarity::Cid, 3, true, 0xd8e1_0c90_9308_27c4),
+    (Similarity::Cid, 16, true, 0x0055_f874_bc14_f2c9),
+    (Similarity::Cid, 1, false, 0x3384_b145_c9f2_c29b),
+    (Similarity::Cid, 3, false, 0x3de8_12c4_79a1_ccab),
+    (Similarity::Cid, 16, false, 0xf7de_19e8_3ea8_657c),
+];
+
+/// Compares every `(measure, k, update_existing)` digest against `table`.
+fn check(n: usize, sizes: &[(usize, usize)], table: &[(Similarity, usize, bool, u64)]) {
+    let mismatches: Vec<String> = table
         .iter()
         .filter_map(|&(sim, k, upd, want)| {
-            let got = digest(sim, k, upd);
+            let got = digest(n, sizes, sim, k, upd);
             (got != want).then(|| {
                 format!("{sim:?} k={k} update_existing={upd}: got {got:#018x}, want {want:#018x}")
             })
@@ -178,4 +216,14 @@ fn streaming_knn_matches_golden_digest() {
         class_core::simd::active_backend().name(),
         mismatches.join("\n")
     );
+}
+
+#[test]
+fn streaming_knn_matches_golden_digest() {
+    check(N, &SIZES, &GOLDEN);
+}
+
+#[test]
+fn streaming_knn_matches_golden_digest_across_blocks() {
+    check(N_BLOCK, &BLOCK_SIZES, &GOLDEN_BLOCKS);
 }

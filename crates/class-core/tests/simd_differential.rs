@@ -4,7 +4,9 @@
 //! on random, constant, and NaN-containing inputs, across all remainder
 //! lengths (`n % 4 != 0` included). The element-wise Q-step kernels must
 //! also agree on *which* lanes are NaN — NaN semantics are part of the
-//! kernel contract (see `class_core::simd`).
+//! kernel contract (see `class_core::simd`). The Q-step's admission-block
+//! outputs (`block_max`, `block_hits`) must match the scalar reference bit
+//! for bit.
 
 use class_core::simd::{self, autovec, scalar, QStepIo};
 use class_core::SplitMix64;
@@ -46,8 +48,35 @@ fn make_input(n: usize, seed: u64, nan_at: Option<usize>, constant: bool) -> Vec
     v
 }
 
-/// Runs one Q-step kernel variant on fresh copies of the shared inputs and
-/// returns `(q_out, scores_out)`.
+/// What one Q-step kernel run produces.
+#[derive(Debug)]
+struct QStepOut {
+    q: Vec<f64>,
+    scores: Vec<f64>,
+    block_max: Vec<f64>,
+    block_hits: Vec<u64>,
+}
+
+impl QStepOut {
+    /// Asserts `self` matches the scalar reference `want`: Q and scores
+    /// within `TOL`, block outputs bit for bit.
+    fn assert_matches(&self, want: &QStepOut, label: &str) {
+        assert_all_close(&self.q, &want.q, &format!("{label}/q"));
+        assert_all_close(&self.scores, &want.scores, &format!("{label}/scores"));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&self.block_max),
+            bits(&want.block_max),
+            "{label}/block_max: {:?} vs {:?}",
+            self.block_max,
+            want.block_max
+        );
+        assert_eq!(self.block_hits, want.block_hits, "{label}/block_hits");
+    }
+}
+
+/// Runs one Q-step kernel variant on fresh copies of the shared inputs,
+/// filtering the prefix `kth` covers, and returns its outputs.
 #[allow(clippy::too_many_arguments)]
 fn run_qstep(
     which: &str,
@@ -58,19 +87,28 @@ fn run_qstep(
     moments: (&[f64], &[f64], &[f64]),
     newest: (f64, f64, f64, f64),
     shift: (f64, f64),
-) -> (Vec<f64>, Vec<f64>) {
+    kth: &[f64],
+) -> QStepOut {
     let (mu, sig, aux) = moments;
     let (mu_n, sig_n, ssq_n, ce2_n) = newest;
     let (last, first) = shift;
-    let mut q = q0.to_vec();
-    let mut scores = vec![0.0; q0.len()];
+    let blocks = kth.len().div_ceil(simd::BLOCK);
+    let mut out = QStepOut {
+        q: q0.to_vec(),
+        scores: vec![0.0; q0.len()],
+        block_max: vec![0.0; blocks],
+        block_hits: vec![0; blocks],
+    };
     let io = QStepIo {
-        q: &mut q,
-        scores: &mut scores,
+        q: &mut out.q,
+        scores: &mut out.scores,
         tail,
         head,
         last,
         first,
+        kth,
+        block_max: &mut out.block_max,
+        block_hits: &mut out.block_hits,
     };
     let w = 8.0;
     match (which, backend) {
@@ -88,7 +126,7 @@ fn run_qstep(
         ("cid", "avx2") => simd::avx2::qstep_cid(io, sig, aux, ssq_n, ce2_n),
         other => panic!("unknown kernel/backend combination {other:?}"),
     }
-    (q, scores)
+    out
 }
 
 fn qstep_backends() -> Vec<&'static str> {
@@ -100,8 +138,37 @@ fn qstep_backends() -> Vec<&'static str> {
     b
 }
 
+/// Admission column for the first `nfilt` slots, built from reference
+/// scores so that every compare outcome occurs: ties (`>=` must hit),
+/// thresholds just above and below the score, and −∞ (a row with room).
+fn admission_column(scores: &[f64], nfilt: usize) -> Vec<f64> {
+    scores[..nfilt]
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| match i % 5 {
+            0 => s,
+            1 => s - 0.25,
+            2 => s + 0.25,
+            3 => f64::NEG_INFINITY,
+            _ => -s,
+        })
+        .collect()
+}
+
+/// Eligible-prefix lengths to filter on an `n`-slot sweep: empty, one
+/// slot, one block ± 1, and everything.
+fn prefixes(n: usize) -> Vec<usize> {
+    let mut p: Vec<usize> = [0, 1, 63, 64, 65, n]
+        .into_iter()
+        .filter(|&p| p <= n)
+        .collect();
+    p.dedup();
+    p
+}
+
 /// Shared harness: build inputs for all three Q-step kernels from a seed
-/// and compare every backend against the scalar reference.
+/// and compare every backend against the scalar reference, for every
+/// eligible prefix of [`prefixes`].
 fn check_qstep_all(n: usize, seed: u64, nan_at: Option<usize>, constant: bool) {
     let q0 = make_input(n, seed, nan_at, false);
     let tail = make_input(n, seed ^ 1, nan_at.map(|p| p / 2), constant);
@@ -121,31 +188,32 @@ fn check_qstep_all(n: usize, seed: u64, nan_at: Option<usize>, constant: bool) {
         .map(|v| v.abs())
         .collect();
     let newest = (0.3, if seed % 3 == 0 { 1e-9 } else { 0.9 }, 4.2, 1.7);
+    check_qstep_inputs(n, &q0, &tail, &head, (&mu, &sig, &aux), newest);
+}
+
+/// Compares every backend against the scalar reference on the given
+/// inputs, for every eligible prefix of [`prefixes`].
+fn check_qstep_inputs(
+    n: usize,
+    q0: &[f64],
+    tail: &[f64],
+    head: &[f64],
+    moments: (&[f64], &[f64], &[f64]),
+    newest: (f64, f64, f64, f64),
+) {
     let shift = (1.12, -0.57);
     for which in ["pearson", "euclidean", "cid"] {
-        let (q_ref, s_ref) = run_qstep(
-            which,
-            "scalar",
-            &q0,
-            &tail,
-            &head,
-            (&mu, &sig, &aux),
-            newest,
-            shift,
-        );
-        for backend in qstep_backends() {
-            let (q_got, s_got) = run_qstep(
-                which,
-                backend,
-                &q0,
-                &tail,
-                &head,
-                (&mu, &sig, &aux),
-                newest,
-                shift,
-            );
-            assert_all_close(&q_got, &q_ref, &format!("{which}/{backend}/q(n={n})"));
-            assert_all_close(&s_got, &s_ref, &format!("{which}/{backend}/scores(n={n})"));
+        let run = |backend, kth: &[f64]| {
+            run_qstep(which, backend, q0, tail, head, moments, newest, shift, kth)
+        };
+        let plain = run("scalar", &[]);
+        for nfilt in prefixes(n) {
+            let kth = admission_column(&plain.scores, nfilt);
+            let want = run("scalar", &kth);
+            for backend in qstep_backends() {
+                run(backend, &kth)
+                    .assert_matches(&want, &format!("{which}/{backend}(n={n}, nfilt={nfilt})"));
+            }
         }
     }
 }
@@ -206,10 +274,94 @@ fn reductions_agree_across_remainder_lengths() {
 
 #[test]
 fn qstep_kernels_agree_across_remainder_lengths() {
-    for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 127, 128, 129] {
+    for n in [
+        0usize, 1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 127, 128, 129, 255, 256, 281,
+    ] {
         check_qstep_all(n, 500 + n as u64, None, false);
         check_qstep_all(n, 600 + n as u64, Some(n / 3), false);
         check_qstep_all(n, 700 + n as u64, None, true);
+    }
+}
+
+#[test]
+fn block_outputs_follow_the_scalar_definition() {
+    // The scalar reference itself against the definition in `QStepIo`:
+    // the non-NaN maximum with -0.0 reported as +0.0, and ordered `>=`
+    // hit bits, on a hand-made 70-slot sweep with a 66-slot prefix.
+    let n = 70;
+    let q0 = make_input(n, 11, Some(5), false);
+    let tail = make_input(n, 12, None, false);
+    let head = make_input(n, 13, None, false);
+    let ssq = vec![0.0; n];
+    let out = run_qstep(
+        "euclidean",
+        "scalar",
+        &q0,
+        &tail,
+        &head,
+        (&ssq, &ssq, &ssq),
+        (0.0, 1.0, 0.0, 1.0),
+        (0.0, 0.0),
+        &vec![-1.0; 66],
+    );
+    for (b, range) in [(0, 0..64), (1, 64..66)] {
+        let sc = &out.scores[range.clone()];
+        let want_max = sc
+            .iter()
+            .copied()
+            .filter(|s| !s.is_nan())
+            .fold(f64::NEG_INFINITY, f64::max);
+        assert_eq!(out.block_max[b], want_max, "block {b}");
+        assert!(out.block_max[b].is_sign_positive() || want_max < 0.0);
+        for (j, &s) in sc.iter().enumerate() {
+            assert_eq!(
+                out.block_hits[b] >> j & 1 == 1,
+                s >= -1.0,
+                "block {b} slot {j}"
+            );
+        }
+        let past = out.block_hits[b].checked_shr(sc.len() as u32).unwrap_or(0);
+        assert_eq!(past, 0, "block {b}: bits past the prefix");
+    }
+    assert!(out.scores[5].is_nan() && out.block_hits[0] & 1 << 5 == 0);
+}
+
+#[test]
+fn an_all_nan_block_reports_minus_infinity() {
+    // NaN Q state poisons the first 64 slots under every measure (flat
+    // subsequences are avoided, since they score 0 whatever the dot).
+    let n = 150;
+    let mut q0 = make_input(n, 21, None, false);
+    q0[..64].fill(f64::NAN);
+    let tail = make_input(n, 22, None, false);
+    let head = make_input(n, 23, None, false);
+    let mu = make_input(n, 24, None, false);
+    let sig: Vec<f64> = make_input(n, 25, None, false)
+        .iter()
+        .map(|v| v.abs() + 0.5)
+        .collect();
+    let newest = (0.3, 0.9, 4.2, 1.7);
+    check_qstep_inputs(n, &q0, &tail, &head, (&mu, &sig, &sig), newest);
+    for which in ["pearson", "euclidean", "cid"] {
+        let out = run_qstep(
+            which,
+            "scalar",
+            &q0,
+            &tail,
+            &head,
+            (&mu, &sig, &sig),
+            newest,
+            (1.12, -0.57),
+            &vec![f64::NEG_INFINITY; n],
+        );
+        assert!(out.scores[..64].iter().all(|s| s.is_nan()), "{which}");
+        assert_eq!(out.block_max[0], f64::NEG_INFINITY, "{which}");
+        // -inf admits every non-NaN score and no NaN one.
+        assert_eq!(
+            out.block_hits,
+            [0, u64::MAX, (1 << (n - 128)) - 1],
+            "{which}"
+        );
     }
 }
 

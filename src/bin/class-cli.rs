@@ -199,6 +199,16 @@ fn parse_window(v: &str) -> Result<usize, String> {
     Ok(d)
 }
 
+/// Parses a numeric flag value, or exits with a usage error (status 2).
+fn numeric<T: std::str::FromStr>(name: &str, v: &str) -> T {
+    v.parse()
+        .map_err(|_| format!("numeric {name}, got {v:?}"))
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
+}
+
 fn parse_args() -> CliArgs {
     let mut args = CliArgs::default();
     let mut it = std::env::args().skip(1);
@@ -217,7 +227,7 @@ fn parse_args() -> CliArgs {
                     std::process::exit(2);
                 })
             }
-            "--width" => args.width = Some(grab("--width").parse().expect("numeric --width")),
+            "--width" => args.width = Some(numeric("--width", &grab("--width"))),
             "--wss" => {
                 args.wss = match grab("--wss").as_str() {
                     "suss" => WssMethod::Suss,
@@ -230,13 +240,13 @@ fn parse_args() -> CliArgs {
                     }
                 }
             }
-            "--alpha" => args.alpha = grab("--alpha").parse().expect("numeric --alpha"),
-            "--column" => args.column = grab("--column").parse().expect("numeric --column"),
+            "--alpha" => args.alpha = numeric("--alpha", &grab("--alpha")),
+            "--column" => args.column = numeric("--column", &grab("--column")),
             "--delimiter" => args.delimiter = grab("--delimiter").chars().next().unwrap_or(','),
             "--format" => args.format = grab("--format"),
             "--relearn" => args.relearn = true,
             "--jump" => {
-                let j: usize = grab("--jump").parse().expect("numeric --jump");
+                let j: usize = numeric("--jump", &grab("--jump"));
                 if j == 0 {
                     eprintln!("error: --jump must be at least 1");
                     std::process::exit(2);

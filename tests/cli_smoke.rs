@@ -227,6 +227,19 @@ fn too_small_windows_are_usage_errors() {
 }
 
 #[test]
+fn non_numeric_flag_values_are_usage_errors() {
+    for flag in ["--width", "--alpha", "--column", "--jump", "--window"] {
+        let (_, stderr, code) = run_cli(&[flag, "abc"], "");
+        assert_eq!(code, 2, "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("numeric {flag}")),
+            "{flag}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+    }
+}
+
+#[test]
 fn help_exits_cleanly_and_unknown_flags_do_not() {
     let (stdout, _, code) = run_cli(&["--help"], "");
     assert_eq!(code, 0);
