@@ -59,10 +59,10 @@ impl ScoreFn {
 
     /// Score from a 2x2 confusion matrix `m[true][pred]`.
     ///
-    /// [`CrossVal`]'s sweep evaluates the same arithmetic in
-    /// [`CrossVal::score_pass`] on `i32` counts (the scored range is far
-    /// below `i32::MAX`); the conversions are exact for both widths, so the
-    /// two paths are bit-identical.
+    /// [`CrossVal`]'s sweep evaluates the same arithmetic in its private
+    /// `score_pass` on `i32` counts (the scored range is far below
+    /// `i32::MAX`); the conversions are exact for both widths, so the two
+    /// paths are bit-identical.
     #[inline]
     pub fn score(self, m: &[[i64; 2]; 2]) -> f64 {
         match self {

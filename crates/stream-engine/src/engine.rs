@@ -16,7 +16,7 @@
 //!   ring consumer) hash-assigned to a shard and stepped by that shard's
 //!   event loop in drained batches.
 //! * Records travel through fixed-capacity [`crate::ring`] buffers whose
-//!   full-ring behaviour is the per-stream [`Backpressure`] policy
+//!   full-ring behaviour is the per-stream [`crate::Backpressure`] policy
 //!   (block / drop-oldest / error).
 //! * [`ServingEngine::stats`] takes a live [`ServingStats`] snapshot —
 //!   per-stream and per-shard p50/p99 latency, queue depth, and drop
@@ -91,11 +91,11 @@ const FEED_CHUNK: usize = 64;
 const IDLE_PARK: Duration = Duration::from_micros(200);
 
 /// Locks a mutex, recovering from poisoning. Every mutex in this crate
-/// guards monitor or registry state (latency histograms, quarantine
-/// cells, connection lists, exporter sources) whose updates are single
-/// assignments, pushes or merges made outside user code, so a poisoned
-/// lock means some unrelated holder panicked while the data itself is
-/// consistent; stats must keep flowing for surviving streams.
+/// guards monitor, registry or ring state (latency histograms, quarantine
+/// cells, connection lists, exporter sources, ring queues) whose updates
+/// are single assignments, pushes, pops or merges made outside user code,
+/// so a poisoned lock means some unrelated holder panicked while the data
+/// itself is consistent; stats must keep flowing for surviving streams.
 pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }

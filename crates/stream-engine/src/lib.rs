@@ -12,7 +12,7 @@
 //!   micro-batching — see the Karimov et al. comparison cited in §5),
 //! * [`serve`] opens a **sharded serving engine**: `shards` worker
 //!   threads step any number of registered streams as state machines fed
-//!   through fixed-capacity SPSC [`ring`] buffers with per-stream
+//!   through bounded SPSC [`ring`] buffers with per-stream
 //!   [`Backpressure`] policies (block / drop-oldest / error) — Flink
 //!   task slots and bounded network buffers, with no thread per stream,
 //! * [`ServingStats`] snapshots per-stream and per-shard accounting
@@ -36,6 +36,7 @@
 //!   or throttled to a configurable record rate like a live sensor feed.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod engine;
 #[cfg(feature = "fault-inject")]

@@ -18,12 +18,16 @@
 //! | frame | payload | direction |
 //! |---|---|---|
 //! | `HELLO` | version `u16`, peer name | both, first frame each way |
-//! | `REGISTER` | policy `u8`, capacity `u32` (0 = engine default), name | producer → |
+//! | `REGISTER` | policy `u8`, capacity `u32` (0 = engine default, at most [`MAX_WIRE_RING`]), name | producer → |
 //! | `RECORDS` | stream `u32`, count `u32`, count × `f64` | producer → |
 //! | `DETACH` | stream `u32` | producer → |
 //! | `ACK` | stream `u32`, received `u64`, drops `u64` | → producer |
 //! | `THROTTLE` | stream `u32`, queued `u32` | → producer |
 //! | `ERROR` | code `u8`, stream `u32` (`u32::MAX` = none), message | → producer |
+//!
+//! A `REGISTER` asking for more than [`MAX_WIRE_RING`] records gets a
+//! `protocol` `ERROR` and the connection is closed, like any other
+//! protocol violation.
 //!
 //! ## Backpressure over the wire
 //!
@@ -55,6 +59,11 @@ pub const PROTOCOL_VERSION: u16 = 1;
 /// `RECORDS` frame). Larger headers are rejected as [`FrameError::Oversized`]
 /// before any allocation.
 pub const MAX_FRAME_LEN: usize = 1 << 20;
+
+/// Largest ring capacity, in records, a `REGISTER` frame may ask for. The
+/// server allocates the ring up front, so a larger request is refused
+/// with a protocol `ERROR` instead of letting one peer exhaust memory.
+pub const MAX_WIRE_RING: usize = 1 << 20;
 
 /// Frame header: type byte + LE u32 payload length.
 const FRAME_HEADER: usize = 5;
@@ -1000,6 +1009,14 @@ where
     }
 
     fn handle_register(&mut self, policy: u8, capacity: u32, name: String) -> Result<(), ConnEnd> {
+        if capacity as usize > MAX_WIRE_RING {
+            self.send_error(
+                ErrorCode::Protocol,
+                None,
+                &format!("ring capacity {capacity} exceeds the wire limit of {MAX_WIRE_RING}"),
+            );
+            return Err(ConnEnd::Fatal);
+        }
         let ring = if capacity == 0 {
             self.registrar.default_ring()
         } else {

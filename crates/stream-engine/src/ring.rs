@@ -1,5 +1,4 @@
-//! Fixed-capacity lock-free ring buffers with explicit backpressure
-//! policies.
+//! Fixed-capacity ring buffers with explicit backpressure policies.
 //!
 //! The engine's transport between a stream's producer (the ingest side)
 //! and the shard worker that steps its operator. Each ring is SPSC by
@@ -10,15 +9,17 @@
 //! bounded online model makes the same constant-memory argument for the
 //! operator itself).
 //!
-//! The slots are lock-free: each carries an atomic sequence number
-//! (Vyukov's bounded-queue scheme) so pushes and pops are a couple of
-//! atomic operations with no mutex or condvar. Ingest threads — the
-//! network tier runs one per producer connection — therefore never
-//! contend with shard workers on a lock, and a stats snapshot taken
-//! from a third thread only ever reads monotone counters. The pop side
-//! claims slots with a CAS rather than a plain store because under
-//! [`Backpressure::DropOldest`] the *producer* also pops (evicting the
-//! oldest record), racing the consumer for the same slot.
+//! A ring is a `VecDeque` behind a mutex, plus one condvar on which a
+//! blocked producer waits for space. Locking is amortised over batches:
+//! [`Producer::try_feed`] (the path of `feed_all` and the network tier)
+//! and [`Consumer::drain_into`] (the shard loop) take the lock once per
+//! call, not once per record. The layer ledger is why this is enough: a
+//! traced `fleet-inproc` benchmark run (128 ClaSS streams saturating one
+//! shard, 2-core x86-64 VM) puts 96 % of the shard's wall time in the
+//! operator and 1–3 % in everything else, rings included, so an
+//! uncontended lock per batch is not a cost that can be measured there.
+//! Stats snapshots never take the lock; they read monotone atomic
+//! counters.
 //!
 //! What happens when the ring is full is the per-stream
 //! [`Backpressure`] policy:
@@ -33,29 +34,17 @@
 //!   decides (fail-fast ingestion).
 //!
 //! Accounting contract (the fault ledger leans on this): `pushed` is
-//! incremented *before* a record's slot is published, and `drops` is
-//! incremented with Release ordering *after* its eviction, so a
-//! lock-free reader that loads `drops`/`popped` with Acquire before
-//! `pushed` can never observe a disposal without the push that
-//! preceded it — `records_in + drops + quarantined_after <= pushed`
-//! holds in every live snapshot and tightens to equality at rest.
+//! incremented *before* a record enters the queue, and `drops` is
+//! incremented with Release ordering *after* its eviction, so a reader
+//! that loads `drops`/`popped` with Acquire before `pushed` can never
+//! observe a disposal without the push that preceded it —
+//! `records_in + drops + quarantined_after <= pushed` holds in every
+//! live snapshot and tightens to equality at rest.
 
-// The lock-free slots need `UnsafeCell` + `MaybeUninit`; the workspace
-// lints `unsafe_code = "warn"` so the exception is scoped to this module.
-#![allow(unsafe_code)]
-
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
-
-/// How long a producer blocked on a full ring sleeps between retries
-/// once its initial spin/yield burst has not found space.
-const BLOCK_PARK: Duration = Duration::from_micros(50);
-
-/// Spin/yield iterations before a blocked producer starts sleeping.
-const BLOCK_SPINS: u32 = 32;
+use crate::engine::lock_recover;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// What a full ring does to an incoming record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -166,166 +155,53 @@ impl RingCounters {
     }
 }
 
-/// One ring slot: a sequence stamp plus (possibly uninitialised)
-/// storage. Stamps advance in strides of two so that occupied slots are
-/// odd and free slots even — `seq == pos << 1` means free for the push
-/// at position `pos`, `seq == (pos << 1) | 1` occupied by it, and
-/// `seq == (pos + capacity) << 1` freed for the next lap. (A stride of
-/// one — plain Vyukov — is ambiguous at capacity 1: "occupied by push
-/// 0" and "free for push 1" would both stamp `1`, letting the producer
-/// overwrite a queued record and wedging the popper forever.)
-struct Slot<T> {
-    seq: AtomicUsize,
-    value: UnsafeCell<MaybeUninit<T>>,
+/// The queue and both ends' liveness, all under one lock.
+struct State<T> {
+    queue: VecDeque<T>,
+    tx_closed: bool,
+    rx_closed: bool,
 }
 
 struct Shared<T> {
-    slots: Box<[Slot<T>]>,
-    /// Next push position. Only the (single) producer advances this.
-    enqueue_pos: AtomicUsize,
-    /// Next pop position. CAS-claimed: the consumer and a drop-oldest
-    /// eviction can race for the same slot.
-    dequeue_pos: AtomicUsize,
-    tx_closed: AtomicBool,
-    rx_closed: AtomicBool,
+    state: Mutex<State<T>>,
+    /// Wakes a producer blocked on a full ring: signalled when a drain
+    /// frees space in a full ring and when the consumer goes away.
+    space: Condvar,
     counters: Arc<RingCounters>,
     capacity: usize,
     policy: Backpressure,
 }
 
-// SAFETY: records only move across threads through the slot protocol
-// (a slot's value is written before its seq is published with Release
-// and read after an Acquire load observes that publish), so `Shared`
-// is as thread-safe as `T: Send` allows.
-unsafe impl<T: Send> Send for Shared<T> {}
-// SAFETY: see above — all shared mutation goes through atomics plus
-// the publish/claim protocol on slot sequence numbers.
-unsafe impl<T: Send> Sync for Shared<T> {}
-
 impl<T> Shared<T> {
-    /// Attempts to enqueue without applying any policy; hands the item
-    /// back if the ring is full. Single producer: `enqueue_pos` is ours
-    /// alone, so a plain store advances it.
-    fn try_push(&self, item: T) -> Result<(), T> {
-        let pos = self.enqueue_pos.load(Ordering::Relaxed);
-        let slot = &self.slots[pos % self.capacity];
-        let seq = slot.seq.load(Ordering::Acquire);
-        if seq == pos.wrapping_shl(1) {
-            self.enqueue_pos
-                .store(pos.wrapping_add(1), Ordering::Relaxed);
-            // SAFETY: an even stamp equal to `pos << 1` marks the slot
-            // free and reserved for this position, and only this (sole)
-            // producer pushes; no other thread reads the cell until the
-            // seq store below publishes it.
-            unsafe { (*slot.value.get()).write(item) };
-            // `pushed` before the publish: a reader that can see the
-            // record (or its later disposal) must also see its push.
-            self.counters.pushed.fetch_add(1, Ordering::Relaxed);
-            slot.seq.store(pos.wrapping_shl(1) | 1, Ordering::Release);
-            Ok(())
-        } else {
-            // Still stamped occupied from the previous lap — full.
-            Err(item)
-        }
+    /// Appends a record to a ring known to have room.
+    fn enqueue(&self, st: &mut State<T>, item: T) {
+        // `pushed` before the record is queued: a reader that can see
+        // the record (or its later disposal) must also see its push.
+        self.counters.pushed.fetch_add(1, Ordering::Relaxed);
+        st.queue.push_back(item);
     }
 
-    /// Attempts to dequeue one record. Used by the consumer's drain and
-    /// by drop-oldest eviction, hence the CAS claim.
-    fn try_pop(&self) -> Option<T> {
-        let mut pos = self.dequeue_pos.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos % self.capacity];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let expected = pos.wrapping_shl(1) | 1;
-            let diff = seq.wrapping_sub(expected) as isize;
-            if diff == 0 {
-                match self.dequeue_pos.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: the CAS claimed position `pos`
-                        // exclusively, and the Acquire seq load above
-                        // saw the producer's publish, so the cell holds
-                        // an initialised record nobody else will read.
-                        let item = unsafe { (*slot.value.get()).assume_init_read() };
-                        slot.seq.store(
-                            pos.wrapping_add(self.capacity).wrapping_shl(1),
-                            Ordering::Release,
-                        );
-                        return Some(item);
-                    }
-                    Err(actual) => pos = actual,
-                }
-            } else if diff < 0 {
-                // Not yet published for this lap — the ring is empty at
-                // this position (or the producer is mid-push).
-                return None;
-            } else {
-                // Another popper claimed and freed this slot already;
-                // reload the position and retry.
-                pos = self.dequeue_pos.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Evicts the oldest queued record (drop-oldest policy), counting
-    /// it. Returns `false` if the ring emptied out from under us (the
-    /// consumer drained it first), in which case nothing was counted.
-    fn evict_oldest(&self) -> bool {
-        match self.try_pop() {
-            Some(old) => {
-                drop(old);
-                // Release pairs with the stats snapshot's Acquire load:
-                // the evicted record's push is sequenced before this
-                // increment (same producer thread), keeping the live
-                // ledger inequality (`lhs <= pushed`) observable.
-                self.counters.drops.fetch_add(1, Ordering::Release);
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-impl<T> Drop for Shared<T> {
-    fn drop(&mut self) {
-        // Exclusive access: both ends are gone. Drop every record that
-        // was published but never popped.
-        let deq = *self.dequeue_pos.get_mut();
-        let enq = *self.enqueue_pos.get_mut();
-        let mut pos = deq;
-        while pos != enq {
-            let slot = &self.slots[pos % self.capacity];
-            if slot.seq.load(Ordering::Relaxed) == pos.wrapping_shl(1) | 1 {
-                // SAFETY: the occupied stamp for `pos` means the
-                // producer published a record here and no pop ever
-                // claimed it; `&mut self` guarantees nobody else can.
-                unsafe { (*slot.value.get()).assume_init_drop() };
-            }
-            pos = pos.wrapping_add(1);
-        }
+    /// Evicts the oldest record of a full ring (drop-oldest policy),
+    /// counting it.
+    fn evict_oldest(&self, st: &mut State<T>) {
+        st.queue.pop_front();
+        // Release pairs with the stats snapshot's Acquire load: the
+        // evicted record's push is sequenced before this increment,
+        // keeping the live ledger inequality (`lhs <= pushed`) observable.
+        self.counters.drops.fetch_add(1, Ordering::Release);
     }
 }
 
 /// Creates a bounded ring, returning its two ends.
 pub fn ring<T>(cfg: RingConfig) -> (Producer<T>, Consumer<T>) {
     assert!(cfg.capacity >= 1, "ring capacity must be >= 1");
-    let slots = (0..cfg.capacity)
-        .map(|i| Slot {
-            seq: AtomicUsize::new(i << 1),
-            value: UnsafeCell::new(MaybeUninit::uninit()),
-        })
-        .collect::<Vec<_>>()
-        .into_boxed_slice();
     let shared = Arc::new(Shared {
-        slots,
-        enqueue_pos: AtomicUsize::new(0),
-        dequeue_pos: AtomicUsize::new(0),
-        tx_closed: AtomicBool::new(false),
-        rx_closed: AtomicBool::new(false),
+        state: Mutex::new(State {
+            queue: VecDeque::with_capacity(cfg.capacity),
+            tx_closed: false,
+            rx_closed: false,
+        }),
+        space: Condvar::new(),
         counters: Arc::new(RingCounters::default()),
         capacity: cfg.capacity,
         policy: cfg.policy,
@@ -355,40 +231,25 @@ impl<T> std::fmt::Debug for Producer<T> {
 
 impl<T> Producer<T> {
     /// Pushes one record, applying the ring's backpressure policy when
-    /// full: `Block` waits (spinning briefly, then parking in short
-    /// sleeps so a consumer disconnect is still observed promptly),
-    /// `DropOldest` evicts and succeeds, `Error` returns
-    /// [`PushError::Overflow`] without enqueueing.
+    /// full: `Block` waits until the consumer frees space (or goes away,
+    /// returning [`PushError::Disconnected`]), `DropOldest` evicts and
+    /// succeeds, `Error` returns [`PushError::Overflow`] without
+    /// enqueueing.
     pub fn push(&mut self, item: T) -> Result<(), PushError> {
         let sh = &*self.shared;
-        if sh.rx_closed.load(Ordering::Acquire) {
-            return Err(PushError::Disconnected);
-        }
-        let mut item = item;
-        let mut spins = 0u32;
+        let mut st = lock_recover(&sh.state);
         loop {
-            match sh.try_push(item) {
-                Ok(()) => return Ok(()),
-                Err(back) => item = back,
+            if st.rx_closed {
+                return Err(PushError::Disconnected);
+            }
+            if st.queue.len() < sh.capacity {
+                break;
             }
             match sh.policy {
                 Backpressure::Block => {
-                    if sh.rx_closed.load(Ordering::Acquire) {
-                        return Err(PushError::Disconnected);
-                    }
-                    if spins < BLOCK_SPINS {
-                        std::hint::spin_loop();
-                        std::thread::yield_now();
-                    } else {
-                        std::thread::sleep(BLOCK_PARK);
-                    }
-                    spins = spins.saturating_add(1);
+                    st = sh.space.wait(st).unwrap_or_else(PoisonError::into_inner);
                 }
-                Backpressure::DropOldest => {
-                    // If the eviction lost to a concurrent drain the
-                    // ring has space anyway; just retry the push.
-                    sh.evict_oldest();
-                }
+                Backpressure::DropOldest => sh.evict_oldest(&mut st),
                 Backpressure::Error => {
                     return Err(PushError::Overflow(OverflowError {
                         capacity: sh.capacity,
@@ -396,6 +257,8 @@ impl<T> Producer<T> {
                 }
             }
         }
+        sh.enqueue(&mut st, item);
+        Ok(())
     }
 
     /// Non-blocking bulk push: enqueues a prefix of `items` and returns
@@ -411,36 +274,26 @@ impl<T> Producer<T> {
             return Ok(0);
         }
         let sh = &*self.shared;
-        if sh.rx_closed.load(Ordering::Acquire) {
+        let mut st = lock_recover(&sh.state);
+        if st.rx_closed {
             return Err(PushError::Disconnected);
         }
         let mut accepted = 0;
         for &it in items {
-            match sh.policy {
-                Backpressure::Block | Backpressure::Error => {
-                    if sh.try_push(it).is_err() {
-                        break;
-                    }
+            if st.queue.len() == sh.capacity {
+                if sh.policy != Backpressure::DropOldest {
+                    break;
                 }
-                Backpressure::DropOldest => {
-                    let mut v = it;
-                    loop {
-                        match sh.try_push(v) {
-                            Ok(()) => break,
-                            Err(back) => {
-                                v = back;
-                                sh.evict_oldest();
-                            }
-                        }
-                    }
-                }
+                sh.evict_oldest(&mut st);
             }
+            sh.enqueue(&mut st, it);
             accepted += 1;
         }
         Ok(accepted)
     }
 
-    /// Records currently queued (racy snapshot, lock-free).
+    /// Records currently queued (racy snapshot; reads the counters,
+    /// not the queue).
     pub fn depth(&self) -> usize {
         self.shared.counters.depth()
     }
@@ -473,9 +326,7 @@ impl<T> Producer<T> {
 
 impl<T> Drop for Producer<T> {
     fn drop(&mut self) {
-        // Release pairs with the consumer's Acquire in `is_finished`:
-        // once the close is observed, every prior push is too.
-        self.shared.tx_closed.store(true, Ordering::Release);
+        lock_recover(&self.shared.state).tx_closed = true;
     }
 }
 
@@ -495,42 +346,36 @@ impl<T> std::fmt::Debug for Consumer<T> {
 
 impl<T> Consumer<T> {
     /// Moves up to `max` queued records into `out` and returns the
-    /// count. Lock-free: a producer blocked on a full ring notices the
-    /// freed slots on its next retry.
+    /// count, waking a producer blocked on the ring if it was full.
     pub fn drain_into(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         let sh = &*self.shared;
-        let mut n = 0;
-        while n < max {
-            match sh.try_pop() {
-                Some(item) => {
-                    out.push(item);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
+        let mut st = lock_recover(&sh.state);
+        let was_full = st.queue.len() == sh.capacity;
+        let n = st.queue.len().min(max);
+        out.extend(st.queue.drain(..n));
         if n > 0 {
             sh.counters.popped.fetch_add(n as u64, Ordering::Release);
+        }
+        drop(st);
+        // Only a full ring can have a producer waiting, and there is only
+        // one producer.
+        if was_full && n > 0 {
+            sh.space.notify_one();
         }
         n
     }
 
     /// End-of-stream: the producer is gone and the ring is drained.
     pub fn is_finished(&self) -> bool {
-        let sh = &*self.shared;
-        // Acquire on the close flag makes every push that preceded the
-        // producer's drop visible before the emptiness check.
-        if !sh.tx_closed.load(Ordering::Acquire) {
-            return false;
-        }
-        sh.dequeue_pos.load(Ordering::Acquire) == sh.enqueue_pos.load(Ordering::Acquire)
+        let st = lock_recover(&self.shared.state);
+        st.tx_closed && st.queue.is_empty()
     }
 }
 
 impl<T> Drop for Consumer<T> {
     fn drop(&mut self) {
-        // A producer blocked on a full ring polls this flag.
-        self.shared.rx_closed.store(true, Ordering::Release);
+        lock_recover(&self.shared.state).rx_closed = true;
+        self.shared.space.notify_all();
     }
 }
 
@@ -623,6 +468,27 @@ mod tests {
         }
         assert_eq!(out, vec![0, 1]);
         assert_eq!(pusher.join().unwrap(), 0);
+    }
+
+    /// A producer waiting in `push` on a full `Block` ring must be woken
+    /// by the consumer's drop, not left waiting for space that will
+    /// never come.
+    #[test]
+    fn blocked_producer_wakes_when_consumer_drops() {
+        let (mut tx, rx) = ring::<u32>(RingConfig::new(1, Backpressure::Block));
+        tx.push(0).unwrap();
+        let (result_tx, result_rx) = std::sync::mpsc::channel();
+        let pusher = std::thread::spawn(move || {
+            result_tx.send(tx.push(1)).unwrap();
+        });
+        // Give the pusher a chance to start waiting, then disconnect.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        drop(rx);
+        let result = result_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a blocked push must return once the consumer is gone");
+        assert_eq!(result, Err(PushError::Disconnected));
+        pusher.join().unwrap();
     }
 
     #[test]

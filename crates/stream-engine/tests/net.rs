@@ -3,7 +3,8 @@
 //! socket-fed output bit-identical to [`feed_all`] under the block
 //! policy, runtime register → feed → detach ledger accounting, the
 //! per-policy backpressure semantics over the wire, protocol-violation
-//! handling, and the metrics endpoints' net families.
+//! handling (an oversized ring request included), and the metrics
+//! endpoints' net families.
 
 use class_core::{ClassConfig, ClassSegmenter, WidthSelection};
 use proptest::prelude::*;
@@ -576,6 +577,59 @@ fn protocol_violations_get_typed_errors_and_close() {
 
         drop(server);
     });
+}
+
+/// A REGISTER asking for a ring above the wire limit is refused with a
+/// typed protocol error before anything is allocated for it, and its
+/// connection is closed; a second connection on the same server still
+/// registers, feeds and detaches with an exact ledger.
+#[test]
+fn oversized_register_is_refused_and_server_keeps_serving() {
+    const POINTS: usize = 300;
+    let (results, (refused, closed, det)) = serve(EngineConfig::new(1), |engine| {
+        let server = IngestServer::bind("127.0.0.1:0", engine.registrar(), |_req| segmenter())
+            .expect("binding a loopback ingest listener");
+        let addr = server.addr();
+        let out = std::thread::spawn(move || {
+            let mut greedy = NetClient::connect(addr, "greedy-producer").expect("connect");
+            let refused = greedy.register(
+                "big",
+                Some(RingConfig::new(u32::MAX as usize, Backpressure::Block)),
+            );
+            let closed = greedy.register("again", None).is_err();
+            let mut client = NetClient::connect(addr, "modest-producer").expect("connect");
+            let id = client
+                .register("modest", Some(RingConfig::new(32, Backpressure::Block)))
+                .expect("register");
+            for batch in stream_values(0, POINTS).chunks(100) {
+                client.send_records(id, batch).expect("records acked");
+            }
+            (refused, closed, client.detach(id).expect("detach acked"))
+        })
+        .join()
+        .expect("producer thread");
+        drop(server);
+        out
+    });
+
+    match refused {
+        Err(NetError::Remote {
+            code: ErrorCode::Protocol,
+            stream: None,
+            ..
+        }) => {}
+        other => panic!("expected a remote protocol error, got {other:?}"),
+    }
+    assert!(closed, "the server closes the connection after an ERROR");
+    assert_eq!(det.received, POINTS as u64);
+    assert_eq!(det.drops, 0);
+    assert_eq!(results.len(), 1, "the refused REGISTER created no stream");
+    let r = &results[0];
+    assert_eq!(r.records_in, POINTS as u64);
+    assert_eq!(r.pushed, POINTS as u64);
+    assert_eq!(r.drops, 0);
+    assert_eq!(r.quarantined_after, 0);
+    assert_eq!(r.state, StreamState::Done);
 }
 
 // ---------------------------------------------------------------------

@@ -267,7 +267,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Inclusive-or-exclusive length specification for [`vec`].
+    /// Inclusive-or-exclusive length specification for [`vec()`].
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         min: usize,
