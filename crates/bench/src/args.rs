@@ -1,6 +1,11 @@
 //! Minimal command-line argument parsing for the experiment binaries
 //! (kept dependency-free on purpose; see EXPERIMENTS.md).
 
+use crate::tuning_split;
+use class_core::class::MIN_WINDOW_SIZE;
+use datasets::AnnotatedSeries;
+use eval::cli::{usage_error, Flags};
+
 /// Common experiment options.
 #[derive(Debug, Clone)]
 pub struct Args {
@@ -40,41 +45,31 @@ impl Default for Args {
     }
 }
 
+const HELP: &str = "options: --scale F --paper-sizes --window N --threads N --seed N \
+                    --choice NAME --quick --data-dir PATH\n";
+
 impl Args {
-    /// Parses `std::env::args()`; unknown flags abort with a usage message.
+    /// Parses `std::env::args()`; a usage error exits with status 2.
     pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
+        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|msg| usage_error(msg))
     }
 
-    /// Parses an explicit iterator of arguments (testable).
-    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Self {
+    /// Parses an explicit iterator of arguments (testable); `Err` holds
+    /// the usage error's message.
+    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = Self::default();
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            let mut grab = |name: &str| {
-                it.next()
-                    .unwrap_or_else(|| panic!("{name} requires a value"))
-            };
-            match arg.as_str() {
-                "--scale" => out.scale = grab("--scale").parse().expect("numeric --scale"),
-                "--paper-sizes" => out.paper_sizes = true,
-                "--window" => out.window = grab("--window").parse().expect("numeric --window"),
-                "--threads" => out.threads = grab("--threads").parse().expect("numeric --threads"),
-                "--seed" => out.seed = grab("--seed").parse().expect("numeric --seed"),
-                "--choice" => out.choice = Some(grab("--choice")),
-                "--quick" => out.quick = true,
-                "--data-dir" => out.data_dir = Some(grab("--data-dir")),
-                "--help" | "-h" => {
-                    eprintln!(
-                        "options: --scale F --paper-sizes --window N --threads N --seed N \
-                         --choice NAME --quick --data-dir PATH"
-                    );
-                    std::process::exit(0);
-                }
-                other => panic!("unknown argument: {other}"),
-            }
-        }
-        out
+        Flags::new()
+            .help(HELP)
+            .parsed("--scale", &mut out.scale)
+            .switch("--paper-sizes", &mut out.paper_sizes)
+            .at_least("--window", MIN_WINDOW_SIZE, &mut out.window)
+            .at_least("--threads", 1, &mut out.threads)
+            .parsed("--seed", &mut out.seed)
+            .optional("--choice", &mut out.choice)
+            .switch("--quick", &mut out.quick)
+            .optional("--data-dir", &mut out.data_dir)
+            .parse(args)?;
+        Ok(out)
     }
 
     /// Dataset generation config derived from the arguments.
@@ -86,13 +81,19 @@ impl Args {
         }
     }
 
+    /// `series` cut to the tuning split ([`tuning_split`]) under `--quick`.
+    pub fn quick_split(&self, series: Vec<AnnotatedSeries>) -> Vec<AnnotatedSeries> {
+        if self.quick {
+            tuning_split(&series)
+        } else {
+            series
+        }
+    }
+
     /// The real-archive directory: `--data-dir` wins, then
     /// `CLASS_DATA_DIR`, else `None` (pure synthetic run).
     pub fn data_dir(&self) -> Option<datasets::DataDir> {
-        match &self.data_dir {
-            Some(p) => Some(datasets::DataDir::open(p)),
-            None => datasets::DataDir::from_env(),
-        }
+        datasets::DataDir::from_flag_or_env(self.data_dir.as_deref())
     }
 }
 
@@ -100,16 +101,16 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Args {
+    fn parse(s: &str) -> Result<Args, String> {
         Args::parse_from(s.split_whitespace().map(String::from))
     }
 
     #[test]
     fn defaults_and_overrides() {
-        let a = parse("");
+        let a = parse("").unwrap();
         assert_eq!(a.scale, 1.0);
         assert!(!a.paper_sizes);
-        let a = parse("--scale 0.5 --window 1500 --threads 2 --seed 7 --quick");
+        let a = parse("--scale 0.5 --window 1500 --threads 2 --seed 7 --quick").unwrap();
         assert_eq!(a.scale, 0.5);
         assert_eq!(a.window, 1500);
         assert_eq!(a.threads, 2);
@@ -119,13 +120,13 @@ mod tests {
 
     #[test]
     fn choice_flag() {
-        let a = parse("--choice window-size");
+        let a = parse("--choice window-size").unwrap();
         assert_eq!(a.choice.as_deref(), Some("window-size"));
     }
 
     #[test]
     fn data_dir_flag_overrides_default() {
-        let a = parse("--data-dir /tmp/archives");
+        let a = parse("--data-dir /tmp/archives").unwrap();
         assert_eq!(a.data_dir.as_deref(), Some("/tmp/archives"));
         assert_eq!(
             a.data_dir().map(|d| d.root().to_path_buf()),
@@ -134,8 +135,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn unknown_flag_panics() {
-        let _ = parse("--frobnicate");
+    fn usage_errors_are_returned() {
+        assert_eq!(
+            parse("--frobnicate").unwrap_err(),
+            "unknown argument --frobnicate"
+        );
+        assert_eq!(
+            parse("--seed abc").unwrap_err(),
+            "expected a numeric --seed, got \"abc\""
+        );
     }
 }

@@ -17,9 +17,10 @@
 //! bundles.
 
 use eval::bundle::{compare, RunBundle};
+use eval::cli::{usage_error, Flags};
 
 const USAGE: &str = "usage: compare_bundles A.json B.json \
-     [--tolerance METRIC=F]... [--default-tolerance F]";
+     [--tolerance METRIC=F]... [--default-tolerance F]\n";
 
 fn fail(msg: &str) -> ! {
     eprintln!("compare_bundles: {msg}");
@@ -30,40 +31,23 @@ fn main() {
     let mut paths: Vec<String> = Vec::new();
     let mut overrides: Vec<(String, f64)> = Vec::new();
     let mut default_tolerance: Option<f64> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--tolerance" => {
-                let spec = it
-                    .next()
-                    .unwrap_or_else(|| fail("--tolerance requires METRIC=F"));
-                let (metric, value) = spec
-                    .split_once('=')
-                    .unwrap_or_else(|| fail(&format!("bad --tolerance {spec:?}: want METRIC=F")));
-                let value: f64 = value
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("bad tolerance value {value:?}")));
-                overrides.push((metric.to_string(), value));
-            }
-            "--default-tolerance" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| fail("--default-tolerance requires a value"));
-                default_tolerance = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(&format!("bad --default-tolerance value {v:?}"))),
-                );
-            }
-            "--help" | "-h" => {
-                eprintln!("{USAGE}");
-                return;
-            }
-            other if other.starts_with("--") => fail(&format!("unknown option {other}")),
-            path => paths.push(path.to_string()),
-        }
-    }
+    Flags::new()
+        .help(USAGE)
+        .value("--tolerance", |spec| {
+            let (metric, value) = spec
+                .split_once('=')
+                .ok_or_else(|| format!("bad --tolerance {spec:?}: want METRIC=F"))?;
+            let value: f64 = value
+                .parse()
+                .map_err(|_| format!("bad tolerance value {value:?}"))?;
+            overrides.push((metric.to_string(), value));
+            Ok(())
+        })
+        .optional("--default-tolerance", &mut default_tolerance)
+        .positionals(&mut paths)
+        .parse_or_exit(std::env::args().skip(1));
     if paths.len() != 2 {
-        fail(USAGE);
+        usage_error(USAGE.trim_end());
     }
 
     let a = RunBundle::load(&paths[0]).unwrap_or_else(|e| fail(&e));

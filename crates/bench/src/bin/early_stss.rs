@@ -4,19 +4,12 @@
 //! measure how many observations each method needs before localising it,
 //! together with detection rates and false alarms.
 
-use bench::{benchmark_series, tuning_split, Args};
+use bench::{benchmark_series, Args};
 use eval::{delay_stats, run_timed, AlgoSpec};
 
 fn main() {
     let args = Args::parse();
-    let series = {
-        let s = benchmark_series(&args);
-        if args.quick {
-            tuning_split(&s)
-        } else {
-            s
-        }
-    };
+    let series = args.quick_split(benchmark_series(&args));
     let algos = AlgoSpec::default_lineup(args.window);
     println!("# Early STSS study (paper §4.5 future work)");
     println!(

@@ -2,28 +2,14 @@
 //! diagrams (top) and score box plots (bottom) for the benchmark and
 //! data-archive groups.
 
-use bench::{archive_series, benchmark_series, eval_group, tuning_split, Args};
+use bench::{archive_series, benchmark_series, eval_group, Args};
 use competitors::CompetitorKind;
 use eval::{box_plots, cd_diagram, AlgoSpec};
 
 fn main() {
     let args = Args::parse();
-    let benchmarks = {
-        let s = benchmark_series(&args);
-        if args.quick {
-            tuning_split(&s)
-        } else {
-            s
-        }
-    };
-    let archives = {
-        let s = archive_series(&args);
-        if args.quick {
-            tuning_split(&s)
-        } else {
-            s
-        }
-    };
+    let benchmarks = args.quick_split(benchmark_series(&args));
+    let archives = args.quick_split(archive_series(&args));
     let algos_bench = AlgoSpec::default_lineup(args.window);
     let algos_arch: Vec<AlgoSpec> = algos_bench
         .iter()

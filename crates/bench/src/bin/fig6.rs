@@ -11,14 +11,7 @@ use eval::AlgoSpec;
 
 fn main() {
     let args = Args::parse();
-    let series = {
-        let s = all_series(&args);
-        if args.quick {
-            tuning_split(&s)
-        } else {
-            s
-        }
-    };
+    let series = args.quick_split(all_series(&args));
     // BOCD excluded: Figure 6 covers all 592 TS, where BOCD does not finish.
     let algos: Vec<AlgoSpec> = AlgoSpec::default_lineup(args.window)
         .into_iter()

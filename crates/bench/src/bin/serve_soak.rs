@@ -22,7 +22,7 @@
 //!
 //! Two modes:
 //!
-//! * **single-shot** (default): one seeded fleet, as in PR 7.
+//! * **single-shot** (default): one seeded fleet.
 //! * **timed** (`--minutes F`): repeat seeded fleets (round `r` runs
 //!   under `seed ^ mix(r)`) until the deadline — the hours-scale soak;
 //!   CI runs a short preset of the same loop. `--mv-channels C` makes
@@ -30,11 +30,16 @@
 //!   through one ring, per-channel guards retiring bad channels, the
 //!   `VoteFuser` re-quorumming over survivors).
 //!
+//! The run's report is its provenance-stamped `class-run-bundle/v1`
+//! bundle (config, seed, and metrics: records, quarantines, faults in
+//! total and per kind as `faults.<kind>`, peak RSS, and in timed mode
+//! its growth `vm_hwm_delta_kb`), printed on stdout and written to
+//! `--bundle-out PATH` for `compare_bundles`. Last-round quarantines go
+//! to stderr as `quarantined: stream N at record R: cause` lines.
 //! Observability rides along: `--metrics-addr HOST:PORT` serves live
 //! Prometheus text at `/metrics` (and `/stats.json`) across all rounds,
-//! `--stats-json PATH` writes periodic JSON snapshots for headless
-//! runs, and `--bundle-out PATH` emits a provenance-stamped
-//! `class-run-bundle/v1` for `compare_bundles`.
+//! and `--stats-json PATH` writes periodic JSON snapshots for headless
+//! runs.
 //!
 //! ```sh
 //! cargo run --release -p bench --features fault-inject --bin serve_soak -- \
@@ -43,10 +48,12 @@
 //! ```
 //!
 //! The seed rotates per CI run (printed in the log); any failure is
-//! replayable locally by passing the same `--seed`. The JSON report is
-//! an uploaded artifact, not a committed baseline — a rotating seed
-//! makes run-to-run numbers incomparable by design (the *bundle* of a
-//! fixed-seed run is what `compare_bundles` diffs).
+//! replayable locally by passing the same `--seed`. The bundle is an
+//! uploaded artifact, not a committed baseline — a rotating seed makes
+//! run-to-run numbers incomparable by design (two bundles of the same
+//! seed are what `compare_bundles` diffs). The count of records
+//! rejected at the edge depends on thread scheduling, so it is reported
+//! only on the stderr `OK` line.
 
 use class_core::{
     ChannelGuardConfig, ClassConfig, ClassSegmenter, MultivariateClass, MultivariateConfig,
@@ -54,11 +61,13 @@ use class_core::{
 };
 use datasets::{build_series, NoiseSpec, Regime};
 use eval::bundle::RunBundle;
+use eval::cli::Flags;
+use std::collections::BTreeMap;
 use stream_engine::{
     drive, interleave_channels, serve, silence_injected_panics, vm_hwm_kb, Backpressure,
     DriveOutcome, EngineConfig, FaultKind, FaultPlan, FaultingOperator, GuardConfig, MetricsServer,
-    MultivariateSegmenterOperator, RetryPolicy, RingConfig, SegmenterOperator, SnapshotWriter,
-    StreamOptions, StreamResult,
+    MultivariateSegmenterOperator, Operator, RetryPolicy, RingConfig, SegmenterOperator,
+    SnapshotWriter, StreamOptions, StreamResult,
 };
 
 struct Preset {
@@ -147,12 +156,11 @@ fn kind_name(kind: &FaultKind) -> &'static str {
 }
 
 /// One round's audited outcome.
+#[derive(Default)]
 struct RoundOutcome {
     records: u64,
-    quarantined: usize,
     rejected: u64,
-    faults: usize,
-    faults_by_kind: Vec<(&'static str, usize)>,
+    faults_by_kind: BTreeMap<&'static str, usize>,
     quarantines: Vec<(usize, u64, String)>,
 }
 
@@ -165,7 +173,6 @@ fn audit<Out>(
     plan: &FaultPlan,
     expected: u64,
 ) -> RoundOutcome {
-    let mut quarantined = 0usize;
     let mut records: u64 = 0;
     let mut quarantines = Vec::new();
     for (k, r) in results.iter().enumerate() {
@@ -189,7 +196,6 @@ fn audit<Out>(
             "stream {k}: offered != accepted + rejected"
         );
         if r.is_quarantined() {
-            quarantined += 1;
             let (cause, at_record) = r.quarantine().expect("checked is_quarantined");
             quarantines.push((r.stream, at_record, cause.to_string()));
             assert!(
@@ -203,20 +209,14 @@ fn audit<Out>(
             assert_eq!(r.drops, 0, "clean stream {k} dropped records");
         }
     }
-    let mut by_kind: Vec<(&'static str, usize)> = Vec::new();
+    let mut faults_by_kind = BTreeMap::new();
     for f in &plan.faults {
-        let name = kind_name(&f.kind);
-        match by_kind.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, c)) => *c += 1,
-            None => by_kind.push((name, 1)),
-        }
+        *faults_by_kind.entry(kind_name(&f.kind)).or_default() += 1;
     }
     RoundOutcome {
         records,
-        quarantined,
         rejected: outcome.rejected.iter().sum(),
-        faults: plan.faults.len(),
-        faults_by_kind: by_kind,
+        faults_by_kind,
         quarantines,
     }
 }
@@ -281,83 +281,78 @@ fn run_round(
         cfg
     };
 
-    let engine_cfg = EngineConfig::new(spec.shards);
-    let retry = RetryPolicy::default();
-    if spec.mv_channels > 1 {
+    let (results, outcome) = if spec.mv_channels > 1 {
         let channels = spec.mv_channels;
-        let (results, outcome) = serve(engine_cfg, |engine| {
-            if let Some(m) = metrics {
-                m.attach(engine.stats_handle());
-            }
-            let _writer = stats_json.map(|path| {
-                SnapshotWriter::start(
-                    engine.stats_handle(),
-                    path,
-                    std::time::Duration::from_millis(500),
-                )
-            });
-            let handles: Vec<_> = (0..spec.n_streams)
-                .map(|k| {
-                    let kind = plan.fault_for(k);
-                    engine.register_with(
-                        StreamOptions {
-                            ring: ring_for(&plan, k),
-                            name: Some(format!("soak-mv/{k}")),
-                            ..StreamOptions::default()
-                        },
-                        move || {
-                            let mut mcfg = MultivariateConfig::new(base_cfg(), channels);
-                            mcfg.channel_guard = Some(ChannelGuardConfig::new(4, 16));
-                            FaultingOperator::new(
-                                MultivariateSegmenterOperator::new(MultivariateClass::new(
-                                    mcfg, channels,
-                                )),
-                                kind,
-                            )
-                        },
-                    )
-                })
-                .collect();
-            drive(handles, &data, &plan, &retry)
-        });
-        let outcome = outcome.expect("no deadlock: the feeder must complete under faults");
-        audit(&results, &outcome, &plan, records_per_stream as u64)
+        serve_fleet(
+            spec,
+            metrics,
+            stats_json,
+            &plan,
+            &data,
+            |k| StreamOptions {
+                ring: ring_for(&plan, k),
+                name: Some(format!("soak-mv/{k}")),
+                ..StreamOptions::default()
+            },
+            move || {
+                let mut mcfg = MultivariateConfig::new(base_cfg(), channels);
+                mcfg.channel_guard = Some(ChannelGuardConfig::new(4, 16));
+                MultivariateSegmenterOperator::new(MultivariateClass::new(mcfg, channels))
+            },
+        )
     } else {
-        let (results, outcome) = serve(engine_cfg, |engine| {
-            if let Some(m) = metrics {
-                m.attach(engine.stats_handle());
-            }
-            let _writer = stats_json.map(|path| {
-                SnapshotWriter::start(
-                    engine.stats_handle(),
-                    path,
-                    std::time::Duration::from_millis(500),
-                )
-            });
-            let handles: Vec<_> = (0..spec.n_streams)
-                .map(|k| {
-                    let kind = plan.fault_for(k);
-                    engine.register_with(
-                        StreamOptions {
-                            ring: ring_for(&plan, k),
-                            guard: Some(GUARD),
-                            name: Some(format!("soak/{k}")),
-                            ..StreamOptions::default()
-                        },
-                        move || {
-                            FaultingOperator::new(
-                                SegmenterOperator::new(ClassSegmenter::new(base_cfg())),
-                                kind,
-                            )
-                        },
-                    )
-                })
-                .collect();
-            drive(handles, &data, &plan, &retry)
+        serve_fleet(
+            spec,
+            metrics,
+            stats_json,
+            &plan,
+            &data,
+            |k| StreamOptions {
+                ring: ring_for(&plan, k),
+                guard: Some(GUARD),
+                name: Some(format!("soak/{k}")),
+                ..StreamOptions::default()
+            },
+            move || SegmenterOperator::new(ClassSegmenter::new(base_cfg())),
+        )
+    };
+    audit(&results, &outcome, &plan, records_per_stream as u64)
+}
+
+/// Serves one fleet to completion: stream `k` registers with `options(k)`
+/// and runs `build()` wrapped in its planned fault, and the plan's
+/// feeder drives `data` through. Metrics and snapshots follow the engine.
+fn serve_fleet<Op: Operator<In = f64, Out = u64>>(
+    spec: &RoundSpec<'_>,
+    metrics: Option<&MetricsServer>,
+    stats_json: Option<&str>,
+    plan: &FaultPlan,
+    data: &[Vec<f64>],
+    options: impl Fn(usize) -> StreamOptions,
+    build: impl Fn() -> Op + Copy + Send,
+) -> (Vec<StreamResult<u64>>, DriveOutcome) {
+    let retry = RetryPolicy::default();
+    let (results, outcome) = serve(EngineConfig::new(spec.shards), |engine| {
+        if let Some(m) = metrics {
+            m.attach(engine.stats_handle());
+        }
+        let _writer = stats_json.map(|path| {
+            SnapshotWriter::start(
+                engine.stats_handle(),
+                path,
+                std::time::Duration::from_millis(500),
+            )
         });
-        let outcome = outcome.expect("no deadlock: the feeder must complete under faults");
-        audit(&results, &outcome, &plan, records_per_stream as u64)
-    }
+        let handles: Vec<_> = (0..spec.n_streams)
+            .map(|k| {
+                let kind = plan.fault_for(k);
+                engine.register_with(options(k), move || FaultingOperator::new(build(), kind))
+            })
+            .collect();
+        drive(handles, data, plan, &retry)
+    });
+    let outcome = outcome.expect("no deadlock: the feeder must complete under faults");
+    (results, outcome)
 }
 
 /// Mixes a round index into the base seed (SplitMix64 finalizer), so
@@ -369,6 +364,10 @@ fn round_seed(seed: u64, round: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+const HELP: &str = "options: --preset quick|full --seed N --density F --shards N \
+                    --streams N --minutes F --mv-channels C --metrics-addr HOST:PORT \
+                    --stats-json PATH --bundle-out PATH\n";
+
 fn main() {
     let mut preset = &QUICK;
     let mut seed: u64 = 0x50A6_C0DE;
@@ -377,63 +376,41 @@ fn main() {
         .map(|p| p.get())
         .unwrap_or(4);
     let mut streams_override: Option<usize> = None;
-    let mut out_path = "BENCH_soak.json".to_string();
     let mut minutes: Option<f64> = None;
     let mut mv_channels: usize = 1;
     let mut metrics_addr: Option<String> = None;
     let mut stats_json: Option<String> = None;
     let mut bundle_out: Option<String> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut grab = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--preset" => {
-                preset = match grab("--preset").as_str() {
-                    "quick" => &QUICK,
-                    "full" => &FULL,
-                    other => panic!("unknown preset {other} (quick|full)"),
-                };
-            }
-            "--seed" => seed = grab("--seed").parse().expect("numeric --seed"),
-            "--density" => density = grab("--density").parse().expect("numeric --density"),
-            "--shards" => shards = grab("--shards").parse().expect("numeric --shards"),
-            "--streams" => {
-                streams_override = Some(grab("--streams").parse().expect("numeric --streams"))
-            }
-            "--minutes" => minutes = Some(grab("--minutes").parse().expect("numeric --minutes")),
-            "--mv-channels" => {
-                mv_channels = grab("--mv-channels")
-                    .parse()
-                    .expect("numeric --mv-channels");
-                assert!(mv_channels >= 1, "--mv-channels must be >= 1");
-            }
-            "--metrics-addr" => metrics_addr = Some(grab("--metrics-addr")),
-            "--stats-json" => stats_json = Some(grab("--stats-json")),
-            "--bundle-out" => bundle_out = Some(grab("--bundle-out")),
-            "--out" => out_path = grab("--out"),
-            "--help" | "-h" => {
-                eprintln!(
-                    "options: --preset quick|full --seed N --density F --shards N \
-                     --streams N --minutes F --mv-channels C --metrics-addr HOST:PORT \
-                     --stats-json PATH --bundle-out PATH --out PATH"
-                );
-                return;
-            }
-            other => panic!("unknown argument: {other}"),
-        }
-    }
+    Flags::new()
+        .help(HELP)
+        .choice(
+            "--preset",
+            [("quick", &QUICK), ("full", &FULL)],
+            &mut preset,
+        )
+        .parsed("--seed", &mut seed)
+        .parsed("--density", &mut density)
+        .at_least("--shards", 1, &mut shards)
+        .optional("--streams", &mut streams_override)
+        .optional("--minutes", &mut minutes)
+        .at_least("--mv-channels", 1, &mut mv_channels)
+        .optional("--metrics-addr", &mut metrics_addr)
+        .optional("--stats-json", &mut stats_json)
+        .optional("--bundle-out", &mut bundle_out)
+        .parse_or_exit(std::env::args().skip(1));
     silence_injected_panics();
 
     let n_streams = streams_override.unwrap_or(preset.streams);
     let points = preset.points;
-    let metrics = metrics_addr.map(|addr| {
-        let server = MetricsServer::bind(&addr)
-            .unwrap_or_else(|e| panic!("binding metrics endpoint {addr}: {e}"));
-        eprintln!("serve_soak: metrics at http://{}/metrics", server.addr());
-        server
+    let metrics = metrics_addr.map(|addr| match MetricsServer::bind(&addr) {
+        Ok(server) => {
+            eprintln!("serve_soak: metrics at http://{}/metrics", server.addr());
+            server
+        }
+        Err(e) => {
+            eprintln!("error: binding metrics endpoint {addr}: {e}");
+            std::process::exit(1);
+        }
     });
     eprintln!(
         "serve_soak: preset={} streams={n_streams} points/stream={points} mv_channels={mv_channels} \
@@ -447,14 +424,8 @@ fn main() {
 
     let started = std::time::Instant::now();
     let mut rounds = 0u64;
-    let mut total = RoundOutcome {
-        records: 0,
-        quarantined: 0,
-        rejected: 0,
-        faults: 0,
-        faults_by_kind: Vec::new(),
-        quarantines: Vec::new(),
-    };
+    let mut total = RoundOutcome::default();
+    let mut quarantined = 0usize;
     let mut hwm_after_first: Option<u64> = None;
     let deadline =
         minutes.map(|m| started + std::time::Duration::from_secs_f64((m * 60.0).max(1.0)));
@@ -474,14 +445,10 @@ fn main() {
         let o = run_round(&spec, metrics.as_ref(), stats_json.as_deref());
         rounds += 1;
         total.records += o.records;
-        total.quarantined += o.quarantined;
+        quarantined += o.quarantines.len();
         total.rejected += o.rejected;
-        total.faults += o.faults;
         for (name, count) in o.faults_by_kind {
-            match total.faults_by_kind.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, c)) => *c += count,
-                None => total.faults_by_kind.push((name, count)),
-            }
+            *total.faults_by_kind.entry(name).or_default() += count;
         }
         total.quarantines = o.quarantines; // keep the latest round's detail
         if hwm_after_first.is_none() {
@@ -493,7 +460,7 @@ fn main() {
                     "serve_soak: round {rounds} done — {} records, {} quarantined, \
                      {:.0}s to deadline",
                     o.records,
-                    o.quarantined,
+                    total.quarantines.len(),
                     (d - std::time::Instant::now()).as_secs_f64()
                 );
             }
@@ -523,92 +490,51 @@ fn main() {
     };
 
     let records_per_sec = total.records as f64 / elapsed.max(1e-9);
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": \"class-serve-soak/v1\",\n");
-    json.push_str(&format!("  \"preset\": \"{}\",\n", preset.name));
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"density\": {density},\n"));
-    json.push_str(&format!("  \"shards\": {shards},\n"));
-    json.push_str(&format!("  \"streams\": {n_streams},\n"));
-    json.push_str(&format!("  \"points_per_stream\": {points},\n"));
-    json.push_str(&format!("  \"mv_channels\": {mv_channels},\n"));
-    json.push_str(&format!("  \"rounds\": {rounds},\n"));
-    json.push_str(&format!("  \"faults\": {},\n", total.faults));
-    json.push_str("  \"faults_by_kind\": {");
-    for (i, (name, count)) in total.faults_by_kind.iter().enumerate() {
-        json.push_str(&format!(
-            "\"{name}\": {count}{}",
-            if i + 1 < total.faults_by_kind.len() {
-                ", "
-            } else {
-                ""
-            }
-        ));
+    let mut bundle = RunBundle::new("serve-soak").with_seed(seed);
+    bundle.config("preset", preset.name);
+    bundle.config("density", density);
+    bundle.config("shards", shards);
+    bundle.config("streams", n_streams);
+    bundle.config("points_per_stream", points);
+    bundle.config("mv_channels", mv_channels);
+    bundle.config(
+        "mode",
+        match minutes {
+            Some(m) => format!("timed:{m}"),
+            None => "single-shot".to_string(),
+        },
+    );
+    bundle.metric("rounds", rounds as f64);
+    bundle.metric("records", total.records as f64);
+    bundle.metric("quarantined", quarantined as f64);
+    bundle.metric(
+        "survived_last_round",
+        (n_streams - total.quarantines.len()) as f64,
+    );
+    let faults: usize = total.faults_by_kind.values().sum();
+    bundle.metric("faults", faults as f64);
+    for (name, count) in &total.faults_by_kind {
+        bundle.metric(&format!("faults.{name}"), *count as f64);
     }
-    json.push_str("},\n");
-    json.push_str(&format!("  \"quarantined\": {},\n", total.quarantined));
-    json.push_str(&format!("  \"records\": {},\n", total.records));
-    json.push_str(&format!("  \"rejected_at_edge\": {},\n", total.rejected));
-    json.push_str(&format!("  \"elapsed_s\": {elapsed:.3},\n"));
-    json.push_str(&format!("  \"records_per_sec\": {records_per_sec:.1},\n"));
-    match hwm {
-        Some(kb) => json.push_str(&format!("  \"vm_hwm_kb\": {kb},\n")),
-        None => json.push_str("  \"vm_hwm_kb\": null,\n"),
+    bundle.metric("elapsed_s", elapsed);
+    bundle.metric("records_per_sec", records_per_sec);
+    if let Some(kb) = hwm {
+        bundle.metric("vm_hwm_kb", kb as f64);
     }
-    match hwm_delta {
-        Some(kb) => json.push_str(&format!("  \"vm_hwm_delta_kb\": {kb},\n")),
-        None => json.push_str("  \"vm_hwm_delta_kb\": null,\n"),
+    if let Some(kb) = hwm_delta {
+        bundle.metric("vm_hwm_delta_kb", kb as f64);
     }
-    json.push_str("  \"last_round_quarantines\": [\n");
-    for (i, (stream, at_record, cause)) in total.quarantines.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"stream\": {stream}, \"at_record\": {at_record}, \"cause\": \"{}\"}}{}\n",
-            cause.replace('\\', "\\\\").replace('"', "\\\""),
-            if i + 1 < total.quarantines.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
-
-    if let Some(path) = bundle_out {
-        let mut bundle = RunBundle::new("serve-soak").with_seed(seed);
-        bundle.config("preset", preset.name);
-        bundle.config("density", density);
-        bundle.config("shards", shards);
-        bundle.config("streams", n_streams);
-        bundle.config("points_per_stream", points);
-        bundle.config("mv_channels", mv_channels);
-        bundle.config(
-            "mode",
-            match minutes {
-                Some(m) => format!("timed:{m}"),
-                None => "single-shot".to_string(),
-            },
-        );
-        bundle.metric("rounds", rounds as f64);
-        bundle.metric("records", total.records as f64);
-        bundle.metric("quarantined", total.quarantined as f64);
-        bundle.metric(
-            "survived_last_round",
-            (n_streams - total.quarantines.len()) as f64,
-        );
-        bundle.metric("faults", total.faults as f64);
-        bundle.metric("elapsed_s", elapsed);
-        bundle.metric("records_per_sec", records_per_sec);
-        if let Some(kb) = hwm {
-            bundle.metric("vm_hwm_kb", kb as f64);
+    if let Some(path) = &bundle_out {
+        if let Err(e) = bundle.write(path) {
+            eprintln!("error: writing bundle {path}: {e}");
+            std::process::exit(1);
         }
-        bundle
-            .write(&path)
-            .unwrap_or_else(|e| panic!("writing bundle {path}: {e}"));
         eprintln!("serve_soak: bundle at {path}");
     }
 
+    for (stream, at_record, cause) in &total.quarantines {
+        eprintln!("quarantined: stream {stream} at record {at_record}: {cause}");
+    }
     if let Some(m) = &metrics {
         eprintln!(
             "serve_soak: metrics endpoint answered {} scrapes",
@@ -617,13 +543,12 @@ fn main() {
     }
     eprintln!(
         "serve_soak: OK — {} rounds, {}/{} streams quarantined in the last round \
-         (all plan targets), {} records in {elapsed:.2}s, {} rejected at the edge, \
-         report at {out_path}",
+         (all plan targets), {} records in {elapsed:.2}s, {} rejected at the edge",
         rounds,
         total.quarantines.len(),
         n_streams,
         total.records,
         total.rejected
     );
-    println!("{json}");
+    print!("{}", bundle.render_json());
 }

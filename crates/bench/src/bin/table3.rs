@@ -2,28 +2,14 @@
 //! eight competitors on the benchmark group (TSSB + UTSA) and the
 //! data-archive group, plus the §4.3 wins/ties and pairwise comparisons.
 
-use bench::{archive_series, benchmark_series, eval_group, tuning_split, Args};
+use bench::{archive_series, benchmark_series, eval_group, Args};
 use competitors::CompetitorKind;
 use eval::{mean_ranks, pairwise_wins, rank_matrix, wins_line, AlgoSpec};
 
 fn main() {
     let args = Args::parse();
-    let benchmarks = {
-        let s = benchmark_series(&args);
-        if args.quick {
-            tuning_split(&s)
-        } else {
-            s
-        }
-    };
-    let archives = {
-        let s = archive_series(&args);
-        if args.quick {
-            tuning_split(&s)
-        } else {
-            s
-        }
-    };
+    let benchmarks = args.quick_split(benchmark_series(&args));
+    let archives = args.quick_split(archive_series(&args));
 
     // Benchmarks: full line-up. Archives: no BOCD (as in the paper, where
     // it "did not finish within days").

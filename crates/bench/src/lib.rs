@@ -12,8 +12,12 @@
 //! | `fig7` | Figure 7 — scalability ClaSS vs FLOSS |
 //! | `ablation` | §4.2 — design-choice ablations (a)-(g) |
 //! | `early_stss` | §4.5 — early-segmentation study (detection delay) |
-//! | `serve_soak` | §4.4 deployment — seeded fault-plan soak of a ClaSS fleet (`--features fault-inject`) |
+//! | `serve_soak` | §4.4 deployment — seeded fault-plan soak of a ClaSS fleet; reports a run bundle (`--features fault-inject`) |
 //! | `compare_bundles` | diffs two `--bundle-out` run bundles |
+//!
+//! Every binary parses its flags with [`eval::cli`] (the experiment
+//! binaries through [`Args`]); a usage error prints `error: <msg>` and
+//! exits 2.
 //!
 //! Criterion micro-benchmarks (`cargo bench -p bench`) validate the two
 //! core algorithmic speedups against naive baselines. The §4.4 throughput

@@ -88,10 +88,12 @@ impl DataDir {
         Self { root: root.into() }
     }
 
-    /// Opens the directory named by `CLASS_DATA_DIR`, if set and non-empty.
-    pub fn from_env() -> Option<Self> {
-        match std::env::var(DATA_DIR_ENV) {
-            Ok(v) if !v.trim().is_empty() => Some(Self::open(v.trim())),
+    /// Opens the directory a `--data-dir` flag names, else the one
+    /// `CLASS_DATA_DIR` names, if set and non-empty.
+    pub fn from_flag_or_env(flag: Option<&str>) -> Option<Self> {
+        match (flag, std::env::var(DATA_DIR_ENV)) {
+            (Some(p), _) => Some(Self::open(p)),
+            (None, Ok(v)) if !v.trim().is_empty() => Some(Self::open(v.trim())),
             _ => None,
         }
     }

@@ -8,6 +8,7 @@
 #![warn(missing_docs)]
 
 pub mod bundle;
+pub mod cli;
 pub mod covering;
 pub mod delay;
 pub mod ranks;

@@ -51,15 +51,11 @@
 //!   panicking on transient ring-full or a wedged engine.
 //!
 //! ```
-//! use stream_engine::{serve, EngineConfig, MapOperator};
-//!
-//! fn double(x: f64) -> f64 {
-//!     x * 2.0
-//! }
+//! use stream_engine::{serve, EngineConfig, TumblingWindowMean};
 //!
 //! let (results, ()) = serve(EngineConfig::new(2), |engine| {
 //!     let mut handles: Vec<_> = (0..8)
-//!         .map(|_| engine.register(|| MapOperator::new(double as fn(f64) -> f64)))
+//!         .map(|_| engine.register(|| TumblingWindowMean::new(10)))
 //!         .collect();
 //!     for h in &mut handles {
 //!         for v in 0..100 {
@@ -718,11 +714,6 @@ where
         }
     }
 
-    /// Worker threads the engine holds (== configured shards).
-    pub fn thread_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Shard count.
     pub fn shards(&self) -> usize {
         self.workers.len()
@@ -1293,18 +1284,30 @@ where
     let mut finished: Vec<StreamResult<Op::Out>> = Vec::new();
     let mut batch: Vec<Record<f64>> = Vec::with_capacity(DRAIN_BATCH);
     let mut inbox_open = true;
-    let accept = |ns: NewStream<'env, Op>| ActiveStream {
-        id: ns.id,
-        consumer: ns.consumer,
-        op: Some((ns.factory)()),
-        guard: ns.guard.map(InputGuard::new),
-        timing: ns.timing,
-        output: Vec::new(),
-        records_in: 0,
-        quarantined_after: 0,
-        quarantine: None,
-        busy: Duration::ZERO,
-        monitor: ns.monitor,
+    // The factory runs under the same panic boundary as the operator it
+    // builds: a panicking factory quarantines its stream at record 0.
+    let accept = |ns: NewStream<'env, Op>| {
+        let built = catch_unwind(AssertUnwindSafe(ns.factory));
+        let mut st = ActiveStream {
+            id: ns.id,
+            consumer: ns.consumer,
+            op: None,
+            guard: ns.guard.map(InputGuard::new),
+            timing: ns.timing,
+            output: Vec::new(),
+            records_in: 0,
+            quarantined_after: 0,
+            quarantine: None,
+            busy: Duration::ZERO,
+            monitor: ns.monitor,
+        };
+        match built {
+            Ok(op) => st.op = Some(op),
+            Err(payload) => st.enter_quarantine(QuarantineCause::OperatorPanic {
+                message: panic_message(payload),
+            }),
+        }
+        st
     };
     loop {
         while inbox_open {
@@ -1593,6 +1596,41 @@ mod tests {
                 assert_eq!(r.quarantined_after, 0);
             }
         }
+    }
+
+    #[test]
+    fn factory_panic_quarantines_only_its_stream() {
+        let points = 200usize;
+        // One shard: the failing factory runs on the healthy stream's
+        // worker thread.
+        let (results, ()) = serve(EngineConfig::new(1), |engine| {
+            let handles: Vec<_> = (0..2)
+                .map(|k| {
+                    engine.register(move || {
+                        assert!(k != 1, "factory failed");
+                        TumblingWindowMean::new(4)
+                    })
+                })
+                .collect();
+            let data: Vec<f64> = (0..points).map(|i| i as f64).collect();
+            feed_all(handles, &[&data, &data]).expect("quarantined streams keep draining");
+        });
+        for r in &results {
+            assert_eq!(r.pushed, points as u64, "stream {} pushed", r.stream);
+            assert_eq!(r.accounted(), r.pushed, "stream {} ledger", r.stream);
+        }
+        let (healthy, faulted) = (&results[0], &results[1]);
+        assert_eq!(healthy.state, StreamState::Done);
+        assert_eq!(
+            (healthy.records_in, healthy.output.len()),
+            (points as u64, points / 4)
+        );
+        let (cause, at_record) = faulted.quarantine().expect("stream 1 faulted");
+        assert_eq!((at_record, faulted.records_in), (0, 0));
+        assert!(
+            matches!(cause, QuarantineCause::OperatorPanic { message } if message.contains("factory failed")),
+            "{cause:?}"
+        );
     }
 
     #[test]

@@ -226,12 +226,6 @@ impl ServingStats {
             .filter(|s| s.state.is_quarantined())
             .count()
     }
-
-    /// The quarantined streams' stats (cause and fault position live in
-    /// each entry's [`StreamStats::state`]).
-    pub fn quarantined_streams(&self) -> impl Iterator<Item = &StreamStats> {
-        self.streams.iter().filter(|s| s.state.is_quarantined())
-    }
 }
 
 #[cfg(test)]

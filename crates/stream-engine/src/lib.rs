@@ -67,8 +67,7 @@ pub use net::{
     NetStatsHandle, RegisterRequest,
 };
 pub use operator::{
-    FilterOperator, MapOperator, MultivariateSegmenterOperator, Operator, SegmenterOperator,
-    TumblingWindowMean,
+    MultivariateSegmenterOperator, Operator, SegmenterOperator, TumblingWindowMean,
 };
 pub use ring::{Backpressure, OverflowError, PushError, RingConfig};
 pub use source::{

@@ -24,66 +24,6 @@ pub trait Operator {
     }
 }
 
-/// Stateless 1:1 mapping operator.
-pub struct MapOperator<I, O, F: FnMut(I) -> O> {
-    f: F,
-    _marker: core::marker::PhantomData<fn(I) -> O>,
-}
-
-impl<I, O, F: FnMut(I) -> O> MapOperator<I, O, F> {
-    /// Wraps a mapping function.
-    pub fn new(f: F) -> Self {
-        Self {
-            f,
-            _marker: core::marker::PhantomData,
-        }
-    }
-}
-
-impl<I, O, F: FnMut(I) -> O> Operator for MapOperator<I, O, F> {
-    type In = I;
-    type Out = O;
-
-    fn process(&mut self, rec: Record<I>, out: &mut Vec<Record<O>>) {
-        out.push(Record::new(rec.timestamp, (self.f)(rec.value)));
-    }
-
-    fn name(&self) -> &'static str {
-        "map"
-    }
-}
-
-/// Stateless filtering operator.
-pub struct FilterOperator<T, F: FnMut(&T) -> bool> {
-    f: F,
-    _marker: core::marker::PhantomData<fn(&T)>,
-}
-
-impl<T, F: FnMut(&T) -> bool> FilterOperator<T, F> {
-    /// Wraps a predicate.
-    pub fn new(f: F) -> Self {
-        Self {
-            f,
-            _marker: core::marker::PhantomData,
-        }
-    }
-}
-
-impl<T, F: FnMut(&T) -> bool> Operator for FilterOperator<T, F> {
-    type In = T;
-    type Out = T;
-
-    fn process(&mut self, rec: Record<T>, out: &mut Vec<Record<T>>) {
-        if (self.f)(&rec.value) {
-            out.push(rec);
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "filter"
-    }
-}
-
 /// Tumbling-window mean aggregation (a classic pre-processing operator in
 /// the IoT pipelines of §5; also used by tests as a non-trivial stateful
 /// operator).
@@ -259,24 +199,6 @@ impl Operator for MultivariateSegmenterOperator {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn map_transforms_values() {
-        let mut op = MapOperator::new(|x: f64| x * 2.0);
-        let mut out = Vec::new();
-        op.process(Record::new(7, 1.5), &mut out);
-        assert_eq!(out, vec![Record::new(7, 3.0)]);
-        assert_eq!(op.name(), "map");
-    }
-
-    #[test]
-    fn filter_drops_records() {
-        let mut op = FilterOperator::new(|x: &f64| *x > 0.0);
-        let mut out = Vec::new();
-        op.process(Record::new(0, -1.0), &mut out);
-        op.process(Record::new(1, 2.0), &mut out);
-        assert_eq!(out, vec![Record::new(1, 2.0)]);
-    }
 
     #[test]
     fn tumbling_mean_emits_per_window_and_flushes_remainder() {

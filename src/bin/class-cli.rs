@@ -38,39 +38,9 @@
 //! class-cli feed --connect 127.0.0.1:9600 sensor-a.txt sensor-b.txt
 //! ```
 
-use class_core::class::MIN_WINDOW_SIZE;
-use class_core::{ClassConfig, ClassSegmenter, StreamingSegmenter, WidthSelection, WssMethod};
+use class_core::{ClassSegmenter, StreamingSegmenter};
+use eval::cli::{usage_error, ClassFlags, Flags};
 use std::io::{BufRead, BufReader, Read, Write};
-
-struct CliArgs {
-    input: Option<String>,
-    window: usize,
-    width: Option<usize>,
-    wss: WssMethod,
-    alpha: f64,
-    column: usize,
-    delimiter: char,
-    format: String,
-    relearn: bool,
-    jump: Option<usize>,
-}
-
-impl Default for CliArgs {
-    fn default() -> Self {
-        Self {
-            input: None,
-            window: 10_000,
-            width: None,
-            wss: WssMethod::Suss,
-            alpha: 1e-50,
-            column: 0,
-            delimiter: ',',
-            format: "text".into(),
-            relearn: false,
-            jump: None,
-        }
-    }
-}
 
 const USAGE: &str = "\
 class-cli — streaming time series segmentation (ClaSS, VLDB 2024)
@@ -88,7 +58,7 @@ OPTIONS:
     --window N         sliding window size d (default 10000, at least 16)
     --width N          fixed subsequence width (default: learned via SuSS)
     --wss METHOD       width selection: suss | fft | acf | mwf
-    --alpha P          significance level (default 1e-50)
+    --alpha P          significance level, in (0, 1) (default 1e-50)
     --column N         0-based CSV column to read (default 0)
     --delimiter C      CSV delimiter (default ',')
     --format FMT       output: text | tsv
@@ -187,90 +157,15 @@ SERVE-STATUS (read a serving engine's stats from either source):
         error, 3 the engine reports quarantined streams.
 ";
 
-/// Parses a `--window` value: a window `ClassSegmenter` accepts, so a
-/// too-small one is a usage error rather than a panic.
-fn parse_window(v: &str) -> Result<usize, String> {
-    let d: usize = v.parse().map_err(|_| "numeric --window")?;
-    if d < MIN_WINDOW_SIZE {
-        return Err(format!(
-            "--window must be at least {MIN_WINDOW_SIZE}, got {d}"
-        ));
-    }
-    Ok(d)
-}
-
-/// Parses a numeric flag value, or exits with a usage error (status 2).
-fn numeric<T: std::str::FromStr>(name: &str, v: &str) -> T {
-    v.parse()
-        .map_err(|_| format!("numeric {name}, got {v:?}"))
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })
-}
-
-fn parse_args() -> CliArgs {
-    let mut args = CliArgs::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut grab = |name: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("error: {name} requires a value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--input" => args.input = Some(grab("--input")),
-            "--window" => {
-                args.window = parse_window(&grab("--window")).unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                })
-            }
-            "--width" => args.width = Some(numeric("--width", &grab("--width"))),
-            "--wss" => {
-                args.wss = match grab("--wss").as_str() {
-                    "suss" => WssMethod::Suss,
-                    "fft" => WssMethod::FftDominant,
-                    "acf" => WssMethod::Acf,
-                    "mwf" => WssMethod::Mwf,
-                    other => {
-                        eprintln!("error: unknown WSS method {other}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--alpha" => args.alpha = numeric("--alpha", &grab("--alpha")),
-            "--column" => args.column = numeric("--column", &grab("--column")),
-            "--delimiter" => args.delimiter = grab("--delimiter").chars().next().unwrap_or(','),
-            "--format" => args.format = grab("--format"),
-            "--relearn" => args.relearn = true,
-            "--jump" => {
-                let j: usize = numeric("--jump", &grab("--jump"));
-                if j == 0 {
-                    eprintln!("error: --jump must be at least 1");
-                    std::process::exit(2);
-                }
-                args.jump = Some(j);
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("error: unknown argument {other}\n\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
+/// The `--format` choices every command shares: `true` selects TSV.
+const FORMATS: [(&str, bool); 2] = [("text", false), ("tsv", true)];
 
 // ---------------------------------------------------------------------------
 // `datasets` subcommands
 // ---------------------------------------------------------------------------
 
 /// How `datasets run` fuses per-channel votes on multi-channel files.
+#[derive(PartialEq)]
 enum FusionChoice {
     /// Majority quorum (the multivariate default).
     Quorum,
@@ -282,15 +177,12 @@ enum FusionChoice {
 
 struct DatasetsRunArgs {
     files: Vec<String>,
-    window: Option<usize>,
-    width: Option<usize>,
-    alpha: f64,
+    class: ClassFlags,
     rate: Option<f64>,
     tsv: bool,
     channels: Option<usize>,
     fusion: FusionChoice,
     extract_channels: bool,
-    jump: Option<usize>,
     guard_nan_burst: Option<usize>,
     guard_flatline: Option<usize>,
     metrics_addr: Option<String>,
@@ -298,75 +190,26 @@ struct DatasetsRunArgs {
 }
 
 impl DatasetsRunArgs {
-    /// The serving engine's per-stream guard from the `--guard-*` flags
-    /// (`None` when neither flag is given: values pass verbatim).
-    fn stream_guard(&self) -> Option<stream_engine::GuardConfig> {
-        if self.guard_nan_burst.is_none() && self.guard_flatline.is_none() {
-            return None;
-        }
-        Some(stream_engine::GuardConfig::new(
-            self.guard_nan_burst.unwrap_or(0),
-            self.guard_flatline.unwrap_or(0),
-        ))
-    }
-
-    /// The per-channel guard multivariate files run with.
-    fn channel_guard(&self) -> Option<class_core::ChannelGuardConfig> {
-        if self.guard_nan_burst.is_none() && self.guard_flatline.is_none() {
-            return None;
-        }
-        Some(class_core::ChannelGuardConfig::new(
-            self.guard_nan_burst.unwrap_or(0),
-            self.guard_flatline.unwrap_or(0),
-        ))
+    /// The `--guard-*` thresholds as `(nan_burst, flatline)`, 0 = off;
+    /// `None` when neither flag is given (values pass verbatim).
+    fn guard(&self) -> Option<(usize, usize)> {
+        let (nan_burst, flatline) = (self.guard_nan_burst, self.guard_flatline);
+        (nan_burst.is_some() || flatline.is_some())
+            .then(|| (nan_burst.unwrap_or(0), flatline.unwrap_or(0)))
     }
 }
 
 /// Exit code for a run in which at least one stream was quarantined.
 const EXIT_QUARANTINED: i32 = 3;
 
-fn datasets_main(args: Vec<String>) -> ! {
-    let code = match args.first().map(String::as_str) {
-        Some("list") => datasets_list(&args[1..]),
-        Some("run") => datasets_run(&args[1..]),
-        other => {
-            eprintln!(
-                "error: expected `datasets list` or `datasets run`, got {:?}\n\n{USAGE}",
-                other.unwrap_or("")
-            );
-            2
-        }
-    };
-    std::process::exit(code);
-}
-
 fn datasets_list(rest: &[String]) -> i32 {
-    let mut data_dir = datasets::DataDir::from_env();
+    let mut data_dir: Option<String> = None;
     let mut tsv = false;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--data-dir" => match it.next() {
-                Some(p) => data_dir = Some(datasets::DataDir::open(p)),
-                None => {
-                    eprintln!("error: --data-dir requires a value");
-                    return 2;
-                }
-            },
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => tsv = false,
-                Some("tsv") => tsv = true,
-                other => {
-                    eprintln!("error: --format must be text or tsv, got {other:?}");
-                    return 2;
-                }
-            },
-            other => {
-                eprintln!("error: unknown argument {other}");
-                return 2;
-            }
-        }
-    }
+    Flags::new()
+        .optional("--data-dir", &mut data_dir)
+        .choice("--format", FORMATS, &mut tsv)
+        .parse_or_exit(rest);
+    let data_dir = datasets::DataDir::from_flag_or_env(data_dir.as_deref());
 
     if tsv {
         println!("source\tarchive\tseries_files\tmultivariate_files\tskipped");
@@ -474,115 +317,63 @@ fn datasets_list(rest: &[String]) -> i32 {
     0
 }
 
-fn parse_datasets_run_args(rest: &[String]) -> Result<DatasetsRunArgs, String> {
-    let mut out = DatasetsRunArgs {
+fn parse_datasets_run_args(rest: &[String]) -> DatasetsRunArgs {
+    let mut args = DatasetsRunArgs {
         files: Vec::new(),
-        window: None,
-        width: None,
-        alpha: 1e-15,
+        class: ClassFlags::archive(),
         rate: None,
         tsv: false,
         channels: None,
         fusion: FusionChoice::Quorum,
         extract_channels: false,
-        jump: None,
         guard_nan_burst: None,
         guard_flatline: None,
         metrics_addr: None,
         bundle_out: None,
     };
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let mut grab = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--window" => out.window = Some(parse_window(&grab("--window")?)?),
-            "--width" => out.width = Some(grab("--width")?.parse().map_err(|_| "numeric --width")?),
-            "--alpha" => out.alpha = grab("--alpha")?.parse().map_err(|_| "numeric --alpha")?,
-            "--rate" => {
-                let rate: f64 = grab("--rate")?.parse().map_err(|_| "numeric --rate")?;
-                if !(rate > 0.0 && rate.is_finite()) {
-                    return Err(format!("--rate must be a positive number, got {rate}"));
-                }
-                out.rate = Some(rate);
-            }
-            "--format" => out.tsv = grab("--format")? == "tsv",
-            "--jump" => {
-                let j: usize = grab("--jump")?.parse().map_err(|_| "numeric --jump")?;
-                if j == 0 {
-                    return Err("--jump must be at least 1".into());
-                }
-                out.jump = Some(j);
-            }
-            "--channels" => {
-                let k: usize = grab("--channels")?
-                    .parse()
-                    .map_err(|_| "numeric --channels")?;
-                if k == 0 {
-                    return Err("--channels must keep at least one channel".into());
-                }
-                out.channels = Some(k);
-            }
-            "--guard-nan-burst" => {
-                let n: usize = grab("--guard-nan-burst")?
-                    .parse()
-                    .map_err(|_| "numeric --guard-nan-burst")?;
-                if n == 0 {
-                    return Err("--guard-nan-burst must be at least 1".into());
-                }
-                out.guard_nan_burst = Some(n);
-            }
-            "--guard-flatline" => {
-                let n: usize = grab("--guard-flatline")?
-                    .parse()
-                    .map_err(|_| "numeric --guard-flatline")?;
-                if n == 0 {
-                    return Err("--guard-flatline must be at least 1".into());
-                }
-                out.guard_flatline = Some(n);
-            }
-            "--extract-channels" => out.extract_channels = true,
-            "--metrics-addr" => out.metrics_addr = Some(grab("--metrics-addr")?),
-            "--bundle-out" => out.bundle_out = Some(grab("--bundle-out")?),
-            "--fusion" => {
-                let v = grab("--fusion")?;
-                out.fusion = match v.as_str() {
-                    "quorum" => FusionChoice::Quorum,
-                    "any" => FusionChoice::Any,
-                    other => match other.parse::<usize>() {
-                        Ok(k) if k >= 1 => FusionChoice::Votes(k),
-                        _ => {
-                            return Err(format!(
+    args.class
+        .define(Flags::new())
+        .positionals(&mut args.files)
+        .positive("--rate", &mut args.rate)
+        .choice("--format", FORMATS, &mut args.tsv)
+        .optional_at_least("--channels", 1, &mut args.channels)
+        .optional_at_least("--guard-nan-burst", 1, &mut args.guard_nan_burst)
+        .optional_at_least("--guard-flatline", 1, &mut args.guard_flatline)
+        .switch("--extract-channels", &mut args.extract_channels)
+        .optional("--metrics-addr", &mut args.metrics_addr)
+        .optional("--bundle-out", &mut args.bundle_out)
+        .value("--fusion", |v| {
+            args.fusion = match v {
+                "quorum" => FusionChoice::Quorum,
+                "any" => FusionChoice::Any,
+                other => match other.parse::<usize>() {
+                    Ok(k) if k >= 1 => FusionChoice::Votes(k),
+                    _ => {
+                        return Err(format!(
                             "--fusion must be quorum, any, or a positive vote count, got {other}"
                         ))
-                        }
-                    },
-                };
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown argument {flag}")),
-            file => out.files.push(file.to_string()),
-        }
+                    }
+                },
+            };
+            Ok(())
+        })
+        .parse_or_exit(rest);
+    if args.files.is_empty() {
+        usage_error("datasets run needs at least one FILE");
     }
-    if out.files.is_empty() {
-        return Err("datasets run needs at least one FILE".into());
+    // Fused-path knobs have no meaning when every channel runs as its
+    // own univariate stream.
+    if args.extract_channels && args.channels.is_some() {
+        usage_error("--channels applies to the fused run, not --extract-channels");
     }
-    if out.extract_channels {
-        // Fused-path knobs have no meaning when every channel runs as
-        // its own univariate stream.
-        if out.channels.is_some() {
-            return Err("--channels applies to the fused run, not --extract-channels".into());
-        }
-        if !matches!(out.fusion, FusionChoice::Quorum) {
-            return Err("--fusion applies to the fused run, not --extract-channels".into());
-        }
+    if args.extract_channels && args.fusion != FusionChoice::Quorum {
+        usage_error("--fusion applies to the fused run, not --extract-channels");
     }
-    Ok(out)
+    args
 }
 
 /// Everything one scored file prints, regardless of channel count.
+#[derive(Default)]
 struct FileScore {
     name: String,
     archive: &'static str,
@@ -679,131 +470,107 @@ struct RunTally {
     quarantined: usize,
 }
 
-/// Replays one univariate archive file through a 1-shard serving engine
-/// and prints its scores.
-fn run_univariate_file(
-    args: &DatasetsRunArgs,
-    path: &std::path::Path,
-    archive: &str,
-    metrics: Option<&stream_engine::MetricsServer>,
-    tally: &mut RunTally,
-) -> i32 {
-    let series = match datasets::load_series_file(path, archive) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
-    replay_univariate_series(args, series, metrics, tally)
-}
-
-/// Replays one extracted multi-channel file per channel: each channel of
-/// the record becomes its own `<name>/ch<c>` univariate stream scored
-/// against the record's shared annotations — the paper's per-channel
-/// protocol, as opposed to the fused run.
-fn run_extracted_channels(
-    args: &DatasetsRunArgs,
-    path: &std::path::Path,
-    archive: &str,
-    metrics: Option<&stream_engine::MetricsServer>,
-    tally: &mut RunTally,
-) -> i32 {
-    let series = match datasets::load_multivariate_file(path, archive) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
-    let mut code = 0;
-    for channel in series.extract_channels() {
-        code = replay_univariate_series(args, channel, metrics, tally);
-        if code != 0 {
-            break;
-        }
-    }
-    code
-}
-
-/// The shared engine replay for one univariate series (file-loaded or
-/// channel-extracted): one stream on one shard, scored and printed.
+/// Replays one univariate series (file-loaded or channel-extracted)
+/// with the `--guard-*` stream guard.
 fn replay_univariate_series(
     args: &DatasetsRunArgs,
     series: datasets::AnnotatedSeries,
     metrics: Option<&stream_engine::MetricsServer>,
     tally: &mut RunTally,
 ) -> i32 {
-    let mut cfg =
-        ClassConfig::with_window_size(args.window.unwrap_or_else(|| series.len().min(10_000)));
-    cfg.width = WidthSelection::Fixed(args.width.unwrap_or(series.width));
-    cfg.log10_alpha = args.alpha.log10();
-    if let Some(j) = args.jump {
-        cfg.jump = j;
-    }
-
-    // Replay the loaded series through the serving engine — unpaced
-    // like the paper's §4.4 RAM-resident streams, or at --rate
-    // records/sec like a live sensor feed. One stream on one shard:
-    // the ingest loop below paces, the shard steps the segmenter.
+    let cfg = match args.class.config_for(series.len(), series.width) {
+        Ok(cfg) => cfg,
+        Err(e) => {
+            eprintln!("error: {}: {e}", series.name);
+            return 1;
+        }
+    };
     let mut source = stream_engine::ReplaySource::new(series.values.clone());
     if let Some(rate) = args.rate {
         source = source.with_rate(rate);
     }
+    let opts = stream_engine::StreamOptions {
+        guard: args
+            .guard()
+            .map(|(n, f)| stream_engine::GuardConfig::new(n, f)),
+        name: Some(series.name.clone()),
+        ..stream_engine::StreamOptions::default()
+    };
+    replay(
+        args,
+        FileScore {
+            name: series.name.clone(),
+            archive: series.archive,
+            points: series.len(),
+            width: series.width,
+            channels: 1,
+            true_cps: series.change_points.clone(),
+            ..FileScore::default()
+        },
+        source,
+        opts,
+        move || stream_engine::SegmenterOperator::new(ClassSegmenter::new(cfg)),
+        metrics,
+        tally,
+    )
+}
+
+/// Replays one series as a single stream through a 1-shard serving
+/// engine — unpaced like the paper's §4.4 RAM-resident streams, or at
+/// --rate records/sec like a live sensor feed; the ingest loop paces,
+/// the shard steps the segmenter — then scores and prints it. The ring
+/// carries `file.channels` interleaved records per point; counts are
+/// reported per point so multi-channel throughput compares with
+/// univariate files.
+fn replay<Op>(
+    args: &DatasetsRunArgs,
+    mut file: FileScore,
+    records: impl IntoIterator<Item = f64>,
+    opts: stream_engine::StreamOptions,
+    build: impl FnOnce() -> Op + Send,
+    metrics: Option<&stream_engine::MetricsServer>,
+    tally: &mut RunTally,
+) -> i32
+where
+    Op: stream_engine::Operator<In = f64, Out = u64>,
+{
     let started = std::time::Instant::now();
     let retry = stream_engine::RetryPolicy::default();
-    let guard = args.stream_guard();
-    let stream_name = series.name.clone();
     let (mut results, fed) = stream_engine::serve(stream_engine::EngineConfig::new(1), |engine| {
         if let Some(m) = metrics {
             m.attach(engine.stats_handle());
         }
-        let mut handle = engine.register_with(
-            stream_engine::StreamOptions {
-                guard,
-                name: Some(stream_name),
-                ..stream_engine::StreamOptions::default()
-            },
-            move || stream_engine::SegmenterOperator::new(ClassSegmenter::new(cfg)),
-        );
-        for v in source {
+        let mut handle = engine.register_with(opts, build);
+        for v in records {
             handle.push_with_retry(v, &retry)?;
         }
         Ok::<(), stream_engine::IngestError>(())
     });
-    let elapsed = started.elapsed();
+    file.elapsed = started.elapsed();
     let result = results.remove(0);
     if let Err(e) = fed {
-        eprintln!("error: {}: ingest failed: {e}", series.name);
+        eprintln!("error: {}: ingest failed: {e}", file.name);
         return 1;
     }
-    let (found, cov, stats) = score_records(
-        &result.output,
-        &series.change_points,
-        series.len(),
-        series.width,
-    );
+    let (found, cov, stats) =
+        score_records(&result.output, &file.true_cps, file.points, file.width);
+    let per_point = file.channels as u64;
+    file.found = found;
+    file.records_in = result.records_in / per_point;
     tally.files += 1;
-    tally.records += result.records_in;
-    tally.change_points += found.len();
+    tally.records += file.records_in;
+    tally.change_points += file.found.len();
     tally.covering_sum += cov;
-    FileScore {
-        name: series.name.clone(),
-        archive: series.archive,
-        points: series.len(),
-        width: series.width,
-        channels: 1,
-        true_cps: series.change_points.clone(),
-        found,
-        records_in: result.records_in,
-        elapsed,
-    }
-    .print(args.tsv, &stats, cov);
+    file.print(args.tsv, &stats, cov);
     if let Some((cause, at_record)) = result.quarantine() {
+        let unit = if per_point > 1 { "frame" } else { "record" };
         eprintln!(
-            "quarantined: {} at record {at_record}: {cause} \
-             ({} records processed, {} drained after the fault)",
-            series.name, result.records_in, result.quarantined_after
+            "quarantined: {} at {unit} {}: {cause} \
+             ({} {unit}s processed, {} drained after the fault)",
+            file.name,
+            at_record / per_point,
+            file.records_in,
+            result.quarantined_after / per_point
         );
         tally.quarantined += 1;
         return EXIT_QUARANTINED;
@@ -811,35 +578,28 @@ fn replay_univariate_series(
     0
 }
 
-/// Replays one multi-channel archive file (WFDB record or wide-CSV) as a
+/// Replays one multi-channel series (WFDB record, EDF or wide-CSV) as a
 /// single fused stream through a 1-shard serving engine — channels
 /// travel interleaved through one ring, the shard reassembles frames and
 /// steps the quorum-fusion segmenter — and prints its scores.
-fn run_multivariate_file(
+fn replay_multivariate_series(
     args: &DatasetsRunArgs,
-    path: &std::path::Path,
-    archive: &str,
+    series: datasets::MultivariateSeries,
     metrics: Option<&stream_engine::MetricsServer>,
     tally: &mut RunTally,
 ) -> i32 {
     use class_core::{ChannelSelection, FusionStrategy, MultivariateClass, MultivariateConfig};
 
-    let series = match datasets::load_multivariate_file(path, archive) {
-        Ok(s) => s,
+    let n = series.len();
+    let n_channels = series.n_channels();
+    let base = match args.class.config_for(n, series.width) {
+        Ok(cfg) => cfg,
         Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("error: {}: {e}", series.name);
             return 1;
         }
     };
-    let n = series.len();
-    let n_channels = series.n_channels();
-    let window = args.window.unwrap_or_else(|| n.min(10_000));
-    let mut base = ClassConfig::with_window_size(window);
-    base.width = WidthSelection::Fixed(args.width.unwrap_or(series.width));
-    base.log10_alpha = args.alpha.log10();
-    if let Some(j) = args.jump {
-        base.jump = j;
-    }
+    let window = base.window_size;
     let mut cfg = MultivariateConfig::new(base, n_channels);
     // Overrides keep the default config's clustering tolerance, so
     // `--fusion N` with the default quorum count behaves identically to
@@ -896,82 +656,43 @@ fn run_multivariate_file(
     // Per-channel degraded-input policy: a tripped channel is retired
     // inside the fused segmenter (votes re-quorumed) instead of taking
     // the whole stream down.
-    cfg.channel_guard = args.channel_guard();
+    cfg.channel_guard = args
+        .guard()
+        .map(|(n, f)| class_core::ChannelGuardConfig::new(n, f));
 
     let mut source = stream_engine::MultiChannelReplaySource::new(series.channels.clone());
     if let Some(rate) = args.rate {
         source = source.with_rate(rate);
     }
-    let started = std::time::Instant::now();
-    let retry = stream_engine::RetryPolicy::default();
-    let stream_name = series.name.clone();
-    let (mut results, fed) = stream_engine::serve(stream_engine::EngineConfig::new(1), |engine| {
-        if let Some(m) = metrics {
-            m.attach(engine.stats_handle());
-        }
-        let mut handle = engine.register_with(
-            stream_engine::StreamOptions {
-                name: Some(stream_name),
-                ..stream_engine::StreamOptions::default()
-            },
-            move || {
-                stream_engine::MultivariateSegmenterOperator::new(MultivariateClass::new(
-                    cfg, n_channels,
-                ))
-            },
-        );
-        for row in source {
-            for v in row {
-                handle.push_with_retry(v, &retry)?;
-            }
-        }
-        Ok::<(), stream_engine::IngestError>(())
-    });
-    let elapsed = started.elapsed();
-    let result = results.remove(0);
-    if let Err(e) = fed {
-        eprintln!("error: {}: ingest failed: {e}", series.name);
-        return 1;
-    }
-    let (found, cov, stats) = score_records(&result.output, &series.change_points, n, series.width);
-    tally.files += 1;
-    tally.records += result.records_in / n_channels as u64;
-    tally.change_points += found.len();
-    tally.covering_sum += cov;
-    FileScore {
-        name: series.name.clone(),
-        archive: series.archive,
-        points: n,
-        width: series.width,
-        channels: n_channels,
-        true_cps: series.change_points.clone(),
-        found,
-        // The ring carried frames x channels interleaved records; report
-        // throughput in frames so it is comparable to univariate files.
-        records_in: result.records_in / n_channels as u64,
-        elapsed,
-    }
-    .print(args.tsv, &stats, cov);
-    if let Some((cause, at_record)) = result.quarantine() {
-        eprintln!(
-            "quarantined: {} at frame {}: {cause}",
-            series.name,
-            at_record / n_channels as u64
-        );
-        tally.quarantined += 1;
-        return EXIT_QUARANTINED;
-    }
-    0
+    let opts = stream_engine::StreamOptions {
+        name: Some(series.name.clone()),
+        ..stream_engine::StreamOptions::default()
+    };
+    replay(
+        args,
+        FileScore {
+            name: series.name.clone(),
+            archive: series.archive,
+            points: n,
+            width: series.width,
+            channels: n_channels,
+            true_cps: series.change_points.clone(),
+            ..FileScore::default()
+        },
+        source.into_iter().flatten(),
+        opts,
+        move || {
+            stream_engine::MultivariateSegmenterOperator::new(MultivariateClass::new(
+                cfg, n_channels,
+            ))
+        },
+        metrics,
+        tally,
+    )
 }
 
 fn datasets_run(rest: &[String]) -> i32 {
-    let args = match parse_datasets_run_args(rest) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return 2;
-        }
-    };
+    let args = parse_datasets_run_args(rest);
     if args.tsv {
         println!(
             "series\tpoints\twidth\ttrue_cps\tfound_cps\tcovering\tdetection_rate\tmean_delay\tchannels"
@@ -990,6 +711,7 @@ fn datasets_run(rest: &[String]) -> i32 {
         },
         None => None,
     };
+    let metrics = metrics.as_ref();
     let started = std::time::Instant::now();
     let mut tally = RunTally::default();
     let mut code = 0;
@@ -1016,17 +738,32 @@ fn datasets_run(rest: &[String]) -> i32 {
                 break;
             }
         };
-        code = match kind {
-            datasets::SeriesKind::Univariate => {
-                run_univariate_file(&args, path, archive, metrics.as_ref(), &mut tally)
-            }
+        let loaded = match kind {
+            datasets::SeriesKind::Univariate => datasets::load_series_file(path, archive)
+                .map(|series| replay_univariate_series(&args, series, metrics, &mut tally)),
+            // --extract-channels scores every channel as its own
+            // `<name>/ch<c>` univariate stream against the record's shared
+            // annotations (the paper's per-channel protocol), stopping at
+            // the first failing channel.
             datasets::SeriesKind::Multivariate if args.extract_channels => {
-                run_extracted_channels(&args, path, archive, metrics.as_ref(), &mut tally)
+                datasets::load_multivariate_file(path, archive).map(|series| {
+                    series
+                        .extract_channels()
+                        .into_iter()
+                        .map(|channel| {
+                            replay_univariate_series(&args, channel, metrics, &mut tally)
+                        })
+                        .find(|&code| code != 0)
+                        .unwrap_or(0)
+                })
             }
-            datasets::SeriesKind::Multivariate => {
-                run_multivariate_file(&args, path, archive, metrics.as_ref(), &mut tally)
-            }
+            datasets::SeriesKind::Multivariate => datasets::load_multivariate_file(path, archive)
+                .map(|series| replay_multivariate_series(&args, series, metrics, &mut tally)),
         };
+        code = loaded.unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            1
+        });
         if code != 0 {
             break;
         }
@@ -1036,10 +773,12 @@ fn datasets_run(rest: &[String]) -> i32 {
     if let Some(path) = &args.bundle_out {
         let elapsed = started.elapsed().as_secs_f64();
         let mut bundle = eval::RunBundle::new("datasets-run");
-        bundle.config("alpha", args.alpha);
+        bundle.config("alpha", args.class.alpha());
         bundle.config(
             "window",
-            args.window.map_or_else(|| "auto".into(), |w| w.to_string()),
+            args.class
+                .window()
+                .map_or_else(|| "auto".into(), |w| w.to_string()),
         );
         bundle.config("files", args.files.join(","));
         bundle.metric("files", tally.files as f64);
@@ -1109,37 +848,11 @@ fn serve_status(rest: &[String]) -> i32 {
     let mut addr: Option<String> = None;
     let mut snapshot: Option<String> = None;
     let mut tsv = false;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => match it.next() {
-                Some(a) => addr = Some(a.clone()),
-                None => {
-                    eprintln!("error: --addr requires HOST:PORT");
-                    return 2;
-                }
-            },
-            "--snapshot" => match it.next() {
-                Some(p) => snapshot = Some(p.clone()),
-                None => {
-                    eprintln!("error: --snapshot requires a path");
-                    return 2;
-                }
-            },
-            "--format" => match it.next().map(String::as_str) {
-                Some("tsv") => tsv = true,
-                Some("text") => tsv = false,
-                other => {
-                    eprintln!("error: --format must be text or tsv, got {other:?}");
-                    return 2;
-                }
-            },
-            other => {
-                eprintln!("error: unknown argument {other}\n\n{USAGE}");
-                return 2;
-            }
-        }
-    }
+    Flags::new()
+        .optional("--addr", &mut addr)
+        .optional("--snapshot", &mut snapshot)
+        .choice("--format", FORMATS, &mut tsv)
+        .parse_or_exit(rest);
     let (source, doc) = match (&addr, &snapshot) {
         (Some(a), None) => match http_get_stats_json(a) {
             Ok(d) => (format!("http://{a}/stats.json"), d),
@@ -1155,10 +868,7 @@ fn serve_status(rest: &[String]) -> i32 {
                 return 1;
             }
         },
-        _ => {
-            eprintln!("error: serve-status needs exactly one of --addr or --snapshot\n\n{USAGE}");
-            return 2;
-        }
+        _ => usage_error("serve-status needs exactly one of --addr or --snapshot"),
     };
     let json = match eval::parse_json(&doc) {
         Ok(j) => j,
@@ -1285,138 +995,45 @@ fn serve_status(rest: &[String]) -> i32 {
 // `serve` / `feed` — the TCP ingestion tier from the command line
 // ---------------------------------------------------------------------------
 
-/// Parses a `--policy` value into a ring backpressure policy.
-fn parse_policy(v: &str) -> Result<stream_engine::Backpressure, String> {
-    match v {
-        "block" => Ok(stream_engine::Backpressure::Block),
-        "drop-oldest" => Ok(stream_engine::Backpressure::DropOldest),
-        "error" => Ok(stream_engine::Backpressure::Error),
-        other => Err(format!(
-            "--policy must be block, drop-oldest or error, got {other}"
-        )),
-    }
-}
-
-struct ServeArgs {
-    listen: String,
-    shards: usize,
-    window: usize,
-    width: Option<usize>,
-    wss: WssMethod,
-    alpha: f64,
-    jump: Option<usize>,
-    ring: usize,
-    policy: stream_engine::Backpressure,
-    metrics_addr: Option<String>,
-    idle_exit: Option<f64>,
-}
-
-fn parse_serve_args(rest: &[String]) -> Result<ServeArgs, String> {
-    let mut out = ServeArgs {
-        listen: String::new(),
-        shards: 2,
-        window: 10_000,
-        width: None,
-        wss: WssMethod::Suss,
-        alpha: 1e-50,
-        jump: None,
-        ring: stream_engine::RingConfig::default().capacity,
-        policy: stream_engine::Backpressure::Block,
-        metrics_addr: None,
-        idle_exit: None,
-    };
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let mut grab = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--listen" => out.listen = grab("--listen")?,
-            "--shards" => {
-                let s: usize = grab("--shards")?.parse().map_err(|_| "numeric --shards")?;
-                if s == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-                out.shards = s;
-            }
-            "--window" => out.window = parse_window(&grab("--window")?)?,
-            "--width" => out.width = Some(grab("--width")?.parse().map_err(|_| "numeric --width")?),
-            "--wss" => {
-                out.wss = match grab("--wss")?.as_str() {
-                    "suss" => WssMethod::Suss,
-                    "fft" => WssMethod::FftDominant,
-                    "acf" => WssMethod::Acf,
-                    "mwf" => WssMethod::Mwf,
-                    other => return Err(format!("unknown WSS method {other}")),
-                }
-            }
-            "--alpha" => out.alpha = grab("--alpha")?.parse().map_err(|_| "numeric --alpha")?,
-            "--jump" => {
-                let j: usize = grab("--jump")?.parse().map_err(|_| "numeric --jump")?;
-                if j == 0 {
-                    return Err("--jump must be at least 1".into());
-                }
-                out.jump = Some(j);
-            }
-            "--ring" => {
-                let c: usize = grab("--ring")?.parse().map_err(|_| "numeric --ring")?;
-                if c == 0 {
-                    return Err("--ring must hold at least one record".into());
-                }
-                out.ring = c;
-            }
-            "--policy" => out.policy = parse_policy(&grab("--policy")?)?,
-            "--metrics-addr" => out.metrics_addr = Some(grab("--metrics-addr")?),
-            "--idle-exit" => {
-                let s: f64 = grab("--idle-exit")?
-                    .parse()
-                    .map_err(|_| "numeric --idle-exit")?;
-                if !(s > 0.0 && s.is_finite()) {
-                    return Err(format!(
-                        "--idle-exit must be a positive number of seconds, got {s}"
-                    ));
-                }
-                out.idle_exit = Some(s);
-            }
-            other => return Err(format!("unknown argument {other}")),
-        }
-    }
-    if out.listen.is_empty() {
-        return Err("serve needs --listen HOST:PORT (use port 0 for an ephemeral port)".into());
-    }
-    Ok(out)
-}
+/// The `--policy` choices: a ring's backpressure policy.
+const POLICIES: [(&str, stream_engine::Backpressure); 3] = [
+    ("block", stream_engine::Backpressure::Block),
+    ("drop-oldest", stream_engine::Backpressure::DropOldest),
+    ("error", stream_engine::Backpressure::Error),
+];
 
 /// `class-cli serve`: bind a TCP ingestion server on a live serving
 /// engine and step wire-registered ClaSS streams until idle (or forever).
 fn serve_cmd(rest: &[String]) -> i32 {
-    let args = match parse_serve_args(rest) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return 2;
-        }
-    };
-    let mut cfg = ClassConfig::with_window_size(args.window);
-    cfg.width = match args.width {
-        Some(w) => WidthSelection::Fixed(w),
-        None => WidthSelection::Learn(args.wss),
-    };
-    cfg.log10_alpha = args.alpha.log10();
-    if let Some(j) = args.jump {
-        cfg.jump = j;
+    let mut listen = String::new();
+    let mut shards = 2;
+    let mut class = ClassFlags::live();
+    let mut ring = stream_engine::RingConfig::default().capacity;
+    let mut policy = stream_engine::Backpressure::Block;
+    let mut metrics_addr: Option<String> = None;
+    let mut idle_exit: Option<f64> = None;
+    class
+        .define(Flags::new())
+        .parsed("--listen", &mut listen)
+        .at_least("--shards", 1, &mut shards)
+        .at_least("--ring", 1, &mut ring)
+        .choice("--policy", POLICIES, &mut policy)
+        .optional("--metrics-addr", &mut metrics_addr)
+        .positive("--idle-exit", &mut idle_exit)
+        .parse_or_exit(rest);
+    if listen.is_empty() {
+        usage_error("serve needs --listen HOST:PORT (use port 0 for an ephemeral port)");
     }
+    let cfg = class.config();
 
     let engine_cfg = stream_engine::EngineConfig {
-        shards: args.shards,
-        ring: stream_engine::RingConfig::new(args.ring, args.policy),
+        shards,
+        ring: stream_engine::RingConfig::new(ring, policy),
     };
     let started = std::time::Instant::now();
     let (results, code) = stream_engine::serve(engine_cfg, |engine| {
         let server = match stream_engine::IngestServer::bind(
-            args.listen.as_str(),
+            listen.as_str(),
             engine.registrar(),
             move |_req: &stream_engine::RegisterRequest| {
                 stream_engine::SegmenterOperator::new(ClassSegmenter::new(cfg.clone()))
@@ -1424,14 +1041,14 @@ fn serve_cmd(rest: &[String]) -> i32 {
         ) {
             Ok(s) => s,
             Err(e) => {
-                eprintln!("error: binding {}: {e}", args.listen);
+                eprintln!("error: binding {listen}: {e}");
                 return 1;
             }
         };
         // First stderr line by contract: scripts bind port 0 and parse
         // the resolved address from here.
         eprintln!("listening on {}", server.addr());
-        let metrics = match &args.metrics_addr {
+        let metrics = match &metrics_addr {
             Some(addr) => match stream_engine::MetricsServer::bind(addr) {
                 Ok(m) => {
                     m.attach(engine.stats_handle());
@@ -1451,7 +1068,7 @@ fn serve_cmd(rest: &[String]) -> i32 {
         let mut idle_since: Option<std::time::Instant> = None;
         loop {
             std::thread::sleep(poll);
-            let Some(limit) = args.idle_exit else {
+            let Some(limit) = idle_exit else {
                 continue;
             };
             let snap = stats.stats();
@@ -1507,65 +1124,6 @@ fn serve_cmd(rest: &[String]) -> i32 {
     code
 }
 
-struct FeedArgs {
-    connect: String,
-    batch: usize,
-    column: usize,
-    delimiter: char,
-    ring: Option<usize>,
-    policy: Option<stream_engine::Backpressure>,
-    files: Vec<String>,
-}
-
-fn parse_feed_args(rest: &[String]) -> Result<FeedArgs, String> {
-    let mut out = FeedArgs {
-        connect: String::new(),
-        batch: 512,
-        column: 0,
-        delimiter: ',',
-        ring: None,
-        policy: None,
-        files: Vec::new(),
-    };
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let mut grab = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--connect" => out.connect = grab("--connect")?,
-            "--batch" => {
-                let b: usize = grab("--batch")?.parse().map_err(|_| "numeric --batch")?;
-                if b == 0 {
-                    return Err("--batch must send at least one record per frame".into());
-                }
-                out.batch = b;
-            }
-            "--column" => out.column = grab("--column")?.parse().map_err(|_| "numeric --column")?,
-            "--delimiter" => out.delimiter = grab("--delimiter")?.chars().next().unwrap_or(','),
-            "--ring" => {
-                let c: usize = grab("--ring")?.parse().map_err(|_| "numeric --ring")?;
-                if c == 0 {
-                    return Err("--ring must hold at least one record".into());
-                }
-                out.ring = Some(c);
-            }
-            "--policy" => out.policy = Some(parse_policy(&grab("--policy")?)?),
-            flag if flag.starts_with("--") => return Err(format!("unknown argument {flag}")),
-            file => out.files.push(file.to_string()),
-        }
-    }
-    if out.connect.is_empty() {
-        return Err("feed needs --connect HOST:PORT".into());
-    }
-    if out.files.is_empty() {
-        return Err("feed needs at least one FILE".into());
-    }
-    Ok(out)
-}
-
 /// Reads one value per line from `path` exactly like the stdin mode:
 /// pick a delimited column, skip lines that do not parse.
 fn read_values(path: &str, column: usize, delimiter: char) -> Result<Vec<f64>, String> {
@@ -1587,16 +1145,35 @@ fn read_values(path: &str, column: usize, delimiter: char) -> Result<Vec<f64>, S
 /// `class-cli feed`: stream local files to a running `serve` instance,
 /// one wire stream per file, stop-and-wait batches.
 fn feed_cmd(rest: &[String]) -> i32 {
-    let args = match parse_feed_args(rest) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return 2;
-        }
-    };
+    let mut connect = String::new();
+    let mut batch = 512;
+    let mut column = 0;
+    let mut delimiter = ',';
+    let mut ring: Option<usize> = None;
+    let mut policy: Option<stream_engine::Backpressure> = None;
+    let mut files = Vec::new();
+    Flags::new()
+        .parsed("--connect", &mut connect)
+        .at_least("--batch", 1, &mut batch)
+        .parsed("--column", &mut column)
+        .character("--delimiter", &mut delimiter)
+        .optional_at_least("--ring", 1, &mut ring)
+        .choice(
+            "--policy",
+            POLICIES.map(|(name, p)| (name, Some(p))),
+            &mut policy,
+        )
+        .positionals(&mut files)
+        .parse_or_exit(rest);
+    if connect.is_empty() {
+        usage_error("feed needs --connect HOST:PORT");
+    }
+    if files.is_empty() {
+        usage_error("feed needs at least one FILE");
+    }
     // A requested ring only travels on REGISTER when either knob is
     // given; otherwise capacity 0 asks for the server's default.
-    let req_ring = match (args.ring, args.policy) {
+    let req_ring = match (ring, policy) {
         (None, None) => None,
         (cap, pol) => Some(stream_engine::RingConfig::new(
             cap.unwrap_or_else(|| stream_engine::RingConfig::default().capacity),
@@ -1604,10 +1181,10 @@ fn feed_cmd(rest: &[String]) -> i32 {
         )),
     };
     let client_name = format!("class-cli-feed/{}", std::process::id());
-    let mut client = match stream_engine::NetClient::connect(args.connect.as_str(), &client_name) {
+    let mut client = match stream_engine::NetClient::connect(connect.as_str(), &client_name) {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("error: connecting {}: {e}", args.connect);
+            eprintln!("error: connecting {connect}: {e}");
             return 1;
         }
     };
@@ -1615,8 +1192,8 @@ fn feed_cmd(rest: &[String]) -> i32 {
     // the client's throttle counter spans the connection, so that one is
     // reported as a per-file delta.
     let mut throttled_before = 0u64;
-    for file in &args.files {
-        let values = match read_values(file, args.column, args.delimiter) {
+    for file in &files {
+        let values = match read_values(file, column, delimiter) {
             Ok(v) => v,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -1634,7 +1211,7 @@ fn feed_cmd(rest: &[String]) -> i32 {
                 return 1;
             }
         };
-        for chunk in values.chunks(args.batch) {
+        for chunk in values.chunks(batch) {
             if let Err(e) = client.send_records(id, chunk) {
                 eprintln!("error: {file}: send: {e}");
                 return 1;
@@ -1668,45 +1245,60 @@ fn fmt_cps(cps: &[u64]) -> String {
 }
 
 fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.first().map(String::as_str) == Some("datasets") {
-        raw.remove(0);
-        datasets_main(raw);
-    }
-    if raw.first().map(String::as_str) == Some("serve-status") {
-        std::process::exit(serve_status(&raw[1..]));
-    }
-    if raw.first().map(String::as_str) == Some("serve") {
-        std::process::exit(serve_cmd(&raw[1..]));
-    }
-    if raw.first().map(String::as_str) == Some("feed") {
-        std::process::exit(feed_cmd(&raw[1..]));
-    }
-    let args = parse_args();
-    let mut cfg = ClassConfig::with_window_size(args.window);
-    cfg.width = match args.width {
-        Some(w) => WidthSelection::Fixed(w),
-        None => WidthSelection::Learn(args.wss),
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let code = match raw.first().map(String::as_str) {
+        Some("datasets") => match raw.get(1).map(String::as_str) {
+            Some("list") => datasets_list(&raw[2..]),
+            Some("run") => datasets_run(&raw[2..]),
+            other => usage_error(format!(
+                "expected `datasets list` or `datasets run`, got {:?}",
+                other.unwrap_or("")
+            )),
+        },
+        Some("serve-status") => serve_status(&raw[1..]),
+        Some("serve") => serve_cmd(&raw[1..]),
+        Some("feed") => feed_cmd(&raw[1..]),
+        _ => segment_feed(&raw),
     };
-    cfg.log10_alpha = args.alpha.log10();
-    cfg.relearn_width = args.relearn;
-    if let Some(j) = args.jump {
-        cfg.jump = j;
-    }
+    std::process::exit(code);
+}
+
+/// The default mode: segment a stdin / `--input` feed, printing change
+/// points as they are detected.
+fn segment_feed(rest: &[String]) -> i32 {
+    let mut input: Option<String> = None;
+    let mut class_flags = ClassFlags::live();
+    let mut column = 0;
+    let mut delimiter = ',';
+    let mut tsv = false;
+    let mut relearn = false;
+    class_flags
+        .define(Flags::new())
+        .help(USAGE)
+        .optional("--input", &mut input)
+        .parsed("--column", &mut column)
+        .character("--delimiter", &mut delimiter)
+        .choice("--format", FORMATS, &mut tsv)
+        .switch("--relearn", &mut relearn)
+        .parse_or_exit(rest);
+    let mut cfg = class_flags.config();
+    cfg.relearn_width = relearn;
     let mut class = ClassSegmenter::new(cfg);
 
-    let reader: Box<dyn Read> = match &args.input {
-        Some(path) => Box::new(std::fs::File::open(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot open {path}: {e}");
-            std::process::exit(1);
-        })),
+    let reader: Box<dyn Read> = match &input {
+        Some(path) => match std::fs::File::open(path) {
+            Ok(f) => Box::new(f),
+            Err(e) => {
+                eprintln!("error: cannot open {path}: {e}");
+                return 1;
+            }
+        },
         None => Box::new(std::io::stdin()),
     };
     let reader = BufReader::new(reader);
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
 
-    let tsv = args.format == "tsv";
     if tsv {
         writeln!(out, "detected_at\tchange_point").unwrap();
     }
@@ -1718,10 +1310,10 @@ fn main() {
             Ok(l) => l,
             Err(e) => {
                 eprintln!("error: read failure: {e}");
-                std::process::exit(1);
+                return 1;
             }
         };
-        let field = line.split(args.delimiter).nth(args.column).unwrap_or("");
+        let field = line.split(delimiter).nth(column).unwrap_or("");
         let Ok(x) = field.trim().parse::<f64>() else {
             skipped += 1;
             continue; // header or malformed line
@@ -1755,4 +1347,5 @@ fn main() {
         )
         .unwrap();
     }
+    0
 }

@@ -991,3 +991,78 @@ fn datasets_run_emits_a_provenance_bundle_and_serves_metrics() {
     assert!(stderr.contains("binding metrics endpoint"), "{stderr}");
     std::fs::remove_file(&bundle_path).ok();
 }
+
+// ---------------------------------------------------------------------------
+// One flag parser: every usage error is `error: <msg>` and exit 2
+// ---------------------------------------------------------------------------
+
+#[test]
+fn usage_errors_share_one_shape_across_subcommands() {
+    let fixture = fixture("TSSB/SineFreqDouble_50_900.txt");
+    let stdin: &[&str] = &[];
+    let run: &[&str] = &["datasets", "run", &fixture];
+    let feed: &[&str] = &["feed", "--connect", "127.0.0.1:1", "f.txt"];
+    let serve: &[&str] = &["serve", "--listen", "127.0.0.1:0"];
+    let mut cases: Vec<(Vec<&str>, String)> = Vec::new();
+    // Every subcommand: an unknown flag, a missing value, a bad value.
+    let table: [(&[&str], &str, [&str; 2]); 6] = [
+        (stdin, "--window", ["--jump", "abc"]),
+        (&["datasets", "list"], "--data-dir", ["--format", "xml"]),
+        (run, "--rate", ["--channels", "abc"]),
+        (&["serve-status"], "--addr", ["--format", "xml"]),
+        (serve, "--ring", ["--shards", "abc"]),
+        (feed, "--policy", ["--batch", "abc"]),
+    ];
+    for (sub, missing, bad) in table {
+        let unknown = "unknown argument --no-such-flag".to_string();
+        cases.push(([sub, &["--no-such-flag"]].concat(), unknown));
+        cases.push((
+            [sub, &[missing]].concat(),
+            format!("{missing} requires a value"),
+        ));
+        cases.push(([sub, &bad].concat(), bad[0].to_string()));
+    }
+    // Values that used to fall back silently.
+    for sub in [stdin, run, serve] {
+        for alpha in ["0", "nan", "2"] {
+            let want = "--alpha must be in (0, 1)".to_string();
+            cases.push(([sub, &["--alpha", alpha]].concat(), want));
+        }
+    }
+    for sub in [stdin, run] {
+        let want = "--format must be text|tsv".to_string();
+        cases.push(([sub, &["--format", "xml"]].concat(), want));
+    }
+    for sub in [stdin, feed] {
+        for d in ["", ";;"] {
+            let want = "--delimiter must be exactly one character".to_string();
+            cases.push(([sub, &["--delimiter", d]].concat(), want));
+        }
+    }
+    for (args, want) in cases {
+        let (_, stderr, code) = run_cli(&args, "");
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(stderr.contains(&want), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn datasets_run_rejects_a_file_shorter_than_the_minimum_window() {
+    let dir = std::env::temp_dir().join("class-cli-smoke-tiny");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("Tiny_3_6.txt");
+    let body: String = (0..12)
+        .map(|i| format!("{}\n", (i as f64 * 0.3).sin()))
+        .collect();
+    std::fs::write(&path, body).unwrap();
+    let (stdout, stderr, code) = run_cli(&["datasets", "run", &path.display().to_string()], "");
+    assert_eq!(code, 1, "stdout: {stdout}\nstderr: {stderr}");
+    assert!(
+        stderr.contains("12 points, shorter than the minimum window 16"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_file(&path).ok();
+}
