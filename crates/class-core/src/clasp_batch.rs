@@ -59,12 +59,17 @@ impl ClaspConfig {
 /// `profile[p]` scores the split placing subsequences `0..p` left; the
 /// profile has `n - w + 1` entries (entry 0 is 0 by convention).
 ///
-/// Runs in O(k·n) per profile after the O(n·(n/k?))-free exact k-NN pass;
-/// overall O(n^2 / ...) work is avoided entirely compared to the original
-/// O(n^2) formulation — the pass is O(n) per arriving point, O(n^2) total
-/// for the k-NN as in any exact all-pairs method, but the cross-validation
-/// itself is O(k·n).
+/// The exact k-NN pass costs O(n) per arriving point, O(n^2) in all, as
+/// any exact all-pairs method does; the cross-validation on top of it is
+/// one O(k·n) sweep, where the original formulation pays O(n) per split
+/// and O(n^2) per profile.
 pub fn clasp_profile(ts: &[f64], cfg: &ClaspConfig) -> Vec<f64> {
+    cross_validate(ts, cfg).profile().to_vec()
+}
+
+/// Builds the exact k-NN of `ts` and cross-validates every split on it;
+/// the returned engine holds the profile and the label groups per split.
+fn cross_validate(ts: &[f64], cfg: &ClaspConfig) -> CrossVal {
     let n = ts.len();
     assert!(
         cfg.width >= 2 && n >= 2 * cfg.width,
@@ -85,7 +90,7 @@ pub fn clasp_profile(ts: &[f64], cfg: &ClaspConfig) -> Vec<f64> {
     }
     let mut cv = CrossVal::new(cfg.score);
     cv.compute(&knn, knn.qstart());
-    cv.profile().to_vec()
+    cv
 }
 
 /// Recursive batch segmentation with ClaSP: finds the most significant
@@ -112,39 +117,10 @@ fn segment_rec(
     if n < 2 * cfg.width || n < 2 * margin + 2 + cfg.width {
         return;
     }
-    let profile = clasp_profile(ts, cfg);
-    let nn = profile.len();
-    if nn < 2 * margin + 2 {
+    let cv = cross_validate(ts, cfg);
+    let Some((best_p, _)) = cv.peak(margin, cfg.min_score) else {
         return;
-    }
-    // Rebuild the label groups at the best split with a one-shot CrossVal,
-    // reusing the same machinery as the online path.
-    let knn_cfg = KnnConfig {
-        window_size: n,
-        width: cfg.width,
-        k: cfg.k,
-        similarity: cfg.similarity,
-        exclusion: None,
-        update_existing: true,
     };
-    let mut knn = StreamingKnn::new(knn_cfg);
-    for &x in ts {
-        knn.update(x);
-    }
-    let mut cv = CrossVal::new(cfg.score);
-    cv.compute(&knn, knn.qstart());
-    let (lo, hi) = (margin, nn - margin);
-    let mut best_p = lo;
-    let mut best_v = f64::MIN;
-    for p in lo..hi {
-        if cv.profile()[p] > best_v {
-            best_v = cv.profile()[p];
-            best_p = p;
-        }
-    }
-    if best_v < cfg.min_score {
-        return;
-    }
     let ln_p = significance_ln_p(cv.groups_at(best_p), cfg.sample_size, rng);
     if ln_p > cfg.log10_alpha * core::f64::consts::LN_10 {
         return;

@@ -372,25 +372,8 @@ impl Running {
     fn evaluate(&mut self, pos: u64, cps: &mut Vec<u64>) -> Option<u64> {
         let start_sid = self.range_start_sid()?;
         let start_slot = self.knn.slot_of_sid(start_sid);
-        let nn = self.cv.compute(&self.knn, start_slot);
-        // Need room for a margin on both sides of any candidate split.
-        if nn < 2 * self.margin + 2 {
-            return None;
-        }
-        let profile = self.cv.profile();
-        let lo = self.margin;
-        let hi = nn - self.margin;
-        let mut best_p = lo;
-        let mut best_v = f64::MIN;
-        for (p, &v) in profile.iter().enumerate().take(hi).skip(lo) {
-            if v > best_v {
-                best_v = v;
-                best_p = p;
-            }
-        }
-        if best_v < self.min_score {
-            return None;
-        }
+        self.cv.compute(&self.knn, start_slot);
+        let (best_p, _) = self.cv.peak(self.margin, self.min_score)?;
         let groups = self.cv.groups_at(best_p);
         let ln_p = significance_ln_p(groups, self.sample_size, &mut self.rng);
         if ln_p <= self.ln_alpha {

@@ -19,9 +19,11 @@
 //!    past its majority-rank neighbour sid, a closed-form per-row threshold
 //!    that replaces Algorithm 3's reverse-k-NN adjacency walk outright.
 //!    Given all flip sids, one full profile is three linear passes: a
-//!    histogram of flip offsets (suffix-summed into the per-split totals),
-//!    a difference array (prefix-summed into the per-split left counts),
-//!    and an elementwise score computation.
+//!    histogram of flip offsets plus a difference array, one sweep that
+//!    suffix-sums the first into the per-split totals and prefix-sums the
+//!    second into the per-split left counts, and the elementwise score
+//!    pass ([`crate::simd::profile_scores`], dispatched like the k-NN
+//!    kernels), which also leaves the maximum of every 64-split block.
 //!
 //! 2. **Flip sids are persistent** (this engine is stateful across calls).
 //!    A flip sid is an *absolute* stream position: advancing the scored
@@ -32,8 +34,15 @@
 //!    [`crate::knn::KnnEvent`]), so a warm re-evaluation costs
 //!    O(journalled changes + d_sweep) instead of re-reading all `n·k`
 //!    neighbour lists — competitive with the k-NN update itself.
+//!
+//! [`CrossVal::peak`] finds the best split between the margins from those
+//! block maxima and a scan of the two partial edge blocks. Only when that
+//! maximum reaches `min_score` (rarely: most evaluations of a stationary
+//! stream end below it) does it look for the first split equal to it. The
+//! tie rule is the first maximum, as a left-to-right `>` scan gives.
 
 use crate::knn::{KnnEvent, StreamingKnn};
+use crate::simd::{self, BLOCK};
 use crate::stats::BinaryGroups;
 
 /// Classification score derived from the running confusion matrix
@@ -59,10 +68,10 @@ impl ScoreFn {
 
     /// Score from a 2x2 confusion matrix `m[true][pred]`.
     ///
-    /// [`CrossVal`]'s sweep evaluates the same arithmetic in its private
-    /// `score_pass` on `i32` counts (the scored range is far below
-    /// `i32::MAX`); the conversions are exact for both widths, so the two
-    /// paths are bit-identical.
+    /// [`CrossVal`]'s sweep evaluates the same arithmetic in
+    /// [`crate::simd::profile_scores`] on `i32` counts (the scored range is
+    /// far below `i32::MAX`); the conversions are exact for both widths, so
+    /// the two paths are bit-identical.
     #[inline]
     pub fn score(self, m: &[[i64; 2]; 2]) -> f64 {
         match self {
@@ -151,6 +160,9 @@ pub struct CrossVal {
     /// Scratch for the rank selection in [`flip_sid_of`].
     sel: Vec<i64>,
     profile: Vec<f64>,
+    /// Largest score per [`BLOCK`]-split block of `profile`, fused into the
+    /// score pass (see [`simd::profile_scores`]).
+    block_max: Vec<f64>,
     /// During the sweep: difference array, then (in place) its prefix sums
     /// `left_ones[p] = #{rows j < p predicted 1 at split p}`.
     left_ones: Vec<u32>,
@@ -170,6 +182,7 @@ impl CrossVal {
             flip: Vec::new(),
             sel: Vec::new(),
             profile: Vec::new(),
+            block_max: Vec::new(),
             left_ones: Vec::new(),
             tot_ones: Vec::new(),
             nn: 0,
@@ -225,6 +238,43 @@ impl CrossVal {
             n_right: (self.nn - p) as u64,
             ones_right: tot - left,
         }
+    }
+
+    /// The best split of the last computation that keeps `margin` scored
+    /// subsequences on either side: the first `p` in `[margin, len() -
+    /// margin)` whose score is that range's maximum, with the maximum.
+    /// `None` when the range holds fewer than two splits (`2·margin + 2 >
+    /// len()`) or its maximum is below `min_score`.
+    ///
+    /// The maximum combines the precomputed block maxima of the blocks
+    /// inside the range with a scan of its two partial edge blocks; the
+    /// first-index scan runs only when the maximum reaches `min_score`.
+    /// Scores are finite and never `-0.0`, so the first split equal to the
+    /// maximum is the first maximum.
+    pub fn peak(&self, margin: usize, min_score: f64) -> Option<(usize, f64)> {
+        let nn = self.nn;
+        if nn < 2 * margin + 2 {
+            return None;
+        }
+        let (lo, hi) = (margin, nn - margin);
+        let profile = self.profile();
+        // [lo, head) and [tail, hi) are the partial edge blocks; the whole
+        // blocks between them are covered by `block_max`.
+        let head = lo.next_multiple_of(BLOCK).min(hi);
+        let tail = (hi - hi % BLOCK).max(head);
+        let max = profile[lo..head]
+            .iter()
+            .chain(&profile[tail..hi])
+            .chain(&self.block_max[head / BLOCK..tail / BLOCK])
+            .fold(f64::NEG_INFINITY, |m, &v| m.max(v));
+        if max < min_score {
+            return None;
+        }
+        let at = profile[lo..hi]
+            .iter()
+            .position(|&v| v == max)
+            .expect("the maximum is one of the range's scores");
+        Some((lo + at, max))
     }
 
     /// Computes the profile over the k-NN slots `[start_slot, m_max)`.
@@ -329,10 +379,13 @@ impl CrossVal {
     /// row `j` is predicted 1 at split `p` iff `g(j) > p`, so
     /// `tot_ones[p] = #{j : g(j) > p}` falls out of a histogram of `g` and
     /// `left_ones[p] = #{j < p : g(j) > p}` out of a difference array (row
-    /// `j` contributes to exactly the splits `j < p < g(j)`).
+    /// `j` contributes to exactly the splits `j < p < g(j)`). The score
+    /// pass also leaves the per-block maxima [`CrossVal::peak`] reads.
     fn sweep(&mut self, start_sid: i64, nn: usize, cap: usize) {
         self.profile.clear();
         self.profile.resize(nn, 0.0);
+        self.block_max.clear();
+        self.block_max.resize(nn.div_ceil(BLOCK), 0.0);
         self.left_ones.clear();
         self.left_ones.resize(nn + 1, 0);
         self.tot_ones.clear();
@@ -363,68 +416,22 @@ impl CrossVal {
         }
 
         // Pass 2: in-place histogram -> suffix counts, diffs -> prefix sums.
-        let mut c = 0u32;
-        let mut l = 0u32;
-        for p in 0..nn {
-            c = c.wrapping_add(dt[p]);
-            dt[p] = nn as u32 - c;
-            l = l.wrapping_add(dl[p]);
-            dl[p] = l;
+        let (mut c, mut l) = (0u32, 0u32);
+        for (t, d) in dt[..nn].iter_mut().zip(&mut dl[..nn]) {
+            c = c.wrapping_add(*t);
+            *t = nn as u32 - c;
+            l = l.wrapping_add(*d);
+            *d = l;
         }
 
-        // Pass 3: scores. The dispatch is hoisted so each arm is a
-        // branch-free elementwise loop.
-        self.profile[0] = 0.0;
-        match self.score_fn {
-            ScoreFn::MacroF1 => Self::score_pass(ScoreFn::MacroF1, &mut self.profile, dl, dt, nn),
-            ScoreFn::BalancedAccuracy => {
-                Self::score_pass(ScoreFn::BalancedAccuracy, &mut self.profile, dl, dt, nn)
-            }
-        }
-    }
-
-    /// Elementwise score pass over the per-split counts, evaluating exactly
-    /// the arithmetic of [`ScoreFn::score`] on the reconstructed confusion
-    /// matrix (in `i32`, whose `f64` conversions are as exact as `i64`'s —
-    /// see there). `score_fn` must be a literal at every call site so the
-    /// per-split dispatch disappears and the loop vectorizes.
-    #[inline(always)]
-    fn score_pass(score_fn: ScoreFn, profile: &mut [f64], left: &[u32], tot: &[u32], nn: usize) {
-        debug_assert!(nn <= i32::MAX as usize);
-        for p in 1..nn {
-            let l = left[p] as i32;
-            let t = tot[p] as i32;
-            // m[true][pred]: all rows left of `p` are truth 0, the rest
-            // truth 1.
-            let m00 = p as i32 - l;
-            let m01 = l;
-            let m11 = t - l;
-            let m10 = (nn - p) as i32 - m11;
-            profile[p] = match score_fn {
-                ScoreFn::MacroF1 => {
-                    let d0 = 2 * m00 + m10 + m01;
-                    let f0 = if d0 == 0 {
-                        0.0
-                    } else {
-                        2.0 * m00 as f64 / d0 as f64
-                    };
-                    let d1 = 2 * m11 + m01 + m10;
-                    let f1 = if d1 == 0 {
-                        0.0
-                    } else {
-                        2.0 * m11 as f64 / d1 as f64
-                    };
-                    0.5 * (f0 + f1)
-                }
-                ScoreFn::BalancedAccuracy => {
-                    let d0 = m00 + m01;
-                    let r0 = if d0 == 0 { 0.0 } else { m00 as f64 / d0 as f64 };
-                    let d1 = m10 + m11;
-                    let r1 = if d1 == 0 { 0.0 } else { m11 as f64 / d1 as f64 };
-                    0.5 * (r0 + r1)
-                }
-            };
-        }
+        // Pass 3: scores and block maxima.
+        simd::profile_scores(
+            self.score_fn,
+            &dl[..nn],
+            &dt[..nn],
+            &mut self.profile,
+            &mut self.block_max,
+        );
     }
 }
 
@@ -465,6 +472,7 @@ mod tests {
     use super::*;
     use crate::knn::{KnnConfig, StreamingKnn};
     use crate::stats::SplitMix64;
+    use proptest::prelude::*;
 
     fn feed(n: usize, d: usize, w: usize, k: usize, seed: u64) -> StreamingKnn {
         let mut rng = SplitMix64::new(seed);
@@ -571,20 +579,13 @@ mod tests {
         let mut cv = CrossVal::new(ScoreFn::MacroF1);
         let nn = cv.compute(&knn, knn.qstart());
         assert!(nn > 10);
-        let margin = 30;
-        let best = (margin..nn - margin)
-            .max_by(|&a, &b| cv.profile()[a].partial_cmp(&cv.profile()[b]).unwrap())
-            .unwrap();
+        let (best, score) = cv.peak(30, 0.0).expect("room for a split");
         let true_split = nn / 2;
         assert!(
             (best as i64 - true_split as i64).unsigned_abs() < 40,
             "best split {best}, expected ~{true_split}"
         );
-        assert!(
-            cv.profile()[best] > 0.85,
-            "peak score {}",
-            cv.profile()[best]
-        );
+        assert!(score > 0.85, "peak score {score}");
     }
 
     #[test]
@@ -819,6 +820,142 @@ mod tests {
             assert!(g.ones_right <= g.n_right);
             let want = naive_split_score(&knn, start, p, ScoreFn::MacroF1);
             assert!((cv.profile()[p] - want).abs() < 1e-12, "p = {p}");
+        }
+    }
+
+    /// An engine holding `profile` as if computed, with block maxima
+    /// derived from their definition.
+    fn with_profile(profile: &[f64]) -> CrossVal {
+        let mut cv = CrossVal::new(ScoreFn::MacroF1);
+        cv.nn = profile.len();
+        cv.profile = profile.to_vec();
+        cv.block_max = profile
+            .chunks(BLOCK)
+            .map(|b| b.iter().fold(0.0, |m: f64, &v| m.max(v)))
+            .collect();
+        cv
+    }
+
+    /// The branchy first-maximum scan that [`CrossVal::peak`] replaced.
+    fn scan(profile: &[f64], margin: usize, min_score: f64) -> Option<(usize, f64)> {
+        let nn = profile.len();
+        if nn < 2 * margin + 2 {
+            return None;
+        }
+        let mut best_p = margin;
+        let mut best_v = f64::MIN;
+        for (p, &v) in profile.iter().enumerate().take(nn - margin).skip(margin) {
+            if v > best_v {
+                best_v = v;
+                best_p = p;
+            }
+        }
+        (best_v >= min_score).then_some((best_p, best_v))
+    }
+
+    #[test]
+    fn peak_returns_the_first_split_of_a_plateau() {
+        let mut profile = vec![0.25; 300];
+        profile[0] = 0.0;
+        profile[100..220].fill(0.9);
+        assert_eq!(with_profile(&profile).peak(10, 0.5), Some((100, 0.9)));
+        // A plateau that starts inside the margin peaks at the margin.
+        assert_eq!(with_profile(&profile).peak(120, 0.5), Some((120, 0.9)));
+    }
+
+    #[test]
+    fn peak_ignores_larger_scores_inside_the_margin() {
+        let mut profile = vec![0.5; 400];
+        profile[0] = 0.0;
+        profile[5] = 1.0; // head margin, inside the first block
+        profile[70] = 1.0; // head margin, in a whole block
+        profile[395] = 1.0; // tail margin
+        profile[200] = 0.8;
+        let cv = with_profile(&profile);
+        assert_eq!(cv.peak(80, 0.0), Some((200, 0.8)));
+        assert_eq!(cv.peak(60, 0.0), Some((70, 1.0)));
+    }
+
+    #[test]
+    fn peak_accepts_a_maximum_equal_to_min_score() {
+        let mut profile = vec![0.5; 200];
+        profile[0] = 0.0;
+        profile[90] = 0.75;
+        let cv = with_profile(&profile);
+        assert_eq!(cv.peak(20, 0.75), Some((90, 0.75)));
+        assert_eq!(cv.peak(20, f64::from_bits(0.75f64.to_bits() + 1)), None);
+    }
+
+    #[test]
+    fn peak_within_one_block() {
+        // [70, 120) lies inside the second 64-split block: no whole block
+        // between the edges, so only the edge scans see it.
+        let mut profile = vec![0.1; 190];
+        profile[0] = 0.0;
+        profile[64] = 0.95; // same block, inside the margin
+        profile[100] = 0.6;
+        profile[110] = 0.6;
+        let cv = with_profile(&profile);
+        assert_eq!(cv.peak(70, 0.0), Some((100, 0.6)));
+        // A range ending exactly on a block boundary.
+        let cv = with_profile(&profile[..128]);
+        assert_eq!(cv.peak(20, 0.0), Some((64, 0.95)));
+    }
+
+    #[test]
+    fn peak_needs_two_splits_between_the_margins() {
+        let profile = vec![1.0; 42];
+        let cv = with_profile(&profile);
+        assert_eq!(cv.peak(20, 0.0), Some((20, 1.0))); // 2 * 20 + 2 == nn
+        assert_eq!(cv.peak(21, 0.0), None);
+        assert_eq!(with_profile(&[]).peak(0, 0.0), None);
+        assert_eq!(CrossVal::new(ScoreFn::MacroF1).peak(0, 0.0), None);
+    }
+
+    #[test]
+    fn peak_matches_the_scan_on_computed_profiles() {
+        // Block maxima from the kernel itself, on both score functions.
+        for (sf, seed) in [(ScoreFn::MacroF1, 38), (ScoreFn::BalancedAccuracy, 39)] {
+            let knn = feed_two_regimes(700, 600, 8, 3, seed);
+            let mut cv = CrossVal::new(sf);
+            let nn = cv.compute(&knn, knn.qstart());
+            assert!(nn > 500);
+            for margin in [0, 1, 40, 63, 64, 65, 200, nn / 2 - 1, nn / 2] {
+                for min_score in [0.0, 0.7, 1.0] {
+                    assert_eq!(
+                        cv.peak(margin, min_score),
+                        scan(cv.profile(), margin, min_score),
+                        "{sf:?}, margin {margin}, min_score {min_score}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn peak_agrees_with_the_branchy_scan(
+            levels in prop::collection::vec(0u32..8, 0..400),
+            spike in 0usize..500,
+            margin in 0usize..220,
+            min_level in 0u32..10,
+        ) {
+            // Few distinct values, so ties and plateaus are common, and
+            // at most one split (`spike`, when in range) scores 1.
+            let mut profile: Vec<f64> = levels.iter().map(|&v| f64::from(v) / 8.0).collect();
+            if let Some(s) = profile.get_mut(spike) {
+                *s = 1.0;
+            }
+            if let Some(p0) = profile.first_mut() {
+                *p0 = 0.0;
+            }
+            let min_score = f64::from(min_level) / 8.0;
+            prop_assert_eq!(
+                with_profile(&profile).peak(margin, min_score),
+                scan(&profile, margin, min_score)
+            );
         }
     }
 }

@@ -6,10 +6,10 @@
 //! also agree on *which* lanes are NaN — NaN semantics are part of the
 //! kernel contract (see `class_core::simd`). The Q-step's admission-block
 //! outputs (`block_max`, `block_hits`) must match the scalar reference bit
-//! for bit.
+//! for bit, and so must the profile score pass (scores and block maxima).
 
 use class_core::simd::{self, autovec, scalar, QStepIo};
-use class_core::SplitMix64;
+use class_core::{ScoreFn, SplitMix64};
 use proptest::prelude::*;
 
 const TOL: f64 = 1e-12;
@@ -378,8 +378,143 @@ fn dispatch_layer_matches_scalar_reference() {
     assert!(close(simd::diff_sumsq(&a), scalar::diff_sumsq(&a)));
 }
 
+/// Per-split counts for an `nn`-row profile: random consistent counts
+/// (`left[p]` of the `p` left rows and `tot[p] - left[p]` of the `nn - p`
+/// right rows predicted 1), with every fifth split at an all-one-sided
+/// extreme. Inconsistent counts at splits 1 and 2 make the macro-F1
+/// denominators zero: `tot[1] = 1 + nn` gives `d0 == 0`, `tot[2] = 2 - nn`
+/// (wrapped) gives `d1 == 0`. (Balanced accuracy's denominators are `p`
+/// and `nn - p`, never zero at a split.)
+fn profile_counts(nn: usize, seed: u64) -> (Vec<u32>, Vec<u32>) {
+    let mut rng = SplitMix64::new(seed);
+    // Uniform in `0..=n`.
+    let mut draw = |n: usize| (rng.next_f64() * (n + 1) as f64) as u32;
+    let (mut left, mut tot) = (vec![0u32; nn], vec![0u32; nn]);
+    for p in 1..nn {
+        let (l, r) = match p % 5 {
+            0 => (0, 0),
+            1 => (p as u32, (nn - p) as u32),
+            _ => (draw(p), draw(nn - p)),
+        };
+        left[p] = l;
+        tot[p] = l + r;
+    }
+    if nn > 2 {
+        left[1] = 0;
+        tot[1] = (1 + nn) as u32;
+        left[2] = 0;
+        tot[2] = (2 - nn as i64) as i32 as u32;
+    }
+    (left, tot)
+}
+
+/// Profile scores and block maxima of one backend's score pass.
+fn run_profile(
+    backend: &str,
+    score_fn: ScoreFn,
+    left: &[u32],
+    tot: &[u32],
+) -> (Vec<u64>, Vec<u64>) {
+    let nn = left.len();
+    let mut profile = vec![f64::NAN; nn];
+    let mut block_max = vec![f64::NAN; nn.div_ceil(simd::BLOCK)];
+    match backend {
+        "scalar" => scalar::profile_scores(score_fn, left, tot, &mut profile, &mut block_max),
+        "dispatch" => simd::profile_scores(score_fn, left, tot, &mut profile, &mut block_max),
+        #[cfg(target_arch = "x86_64")]
+        "avx2" => simd::avx2::profile_scores(score_fn, left, tot, &mut profile, &mut block_max),
+        other => panic!("unknown backend {other}"),
+    }
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+    (bits(&profile), bits(&block_max))
+}
+
+/// Every profile backend: the dispatched one (whatever `CLASS_SIMD`
+/// resolved to) and AVX2 where the CPU supports it.
+fn profile_backends() -> Vec<&'static str> {
+    let mut b = vec!["dispatch"];
+    #[cfg(target_arch = "x86_64")]
+    if simd::avx2::available() {
+        b.push("avx2");
+    }
+    b
+}
+
+fn check_profile(nn: usize, seed: u64) {
+    let (left, tot) = profile_counts(nn, seed);
+    for score_fn in [ScoreFn::MacroF1, ScoreFn::BalancedAccuracy] {
+        let (want, want_max) = run_profile("scalar", score_fn, &left, &tot);
+        for backend in profile_backends() {
+            let (got, got_max) = run_profile(backend, score_fn, &left, &tot);
+            let label = format!("{backend}/{}(nn={nn}, seed={seed})", score_fn.name());
+            assert_eq!(got, want, "{label}: profile bits");
+            assert_eq!(got_max, want_max, "{label}: block maxima");
+        }
+    }
+}
+
+#[test]
+fn profile_kernel_agrees_bit_for_bit() {
+    for nn in [2usize, 3, 63, 64, 65, 127, 128, 10_001] {
+        check_profile(nn, 900 + nn as u64);
+    }
+}
+
+#[test]
+fn profile_kernel_follows_its_definition() {
+    // The scalar reference against `ScoreFn::score` on the confusion
+    // matrix, and each block maximum against the block's largest score.
+    let nn = 150;
+    let (left, tot) = profile_counts(nn, 7);
+    for score_fn in [ScoreFn::MacroF1, ScoreFn::BalancedAccuracy] {
+        let (profile, block_max) = run_profile("scalar", score_fn, &left, &tot);
+        let profile: Vec<f64> = profile.into_iter().map(f64::from_bits).collect();
+        assert_eq!(profile[0].to_bits(), 0, "profile[0] is +0.0");
+        for p in 3..nn {
+            let (l, t) = (i64::from(left[p]), i64::from(tot[p]));
+            let (p_, nn_) = (p as i64, nn as i64);
+            let m = [[p_ - l, l], [nn_ - p_ - (t - l), t - l]];
+            assert_eq!(
+                profile[p].to_bits(),
+                score_fn.score(&m).to_bits(),
+                "p = {p}"
+            );
+        }
+        // Splits 1 and 2 carry the inconsistent zero-denominator counts.
+        if score_fn == ScoreFn::MacroF1 {
+            assert_eq!(profile[1], 0.5 * (2.0 * (1 + nn) as f64 / (2 * nn) as f64));
+            assert_eq!(profile[2], 0.0 + 0.5 * (2.0 * 2.0 / (2 * nn) as f64));
+        }
+        for (b, &mx) in block_max.iter().enumerate() {
+            let block = &profile[b * simd::BLOCK..((b + 1) * simd::BLOCK).min(nn)];
+            let want = block.iter().fold(0.0, |m: f64, &v| m.max(v));
+            assert_eq!(f64::from_bits(mx), want, "{}: block {b}", score_fn.name());
+        }
+    }
+    // A split that misclassifies no row scores 1, above every other split
+    // with consistent counts; planted at each offset of each block, it is
+    // that block's maximum.
+    let (mut left, mut tot) = (left, tot);
+    (left[1], tot[1], left[2], tot[2]) = (0, 0, 0, 0);
+    for planted in 1..nn {
+        let (mut left, mut tot) = (left.clone(), tot.clone());
+        left[planted] = 0;
+        tot[planted] = (nn - planted) as u32;
+        for score_fn in [ScoreFn::MacroF1, ScoreFn::BalancedAccuracy] {
+            let (_, block_max) = run_profile("scalar", score_fn, &left, &tot);
+            let mx = f64::from_bits(block_max[planted / simd::BLOCK]);
+            assert_eq!(mx, 1.0, "{}: planted at {planted}", score_fn.name());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn proptest_profile_kernel_agrees(nn in 0usize..300, seed in any::<u64>()) {
+        check_profile(nn, seed);
+    }
 
     #[test]
     fn proptest_reductions_agree(
