@@ -40,8 +40,15 @@
 //!   Each row's threshold changes only when that row admits, so the masks
 //!   computed before the sweep stay valid throughout it.
 //!
-//! Neighbour lists, tie order and the change journal are therefore the
-//! same as those of a plain scalar sweep, bit for bit.
+//! Neighbour lists and tie order are therefore the same as those of a
+//! plain scalar sweep, bit for bit.
+//!
+//! Every row also carries its *flip sid* ([`StreamingKnn::flip_sids`]),
+//! the one number through which its neighbour list enters the
+//! cross-validation profile. The index recomputes it at the only two places
+//! a list changes: when the row is created and when it admits a newer
+//! subsequence. [`crate::crossval::CrossVal`] reads the column as it is, so
+//! it needs no record of which lists changed between two evaluations.
 //!
 //! Neighbour identities are stored as *absolute* subsequence ids (the
 //! position of the subsequence start in the stream). This avoids the O(k·d)
@@ -53,58 +60,11 @@
 use crate::buffer::{ShiftBuffer, ShiftMatrix};
 use crate::simd;
 use crate::similarity::Similarity;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Largest supported neighbour count; the ablation study uses k in
 /// {1, 3, 5, 7}, so 16 leaves generous headroom while letting the scratch
 /// candidate list live on the stack.
 pub const MAX_K: usize = 16;
-
-/// Capacity of the change journal ring. Generously sized for the steady
-/// state (a handful of events per update, consumed every `jump` updates by
-/// the incremental cross-validation); if a consumer falls further behind
-/// than this, [`StreamingKnn::events_since`] reports the loss and the
-/// consumer rebuilds from the neighbour lists instead.
-const JOURNAL_CAP: usize = 1024;
-
-/// One neighbour-list mutation, as recorded in the change journal.
-///
-/// The journal is what makes the cross-validation profile *incremental
-/// across stream updates*: instead of re-reading all `n·k` neighbour lists
-/// per evaluation, [`crate::crossval::CrossVal`] replays only the edges the
-/// index actually changed since the previous evaluation. Events are emitted
-/// in execution order; sids are absolute subsequence ids.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KnnEvent {
-    /// A new subsequence completed and its row entered the index. Emitted
-    /// before the `EdgeAdded` events carrying the row's initial neighbours
-    /// (a dirty-window row may have fewer than `k`, or none).
-    RowCreated {
-        /// Absolute id of the new subsequence.
-        sid: i64,
-    },
-    /// `target` was inserted into `owner`'s neighbour list, which had room.
-    EdgeAdded {
-        /// Row whose list changed.
-        owner: i64,
-        /// Neighbour that was inserted.
-        target: i64,
-    },
-    /// `target` was inserted into `owner`'s full neighbour list, displacing
-    /// the former k-th neighbour `evicted`.
-    EdgeReplaced {
-        /// Row whose list changed.
-        owner: i64,
-        /// Neighbour that was inserted.
-        target: i64,
-        /// Former k-th neighbour that dropped off the list.
-        evicted: i64,
-    },
-}
-
-/// Monotone source of per-index identities; see [`StreamingKnn::instance_id`].
-static NEXT_INSTANCE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Configuration of the streaming k-NN index.
 #[derive(Debug, Clone)]
@@ -166,18 +126,10 @@ impl KnnConfig {
 /// Exact streaming k-NN over sliding-window subsequences.
 ///
 /// See the module documentation for the algorithm; all state is pre-sized at
-/// construction, and [`StreamingKnn::update`] performs no heap allocation
-/// (the change journal ring reaches its fixed capacity and stays there).
-#[derive(Debug)]
+/// construction, and [`StreamingKnn::update`] performs no heap allocation.
+#[derive(Debug, Clone)]
 pub struct StreamingKnn {
     cfg: KnnConfig,
-    /// Process-unique identity, refreshed on clone; see
-    /// [`StreamingKnn::instance_id`].
-    instance_id: u64,
-    /// Bounded ring of recent neighbour-list mutations, oldest first.
-    events: VecDeque<KnnEvent>,
-    /// Total events ever emitted (monotone journal sequence number).
-    events_total: u64,
     excl: usize,
     m_max: usize,
     /// Raw window values.
@@ -203,6 +155,9 @@ pub struct StreamingKnn {
     /// row with room. Contiguous copy of `nn_score` column k-1 that the
     /// Q-step kernel filters against (see module docs).
     kth: ShiftBuffer<f64>,
+    /// Flip sid per row (see [`StreamingKnn::flip_sids`]), recomputed
+    /// wherever a row's neighbour list changes.
+    flip: ShiftBuffer<i64>,
     /// Scratch: per 64-slot block of the eligible range, the largest score
     /// of the latest update (the Q-step kernel's `block_max`).
     block_max: Vec<f64>,
@@ -217,37 +172,6 @@ pub struct StreamingKnn {
     nan_heal: usize,
 }
 
-impl Clone for StreamingKnn {
-    /// Field-for-field copy, except `instance_id`, which is freshly
-    /// assigned: the two indices evolve independently afterwards, so journal
-    /// cursors taken against one must not be replayed against the other.
-    fn clone(&self) -> Self {
-        Self {
-            cfg: self.cfg.clone(),
-            instance_id: NEXT_INSTANCE_ID.fetch_add(1, Ordering::Relaxed),
-            events: self.events.clone(),
-            events_total: self.events_total,
-            excl: self.excl,
-            m_max: self.m_max,
-            win: self.win.clone(),
-            mu: self.mu.clone(),
-            sig: self.sig.clone(),
-            ssq: self.ssq.clone(),
-            ce2: self.ce2.clone(),
-            q: self.q.clone(),
-            scores: self.scores.clone(),
-            nn_sid: self.nn_sid.clone(),
-            nn_score: self.nn_score.clone(),
-            nn_len: self.nn_len.clone(),
-            kth: self.kth.clone(),
-            block_max: self.block_max.clone(),
-            block_hits: self.block_hits.clone(),
-            next_sid: self.next_sid,
-            nan_heal: self.nan_heal,
-        }
-    }
-}
-
 impl StreamingKnn {
     /// Creates an empty index.
     ///
@@ -259,9 +183,6 @@ impl StreamingKnn {
         let k = cfg.k;
         let excl = cfg.exclusion_radius();
         Self {
-            instance_id: NEXT_INSTANCE_ID.fetch_add(1, Ordering::Relaxed),
-            events: VecDeque::with_capacity(JOURNAL_CAP),
-            events_total: 0,
             excl,
             m_max,
             win: ShiftBuffer::new(cfg.window_size),
@@ -275,6 +196,7 @@ impl StreamingKnn {
             nn_score: ShiftMatrix::new(m_max, k),
             nn_len: ShiftBuffer::new(m_max),
             kth: ShiftBuffer::new(m_max),
+            flip: ShiftBuffer::new(m_max),
             block_max: vec![0.0; m_max.div_ceil(simd::BLOCK)],
             block_hits: vec![0; m_max.div_ceil(simd::BLOCK)],
             next_sid: 0,
@@ -286,49 +208,6 @@ impl StreamingKnn {
     /// Configuration in use.
     pub fn config(&self) -> &KnnConfig {
         &self.cfg
-    }
-
-    /// Process-unique identity of this index. A [`Clone`] receives a fresh
-    /// id: the clone's journal diverges from the original's from that point
-    /// on, so a consumer keyed to the original must not warm-resume against
-    /// the copy (it cold-rebuilds instead).
-    #[inline]
-    pub fn instance_id(&self) -> u64 {
-        self.instance_id
-    }
-
-    /// Total number of change-journal events ever emitted by this index.
-    /// Consumers remember this value as their cursor and later replay the
-    /// suffix via [`StreamingKnn::events_since`].
-    #[inline]
-    pub fn events_total(&self) -> u64 {
-        self.events_total
-    }
-
-    /// Events emitted since journal sequence number `seq` (a previous
-    /// [`StreamingKnn::events_total`] reading), oldest first. Returns `None`
-    /// if the bounded ring has already dropped part of that suffix (the
-    /// consumer fell too far behind and must rebuild from the neighbour
-    /// lists), or if `seq` is from this index's future (wrong index).
-    pub fn events_since(&self, seq: u64) -> Option<impl Iterator<Item = KnnEvent> + '_> {
-        if seq > self.events_total {
-            return None;
-        }
-        let behind = self.events_total - seq;
-        if behind > self.events.len() as u64 {
-            return None;
-        }
-        let skip = self.events.len() - behind as usize;
-        Some(self.events.iter().skip(skip).copied())
-    }
-
-    #[inline]
-    fn push_event(&mut self, ev: KnnEvent) {
-        if self.events.len() == JOURNAL_CAP {
-            self.events.pop_front();
-        }
-        self.events.push_back(ev);
-        self.events_total += 1;
     }
 
     /// Subsequence width `w`.
@@ -393,6 +272,17 @@ impl StreamingKnn {
         let r = slot - qs;
         let len = self.nn_len.get(r) as usize;
         (&self.nn_sid.row(r)[..len], &self.nn_score.row(r)[..len])
+    }
+
+    /// Flip sid of every live row, oldest first (index `slot - qstart()`):
+    /// the smallest split sid at which the row's leave-one-out majority
+    /// vote is class 0, where a neighbour votes class 1 at split `s`
+    /// exactly when its sid is `>= s`. The vote is class 1 for every split
+    /// below it; a row without neighbours has flip sid `i64::MIN`. This is
+    /// the one number of a row that [`crate::crossval::CrossVal`] reads.
+    #[inline]
+    pub fn flip_sids(&self) -> &[i64] {
+        self.flip.as_slice()
     }
 
     /// Similarity score of every live subsequence against the newest one, as
@@ -578,15 +468,7 @@ impl StreamingKnn {
         } else {
             f64::NEG_INFINITY
         });
-        // Journal: row creation precedes its initial edges, so a replaying
-        // consumer resets the row's slot before applying them.
-        self.push_event(KnnEvent::RowCreated { sid });
-        for i in 0..n_chosen {
-            self.push_event(KnnEvent::EdgeAdded {
-                owner: sid,
-                target: row_sid[i],
-            });
-        }
+        self.flip.push(flip_sid_of(&row_sid[..n_chosen]));
 
         // --- Insert the newest subsequence into older neighbour lists:
         // row r (slot qstart + r) for every hit bit r of the eligible
@@ -607,7 +489,7 @@ impl StreamingKnn {
 
     /// Offers the newest subsequence `sid`, scored `self.scores[s]`, to the
     /// neighbour list of row `r` (slot `s`): the exact admission test, then
-    /// a sorted insertion that keeps `kth` and the journal in step.
+    /// a sorted insertion that keeps `kth` and `flip` in step.
     fn admit(&mut self, r: usize, s: usize, sid: i64) {
         let k = self.cfg.k;
         let sc = self.scores[s];
@@ -629,8 +511,6 @@ impl StreamingKnn {
             }
         }
         let end = len.min(k - 1);
-        // Journaled before the shift below overwrites it.
-        let evicted = (len == k).then(|| self.nn_sid.row(r)[k - 1]);
         {
             let sr = self.nn_score.row_mut(r);
             for j in (pos..end).rev() {
@@ -648,19 +528,23 @@ impl StreamingKnn {
             }
             ir[pos] = sid;
         }
-        if len < k {
-            self.nn_len.as_mut_slice()[r] += 1;
-        }
-        let owner = self.sid_of_slot(s);
-        match evicted {
-            Some(evicted) => self.push_event(KnnEvent::EdgeReplaced {
-                owner,
-                target: sid,
-                evicted,
-            }),
-            None => self.push_event(KnnEvent::EdgeAdded { owner, target: sid }),
-        }
+        let len = (len + 1).min(k);
+        self.nn_len.as_mut_slice()[r] = len as u8;
+        self.flip.as_mut_slice()[r] = flip_sid_of(&self.nn_sid.row(r)[..len]);
     }
+}
+
+/// Flip sid of a neighbour list (see [`StreamingKnn::flip_sids`]). A
+/// majority needs `floor(m/2) + 1` of the `m` neighbours at or past the
+/// split, so the flip sid is one past the `(floor(m/2) + 1)`-th largest
+/// sid. The sids of a list are distinct, so that is the one sid with
+/// exactly `floor(m/2)` larger sids in the list; no sort is needed.
+#[inline]
+fn flip_sid_of(sids: &[i64]) -> i64 {
+    let half = sids.len() / 2;
+    sids.iter()
+        .find(|&&a| sids.iter().filter(|&&b| b > a).count() == half)
+        .map_or(i64::MIN, |&a| a + 1)
 }
 
 #[cfg(test)]
@@ -674,18 +558,30 @@ mod tests {
         (0..n).map(|_| rng.next_f64() * 4.0 - 2.0).collect()
     }
 
-    /// The reverse-insertion admission column mirrors the neighbour lists:
-    /// the k-th score of every full row, -inf for every row with room.
+    /// The per-row columns mirror the neighbour lists: `kth` holds the k-th
+    /// score of every full row and -inf for every row with room, and
+    /// `flip_sids` the flip sid recomputed from scratch: one past the
+    /// `(floor(m/2) + 1)`-th largest of the row's `m` sids, found by sorting.
     fn assert_kth_in_step(knn: &StreamingKnn) {
         let k = knn.cfg.k;
         assert_eq!(knn.kth.len(), knn.nn_score.rows());
+        assert_eq!(knn.flip_sids().len(), knn.nn_score.rows());
         for r in 0..knn.kth.len() {
-            let want = if knn.nn_len.get(r) as usize == k {
+            let len = knn.nn_len.get(r) as usize;
+            let want = if len == k {
                 knn.nn_score.row(r)[k - 1]
             } else {
                 f64::NEG_INFINITY
             };
             assert_eq!(knn.kth.get(r).to_bits(), want.to_bits(), "row {r}");
+            let mut sids = knn.nn_sid.row(r)[..len].to_vec();
+            sids.sort_unstable();
+            let want = if len == 0 {
+                i64::MIN
+            } else {
+                sids[(len - 1) / 2] + 1
+            };
+            assert_eq!(knn.flip_sids()[r], want, "row {r}: flip sid of {sids:?}");
         }
     }
 
@@ -767,6 +663,7 @@ mod tests {
         let mut knn = StreamingKnn::new(cfg);
         for &x in &series {
             knn.update(x);
+            assert_kth_in_step(&knn);
         }
         let mut mirror = NaiveMirror {
             d,

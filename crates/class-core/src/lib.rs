@@ -56,7 +56,7 @@ pub mod wss;
 pub use clasp_batch::{clasp_profile, clasp_segment, ClaspConfig};
 pub use class::{ClassConfig, ClassSegmenter, WidthSelection};
 pub use crossval::{CrossVal, ScoreFn};
-pub use knn::{KnnConfig, KnnEvent, StreamingKnn};
+pub use knn::{KnnConfig, StreamingKnn};
 pub use multivariate::{
     ChannelFault, ChannelGuardConfig, ChannelSelection, FusionStrategy, MultivariateClass,
     MultivariateConfig, VoteFuser,

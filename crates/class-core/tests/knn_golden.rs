@@ -1,6 +1,6 @@
 //! Golden digest of the streaming k-NN index: pins `StreamingKnn` bit for
 //! bit, so a rewrite of its selection or insertion loops cannot change a
-//! neighbour list, a tie order, a score or a journal event unnoticed.
+//! neighbour list, a tie order, a score or a list edit unnoticed.
 //!
 //! Every stream is integer-valued: with integer inputs every sum and dot
 //! product is exact, so reassociated reductions give identical bits and
@@ -8,7 +8,7 @@
 //! with `CLASS_SIMD=scalar|autovec|avx2 cargo test -p class-core --release
 //! --test knn_golden`.
 
-use class_core::{KnnConfig, KnnEvent, Similarity, SplitMix64, StreamingKnn};
+use class_core::{KnnConfig, Similarity, SplitMix64, StreamingKnn};
 
 /// Points fed per stream: long enough for several window turnovers and for
 /// a NaN to enter, poison and leave the window.
@@ -84,40 +84,63 @@ fn streams(n: usize) -> [Vec<f64>; 4] {
     [periodic, noise(7), nan_burst, flatline]
 }
 
-/// Hashes, for one index fed one stream: the journal events and the live
-/// `latest_scores` after every update, then every live row's neighbour ids
-/// and score bits at the end.
+/// Hashes, for one index fed one stream: the list edits and the live
+/// `latest_scores` of every update, then every live row's neighbour ids and
+/// score bits at the end.
+///
+/// An update edits lists in a fixed order, and the edits are read back from
+/// the lists themselves. The new row comes first: its sid, then one added
+/// edge per initial neighbour, best first. Then every older row whose list
+/// now holds the newest sid, oldest row first: an added edge if the list
+/// had room before, else a replaced edge naming the evicted former k-th
+/// sid. `prev` keeps one `(len, last sid)` pair per row, indexed by sid.
+/// The sids of a list are distinct, so a row's pair changes exactly when
+/// the newest sid enters its list: a list with room grows, and a full list
+/// loses its last sid.
 fn digest_stream(h: &mut Fnv, cfg: KnnConfig, xs: &[f64]) {
+    let k = cfg.k;
     let mut knn = StreamingKnn::new(cfg);
-    let mut cursor = knn.events_total();
+    let mut prev: Vec<(usize, i64)> = Vec::with_capacity(xs.len());
+    let summary = |sids: &[i64]| (sids.len(), sids.last().copied().unwrap_or(i64::MIN));
     for &x in xs {
         if !knn.update(x) {
             continue;
         }
-        for ev in knn.events_since(cursor).expect("journal keeps one update") {
-            match ev {
-                KnnEvent::RowCreated { sid } => {
-                    h.word(1);
-                    h.int(sid);
-                }
-                KnnEvent::EdgeAdded { owner, target } => {
-                    h.word(2);
-                    h.int(owner);
-                    h.int(target);
-                }
-                KnnEvent::EdgeReplaced {
-                    owner,
-                    target,
-                    evicted,
-                } => {
-                    h.word(3);
-                    h.int(owner);
-                    h.int(target);
-                    h.int(evicted);
-                }
-            }
+        let newest_slot = knn.max_subsequences() - 1;
+        let newest = knn.sid_of_slot(newest_slot);
+        let (sids, _) = knn.neighbors(newest_slot);
+        h.word(1);
+        h.int(newest);
+        for &target in sids {
+            h.word(2);
+            h.int(newest);
+            h.int(target);
         }
-        cursor = knn.events_total();
+        assert_eq!(prev.len() as i64, newest, "one row per sid");
+        prev.push(summary(sids));
+        for slot in knn.qstart()..newest_slot {
+            let (sids, _) = knn.neighbors(slot);
+            let owner = newest - (newest_slot - slot) as i64;
+            let before = &mut prev[owner as usize];
+            if summary(sids) == *before {
+                continue;
+            }
+            assert!(
+                sids.contains(&newest),
+                "sid {owner}: list edited without an admission"
+            );
+            if before.0 == k {
+                h.word(3);
+                h.int(owner);
+                h.int(newest);
+                h.int(before.1);
+            } else {
+                h.word(2);
+                h.int(owner);
+                h.int(newest);
+            }
+            *before = summary(sids);
+        }
         for &s in &knn.latest_scores()[knn.qstart()..knn.max_subsequences()] {
             h.score(s);
         }

@@ -194,7 +194,7 @@ proptest! {
     }
 
     #[test]
-    fn warm_crossval_equals_cold_under_arbitrary_interleavings(
+    fn crossval_matches_naive_under_arbitrary_interleavings(
         seed in any::<u64>(),
         d in 50usize..120,
         w in 4usize..9,
@@ -202,15 +202,15 @@ proptest! {
         use_ba in any::<bool>(),
         script in prop::collection::vec((1usize..40, 0u8..8, 0usize..30), 1..12),
     ) {
-        // A long-lived warm engine driven through arbitrary interleavings
-        // of stream updates (including NaN stretches that shorten and then
+        // A long-lived engine driven through arbitrary interleavings of
+        // stream updates (including NaN stretches that shorten and then
         // heal neighbour lists), jump-style evaluation gaps, and range
-        // start advances must stay bit-identical to a cold rebuild at
-        // every evaluation point.
+        // start advances must score every split exactly as the naive
+        // leave-one-out evaluation does, at every evaluation point.
         let sf = if use_ba { ScoreFn::BalancedAccuracy } else { ScoreFn::MacroF1 };
         let mut rng = class_core::SplitMix64::new(seed);
         let mut knn = StreamingKnn::new(KnnConfig::new(d, w, k));
-        let mut warm = CrossVal::new(sf);
+        let mut cv = CrossVal::new(sf);
         let mut extra = 0usize;
         for (steps, tag, adv) in script {
             for i in 0..steps {
@@ -226,14 +226,31 @@ proptest! {
             }
             extra = (extra + adv).min(knn.n_subsequences() - 1);
             let start = knn.qstart() + extra;
-            let nn = warm.compute(&knn, start);
-            let mut cold = CrossVal::new(sf);
-            prop_assert_eq!(cold.compute(&knn, start), nn);
-            for p in 0..nn {
-                prop_assert_eq!(warm.profile()[p].to_bits(), cold.profile()[p].to_bits());
-            }
+            let nn = cv.compute(&knn, start);
+            let in_range = knn.max_subsequences() - start;
+            prop_assert_eq!(nn, if in_range < 2 { 0 } else { in_range });
+            let start_sid = knn.sid_of_slot(start);
             for p in 1..nn {
-                prop_assert_eq!(warm.groups_at(p), cold.groups_at(p));
+                let want = naive_split_score(&knn, start, p, sf);
+                prop_assert_eq!(cv.profile()[p].to_bits(), want.to_bits());
+                // Group counts, recounted: row j votes 1 when fewer than
+                // half of its neighbours precede the split.
+                let split_sid = start_sid + p as i64;
+                let votes_one = |j: usize| {
+                    let (sids, _) = knn.neighbors(start + j);
+                    sids.iter().filter(|&&s| s < split_sid).count() * 2 < sids.len()
+                };
+                let ones_left = (0..p).filter(|&j| votes_one(j)).count() as u64;
+                let ones_right = (p..nn).filter(|&j| votes_one(j)).count() as u64;
+                prop_assert_eq!(
+                    cv.groups_at(p),
+                    BinaryGroups {
+                        n_left: p as u64,
+                        ones_left,
+                        n_right: (nn - p) as u64,
+                        ones_right,
+                    }
+                );
             }
         }
     }
