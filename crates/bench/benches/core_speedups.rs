@@ -59,10 +59,21 @@ fn bench_crossval(c: &mut Criterion) {
     for &d in &[1000usize, 2000, 4000] {
         let w = 50;
         let (knn, _) = filled_knn(d, w);
-        group.bench_with_input(BenchmarkId::new("incremental", d), &d, |b, _| {
+        // What a ClaSS evaluation runs: the counts, then only the blocks
+        // that can reach the score threshold.
+        group.bench_with_input(BenchmarkId::new("incremental_peak", d), &d, |b, _| {
             let mut cv = CrossVal::new(ScoreFn::MacroF1);
             b.iter(|| {
-                black_box(cv.compute(&knn, knn.qstart()));
+                cv.compute(&knn, knn.qstart());
+                black_box(cv.peak(5 * w, 0.75));
+            });
+        });
+        // The whole profile, every split scored.
+        group.bench_with_input(BenchmarkId::new("incremental_profile", d), &d, |b, _| {
+            let mut cv = CrossVal::new(ScoreFn::MacroF1);
+            b.iter(|| {
+                cv.compute(&knn, knn.qstart());
+                black_box(cv.profile()[1]);
             });
         });
         // The naive O(d^2) variant is far too slow at large d for equal

@@ -117,7 +117,7 @@ fn segment_rec(
     if n < 2 * cfg.width || n < 2 * margin + 2 + cfg.width {
         return;
     }
-    let cv = cross_validate(ts, cfg);
+    let mut cv = cross_validate(ts, cfg);
     let Some((best_p, _)) = cv.peak(margin, cfg.min_score) else {
         return;
     };

@@ -264,8 +264,11 @@ impl ClassSegmenter {
     /// computed: `(stream position of the first scored subsequence, scores)`.
     /// `scores[p]` rates the split placing the first `p` scored
     /// subsequences into the completed segment.
-    pub fn latest_profile(&self) -> Option<(u64, &[f64])> {
-        match &self.state {
+    ///
+    /// An evaluation scores only the splits it needs, so the first call
+    /// after one scores the rest, in O(d) (see [`CrossVal::profile`]).
+    pub fn latest_profile(&mut self) -> Option<(u64, &[f64])> {
+        match &mut self.state {
             State::Warmup { .. } => None,
             State::Running(r) => {
                 if r.cv.is_empty() {

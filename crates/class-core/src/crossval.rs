@@ -35,15 +35,23 @@
 //!    one contiguous span, so it costs O(d_sweep) and never re-reads the
 //!    `n·k` neighbour lists.
 //!
-//! [`CrossVal::peak`] finds the best split between the margins from those
-//! block maxima and a scan of the two partial edge blocks. Only when that
-//! maximum reaches `min_score` (rarely: most evaluations of a stationary
-//! stream end below it) does it look for the first split equal to it. The
-//! tie rule is the first maximum, as a left-to-right `>` scan gives.
+//! [`CrossVal::compute`] runs the first two passes only. The score pass
+//! costs two `f64` divisions per split, and ClaSS acts on a profile only
+//! when its maximum reaches `min_score` — rarely: most evaluations of a
+//! stationary stream end below it. So the second pass also records one
+//! upper bound per 64-split block: the split score at the block's corner
+//! counts (its last split, its smallest left count, its largest total).
+//! Both scores are monotone in each count, so the bound is at least every
+//! score of the block, bit for bit (see [`crate::simd::scalar::split_score`]).
+//! [`CrossVal::peak`] scores only the blocks whose bound reaches
+//! `min_score` and scans only those whose maximum beats the best so far;
+//! [`CrossVal::profile`] scores every block. The tie rule is the first
+//! maximum, as a left-to-right `>` scan gives.
 
 use crate::knn::StreamingKnn;
 use crate::simd::{self, BLOCK};
 use crate::stats::BinaryGroups;
+use std::ops::Range;
 
 /// Classification score derived from the running confusion matrix
 /// (paper ablation (e): macro F1 is the default, macro/balanced accuracy the
@@ -68,7 +76,7 @@ impl ScoreFn {
 
     /// Score from a 2x2 confusion matrix `m[true][pred]`.
     ///
-    /// [`CrossVal`]'s sweep evaluates the same arithmetic in
+    /// [`CrossVal`] evaluates the same arithmetic in
     /// [`crate::simd::profile_scores`] on `i32` counts (the scored range is
     /// far below `i32::MAX`); the conversions are exact for both widths, so
     /// the two paths are bit-identical.
@@ -112,10 +120,16 @@ impl ScoreFn {
 #[derive(Debug, Clone)]
 pub struct CrossVal {
     score_fn: ScoreFn,
+    /// Split scores, written block by block on demand; grown, never
+    /// cleared, so a block not yet scored holds stale values.
     profile: Vec<f64>,
     /// Largest score per [`BLOCK`]-split block of `profile`, fused into the
-    /// score pass (see [`simd::profile_scores`]).
+    /// score pass (see [`simd::profile_scores`]); valid for scored blocks.
     block_max: Vec<f64>,
+    /// Upper bound on every score of each block, from the sweep.
+    bound: Vec<f64>,
+    /// Whether every block of the last computation is scored.
+    scored: bool,
     /// During the sweep: difference array, then (in place) its prefix sums
     /// `left_ones[p] = #{rows j < p predicted 1 at split p}`.
     left_ones: Vec<u32>,
@@ -133,6 +147,8 @@ impl CrossVal {
             score_fn,
             profile: Vec::new(),
             block_max: Vec::new(),
+            bound: Vec::new(),
+            scored: false,
             left_ones: Vec::new(),
             tot_ones: Vec::new(),
             nn: 0,
@@ -158,7 +174,15 @@ impl CrossVal {
     /// The ClaSP profile of the last computation: `profile()[p]` is the
     /// cross-validation score of the split placing the first `p` scored
     /// subsequences into class 0. Valid for `p` in `1..len()`; index 0 is 0.
-    pub fn profile(&self) -> &[f64] {
+    ///
+    /// [`CrossVal::compute`] scores no split; the first call after it
+    /// scores them all, in O(`len()`), and later calls return the same
+    /// scores at no cost.
+    pub fn profile(&mut self) -> &[f64] {
+        if !self.scored {
+            self.score_blocks(0..self.nn.div_ceil(BLOCK));
+            self.scored = true;
+        }
         &self.profile[..self.nn]
     }
 
@@ -172,8 +196,15 @@ impl CrossVal {
 
     /// Predicted-label group counts at split `p`, as needed by the
     /// significance test (paper §3.3).
+    ///
+    /// # Panics
+    /// Panics unless `1 <= p < len()`.
     pub fn groups_at(&self, p: usize) -> BinaryGroups {
-        debug_assert!(p >= 1 && p < self.nn);
+        assert!(
+            p >= 1 && p < self.nn,
+            "split {p} outside the scored splits 1..{}",
+            self.nn
+        );
         let left = self.left_ones[p] as u64;
         let tot = self.tot_ones[p] as u64;
         BinaryGroups {
@@ -190,39 +221,50 @@ impl CrossVal {
     /// `None` when the range holds fewer than two splits (`2·margin + 2 >
     /// len()`) or its maximum is below `min_score`.
     ///
-    /// The maximum combines the precomputed block maxima of the blocks
-    /// inside the range with a scan of its two partial edge blocks; the
-    /// first-index scan runs only when the maximum reaches `min_score`.
-    /// Scores are finite and never `-0.0`, so the first split equal to the
-    /// maximum is the first maximum.
-    pub fn peak(&self, margin: usize, min_score: f64) -> Option<(usize, f64)> {
+    /// Only the blocks whose bound reaches `min_score` are scored, and
+    /// only those whose maximum beats the best so far are scanned. A
+    /// pruned block's scores are all below `min_score`, so they can
+    /// neither be the maximum nor precede it as an equal score. Scores are
+    /// finite and never `-0.0`, so the first split equal to the maximum is
+    /// the first maximum.
+    pub fn peak(&mut self, margin: usize, min_score: f64) -> Option<(usize, f64)> {
         let nn = self.nn;
         if nn < 2 * margin + 2 {
             return None;
         }
         let (lo, hi) = (margin, nn - margin);
-        let profile = self.profile();
-        // [lo, head) and [tail, hi) are the partial edge blocks; the whole
-        // blocks between them are covered by `block_max`.
-        let head = lo.next_multiple_of(BLOCK).min(hi);
-        let tail = (hi - hi % BLOCK).max(head);
-        let max = profile[lo..head]
-            .iter()
-            .chain(&profile[tail..hi])
-            .chain(&self.block_max[head / BLOCK..tail / BLOCK])
-            .fold(f64::NEG_INFINITY, |m, &v| m.max(v));
-        if max < min_score {
+        let (mut best_p, mut best) = (lo, f64::NEG_INFINITY);
+        for b in lo / BLOCK..hi.div_ceil(BLOCK) {
+            if self.bound[b] < min_score {
+                continue;
+            }
+            if !self.scored {
+                self.score_blocks(b..b + 1);
+            }
+            if self.block_max[b] <= best {
+                continue;
+            }
+            let (s, e) = ((b * BLOCK).max(lo), (b * BLOCK + BLOCK).min(hi));
+            let scores = &self.profile[s..e];
+            let max = scores.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v));
+            if max > best {
+                best = max;
+                best_p = s + scores
+                    .iter()
+                    .position(|&v| v == max)
+                    .expect("a score of the block");
+            }
+        }
+        if best < min_score {
             return None;
         }
-        let at = profile[lo..hi]
-            .iter()
-            .position(|&v| v == max)
-            .expect("the maximum is one of the range's scores");
-        Some((lo + at, max))
+        Some((best_p, best))
     }
 
-    /// Computes the profile over the k-NN slots `[start_slot, m_max)`.
-    /// Returns the number of scored subsequences `nn` (0 if fewer than two
+    /// Computes the split counts over the k-NN slots `[start_slot, m_max)`
+    /// and a score bound per block of splits; the scores themselves follow
+    /// on demand ([`CrossVal::peak`], [`CrossVal::profile`]). Returns the
+    /// number of scored subsequences `nn` (0 if fewer than two
     /// subsequences are in range).
     ///
     /// # Panics
@@ -234,37 +276,42 @@ impl CrossVal {
             start_slot >= qstart,
             "start slot {start_slot} is before the first live slot {qstart}"
         );
+        self.nn = 0;
         let nn = knn.max_subsequences().saturating_sub(start_slot);
         if nn == 0 {
-            self.nn = 0;
             return 0;
         }
         let start_sid = knn.sid_of_slot(start_slot);
         debug_assert_eq!(Some(start_sid + nn as i64 - 1), knn.newest_sid());
         self.start_sid = start_sid;
         if nn < 2 {
-            self.nn = 0;
             return 0;
         }
-        self.nn = nn;
         self.sweep(start_sid, &knn.flip_sids()[start_slot - qstart..]);
         nn
     }
 
-    /// The split sweep: three linear passes over the scored range.
+    /// The split sweep: two linear passes over the scored range.
     ///
     /// With `g(j)` the flip sid of row `j` clamped into split-offset range,
     /// row `j` is predicted 1 at split `p` iff `g(j) > p`, so
     /// `tot_ones[p] = #{j : g(j) > p}` falls out of a histogram of `g` and
     /// `left_ones[p] = #{j < p : g(j) > p}` out of a difference array (row
-    /// `j` contributes to exactly the splits `j < p < g(j)`). The score
-    /// pass also leaves the per-block maxima [`CrossVal::peak`] reads.
+    /// `j` contributes to exactly the splits `j < p < g(j)`). The second
+    /// pass also leaves each block's score bound: the split score at the
+    /// block's last split, its smallest `left_ones` and its largest
+    /// `tot_ones` (the first, as `tot_ones` is non-increasing), which is at
+    /// least every score of the block (see [`simd::scalar::split_score`]).
     fn sweep(&mut self, start_sid: i64, flip: &[i64]) {
         let nn = flip.len();
-        self.profile.clear();
-        self.profile.resize(nn, 0.0);
-        self.block_max.clear();
-        self.block_max.resize(nn.div_ceil(BLOCK), 0.0);
+        let blocks = nn.div_ceil(BLOCK);
+        self.nn = nn;
+        self.scored = false;
+        // Grow only (the two together): the scores are written on demand.
+        if self.profile.len() < nn {
+            self.profile.resize(nn, 0.0);
+            self.block_max.resize(blocks, 0.0);
+        }
         self.left_ones.clear();
         self.left_ones.resize(nn + 1, 0);
         self.tot_ones.clear();
@@ -285,22 +332,44 @@ impl CrossVal {
             }
         }
 
-        // Pass 2: in-place histogram -> suffix counts, diffs -> prefix sums.
-        let (mut c, mut l) = (0u32, 0u32);
-        for (t, d) in dt[..nn].iter_mut().zip(&mut dl[..nn]) {
-            c = c.wrapping_add(*t);
-            *t = nn as u32 - c;
-            l = l.wrapping_add(*d);
-            *d = l;
+        // Pass 2: in-place histogram -> suffix counts, diffs -> prefix
+        // sums, and one bound per block. Index 0 is no split: it only
+        // seeds the sums (`dl[0]` is always 0).
+        let mut c = dt[0];
+        dt[0] = nn as u32 - c;
+        let mut l = 0u32;
+        self.bound.clear();
+        for b in 0..blocks {
+            let (lo, hi) = ((b * BLOCK).max(1), (b * BLOCK + BLOCK).min(nn));
+            let mut l_min = u32::MAX;
+            for (t, d) in dt[lo..hi].iter_mut().zip(&mut dl[lo..hi]) {
+                c = c.wrapping_add(*t);
+                *t = nn as u32 - c;
+                l = l.wrapping_add(*d);
+                *d = l;
+                l_min = l_min.min(l);
+            }
+            let (p, t) = (hi - 1, dt[lo]);
+            self.bound.push(simd::scalar::split_score(
+                self.score_fn,
+                p as i32,
+                l_min as i32,
+                t as i32,
+                nn as i32,
+            ));
         }
+    }
 
-        // Pass 3: scores and block maxima.
+    /// Scores the splits of `blocks` of the last computation.
+    fn score_blocks(&mut self, blocks: Range<usize>) {
+        let nn = self.nn;
         simd::profile_scores(
             self.score_fn,
-            &dl[..nn],
-            &dt[..nn],
-            &mut self.profile,
-            &mut self.block_max,
+            &self.left_ones[..nn],
+            &self.tot_ones[..nn],
+            &mut self.profile[..nn],
+            &mut self.block_max[..nn.div_ceil(BLOCK)],
+            blocks,
         );
     }
 }
@@ -486,7 +555,7 @@ mod tests {
     /// define over `[start_slot, m_max)`: the scored length and range
     /// start, every split's [`naive_split_score`] bit for bit, and the
     /// group counts.
-    fn assert_matches_naive(cv: &CrossVal, knn: &StreamingKnn, start_slot: usize) {
+    fn assert_matches_naive(cv: &mut CrossVal, knn: &StreamingKnn, start_slot: usize) {
         let nn = knn.max_subsequences() - start_slot;
         if nn < 2 {
             assert!(cv.is_empty(), "nothing to score");
@@ -519,7 +588,7 @@ mod tests {
                 continue;
             }
             cv.compute(&knn, knn.qstart());
-            assert_matches_naive(&cv, &knn, knn.qstart());
+            assert_matches_naive(&mut cv, &knn, knn.qstart());
         }
     }
 
@@ -546,7 +615,7 @@ mod tests {
             }
             let start = knn.qstart() + extra_start.min(knn.n_subsequences() - 1);
             cv.compute(&knn, start);
-            assert_matches_naive(&cv, &knn, start);
+            assert_matches_naive(&mut cv, &knn, start);
         }
     }
 
@@ -570,7 +639,7 @@ mod tests {
                 continue;
             }
             cv.compute(&knn, knn.qstart());
-            assert_matches_naive(&cv, &knn, knn.qstart());
+            assert_matches_naive(&mut cv, &knn, knn.qstart());
         }
     }
 
@@ -585,12 +654,12 @@ mod tests {
             knn.update(rng.next_f64() * 2.0 - 1.0);
         }
         cv.compute(&knn, knn.qstart());
-        assert_matches_naive(&cv, &knn, knn.qstart());
+        assert_matches_naive(&mut cv, &knn, knn.qstart());
         for _ in 0..2500 {
             knn.update(rng.next_f64() * 2.0 - 1.0);
         }
         cv.compute(&knn, knn.qstart());
-        assert_matches_naive(&cv, &knn, knn.qstart());
+        assert_matches_naive(&mut cv, &knn, knn.qstart());
     }
 
     #[test]
@@ -610,9 +679,9 @@ mod tests {
             fork.update(-(rng.next_f64() * 2.0 - 1.0));
         }
         cv.compute(&fork, fork.qstart());
-        assert_matches_naive(&cv, &fork, fork.qstart());
+        assert_matches_naive(&mut cv, &fork, fork.qstart());
         cv.compute(&knn, knn.qstart());
-        assert_matches_naive(&cv, &knn, knn.qstart());
+        assert_matches_naive(&mut cv, &knn, knn.qstart());
     }
 
     #[test]
@@ -684,8 +753,8 @@ mod tests {
         }
     }
 
-    /// An engine holding `profile` as if computed, with block maxima
-    /// derived from their definition.
+    /// An engine holding `profile` as if computed and scored, with block
+    /// maxima derived from their definition and exact block bounds.
     fn with_profile(profile: &[f64]) -> CrossVal {
         let mut cv = CrossVal::new(ScoreFn::MacroF1);
         cv.nn = profile.len();
@@ -694,6 +763,8 @@ mod tests {
             .chunks(BLOCK)
             .map(|b| b.iter().fold(0.0, |m: f64, &v| m.max(v)))
             .collect();
+        cv.bound = cv.block_max.clone();
+        cv.scored = true;
         cv
     }
 
@@ -732,7 +803,7 @@ mod tests {
         profile[70] = 1.0; // head margin, in a whole block
         profile[395] = 1.0; // tail margin
         profile[200] = 0.8;
-        let cv = with_profile(&profile);
+        let mut cv = with_profile(&profile);
         assert_eq!(cv.peak(80, 0.0), Some((200, 0.8)));
         assert_eq!(cv.peak(60, 0.0), Some((70, 1.0)));
     }
@@ -742,7 +813,7 @@ mod tests {
         let mut profile = vec![0.5; 200];
         profile[0] = 0.0;
         profile[90] = 0.75;
-        let cv = with_profile(&profile);
+        let mut cv = with_profile(&profile);
         assert_eq!(cv.peak(20, 0.75), Some((90, 0.75)));
         assert_eq!(cv.peak(20, f64::from_bits(0.75f64.to_bits() + 1)), None);
     }
@@ -756,17 +827,17 @@ mod tests {
         profile[64] = 0.95; // same block, inside the margin
         profile[100] = 0.6;
         profile[110] = 0.6;
-        let cv = with_profile(&profile);
+        let mut cv = with_profile(&profile);
         assert_eq!(cv.peak(70, 0.0), Some((100, 0.6)));
         // A range ending exactly on a block boundary.
-        let cv = with_profile(&profile[..128]);
+        let mut cv = with_profile(&profile[..128]);
         assert_eq!(cv.peak(20, 0.0), Some((64, 0.95)));
     }
 
     #[test]
     fn peak_needs_two_splits_between_the_margins() {
         let profile = vec![1.0; 42];
-        let cv = with_profile(&profile);
+        let mut cv = with_profile(&profile);
         assert_eq!(cv.peak(20, 0.0), Some((20, 1.0))); // 2 * 20 + 2 == nn
         assert_eq!(cv.peak(21, 0.0), None);
         assert_eq!(with_profile(&[]).peak(0, 0.0), None);
@@ -775,22 +846,45 @@ mod tests {
 
     #[test]
     fn peak_matches_the_scan_on_computed_profiles() {
-        // Block maxima from the kernel itself, on both score functions.
+        // Every `peak` runs on a fresh computation, so it scores only the
+        // blocks its bounds admit, over a buffer that holds another
+        // index's scores; the scan runs on a second engine's full profile.
+        // Both score functions, with `min_score` also at the range's true
+        // maximum and at the next float above it.
         for (sf, seed) in [(ScoreFn::MacroF1, 38), (ScoreFn::BalancedAccuracy, 39)] {
             let knn = feed_two_regimes(700, 600, 8, 3, seed);
-            let mut cv = CrossVal::new(sf);
-            let nn = cv.compute(&knn, knn.qstart());
+            let other = feed_two_regimes(900, 800, 8, 3, seed + 10);
+            let mut full = CrossVal::new(sf);
+            let nn = full.compute(&knn, knn.qstart());
             assert!(nn > 500);
+            let profile = full.profile();
+            let mut cv = CrossVal::new(sf);
             for margin in [0, 1, 40, 63, 64, 65, 200, nn / 2 - 1, nn / 2] {
-                for min_score in [0.0, 0.7, 1.0] {
+                // The range's maximum (any value when it has no room).
+                let top = scan(profile, margin, 0.0).map_or(0.5, |(_, v)| v);
+                for min_score in [0.0, 0.7, 1.0, top, top.next_up()] {
+                    cv.compute(&other, other.qstart());
+                    cv.profile();
+                    cv.compute(&knn, knn.qstart());
                     assert_eq!(
                         cv.peak(margin, min_score),
-                        scan(cv.profile(), margin, min_score),
+                        scan(profile, margin, min_score),
                         "{sf:?}, margin {margin}, min_score {min_score}"
                     );
+                    // Blocks scored by `peak` leave the full profile intact.
+                    assert_eq!(cv.profile(), profile, "{sf:?}, margin {margin}");
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the scored splits")]
+    fn groups_at_rejects_the_split_past_the_range() {
+        let knn = feed(220, 120, 6, 3, 40);
+        let mut cv = CrossVal::new(ScoreFn::MacroF1);
+        let nn = cv.compute(&knn, knn.qstart());
+        cv.groups_at(nn);
     }
 
     proptest! {
@@ -817,6 +911,45 @@ mod tests {
                 with_profile(&profile).peak(margin, min_score),
                 scan(&profile, margin, min_score)
             );
+        }
+
+        #[test]
+        fn block_bounds_cover_every_score_of_their_block(
+            seed in any::<u64>(),
+            size in 0usize..10,
+            use_ba in any::<bool>(),
+            planted in any::<bool>(),
+        ) {
+            // Flip sids straight into the sweep: uniform over and around
+            // the scored range (empty lists included), or planted around
+            // one split so that scores near 1 occur. Sizes cover a lone
+            // block 0, exact block multiples and ragged last blocks.
+            let nn = [2usize, 3, 63, 64, 65, 127, 128, 129, 200, 1000][size];
+            let sf = if use_ba { ScoreFn::BalancedAccuracy } else { ScoreFn::MacroF1 };
+            let mut rng = SplitMix64::new(seed);
+            let mut draw = |n: usize| (rng.next_f64() * n as f64) as i64;
+            let start_sid = 1000 + draw(1000);
+            let cut = 1 + draw(nn - 1);
+            let flip: Vec<i64> = (0..nn as i64)
+                .map(|j| match (planted, draw(20)) {
+                    (_, 0) => i64::MIN,
+                    (true, 1..=17) if j < cut => start_sid + draw(cut as usize + 1),
+                    (true, 1..=17) => start_sid + cut + 1 + draw(nn - cut as usize + 8),
+                    _ => start_sid - 8 + draw(nn + 16),
+                })
+                .collect();
+            let mut cv = CrossVal::new(sf);
+            cv.sweep(start_sid, &flip);
+            let bound = cv.bound.clone();
+            prop_assert_eq!(bound.len(), nn.div_ceil(BLOCK));
+            for (b, scores) in cv.profile().chunks(BLOCK).enumerate() {
+                for (i, &v) in scores.iter().enumerate() {
+                    prop_assert!(
+                        v <= bound[b],
+                        "split {}: {} above its block bound {}", b * BLOCK + i, v, bound[b]
+                    );
+                }
+            }
         }
     }
 }

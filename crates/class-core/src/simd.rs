@@ -12,8 +12,14 @@
 //!
 //! Every `jump`-th update, ClaSS also evaluates the ClaSP profile
 //! ([`crate::crossval::CrossVal::compute`]); that evaluation is the step
-//! tail, and its elementwise score pass is a kernel here as well. Per
-//! evaluation on `paper-d10k` (seeds 1–3, medians, 2-core x86-64 VM):
+//! tail, and its elementwise score pass is a kernel here as well. The
+//! pass is exact but costs two `f64` divisions per split, while ClaSS acts
+//! only on a maximum that reaches `min_score`. So the sweep before it
+//! bounds each 64-split block's scores from above with
+//! [`scalar::split_score`] at the block's corner counts, and
+//! [`crate::crossval::CrossVal::peak`] runs the pass only on the blocks
+//! whose bound reaches `min_score`. Per evaluation on `paper-d10k` (seeds
+//! 1–3, medians, 2-core x86-64 VM):
 //!
 //! | step | before | after |
 //! |---|---:|---:|
@@ -21,9 +27,14 @@
 //! | pass 2: suffix and prefix sums | 7.7 µs | 4.8 µs (one zipped loop) |
 //! | score pass | 14.2 µs (SSE2 build) | 9.2 µs (AVX2, with block maxima) |
 //! | best split | 12.0 µs (first-maximum scan) | 0.23 µs ([`crate::crossval::CrossVal::peak`]) |
+//! | pass 2, plus the block bounds | 7.8 µs | 8.2 µs |
+//! | score pass, then best split | 15.3 + 0.25 µs (every split) | 0.16 µs (bounded blocks only) |
 //!
 //! The scan's figure is the traced replay's `class.argmax_ns`; the others
-//! are from builds with a clock around each pass.
+//! are from builds with a clock around each pass. The last two rows were
+//! timed back to back on the same host at a slower speed level than the
+//! rows above. At a full window under 0.1 % of the blocks reach the
+//! score pass, and 0.7–0.8 % over all evaluations of those streams.
 //!
 //! This module provides fused kernels for the Q-step sweep, the
 //! subsequence-moment sums and the explicit dot products that seed the
@@ -63,6 +74,7 @@ use crate::crossval::ScoreFn;
 use crate::similarity::{
     pearson_from_dot, sq_cid_from_dot, sq_euclidean_from_dot, CE_FLOOR, SIGMA_FLOOR,
 };
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Lane width of the vectorized kernels (4 × f64 = 256 bit).
@@ -300,11 +312,12 @@ pub fn profile_scores(
     tot: &[u32],
     profile: &mut [f64],
     block_max: &mut [f64],
+    blocks: Range<usize>,
 ) {
     match active_backend() {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => avx2::profile_scores(score_fn, left, tot, profile, block_max),
-        _ => scalar::profile_scores(score_fn, left, tot, profile, block_max),
+        Backend::Avx2 => avx2::profile_scores(score_fn, left, tot, profile, block_max, blocks),
+        _ => scalar::profile_scores(score_fn, left, tot, profile, block_max, blocks),
     }
 }
 
@@ -314,22 +327,28 @@ pub mod scalar {
     use super::*;
 
     /// ClaSP profile scores from the per-split counts, with one maximum
-    /// per [`BLOCK`]-split block.
+    /// per [`BLOCK`]-split block, for the blocks in `blocks`.
     ///
     /// With `nn = profile.len()`, split `p` in `1..nn` places the first
     /// `p` rows in class 0; `left[p]` rows among them and `tot[p]` rows in
-    /// all are predicted 1. `profile[p]` is [`ScoreFn::score`] of the
-    /// confusion matrix this gives, evaluated on `i32` counts (whose `f64`
-    /// conversions are as exact as `i64`'s); `profile[0]` is 0.
-    /// `block_max[b]` is the largest of `profile[64b..64b + 64]`, taken as
-    /// an `i64` maximum over the `to_bits()` patterns, so it is the value
-    /// maximum whenever the scores are `+0.0` or above — as every
-    /// consistent set of counts gives.
+    /// all are predicted 1. `profile[p]` is [`split_score`] of these
+    /// counts — [`ScoreFn::score`] of the confusion matrix they give,
+    /// evaluated on `i32` counts (whose `f64` conversions are as exact as
+    /// `i64`'s); `profile[0]` is 0. `block_max[b]` is the largest of
+    /// `profile[64b..64b + 64]`, taken as an `i64` maximum over the
+    /// `to_bits()` patterns, so it is the value maximum whenever the
+    /// scores are `+0.0` or above — as every consistent set of counts
+    /// gives. Only the splits and maxima of blocks `b` in `blocks` are
+    /// written; the rest of `profile` and `block_max` is left as it was.
     ///
     /// This is the one body behind every backend: each lane performs the
     /// same IEEE operations in the same order, so compiling it for a wider
     /// target ([`avx2::profile_scores`]) changes no bit. The dispatch on
     /// `score_fn` is hoisted so each arm is a branch-free elementwise loop.
+    ///
+    /// # Panics
+    /// Panics if the slice lengths disagree with `nn` or `blocks` reaches
+    /// past the last block.
     #[inline(always)]
     pub fn profile_scores(
         score_fn: ScoreFn,
@@ -337,6 +356,7 @@ pub mod scalar {
         tot: &[u32],
         profile: &mut [f64],
         block_max: &mut [f64],
+        blocks: Range<usize>,
     ) {
         let nn = profile.len();
         assert!(nn <= i32::MAX as usize, "profile longer than i32::MAX");
@@ -347,16 +367,17 @@ pub mod scalar {
             nn.div_ceil(BLOCK),
             "block_max length mismatch"
         );
+        assert!(blocks.end <= block_max.len(), "block range out of bounds");
         match score_fn {
-            ScoreFn::MacroF1 => score_blocks(left, tot, profile, block_max, macro_f1),
+            ScoreFn::MacroF1 => score_blocks(left, tot, profile, block_max, blocks, macro_f1),
             ScoreFn::BalancedAccuracy => {
-                score_blocks(left, tot, profile, block_max, balanced_accuracy)
+                score_blocks(left, tot, profile, block_max, blocks, balanced_accuracy)
             }
         }
     }
 
-    /// Scores splits `1..nn` block by block with `score(p, l, t, nn)`,
-    /// folding each block's bit-pattern maximum as it goes. The fold
+    /// Scores the splits of `blocks` block by block with `score(p, l, t,
+    /// nn)`, folding each block's bit-pattern maximum as it goes. The fold
     /// starts at the bits of `+0.0`, which is also `profile[0]`.
     #[inline(always)]
     fn score_blocks(
@@ -364,13 +385,14 @@ pub mod scalar {
         tot: &[u32],
         profile: &mut [f64],
         block_max: &mut [f64],
+        blocks: Range<usize>,
         score: impl Fn(i32, i32, i32, i32) -> f64,
     ) {
         let nn = profile.len();
-        if let Some(p0) = profile.first_mut() {
-            *p0 = 0.0;
+        if blocks.contains(&0) {
+            profile[0] = 0.0;
         }
-        for (b, mx) in block_max.iter_mut().enumerate() {
+        for b in blocks {
             let (lo, hi) = ((b * BLOCK).max(1), (b * BLOCK + BLOCK).min(nn));
             let splits = profile[lo..hi]
                 .iter_mut()
@@ -381,7 +403,27 @@ pub mod scalar {
                 *s = score(p, l as i32, t as i32, nn as i32);
                 m = m.max(s.to_bits() as i64);
             }
-            *mx = f64::from_bits(m as u64);
+            block_max[b] = f64::from_bits(m as u64);
+        }
+    }
+
+    /// The score of one split: `p` of `nn` rows in class 0, `l` of them
+    /// and `t` rows in all predicted 1. [`profile_scores`] computes every
+    /// split with this arithmetic.
+    ///
+    /// Both scores are non-decreasing in `p` and `t` and non-increasing in
+    /// `l` as long as `l <= p`, `l <= t <= nn` and `1 <= p < nn` (the
+    /// denominators then stay at least 1), and every IEEE step — the exact
+    /// integer-to-`f64` conversions, division, addition, the `×0.5` — is
+    /// monotone. So for counts taken at a block's corner (its last split,
+    /// its smallest `l`, its largest `t`) this is at least every score of
+    /// the block, bit for bit: the bound [`crate::crossval::CrossVal`]
+    /// prunes blocks with.
+    #[inline]
+    pub fn split_score(score_fn: ScoreFn, p: i32, l: i32, t: i32, nn: i32) -> f64 {
+        match score_fn {
+            ScoreFn::MacroF1 => macro_f1(p, l, t, nn),
+            ScoreFn::BalancedAccuracy => balanced_accuracy(p, l, t, nn),
         }
     }
 
@@ -1091,12 +1133,13 @@ pub mod avx2 {
         tot: &[u32],
         profile: &mut [f64],
         block_max: &mut [f64],
+        blocks: Range<usize>,
     ) {
         assert_available();
         // SAFETY: the CPU supports AVX2 (asserted above), the only
         // requirement of a `target_feature` function; the body is safe
         // code with checked indexing.
-        unsafe { profile_scores_impl(score_fn, left, tot, profile, block_max) }
+        unsafe { profile_scores_impl(score_fn, left, tot, profile, block_max, blocks) }
     }
 
     #[target_feature(enable = "avx2")]
@@ -1106,8 +1149,9 @@ pub mod avx2 {
         tot: &[u32],
         profile: &mut [f64],
         block_max: &mut [f64],
+        blocks: Range<usize>,
     ) {
-        scalar::profile_scores(score_fn, left, tot, profile, block_max);
+        scalar::profile_scores(score_fn, left, tot, profile, block_max, blocks);
     }
 }
 

@@ -7,11 +7,12 @@
 //! outputs (`block_max`, `block_hits`), with every NaN counted as equal but
 //! NaN lanes required in the same places — NaN semantics are part of the
 //! kernel contract (see `class_core::simd`). So does the profile score pass
-//! (scores and block maxima).
+//! (scores and block maxima), over the whole range and block by block.
 
 use class_core::simd::{self, autovec, scalar, QStepIo};
 use class_core::{ScoreFn, SplitMix64};
 use proptest::prelude::*;
+use std::ops::Range;
 
 const TOL: f64 = 1e-12;
 
@@ -413,15 +414,31 @@ fn run_profile(
     left: &[u32],
     tot: &[u32],
 ) -> (Vec<u64>, Vec<u64>) {
+    let blocks = left.len().div_ceil(simd::BLOCK);
+    run_profile_blocks(backend, score_fn, left, tot, std::iter::once(0..blocks))
+}
+
+/// Profile scores and block maxima of one backend's score pass over the
+/// given block ranges, one call each; unscored entries stay NaN.
+fn run_profile_blocks(
+    backend: &str,
+    score_fn: ScoreFn,
+    left: &[u32],
+    tot: &[u32],
+    ranges: impl IntoIterator<Item = Range<usize>>,
+) -> (Vec<u64>, Vec<u64>) {
     let nn = left.len();
     let mut profile = vec![f64::NAN; nn];
     let mut block_max = vec![f64::NAN; nn.div_ceil(simd::BLOCK)];
-    match backend {
-        "scalar" => scalar::profile_scores(score_fn, left, tot, &mut profile, &mut block_max),
-        "dispatch" => simd::profile_scores(score_fn, left, tot, &mut profile, &mut block_max),
-        #[cfg(target_arch = "x86_64")]
-        "avx2" => simd::avx2::profile_scores(score_fn, left, tot, &mut profile, &mut block_max),
-        other => panic!("unknown backend {other}"),
+    for blocks in ranges {
+        let (p, m) = (&mut profile, &mut block_max);
+        match backend {
+            "scalar" => scalar::profile_scores(score_fn, left, tot, p, m, blocks),
+            "dispatch" => simd::profile_scores(score_fn, left, tot, p, m, blocks),
+            #[cfg(target_arch = "x86_64")]
+            "avx2" => simd::avx2::profile_scores(score_fn, left, tot, p, m, blocks),
+            other => panic!("unknown backend {other}"),
+        }
     }
     (bits(&profile), bits(&block_max))
 }
@@ -454,6 +471,44 @@ fn check_profile(nn: usize, seed: u64) {
 fn profile_kernel_agrees_bit_for_bit() {
     for nn in [2usize, 3, 63, 64, 65, 127, 128, 10_001] {
         check_profile(nn, 900 + nn as u64);
+    }
+}
+
+#[test]
+fn profile_kernel_scores_only_the_requested_blocks() {
+    // Every other block (block 0 included or not), in separate calls and
+    // out of order: those blocks carry the full pass's bits, the rest is
+    // untouched.
+    for nn in [2usize, 63, 64, 65, 200, 1_000] {
+        let (left, tot) = profile_counts(nn, 800 + nn as u64);
+        let blocks = nn.div_ceil(simd::BLOCK);
+        for first in [0, 1] {
+            let picked: Vec<usize> = (first..blocks).step_by(2).rev().collect();
+            for score_fn in [ScoreFn::MacroF1, ScoreFn::BalancedAccuracy] {
+                let (full, full_max) = run_profile("scalar", score_fn, &left, &tot);
+                for backend in ["scalar"].into_iter().chain(profile_backends()) {
+                    let (got, got_max) = run_profile_blocks(
+                        backend,
+                        score_fn,
+                        &left,
+                        &tot,
+                        picked.iter().map(|&b| b..b + 1),
+                    );
+                    let label = format!("{backend}/{}(nn={nn}, first={first})", score_fn.name());
+                    for b in 0..blocks {
+                        let splits = b * simd::BLOCK..((b + 1) * simd::BLOCK).min(nn);
+                        if picked.contains(&b) {
+                            assert_eq!(got[splits.clone()], full[splits], "{label}: block {b}");
+                            assert_eq!(got_max[b], full_max[b], "{label}: block {b} maximum");
+                        } else {
+                            let nan = f64::NAN.to_bits();
+                            assert!(got[splits].iter().all(|&v| v == nan), "{label}: block {b}");
+                            assert_eq!(got_max[b], nan, "{label}: block {b} maximum");
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
