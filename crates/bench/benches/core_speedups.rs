@@ -24,6 +24,24 @@ fn filled_knn(d: usize, w: usize) -> (StreamingKnn, SplitMix64) {
     (knn, rng)
 }
 
+/// A full window over two regimes (a sine, then a sawtooth) with seeded
+/// noise, the boundary in its middle. Unlike uniform noise, such a stream
+/// gives flip sids that run in consecutive stretches, and many of them
+/// precede the range start.
+fn structured_knn(d: usize, w: usize) -> StreamingKnn {
+    let mut rng = SplitMix64::new(43);
+    let mut knn = StreamingKnn::new(KnnConfig::new(d, w, 3));
+    for i in 0..2 * d {
+        let x = if i < 3 * d / 2 {
+            (i as f64 * 0.15).sin()
+        } else {
+            (i % 37) as f64 / 18.5 - 1.0
+        };
+        knn.update(x + 0.1 * (rng.next_f64() - 0.5));
+    }
+    knn
+}
+
 fn bench_knn_update(c: &mut Criterion) {
     let mut group = c.benchmark_group("knn_update");
     group.sample_size(20);
@@ -87,6 +105,17 @@ fn bench_crossval(c: &mut Criterion) {
             });
         }
     }
+    // One full-window ClaSS evaluation at the paper's d = 10k on a
+    // structured stream.
+    let (d, w) = (10_000, 42);
+    let knn = structured_knn(d, w);
+    group.bench_with_input(BenchmarkId::new("structured_peak", d), &d, |b, _| {
+        let mut cv = CrossVal::new(ScoreFn::MacroF1);
+        b.iter(|| {
+            cv.compute(&knn, knn.qstart());
+            black_box(cv.peak(5 * w, 0.75));
+        });
+    });
     group.finish();
 }
 

@@ -385,6 +385,8 @@ impl Running {
             let cp_abs = self.base + cp_sid as u64;
             cps.push(cp_abs);
             self.cpl_sid = cp_sid;
+            // The next range starts here: only its rows stay counted.
+            self.knn.advance_floor(cp_sid);
             return Some(cp_abs);
         }
         None

@@ -18,27 +18,36 @@
 //!    prediction flips from 1 to 0 at most once: at its **flip sid** — one
 //!    past its majority-rank neighbour sid, a closed-form per-row threshold
 //!    that replaces Algorithm 3's reverse-k-NN adjacency walk outright.
-//!    Given all flip sids, one full profile is three linear passes: a
-//!    histogram of flip offsets plus a difference array, one sweep that
-//!    suffix-sums the first into the per-split totals and prefix-sums the
-//!    second into the per-split left counts, and the elementwise score
-//!    pass ([`crate::simd::profile_scores`], dispatched like the k-NN
-//!    kernels), which also leaves the maximum of every 64-split block.
+//!    With `S` the first scored sid and `f(j)` row `j`'s flip sid, split
+//!    `p` then has `tot_ones[p] = #{j : f(j) > S + p}` rows predicted 1,
+//!    and `left_ones[p] = #{j < p : f(j) > S + p}` of them on its left.
+//!    From one split to the next, `left_ones` gains row `p - 1` if
+//!    `f(p - 1) > S + p` and loses the rows `j < p - 1` whose flip sid is
+//!    exactly `S + p`: the *late* rows (flip sid above their own sid + 1)
+//!    with flip sid `S + p`. So one full profile is one linear pass over
+//!    two counts per sid: how many rows have each flip sid, and how many
+//!    late rows do.
 //!
-//! 2. **The index keeps the flip sids.** A flip sid is an *absolute*
-//!    stream position: advancing the scored range does not change it, and
-//!    it changes only when the row's neighbour list does. [`StreamingKnn`]
-//!    edits a list at exactly two places (row creation and admission of a
-//!    newer subsequence) and recomputes the row's flip sid there, in O(k²)
-//!    per changed row, into a row-aligned column
-//!    ([`StreamingKnn::flip_sids`]). An evaluation reads that column as
-//!    one contiguous span, so it costs O(d_sweep) and never re-reads the
-//!    `n·k` neighbour lists.
+//! 2. **The index keeps the flip sids and their counts.** A flip sid is an
+//!    *absolute* stream position: advancing the scored range does not
+//!    change it, and it changes only when the row's neighbour list does.
+//!    [`StreamingKnn`] edits a list at exactly two places (row creation and
+//!    admission of a newer subsequence) and recomputes the row's flip sid
+//!    there, in O(k²) per changed row, into a row-aligned column
+//!    ([`StreamingKnn::flip_sids`]). At the same places, and where a row
+//!    leaves, it keeps both counts in step in O(1), for the rows at or
+//!    after its floor ([`StreamingKnn::floor_sid`]); ClaSS raises the
+//!    floor to each change point, so the floor is the first scored sid.
+//!    An evaluation reads the flip column and the counts as contiguous
+//!    spans, in one sequential pass of O(d_sweep), and never re-reads the
+//!    `n·k` neighbour lists or rebuilds the counts. A range that starts
+//!    after the floor first subtracts the rows in between from a copy.
 //!
-//! [`CrossVal::compute`] runs the first two passes only. The score pass
+//! [`CrossVal::compute`] runs that pass and scores no split. The score pass
+//! ([`crate::simd::profile_scores`], dispatched like the k-NN kernels)
 //! costs two `f64` divisions per split, and ClaSS acts on a profile only
 //! when its maximum reaches `min_score` — rarely: most evaluations of a
-//! stationary stream end below it. So the second pass also records one
+//! stationary stream end below it. So the count pass also records one
 //! upper bound per 64-split block: the split score at the block's corner
 //! counts (its last split, its smallest left count, its largest total).
 //! Both scores are monotone in each count, so the bound is at least every
@@ -130,12 +139,13 @@ pub struct CrossVal {
     bound: Vec<f64>,
     /// Whether every block of the last computation is scored.
     scored: bool,
-    /// During the sweep: difference array, then (in place) its prefix sums
     /// `left_ones[p] = #{rows j < p predicted 1 at split p}`.
     left_ones: Vec<u32>,
-    /// During the sweep: flip-offset histogram, then (in place) its suffix
-    /// counts `tot_ones[p] = #{rows predicted 1 at split p}`.
+    /// `tot_ones[p] = #{rows predicted 1 at split p}`.
     tot_ones: Vec<u32>,
+    /// The index's flip counts less the rows before the range start, for
+    /// a range that starts after the index's floor.
+    local: Vec<u32>,
     nn: usize,
     start_sid: i64,
 }
@@ -151,6 +161,7 @@ impl CrossVal {
             scored: false,
             left_ones: Vec::new(),
             tot_ones: Vec::new(),
+            local: Vec::new(),
             nn: 0,
             start_sid: 0,
         }
@@ -267,9 +278,13 @@ impl CrossVal {
     /// number of scored subsequences `nn` (0 if fewer than two
     /// subsequences are in range).
     ///
+    /// The pass reads the index's flip counts in place when the range
+    /// starts at [`StreamingKnn::floor_sid`]; a later start first
+    /// subtracts the rows in between from a copy, in O(`nn` + rows).
+    ///
     /// # Panics
-    /// Panics if `start_slot` is below [`StreamingKnn::qstart`]: such a
-    /// slot holds no live subsequence.
+    /// Panics if `start_slot` is below [`StreamingKnn::qstart`] (such a
+    /// slot holds no live subsequence) or its sid is below the floor.
     pub fn compute(&mut self, knn: &StreamingKnn, start_slot: usize) -> usize {
         let qstart = knn.qstart();
         assert!(
@@ -282,74 +297,98 @@ impl CrossVal {
             return 0;
         }
         let start_sid = knn.sid_of_slot(start_slot);
+        let floor = knn.floor_sid();
+        assert!(
+            start_sid >= floor,
+            "start sid {start_sid} is below the k-NN floor {floor}"
+        );
         debug_assert_eq!(Some(start_sid + nn as i64 - 1), knn.newest_sid());
         self.start_sid = start_sid;
         if nn < 2 {
             return 0;
         }
-        self.sweep(start_sid, &knn.flip_sids()[start_slot - qstart..]);
+        let flip = knn.flip_sids();
+        let (cnt, late) = knn.flip_counts();
+        let skip = (start_sid - floor) as usize;
+        let row = start_slot - qstart;
+        if skip == 0 {
+            self.sweep(start_sid, &flip[row..], cnt, late);
+            return nn;
+        }
+        // The keys up to the start fold into the start key; then the rows
+        // in `[floor, start)` come out of the copy.
+        let mut local = std::mem::take(&mut self.local);
+        local.clear();
+        local.push(cnt[..=skip].iter().sum());
+        local.extend_from_slice(&cnt[skip + 1..]);
+        local.extend_from_slice(&late[skip..]);
+        let (c, l) = local.split_at_mut(nn + 1);
+        for (sid, &f) in (floor..).zip(&flip[row - skip..row]) {
+            c[(f.max(start_sid) - start_sid) as usize] -= 1;
+            if f > sid + 1 && f > start_sid {
+                l[(f - start_sid) as usize] -= 1;
+            }
+        }
+        self.sweep(start_sid, &flip[row..], c, l);
+        self.local = local;
         nn
     }
 
-    /// The split sweep: two linear passes over the scored range.
+    /// The split sweep: one linear pass over the scored range.
     ///
-    /// With `g(j)` the flip sid of row `j` clamped into split-offset range,
-    /// row `j` is predicted 1 at split `p` iff `g(j) > p`, so
-    /// `tot_ones[p] = #{j : g(j) > p}` falls out of a histogram of `g` and
-    /// `left_ones[p] = #{j < p : g(j) > p}` out of a difference array (row
-    /// `j` contributes to exactly the splits `j < p < g(j)`). The second
-    /// pass also leaves each block's score bound: the split score at the
-    /// block's last split, its smallest `left_ones` and its largest
-    /// `tot_ones` (the first, as `tot_ones` is non-increasing), which is at
-    /// least every score of the block (see [`simd::scalar::split_score`]).
-    fn sweep(&mut self, start_sid: i64, flip: &[i64]) {
+    /// `flip` holds the flip sids of the scored rows, `cnt` and `late` the
+    /// counts of the keys `[start_sid, start_sid + nn]` over those rows
+    /// (see [`StreamingKnn::flip_counts`]). A running sum of `cnt` counts
+    /// the rows with flip sid at most `start_sid + p`, the rows predicted 0
+    /// at split `p`; `left_ones` gains row `p - 1` if its flip sid is above
+    /// `start_sid + p` and loses the late rows whose flip sid is exactly
+    /// that. The pass also leaves each block's score bound: the split
+    /// score at the block's last split, its smallest `left_ones` and its
+    /// largest `tot_ones` (the first, as `tot_ones` is non-increasing),
+    /// which is at least every score of the block (see
+    /// [`simd::scalar::split_score`]).
+    fn sweep(&mut self, start_sid: i64, flip: &[i64], cnt: &[u32], late: &[u32]) {
         let nn = flip.len();
+        debug_assert!(cnt.len() > nn && late.len() > nn);
         let blocks = nn.div_ceil(BLOCK);
         self.nn = nn;
         self.scored = false;
-        // Grow only (the two together): the scores are written on demand.
+        // Grow only: every count is written below, the scores on demand.
         if self.profile.len() < nn {
             self.profile.resize(nn, 0.0);
             self.block_max.resize(blocks, 0.0);
+            self.left_ones.resize(nn, 0);
+            self.tot_ones.resize(nn, 0);
         }
-        self.left_ones.clear();
-        self.left_ones.resize(nn + 1, 0);
-        self.tot_ones.clear();
-        self.tot_ones.resize(nn + 1, 0);
-
-        // Pass 1: histogram + difference array. Counts are exact in `u32`
-        // modulo arithmetic: the final sums are small non-negatives.
-        let dl = &mut self.left_ones;
-        let dt = &mut self.tot_ones;
-        let nn_i = nn as i64;
-        for (j, &f) in flip.iter().enumerate() {
-            let g = f.saturating_sub(start_sid).clamp(0, nn_i) as usize;
-            dt[g] = dt[g].wrapping_add(1);
-            let a = j + 1;
-            if g > a {
-                dl[a] = dl[a].wrapping_add(1);
-                dl[g] = dl[g].wrapping_sub(1);
-            }
-        }
-
-        // Pass 2: in-place histogram -> suffix counts, diffs -> prefix
-        // sums, and one bound per block. Index 0 is no split: it only
-        // seeds the sums (`dl[0]` is always 0).
-        let mut c = dt[0];
-        dt[0] = nn as u32 - c;
+        let (left_ones, tot_ones) = (&mut self.left_ones[..nn], &mut self.tot_ones[..nn]);
+        // Index 0 is no split: it only seeds the sums.
+        let n = nn as u32;
+        let mut zeros = cnt[0];
         let mut l = 0u32;
+        (left_ones[0], tot_ones[0]) = (0, n - zeros);
         self.bound.clear();
         for b in 0..blocks {
             let (lo, hi) = ((b * BLOCK).max(1), (b * BLOCK + BLOCK).min(nn));
             let mut l_min = u32::MAX;
-            for (t, d) in dt[lo..hi].iter_mut().zip(&mut dl[lo..hi]) {
-                c = c.wrapping_add(*t);
-                *t = nn as u32 - c;
-                l = l.wrapping_add(*d);
-                *d = l;
+            // Split `p`'s sid, against row `p - 1`'s flip sid. A counter:
+            // zipping in a sid range instead measured about 30 % slower.
+            let mut split = start_sid + lo as i64;
+            #[allow(clippy::explicit_counter_loop)]
+            for ((((tot, left), &c), &late), &f) in tot_ones[lo..hi]
+                .iter_mut()
+                .zip(&mut left_ones[lo..hi])
+                .zip(&cnt[lo..hi])
+                .zip(&late[lo..hi])
+                .zip(&flip[lo - 1..hi - 1])
+            {
+                zeros += c;
+                *tot = n - zeros;
+                l = l + u32::from(f > split) - late;
+                *left = l;
                 l_min = l_min.min(l);
+                split += 1;
             }
-            let (p, t) = (hi - 1, dt[lo]);
+            let (p, t) = (hi - 1, tot_ones[lo]);
             self.bound.push(simd::scalar::split_score(
                 self.score_fn,
                 p as i32,
@@ -695,6 +734,80 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "below the k-NN floor")]
+    fn compute_rejects_a_start_below_the_floor() {
+        let mut knn = feed(300, 120, 6, 3, 41);
+        let floor = knn.oldest_sid().unwrap() + 30;
+        knn.advance_floor(floor);
+        CrossVal::new(ScoreFn::MacroF1).compute(&knn, knn.slot_of_sid(floor - 1));
+    }
+
+    #[test]
+    fn evaluations_at_and_after_the_floor_are_exact() {
+        // The floor follows simulated change points, as in ClaSS; each
+        // evaluation scores the range from the floor and from a later
+        // start, and both match the naive evaluation bit for bit. An
+        // exclusion radius of 1 lets a row's neighbour be the next row, so
+        // flip sids just past the late threshold (sid + 2) occur too.
+        for exclusion in [None, Some(1)] {
+            let mut rng = SplitMix64::new(42);
+            let mut knn = StreamingKnn::new(KnnConfig {
+                exclusion,
+                ..KnnConfig::new(120, 6, 3)
+            });
+            let mut cv = CrossVal::new(ScoreFn::MacroF1);
+            for i in 0..900 {
+                if !knn.update(rng.next_f64() * 2.0 - 1.0) || i % 4 != 0 {
+                    continue;
+                }
+                if i % 100 == 0 {
+                    let newest = knn.newest_sid().unwrap();
+                    knn.advance_floor(knn.floor_sid() + (newest - knn.floor_sid()) / 2);
+                }
+                let at = knn.slot_of_sid(knn.floor_sid());
+                for start in [at, at + (knn.max_subsequences() - at) / 3] {
+                    cv.compute(&knn, start);
+                    assert_matches_naive(&mut cv, &knn, start);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "a million updates; run in release")]
+    fn long_horizon_counts_and_profile_stay_exact() {
+        // About a million updates at a small window, so the count rings
+        // wrap tens of thousands of times, with random floor jumps (at
+        // most to the next subsequence) and NaN stretches. The counts
+        // match a recount after every update; every 1000th update, the
+        // profile from the floor and from a later start match the naive
+        // evaluation.
+        let mut rng = SplitMix64::new(43);
+        let mut knn = StreamingKnn::new(KnnConfig::new(48, 4, 3));
+        let mut cv = CrossVal::new(ScoreFn::MacroF1);
+        for i in 0..1_000_000u32 {
+            let x = if i % 5003 < 3 {
+                f64::NAN
+            } else {
+                rng.next_f64() * 2.0 - 1.0
+            };
+            knn.update(x);
+            if rng.next_f64() < 0.02 {
+                let (floor, next) = (knn.floor_sid(), knn.newest_sid().unwrap() + 1);
+                knn.advance_floor(floor + (rng.next_f64() * (next - floor + 1) as f64) as i64);
+            }
+            knn.assert_counts_match_recount();
+            if i % 1000 == 999 {
+                let at = knn.qstart() + (knn.floor_sid() - knn.oldest_sid().unwrap()) as usize;
+                for start in [at, (at + 5).min(knn.max_subsequences())] {
+                    cv.compute(&knn, start);
+                    assert_matches_naive(&mut cv, &knn, start);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn score_fn_confusion_matrix_basics() {
         // Perfect prediction.
         let m = [[10, 0], [0, 10]];
@@ -751,6 +864,20 @@ mod tests {
             let want = naive_split_score(&knn, start, p, ScoreFn::MacroF1);
             assert!((cv.profile()[p] - want).abs() < 1e-12, "p = {p}");
         }
+    }
+
+    /// The counts [`StreamingKnn::flip_counts`] keeps at floor
+    /// `start_sid` for rows `start_sid..` with flip sids `flip`, each at
+    /// most `start_sid + flip.len()`.
+    fn flip_counts(start_sid: i64, flip: &[i64]) -> (Vec<u32>, Vec<u32>) {
+        let (mut cnt, mut late) = (vec![0; flip.len() + 1], vec![0; flip.len() + 1]);
+        for (sid, &f) in (start_sid..).zip(flip) {
+            cnt[(f.max(start_sid) - start_sid) as usize] += 1;
+            if f > sid + 1 {
+                late[(f - start_sid) as usize] += 1;
+            }
+        }
+        (cnt, late)
     }
 
     /// An engine holding `profile` as if computed and scored, with block
@@ -920,7 +1047,7 @@ mod tests {
             use_ba in any::<bool>(),
             planted in any::<bool>(),
         ) {
-            // Flip sids straight into the sweep: uniform over and around
+            // Flip sids straight into the sweep: uniform over and below
             // the scored range (empty lists included), or planted around
             // one split so that scores near 1 occur. Sizes cover a lone
             // block 0, exact block multiples and ragged last blocks.
@@ -937,9 +1064,11 @@ mod tests {
                     (true, 1..=17) => start_sid + cut + 1 + draw(nn - cut as usize + 8),
                     _ => start_sid - 8 + draw(nn + 16),
                 })
+                .map(|f| f.min(start_sid + nn as i64))
                 .collect();
             let mut cv = CrossVal::new(sf);
-            cv.sweep(start_sid, &flip);
+            let (cnt, late) = flip_counts(start_sid, &flip);
+            cv.sweep(start_sid, &flip, &cnt, &late);
             let bound = cv.bound.clone();
             prop_assert_eq!(bound.len(), nn.div_ceil(BLOCK));
             for (b, scores) in cv.profile().chunks(BLOCK).enumerate() {

@@ -50,6 +50,19 @@
 //! subsequence. [`crate::crossval::CrossVal`] reads the column as it is, so
 //! it needs no record of which lists changed between two evaluations.
 //!
+//! The index also keeps the two counts a profile evaluation is made of
+//! (`StreamingKnn::flip_counts`), over the rows at or after a *floor*
+//! sid: the larger of the oldest live sid and the last argument to
+//! [`StreamingKnn::advance_floor`] (ClaSS passes its last change point).
+//! Keyed by absolute sid over `[floor, newest + 1]`, `cnt` counts the rows
+//! by flip sid (a flip sid below the floor counts at the floor) and `late`
+//! the rows whose flip sid is above their own sid + 1. Each count changes
+//! in O(1) wherever a flip sid is written or a row leaves: eviction and a
+//! floor rise take the rows below the new floor out, and fold the keys
+//! below it into the floor key and zero them. The keys live in a ring of
+//! `m_max + 1` slots stored twice over, so any key range is one
+//! contiguous slice and an evaluation reads the counts in place.
+//!
 //! Neighbour identities are stored as *absolute* subsequence ids (the
 //! position of the subsequence start in the stream). This avoids the O(k·d)
 //! index-decrement pass of the paper's Algorithm 2 line 21 while preserving
@@ -158,6 +171,8 @@ pub struct StreamingKnn {
     /// Flip sid per row (see [`StreamingKnn::flip_sids`]), recomputed
     /// wherever a row's neighbour list changes.
     flip: ShiftBuffer<i64>,
+    /// Flip-sid counts of the rows at or after the floor (see module docs).
+    counts: FlipCounts,
     /// Scratch: per 64-slot block of the eligible range, the largest score
     /// of the latest update (the Q-step kernel's `block_max`).
     block_max: Vec<f64>,
@@ -197,6 +212,7 @@ impl StreamingKnn {
             nn_len: ShiftBuffer::new(m_max),
             kth: ShiftBuffer::new(m_max),
             flip: ShiftBuffer::new(m_max),
+            counts: FlipCounts::new(m_max + 1),
             block_max: vec![0.0; m_max.div_ceil(simd::BLOCK)],
             block_hits: vec![0; m_max.div_ceil(simd::BLOCK)],
             next_sid: 0,
@@ -256,11 +272,19 @@ impl StreamingKnn {
         self.next_sid - 1 - (self.m_max - 1 - slot) as i64
     }
 
-    /// Slot of the subsequence with absolute id `sid` (must be live).
+    /// Slot of the subsequence with absolute id `sid`.
+    ///
+    /// # Panics
+    /// Panics unless `sid` is live: between the oldest and the newest sid.
     #[inline]
     pub fn slot_of_sid(&self, sid: i64) -> usize {
         let newest = self.next_sid - 1;
-        debug_assert!(sid <= newest && newest - sid < self.n_subsequences() as i64);
+        let n = self.n_subsequences() as i64;
+        assert!(
+            sid <= newest && newest - sid < n,
+            "sid {sid} is not live (live sids {}..={newest})",
+            newest + 1 - n
+        );
         self.m_max - 1 - (newest - sid) as usize
     }
 
@@ -283,6 +307,39 @@ impl StreamingKnn {
     #[inline]
     pub fn flip_sids(&self) -> &[i64] {
         self.flip.as_slice()
+    }
+
+    /// The floor: the first sid whose row the flip counts include, the
+    /// larger of the oldest live sid and the last
+    /// [`StreamingKnn::advance_floor`] argument (0 on an empty index).
+    #[inline]
+    pub fn floor_sid(&self) -> i64 {
+        self.counts.floor
+    }
+
+    /// Raises the floor to `sid`; a `sid` at or below the floor changes
+    /// nothing. The rows below the new floor leave the flip counts, in
+    /// O(1) per row and per key passed.
+    ///
+    /// # Panics
+    /// Panics if `sid` is past the next subsequence (`newest + 1`).
+    pub fn advance_floor(&mut self, sid: i64) {
+        assert!(
+            sid <= self.next_sid,
+            "floor {sid} is past the next subsequence {}",
+            self.next_sid
+        );
+        self.raise_floor(sid, self.next_sid - self.flip.len() as i64);
+    }
+
+    /// The flip-sid counts of the rows at or after the floor, keyed by
+    /// sid over `[floor_sid(), newest + 1]` (index `key - floor_sid()`):
+    /// `(cnt, late)`, where `cnt[i]` counts the rows whose flip sid is
+    /// `floor + i` (or below the floor, for `i = 0`) and `late[i]` the
+    /// rows whose flip sid is `floor + i` and above their own sid + 1.
+    #[inline]
+    pub(crate) fn flip_counts(&self) -> (&[u32], &[u32]) {
+        self.counts.span(self.next_sid)
     }
 
     /// Similarity score of every live subsequence against the newest one, as
@@ -468,7 +525,14 @@ impl StreamingKnn {
         } else {
             f64::NEG_INFINITY
         });
-        self.flip.push(flip_sid_of(&row_sid[..n_chosen]));
+        let flip = flip_sid_of(&row_sid[..n_chosen]);
+        if self.flip.is_full() {
+            // The oldest row leaves with this push.
+            let oldest = sid - self.m_max as i64;
+            self.raise_floor(oldest + 1, oldest);
+        }
+        self.flip.push(flip);
+        self.counts.add(flip, sid, 1);
 
         // --- Insert the newest subsequence into older neighbour lists:
         // row r (slot qstart + r) for every hit bit r of the eligible
@@ -530,7 +594,103 @@ impl StreamingKnn {
         }
         let len = (len + 1).min(k);
         self.nn_len.as_mut_slice()[r] = len as u8;
-        self.flip.as_mut_slice()[r] = flip_sid_of(&self.nn_sid.row(r)[..len]);
+        let flip = flip_sid_of(&self.nn_sid.row(r)[..len]);
+        let old = std::mem::replace(&mut self.flip.as_mut_slice()[r], flip);
+        let row_sid = self.sid_of_slot(s);
+        if flip != old && row_sid >= self.counts.floor {
+            self.counts.add(old, row_sid, -1);
+            self.counts.add(flip, row_sid, 1);
+        }
+    }
+
+    /// Raises the floor to `to` if it is higher: the rows in `[floor, to)`
+    /// leave the counts, then the keys below `to` fold into it. `row0` is
+    /// the sid of flip row 0.
+    fn raise_floor(&mut self, to: i64, row0: i64) {
+        if to <= self.counts.floor {
+            return;
+        }
+        for sid in self.counts.floor..to {
+            let flip = self.flip.get((sid - row0) as usize);
+            self.counts.add(flip, sid, -1);
+        }
+        self.counts.raise(to);
+    }
+}
+
+/// The flip-sid counts of [`StreamingKnn::flip_counts`]: two rings of
+/// `len` slots keyed by sid, each stored twice (slot `i` and `i + len`
+/// hold the same count) so that any `len` consecutive keys are one slice.
+#[derive(Debug, Clone)]
+struct FlipCounts {
+    cnt: Vec<u32>,
+    late: Vec<u32>,
+    len: usize,
+    /// The floor sid and its ring slot; the live keys are
+    /// `[floor, floor + len)`.
+    floor: i64,
+    floor_slot: usize,
+}
+
+impl FlipCounts {
+    fn new(len: usize) -> Self {
+        Self {
+            cnt: vec![0; 2 * len],
+            late: vec![0; 2 * len],
+            len,
+            floor: 0,
+            floor_slot: 0,
+        }
+    }
+
+    #[inline]
+    fn slot(&self, key: i64) -> usize {
+        debug_assert!(key >= self.floor && key - self.floor < self.len as i64);
+        let i = self.floor_slot + (key - self.floor) as usize;
+        if i >= self.len {
+            i - self.len
+        } else {
+            i
+        }
+    }
+
+    /// Adds `delta` to the counts of a row `sid` (at or after the floor)
+    /// whose flip sid is `flip`.
+    #[inline]
+    fn add(&mut self, flip: i64, sid: i64, delta: i32) {
+        let i = self.slot(flip.max(self.floor));
+        self.cnt[i] = self.cnt[i].wrapping_add_signed(delta);
+        self.cnt[i + self.len] = self.cnt[i];
+        if flip > sid + 1 {
+            let i = self.slot(flip);
+            self.late[i] = self.late[i].wrapping_add_signed(delta);
+            self.late[i + self.len] = self.late[i];
+        }
+    }
+
+    /// Moves the floor up to `to`, once the rows below it are taken out:
+    /// the `cnt` keys in `[floor, to)` fold into key `to` and are zeroed
+    /// (their `late` counts are zero already: a late row's flip sid is
+    /// above its sid + 1, so at least the floor + 2).
+    fn raise(&mut self, to: i64) {
+        let mut folded = 0;
+        for key in self.floor..to {
+            let i = self.slot(key);
+            folded += self.cnt[i];
+            self.cnt[i] = 0;
+            self.cnt[i + self.len] = 0;
+        }
+        let i = self.slot(to);
+        (self.floor, self.floor_slot) = (to, i);
+        self.cnt[i] += folded;
+        self.cnt[i + self.len] = self.cnt[i];
+    }
+
+    /// The counts of the keys `[floor, last]`.
+    #[inline]
+    fn span(&self, last: i64) -> (&[u32], &[u32]) {
+        let r = self.floor_slot..self.floor_slot + (last + 1 - self.floor) as usize;
+        (&self.cnt[r.clone()], &self.late[r])
     }
 }
 
@@ -548,6 +708,40 @@ fn flip_sid_of(sids: &[i64]) -> i64 {
 }
 
 #[cfg(test)]
+impl StreamingKnn {
+    /// Recounts the flip counts from the flip column and the floor, and
+    /// asserts that every ring slot, in both copies, holds the recount
+    /// (zero for the keys outside `[floor, newest + 1]`).
+    pub(crate) fn assert_counts_match_recount(&self) {
+        let c = &self.counts;
+        let row0 = self.next_sid - self.flip.len() as i64;
+        assert!(
+            (row0..=self.next_sid).contains(&c.floor),
+            "floor {} outside [{row0}, {}]",
+            c.floor,
+            self.next_sid
+        );
+        assert_eq!(c.floor_slot, c.floor as usize % c.len, "floor slot");
+        let (mut cnt, mut late) = (vec![0u32; 2 * c.len], vec![0u32; 2 * c.len]);
+        for (sid, &f) in (row0..).zip(self.flip.as_slice()) {
+            if sid < c.floor {
+                continue;
+            }
+            let i = f.max(c.floor) as usize % c.len;
+            cnt[i] += 1;
+            cnt[i + c.len] += 1;
+            if f > sid + 1 {
+                let i = f as usize % c.len;
+                late[i] += 1;
+                late[i + c.len] += 1;
+            }
+        }
+        assert_eq!(c.cnt, cnt, "cnt ring, floor {}", c.floor);
+        assert_eq!(c.late, late, "late ring, floor {}", c.floor);
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::similarity::naive;
@@ -562,7 +756,9 @@ mod tests {
     /// score of every full row and -inf for every row with room, and
     /// `flip_sids` the flip sid recomputed from scratch: one past the
     /// `(floor(m/2) + 1)`-th largest of the row's `m` sids, found by sorting.
+    /// The flip counts match a recount from that column and the floor.
     fn assert_kth_in_step(knn: &StreamingKnn) {
+        knn.assert_counts_match_recount();
         let k = knn.cfg.k;
         assert_eq!(knn.kth.len(), knn.nn_score.rows());
         assert_eq!(knn.flip_sids().len(), knn.nn_score.rows());
@@ -833,6 +1029,76 @@ mod tests {
             assert_eq!(knn.slot_of_sid(knn.sid_of_slot(slot)), slot);
         }
         assert_eq!(knn.oldest_sid().unwrap(), knn.sid_of_slot(knn.qstart()));
+    }
+
+    #[test]
+    #[should_panic(expected = "is not live")]
+    fn slot_of_sid_rejects_a_sid_past_the_newest() {
+        let mut knn = StreamingKnn::new(KnnConfig::new(200, 8, 3));
+        for x in random_series(500, 15) {
+            knn.update(x);
+        }
+        knn.slot_of_sid(knn.newest_sid().unwrap() + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not live")]
+    fn slot_of_sid_rejects_an_evicted_sid() {
+        let mut knn = StreamingKnn::new(KnnConfig::new(200, 8, 3));
+        for x in random_series(500, 16) {
+            knn.update(x);
+        }
+        knn.slot_of_sid(knn.oldest_sid().unwrap() - 1);
+    }
+
+    #[test]
+    fn flip_counts_follow_floor_jumps() {
+        // Floor jumps of every size, at and past the newest row's
+        // neighbours and up to the next subsequence, through growth,
+        // eviction and a NaN stretch; the counts match a recount after
+        // every update and every jump.
+        let mut rng = SplitMix64::new(17);
+        let mut knn = StreamingKnn::new(KnnConfig::new(60, 5, 3));
+        assert_eq!(knn.floor_sid(), 0);
+        knn.advance_floor(0);
+        assert_kth_in_step(&knn);
+        for t in 0..1500 {
+            let x = if t % 400 == 350 {
+                f64::NAN
+            } else {
+                rng.next_f64() * 2.0 - 1.0
+            };
+            knn.update(x);
+            assert_kth_in_step(&knn);
+            if t % 7 == 0 {
+                let floor = knn.floor_sid();
+                let next = knn.newest_sid().map_or(0, |n| n + 1);
+                let to = match t % 5 {
+                    0 => next,
+                    1 => floor - 3,
+                    _ => floor + (rng.next_f64() * (next - floor + 1) as f64) as i64,
+                };
+                knn.advance_floor(to);
+                assert_eq!(knn.floor_sid(), floor.max(to));
+                assert_kth_in_step(&knn);
+                let (cnt, late) = knn.flip_counts();
+                assert_eq!(cnt.len() as i64, next + 1 - knn.floor_sid());
+                assert_eq!(late.len(), cnt.len());
+                let rows = knn.flip_sids().len() as i64;
+                let counted = rows - (knn.floor_sid() - (next - rows));
+                assert_eq!(cnt.iter().sum::<u32>() as i64, counted, "t={t}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the next subsequence")]
+    fn advance_floor_rejects_a_floor_past_the_next_subsequence() {
+        let mut knn = StreamingKnn::new(KnnConfig::new(60, 5, 3));
+        for x in random_series(100, 18) {
+            knn.update(x);
+        }
+        knn.advance_floor(knn.newest_sid().unwrap() + 2);
     }
 
     #[test]

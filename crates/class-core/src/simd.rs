@@ -29,12 +29,17 @@
 //! | best split | 12.0 µs (first-maximum scan) | 0.23 µs ([`crate::crossval::CrossVal::peak`]) |
 //! | pass 2, plus the block bounds | 7.8 µs | 8.2 µs |
 //! | score pass, then best split | 15.3 + 0.25 µs (every split) | 0.16 µs (bounded blocks only) |
+//! | passes 1 and 2 (scatter, then sums and bounds) | 30.6–32.0 µs | 12.3–13.5 µs (one pass over the index's flip counts) |
 //!
 //! The scan's figure is the traced replay's `class.argmax_ns`; the others
 //! are from builds with a clock around each pass. The last two rows were
 //! timed back to back on the same host at a slower speed level than the
 //! rows above. At a full window under 0.1 % of the blocks reach the
-//! score pass, and 0.7–0.8 % over all evaluations of those streams.
+//! score pass, and 0.7–0.8 % over all evaluations of those streams. The
+//! last row times [`crate::crossval::CrossVal::compute`] alone on one
+//! full window (d = 10k, w = 42, k = 3) of a two-regime stream, the
+//! window of the `crossval/structured_peak` criterion case (best of 15
+//! runs of 2000 calls, four alternations); no split is scored there.
 //!
 //! This module provides fused kernels for the Q-step sweep, the
 //! subsequence-moment sums and the explicit dot products that seed the

@@ -200,19 +200,19 @@ proptest! {
         w in 4usize..9,
         k in 1usize..5,
         use_ba in any::<bool>(),
-        script in prop::collection::vec((1usize..40, 0u8..8, 0usize..30), 1..12),
+        script in prop::collection::vec((1usize..40, 0u8..8, 0usize..30, 0usize..30), 1..12),
     ) {
         // A long-lived engine driven through arbitrary interleavings of
         // stream updates (including NaN stretches that shorten and then
-        // heal neighbour lists), jump-style evaluation gaps, and range
-        // start advances must score every split exactly as the naive
-        // leave-one-out evaluation does, at every evaluation point.
+        // heal neighbour lists), jump-style evaluation gaps, and floor
+        // rises (as at change points, up to the next subsequence) must
+        // score every split exactly as the naive leave-one-out evaluation
+        // does, from the floor and from later range starts alike.
         let sf = if use_ba { ScoreFn::BalancedAccuracy } else { ScoreFn::MacroF1 };
         let mut rng = class_core::SplitMix64::new(seed);
         let mut knn = StreamingKnn::new(KnnConfig::new(d, w, k));
         let mut cv = CrossVal::new(sf);
-        let mut extra = 0usize;
-        for (steps, tag, adv) in script {
+        for (steps, tag, rise, past) in script {
             for i in 0..steps {
                 let x = if tag == 0 && i % 3 == 0 {
                     f64::NAN
@@ -221,36 +221,42 @@ proptest! {
                 };
                 knn.update(x);
             }
-            if knn.n_subsequences() == 0 {
+            let Some(oldest) = knn.oldest_sid() else {
                 continue;
+            };
+            if tag >= 5 {
+                let next = knn.newest_sid().unwrap() + 1;
+                knn.advance_floor((knn.floor_sid() + rise as i64).min(next));
             }
-            extra = (extra + adv).min(knn.n_subsequences() - 1);
-            let start = knn.qstart() + extra;
-            let nn = cv.compute(&knn, start);
-            let in_range = knn.max_subsequences() - start;
-            prop_assert_eq!(nn, if in_range < 2 { 0 } else { in_range });
-            let start_sid = knn.sid_of_slot(start);
-            for p in 1..nn {
-                let want = naive_split_score(&knn, start, p, sf);
-                prop_assert_eq!(cv.profile()[p].to_bits(), want.to_bits());
-                // Group counts, recounted: row j votes 1 when fewer than
-                // half of its neighbours precede the split.
-                let split_sid = start_sid + p as i64;
-                let votes_one = |j: usize| {
-                    let (sids, _) = knn.neighbors(start + j);
-                    sids.iter().filter(|&&s| s < split_sid).count() * 2 < sids.len()
-                };
-                let ones_left = (0..p).filter(|&j| votes_one(j)).count() as u64;
-                let ones_right = (p..nn).filter(|&j| votes_one(j)).count() as u64;
-                prop_assert_eq!(
-                    cv.groups_at(p),
-                    BinaryGroups {
-                        n_left: p as u64,
-                        ones_left,
-                        n_right: (nn - p) as u64,
-                        ones_right,
-                    }
-                );
+            let m = knn.max_subsequences();
+            let first = knn.qstart() + (knn.floor_sid() - oldest) as usize;
+            for start in [first, (first + past).min(m)] {
+                let nn = cv.compute(&knn, start);
+                let in_range = m - start;
+                prop_assert_eq!(nn, if in_range < 2 { 0 } else { in_range });
+                let start_sid = oldest + (start - knn.qstart()) as i64;
+                for p in 1..nn {
+                    let want = naive_split_score(&knn, start, p, sf);
+                    prop_assert_eq!(cv.profile()[p].to_bits(), want.to_bits());
+                    // Group counts, recounted: row j votes 1 when fewer than
+                    // half of its neighbours precede the split.
+                    let split_sid = start_sid + p as i64;
+                    let votes_one = |j: usize| {
+                        let (sids, _) = knn.neighbors(start + j);
+                        sids.iter().filter(|&&s| s < split_sid).count() * 2 < sids.len()
+                    };
+                    let ones_left = (0..p).filter(|&j| votes_one(j)).count() as u64;
+                    let ones_right = (p..nn).filter(|&j| votes_one(j)).count() as u64;
+                    prop_assert_eq!(
+                        cv.groups_at(p),
+                        BinaryGroups {
+                            n_left: p as u64,
+                            ones_left,
+                            n_right: (nn - p) as u64,
+                            ones_right,
+                        }
+                    );
+                }
             }
         }
     }
