@@ -372,6 +372,10 @@ impl Running {
 
     /// Runs one profile evaluation + significance test at stream offset
     /// `pos`; reports (and returns) a validated change point, if any.
+    ///
+    /// Kept out of line: it runs on one step in `jump`, and inlined into
+    /// [`Running::step`] it would weigh on the code of every other step.
+    #[inline(never)]
     fn evaluate(&mut self, pos: u64, cps: &mut Vec<u64>) -> Option<u64> {
         let start_sid = self.range_start_sid()?;
         let start_slot = self.knn.slot_of_sid(start_sid);

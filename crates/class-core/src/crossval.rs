@@ -23,10 +23,15 @@
 //!    and `left_ones[p] = #{j < p : f(j) > S + p}` of them on its left.
 //!    From one split to the next, `left_ones` gains row `p - 1` if
 //!    `f(p - 1) > S + p` and loses the rows `j < p - 1` whose flip sid is
-//!    exactly `S + p`: the *late* rows (flip sid above their own sid + 1)
-//!    with flip sid `S + p`. So one full profile is one linear pass over
-//!    two counts per sid: how many rows have each flip sid, and how many
-//!    late rows do.
+//!    exactly `S + p`. Both terms concern *late* rows, those whose flip
+//!    sid is above their own sid + 1: row `p - 1` has sid `S + p - 1`, so
+//!    it is gained exactly when it is late, and a row `j < p - 1` with
+//!    flip sid `S + p` is late. Neither term depends on `S`. Keyed by
+//!    absolute sid, a late row with sid `r` and flip sid `f` adds 1 at key
+//!    `r + 1` and subtracts 1 at key `f`, and `left_ones[p]` is the sum of
+//!    this *step* column over the keys `(S, S + p]`. So one full profile
+//!    is two prefix sums over two counts per sid: how many rows have each
+//!    flip sid (giving `tot_ones`), and the step (giving `left_ones`).
 //!
 //! 2. **The index keeps the flip sids and their counts.** A flip sid is an
 //!    *absolute* stream position: advancing the scored range does not
@@ -35,19 +40,21 @@
 //!    admission of a newer subsequence) and recomputes the row's flip sid
 //!    there, in O(k²) per changed row, into a row-aligned column
 //!    ([`StreamingKnn::flip_sids`]). At the same places, and where a row
-//!    leaves, it keeps both counts in step in O(1), for the rows at or
+//!    leaves, it keeps both counts up to date in O(1), for the rows at or
 //!    after its floor ([`StreamingKnn::floor_sid`]); ClaSS raises the
 //!    floor to each change point, so the floor is the first scored sid.
-//!    An evaluation reads the flip column and the counts as contiguous
-//!    spans, in one sequential pass of O(d_sweep), and never re-reads the
-//!    `n·k` neighbour lists or rebuilds the counts. A range that starts
-//!    after the floor first subtracts the rows in between from a copy.
+//!    An evaluation reads the counts in place as contiguous spans and
+//!    runs both prefix sums in one dispatched kernel
+//!    ([`crate::simd::split_counts`], 8 splits per instruction on AVX2);
+//!    it never reads the flip column or the `n·k` neighbour lists, and
+//!    never rebuilds the counts. A range that starts after the floor
+//!    first corrects a copy for the rows in between.
 //!
 //! [`CrossVal::compute`] runs that pass and scores no split. The score pass
 //! ([`crate::simd::profile_scores`], dispatched like the k-NN kernels)
 //! costs two `f64` divisions per split, and ClaSS acts on a profile only
 //! when its maximum reaches `min_score` — rarely: most evaluations of a
-//! stationary stream end below it. So the count pass also records one
+//! stationary stream end below it. So the count pass also leaves one
 //! upper bound per 64-split block: the split score at the block's corner
 //! counts (its last split, its smallest left count, its largest total).
 //! Both scores are monotone in each count, so the bound is at least every
@@ -143,6 +150,8 @@ pub struct CrossVal {
     left_ones: Vec<u32>,
     /// `tot_ones[p] = #{rows predicted 1 at split p}`.
     tot_ones: Vec<u32>,
+    /// Smallest `left_ones` per block of splits.
+    l_min: Vec<u32>,
     /// The index's flip counts less the rows before the range start, for
     /// a range that starts after the index's floor.
     local: Vec<u32>,
@@ -161,6 +170,7 @@ impl CrossVal {
             scored: false,
             left_ones: Vec::new(),
             tot_ones: Vec::new(),
+            l_min: Vec::new(),
             local: Vec::new(),
             nn: 0,
             start_sid: 0,
@@ -280,7 +290,7 @@ impl CrossVal {
     ///
     /// The pass reads the index's flip counts in place when the range
     /// starts at [`StreamingKnn::floor_sid`]; a later start first
-    /// subtracts the rows in between from a copy, in O(`nn` + rows).
+    /// corrects a copy for the rows in between, in O(`nn` + rows).
     ///
     /// # Panics
     /// Panics if `start_slot` is below [`StreamingKnn::qstart`] (such a
@@ -307,49 +317,47 @@ impl CrossVal {
         if nn < 2 {
             return 0;
         }
-        let flip = knn.flip_sids();
-        let (cnt, late) = knn.flip_counts();
+        let (cnt, step) = knn.flip_counts();
         let skip = (start_sid - floor) as usize;
-        let row = start_slot - qstart;
         if skip == 0 {
-            self.sweep(start_sid, &flip[row..], cnt, late);
+            self.sweep(nn, cnt, step);
             return nn;
         }
-        // The keys up to the start fold into the start key; then the rows
-        // in `[floor, start)` come out of the copy.
+        // The `cnt` keys up to the start fold into the start key; then the
+        // rows in `[floor, start)` come out of the copy. Their `step` keys
+        // at or below the start are never summed, so only the -1 of a late
+        // row at a flip sid past the start is added back.
+        let row = start_slot - qstart;
         let mut local = std::mem::take(&mut self.local);
         local.clear();
         local.push(cnt[..=skip].iter().sum());
         local.extend_from_slice(&cnt[skip + 1..]);
-        local.extend_from_slice(&late[skip..]);
-        let (c, l) = local.split_at_mut(nn + 1);
-        for (sid, &f) in (floor..).zip(&flip[row - skip..row]) {
+        local.extend_from_slice(&step[skip..]);
+        let (c, s) = local.split_at_mut(nn + 1);
+        for (sid, &f) in (floor..).zip(&knn.flip_sids()[row - skip..row]) {
             c[(f.max(start_sid) - start_sid) as usize] -= 1;
             if f > sid + 1 && f > start_sid {
-                l[(f - start_sid) as usize] -= 1;
+                let i = (f - start_sid) as usize;
+                s[i] = s[i].wrapping_add(1);
             }
         }
-        self.sweep(start_sid, &flip[row..], c, l);
+        self.sweep(nn, c, s);
         self.local = local;
         nn
     }
 
-    /// The split sweep: one linear pass over the scored range.
-    ///
-    /// `flip` holds the flip sids of the scored rows, `cnt` and `late` the
-    /// counts of the keys `[start_sid, start_sid + nn]` over those rows
-    /// (see [`StreamingKnn::flip_counts`]). A running sum of `cnt` counts
-    /// the rows with flip sid at most `start_sid + p`, the rows predicted 0
-    /// at split `p`; `left_ones` gains row `p - 1` if its flip sid is above
-    /// `start_sid + p` and loses the late rows whose flip sid is exactly
-    /// that. The pass also leaves each block's score bound: the split
-    /// score at the block's last split, its smallest `left_ones` and its
-    /// largest `tot_ones` (the first, as `tot_ones` is non-increasing),
-    /// which is at least every score of the block (see
+    /// The split sweep over an `nn`-row range: `cnt` and `step` hold the
+    /// counts of the keys `[S, S + nn)` over the range's rows, `S` its
+    /// first sid (see [`StreamingKnn::flip_counts`]). A prefix sum of
+    /// `cnt` counts the rows with flip sid at most `S + p`, the rows
+    /// predicted 0 at split `p`, and one of `step` from key `S + 1` gives
+    /// `left_ones` ([`simd::split_counts`]). The kernel also leaves each
+    /// block's smallest `left_ones`, and the block's score bound is the
+    /// split score at its last split, that minimum and its largest
+    /// `tot_ones` (the first, as `tot_ones` is non-increasing), which is
+    /// at least every score of the block (see
     /// [`simd::scalar::split_score`]).
-    fn sweep(&mut self, start_sid: i64, flip: &[i64], cnt: &[u32], late: &[u32]) {
-        let nn = flip.len();
-        debug_assert!(cnt.len() > nn && late.len() > nn);
+    fn sweep(&mut self, nn: usize, cnt: &[u32], step: &[u32]) {
         let blocks = nn.div_ceil(BLOCK);
         self.nn = nn;
         self.scored = false;
@@ -359,41 +367,24 @@ impl CrossVal {
             self.block_max.resize(blocks, 0.0);
             self.left_ones.resize(nn, 0);
             self.tot_ones.resize(nn, 0);
+            self.l_min.resize(blocks, 0);
         }
-        let (left_ones, tot_ones) = (&mut self.left_ones[..nn], &mut self.tot_ones[..nn]);
-        // Index 0 is no split: it only seeds the sums.
-        let n = nn as u32;
-        let mut zeros = cnt[0];
-        let mut l = 0u32;
-        (left_ones[0], tot_ones[0]) = (0, n - zeros);
+        let (tot_ones, l_min) = (&mut self.tot_ones[..nn], &mut self.l_min[..blocks]);
+        simd::split_counts(
+            &cnt[..nn],
+            &step[..nn],
+            &mut self.left_ones[..nn],
+            tot_ones,
+            l_min,
+        );
         self.bound.clear();
-        for b in 0..blocks {
+        for (b, &l) in l_min.iter().enumerate() {
             let (lo, hi) = ((b * BLOCK).max(1), (b * BLOCK + BLOCK).min(nn));
-            let mut l_min = u32::MAX;
-            // Split `p`'s sid, against row `p - 1`'s flip sid. A counter:
-            // zipping in a sid range instead measured about 30 % slower.
-            let mut split = start_sid + lo as i64;
-            #[allow(clippy::explicit_counter_loop)]
-            for ((((tot, left), &c), &late), &f) in tot_ones[lo..hi]
-                .iter_mut()
-                .zip(&mut left_ones[lo..hi])
-                .zip(&cnt[lo..hi])
-                .zip(&late[lo..hi])
-                .zip(&flip[lo - 1..hi - 1])
-            {
-                zeros += c;
-                *tot = n - zeros;
-                l = l + u32::from(f > split) - late;
-                *left = l;
-                l_min = l_min.min(l);
-                split += 1;
-            }
-            let (p, t) = (hi - 1, tot_ones[lo]);
             self.bound.push(simd::scalar::split_score(
                 self.score_fn,
-                p as i32,
-                l_min as i32,
-                t as i32,
+                (hi - 1) as i32,
+                l as i32,
+                tot_ones[lo] as i32,
                 nn as i32,
             ));
         }
@@ -870,14 +861,16 @@ mod tests {
     /// `start_sid` for rows `start_sid..` with flip sids `flip`, each at
     /// most `start_sid + flip.len()`.
     fn flip_counts(start_sid: i64, flip: &[i64]) -> (Vec<u32>, Vec<u32>) {
-        let (mut cnt, mut late) = (vec![0; flip.len() + 1], vec![0; flip.len() + 1]);
+        let (mut cnt, mut step) = (vec![0u32; flip.len() + 1], vec![0u32; flip.len() + 1]);
         for (sid, &f) in (start_sid..).zip(flip) {
             cnt[(f.max(start_sid) - start_sid) as usize] += 1;
             if f > sid + 1 {
-                late[(f - start_sid) as usize] += 1;
+                let (r, f) = ((sid + 1 - start_sid) as usize, (f - start_sid) as usize);
+                step[r] = step[r].wrapping_add(1);
+                step[f] = step[f].wrapping_sub(1);
             }
         }
-        (cnt, late)
+        (cnt, step)
     }
 
     /// An engine holding `profile` as if computed and scored, with block
@@ -1067,8 +1060,8 @@ mod tests {
                 .map(|f| f.min(start_sid + nn as i64))
                 .collect();
             let mut cv = CrossVal::new(sf);
-            let (cnt, late) = flip_counts(start_sid, &flip);
-            cv.sweep(start_sid, &flip, &cnt, &late);
+            let (cnt, step) = flip_counts(start_sid, &flip);
+            cv.sweep(nn, &cnt, &step);
             let bound = cv.bound.clone();
             prop_assert_eq!(bound.len(), nn.div_ceil(BLOCK));
             for (b, scores) in cv.profile().chunks(BLOCK).enumerate() {

@@ -55,13 +55,17 @@
 //! sid: the larger of the oldest live sid and the last argument to
 //! [`StreamingKnn::advance_floor`] (ClaSS passes its last change point).
 //! Keyed by absolute sid over `[floor, newest + 1]`, `cnt` counts the rows
-//! by flip sid (a flip sid below the floor counts at the floor) and `late`
-//! the rows whose flip sid is above their own sid + 1. Each count changes
-//! in O(1) wherever a flip sid is written or a row leaves: eviction and a
-//! floor rise take the rows below the new floor out, and fold the keys
-//! below it into the floor key and zero them. The keys live in a ring of
-//! `m_max + 1` slots stored twice over, so any key range is one
-//! contiguous slice and an evaluation reads the counts in place.
+//! by flip sid (a flip sid below the floor counts at the floor), and
+//! `step` is the left-count step of the *late* rows, those whose flip sid
+//! `f` is above their own sid `r` + 1: each adds 1 at key `r + 1` and
+//! subtracts 1 at key `f`, so a running sum of `step` is the profile's
+//! left count (see [`crate::crossval`]). Both change in O(1) wherever a
+//! flip sid is written or a row leaves: eviction and a floor rise take
+//! the rows below the new floor out, and fold the `cnt` keys below it
+//! into the floor key and zero them (the `step` keys up to the new floor
+//! are zero by then). The keys live in a ring of `m_max + 1` slots stored
+//! twice over, so any key range is one contiguous slice and an evaluation
+//! reads the counts in place.
 //!
 //! Neighbour identities are stored as *absolute* subsequence ids (the
 //! position of the subsequence start in the stream). This avoids the O(k·d)
@@ -266,9 +270,17 @@ impl StreamingKnn {
 
     /// Absolute id of the subsequence in `slot` (slots are right-aligned:
     /// slot `m_max - 1` is the newest).
+    ///
+    /// # Panics
+    /// Panics unless `slot` is live: in `[qstart(), max_subsequences())`.
     #[inline]
     pub fn sid_of_slot(&self, slot: usize) -> i64 {
-        debug_assert!(slot >= self.qstart() && slot < self.m_max);
+        let qstart = self.qstart();
+        assert!(
+            slot >= qstart && slot < self.m_max,
+            "slot {slot} is not live (live slots {qstart}..{})",
+            self.m_max
+        );
         self.next_sid - 1 - (self.m_max - 1 - slot) as i64
     }
 
@@ -334,9 +346,11 @@ impl StreamingKnn {
 
     /// The flip-sid counts of the rows at or after the floor, keyed by
     /// sid over `[floor_sid(), newest + 1]` (index `key - floor_sid()`):
-    /// `(cnt, late)`, where `cnt[i]` counts the rows whose flip sid is
-    /// `floor + i` (or below the floor, for `i = 0`) and `late[i]` the
-    /// rows whose flip sid is `floor + i` and above their own sid + 1.
+    /// `(cnt, step)`, where `cnt[i]` counts the rows whose flip sid is
+    /// `floor + i` (or below the floor, for `i = 0`) and `step[i]` is the
+    /// number of late rows (flip sid above their own sid + 1) with sid
+    /// `floor + i - 1`, less the number with flip sid `floor + i`, in
+    /// wrapping `u32` arithmetic. `step[0]` is 0.
     #[inline]
     pub(crate) fn flip_counts(&self) -> (&[u32], &[u32]) {
         self.counts.span(self.next_sid)
@@ -510,7 +524,9 @@ impl StreamingKnn {
                         row_sid[j + 1] = row_sid[j];
                     }
                     row_score[pos] = sc;
-                    row_sid[pos] = self.sid_of_slot(s);
+                    // Slot `s` is live: its sid is the newest sid less its
+                    // distance from the newest slot.
+                    row_sid[pos] = sid - (self.m_max - 1 - s) as i64;
                     if n_chosen < kk {
                         n_chosen += 1;
                     }
@@ -596,7 +612,7 @@ impl StreamingKnn {
         self.nn_len.as_mut_slice()[r] = len as u8;
         let flip = flip_sid_of(&self.nn_sid.row(r)[..len]);
         let old = std::mem::replace(&mut self.flip.as_mut_slice()[r], flip);
-        let row_sid = self.sid_of_slot(s);
+        let row_sid = sid - (self.m_max - 1 - s) as i64;
         if flip != old && row_sid >= self.counts.floor {
             self.counts.add(old, row_sid, -1);
             self.counts.add(flip, row_sid, 1);
@@ -624,7 +640,7 @@ impl StreamingKnn {
 #[derive(Debug, Clone)]
 struct FlipCounts {
     cnt: Vec<u32>,
-    late: Vec<u32>,
+    step: Vec<u32>,
     len: usize,
     /// The floor sid and its ring slot; the live keys are
     /// `[floor, floor + len)`.
@@ -636,7 +652,7 @@ impl FlipCounts {
     fn new(len: usize) -> Self {
         Self {
             cnt: vec![0; 2 * len],
-            late: vec![0; 2 * len],
+            step: vec![0; 2 * len],
             len,
             floor: 0,
             floor_slot: 0,
@@ -654,24 +670,24 @@ impl FlipCounts {
         }
     }
 
-    /// Adds `delta` to the counts of a row `sid` (at or after the floor)
-    /// whose flip sid is `flip`.
+    /// Adds `delta` times a row `sid` (at or after the floor) whose flip
+    /// sid is `flip` to the counts: to `cnt` at its flip sid and, for a
+    /// late row, to `step` at `sid + 1` and, negated, at `flip`.
     #[inline]
     fn add(&mut self, flip: i64, sid: i64, delta: i32) {
         let i = self.slot(flip.max(self.floor));
-        self.cnt[i] = self.cnt[i].wrapping_add_signed(delta);
-        self.cnt[i + self.len] = self.cnt[i];
+        bump(&mut self.cnt, i, self.len, delta);
         if flip > sid + 1 {
-            let i = self.slot(flip);
-            self.late[i] = self.late[i].wrapping_add_signed(delta);
-            self.late[i + self.len] = self.late[i];
+            let (r, f) = (self.slot(sid + 1), self.slot(flip));
+            bump(&mut self.step, r, self.len, delta);
+            bump(&mut self.step, f, self.len, -delta);
         }
     }
 
     /// Moves the floor up to `to`, once the rows below it are taken out:
-    /// the `cnt` keys in `[floor, to)` fold into key `to` and are zeroed
-    /// (their `late` counts are zero already: a late row's flip sid is
-    /// above its sid + 1, so at least the floor + 2).
+    /// the `cnt` keys in `[floor, to)` fold into key `to` and are zeroed.
+    /// The `step` keys up to `to` are zero already: each remaining late
+    /// row `r` touches only keys `r + 1` and above, with `r >= to`.
     fn raise(&mut self, to: i64) {
         let mut folded = 0;
         for key in self.floor..to {
@@ -690,8 +706,16 @@ impl FlipCounts {
     #[inline]
     fn span(&self, last: i64) -> (&[u32], &[u32]) {
         let r = self.floor_slot..self.floor_slot + (last + 1 - self.floor) as usize;
-        (&self.cnt[r.clone()], &self.late[r])
+        (&self.cnt[r.clone()], &self.step[r])
     }
+}
+
+/// Adds `delta` to ring slot `i` of a doubled ring of `len` slots, in
+/// both copies.
+#[inline]
+fn bump(ring: &mut [u32], i: usize, len: usize, delta: i32) {
+    ring[i] = ring[i].wrapping_add_signed(delta);
+    ring[i + len] = ring[i];
 }
 
 /// Flip sid of a neighbour list (see [`StreamingKnn::flip_sids`]). A
@@ -722,22 +746,19 @@ impl StreamingKnn {
             self.next_sid
         );
         assert_eq!(c.floor_slot, c.floor as usize % c.len, "floor slot");
-        let (mut cnt, mut late) = (vec![0u32; 2 * c.len], vec![0u32; 2 * c.len]);
+        let (mut cnt, mut step) = (vec![0u32; 2 * c.len], vec![0u32; 2 * c.len]);
         for (sid, &f) in (row0..).zip(self.flip.as_slice()) {
             if sid < c.floor {
                 continue;
             }
-            let i = f.max(c.floor) as usize % c.len;
-            cnt[i] += 1;
-            cnt[i + c.len] += 1;
+            bump(&mut cnt, f.max(c.floor) as usize % c.len, c.len, 1);
             if f > sid + 1 {
-                let i = f as usize % c.len;
-                late[i] += 1;
-                late[i + c.len] += 1;
+                bump(&mut step, (sid + 1) as usize % c.len, c.len, 1);
+                bump(&mut step, f as usize % c.len, c.len, -1);
             }
         }
         assert_eq!(c.cnt, cnt, "cnt ring, floor {}", c.floor);
-        assert_eq!(c.late, late, "late ring, floor {}", c.floor);
+        assert_eq!(c.step, step, "step ring, floor {}", c.floor);
     }
 }
 
@@ -1052,6 +1073,30 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "is not live")]
+    fn sid_of_slot_rejects_the_slot_past_the_newest() {
+        let mut knn = StreamingKnn::new(KnnConfig::new(200, 8, 3));
+        for x in random_series(500, 19) {
+            knn.update(x);
+        }
+        assert_eq!(knn.qstart(), 0, "the window is full");
+        knn.sid_of_slot(knn.max_subsequences());
+    }
+
+    #[test]
+    #[should_panic(expected = "is not live")]
+    fn sid_of_slot_rejects_a_slot_before_a_growing_window() {
+        // 100 points into a d = 200 window: slots below qstart hold no
+        // subsequence yet.
+        let mut knn = StreamingKnn::new(KnnConfig::new(200, 8, 3));
+        for x in random_series(100, 20) {
+            knn.update(x);
+        }
+        assert!(knn.qstart() > 0, "the window still grows");
+        knn.sid_of_slot(knn.qstart() - 1);
+    }
+
+    #[test]
     fn flip_counts_follow_floor_jumps() {
         // Floor jumps of every size, at and past the newest row's
         // neighbours and up to the next subsequence, through growth,
@@ -1081,9 +1126,13 @@ mod tests {
                 knn.advance_floor(to);
                 assert_eq!(knn.floor_sid(), floor.max(to));
                 assert_kth_in_step(&knn);
-                let (cnt, late) = knn.flip_counts();
+                let (cnt, step) = knn.flip_counts();
                 assert_eq!(cnt.len() as i64, next + 1 - knn.floor_sid());
-                assert_eq!(late.len(), cnt.len());
+                assert_eq!(step.len(), cnt.len());
+                // Each late row's +1 and -1 both fall inside the span.
+                assert_eq!(step[0], 0, "t={t}");
+                let total = step.iter().fold(0u32, |a, &s| a.wrapping_add(s));
+                assert_eq!(total, 0, "t={t}");
                 let rows = knn.flip_sids().len() as i64;
                 let counted = rows - (knn.floor_sid() - (next - rows));
                 assert_eq!(cnt.iter().sum::<u32>() as i64, counted, "t={t}");

@@ -30,21 +30,36 @@
 //! | pass 2, plus the block bounds | 7.8 µs | 8.2 µs |
 //! | score pass, then best split | 15.3 + 0.25 µs (every split) | 0.16 µs (bounded blocks only) |
 //! | passes 1 and 2 (scatter, then sums and bounds) | 30.6–32.0 µs | 12.3–13.5 µs (one pass over the index's flip counts) |
+//! | the count pass (two running sums, block minima, bounds) | 13.5–15.6 µs (one serial pass, flip column read) | 5.1–8.0 µs ([`split_counts`], AVX2 scan of the step column) |
 //!
 //! The scan's figure is the traced replay's `class.argmax_ns`; the others
-//! are from builds with a clock around each pass. The last two rows were
-//! timed back to back on the same host at a slower speed level than the
-//! rows above. At a full window under 0.1 % of the blocks reach the
-//! score pass, and 0.7–0.8 % over all evaluations of those streams. The
-//! last row times [`crate::crossval::CrossVal::compute`] alone on one
-//! full window (d = 10k, w = 42, k = 3) of a two-regime stream, the
-//! window of the `crossval/structured_peak` criterion case (best of 15
-//! runs of 2000 calls, four alternations); no split is scored there.
+//! are from builds with a clock around each pass. The two rows before
+//! the last were timed back to back on the same host at a slower speed
+//! level than the rows above. At a full window under 0.1 % of the blocks
+//! reach the score pass, and 0.7–0.8 % over all evaluations of those
+//! streams. The last two rows time
+//! [`crate::crossval::CrossVal::compute`] alone on one full window
+//! (d = 10k, w = 42, k = 3) of a two-regime stream, the window of the
+//! `crossval/structured_peak` criterion case (best of 15 runs of 2000
+//! calls, four alternations); no split is scored there. The last row's
+//! two passes were built into one process and alternated; with the
+//! scalar backend the same window takes 10.5–11.2 µs against
+//! 11.3–13.1 µs, the gain of the step column alone.
 //!
+//! The count pass is two prefix sums ([`scalar::split_counts`]): one over
+//! the rows by flip sid, one over the index's left-count step. Their
+//! loop-carried adds serialize the scalar body, and LLVM does not
+//! vectorize them. A portable 8-lane log-step body (array lanes, no
+//! intrinsics) compiled with AVX2 enabled ran at 11.2–13.0 µs on random
+//! columns of a d = 10k window, against 10.1–14.3 µs for the scalar body:
+//! no gain. The intrinsic scan ([`avx2::split_counts`]) ran at
+//! 4.3–5.2 µs on the same columns. It puts 64 lines of code in `unsafe`
+//! functions (the pass, its 8-lane scan and its lane minimum).
+
 //! This module provides fused kernels for the Q-step sweep, the
 //! subsequence-moment sums and the explicit dot products that seed the
-//! recursion, and the profile score pass, in three layers that share one
-//! semantics:
+//! recursion, the profile count pass and the profile score pass, in three
+//! layers that share one semantics:
 //!
 //! * [`scalar`] — the plain-Rust reference implementation and the single
 //!   source of truth: every other backend must produce the same values
@@ -61,11 +76,15 @@
 //! elementwise Rust that [`avx2::profile_scores`] compiles with AVX2
 //! enabled, without intrinsics, and that the scalar and autovec backends
 //! run as built for the baseline target. All three are bit-identical.
+//! The count pass has one plain body as well, [`scalar::split_counts`],
+//! which the scalar and autovec backends run; the AVX2 backend runs the
+//! intrinsic scan [`avx2::split_counts`]. Integer sums are exact, so they
+//! agree bit for bit.
 //!
 //! The free functions at the top level ([`dot`], [`sum_sumsq`],
 //! [`diff_sumsq`], [`qstep_pearson`], [`qstep_euclidean`], [`qstep_cid`],
-//! [`profile_scores`]) dispatch to the best available backend, resolved
-//! once per process.
+//! [`split_counts`], [`profile_scores`]) dispatch to the best available
+//! backend, resolved once per process.
 //! The `CLASS_SIMD` environment variable (`scalar` | `autovec` | `avx2`)
 //! overrides the choice for A/B measurements; an unavailable request
 //! falls back to [`Backend::Autovec`].
@@ -326,6 +345,34 @@ pub fn profile_scores(
     }
 }
 
+/// The count pass of a ClaSP evaluation via the active backend (see
+/// [`scalar::split_counts`] for the contract). [`Backend::Autovec`] runs
+/// the scalar body: its loop-carried sums do not autovectorize.
+#[inline]
+pub fn split_counts(
+    cnt: &[u32],
+    step: &[u32],
+    left: &mut [u32],
+    tot: &mut [u32],
+    l_min: &mut [u32],
+) {
+    match active_backend() {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => avx2::split_counts(cnt, step, left, tot, l_min),
+        _ => scalar::split_counts(cnt, step, left, tot, l_min),
+    }
+}
+
+/// The slice lengths [`scalar::split_counts`] requires.
+fn check_split_counts(cnt: &[u32], step: &[u32], left: &[u32], tot: &[u32], l_min: &[u32]) {
+    let nn = left.len();
+    assert!(nn <= u32::MAX as usize, "more than u32::MAX splits");
+    assert_eq!(cnt.len(), nn, "cnt length mismatch");
+    assert_eq!(step.len(), nn, "step length mismatch");
+    assert_eq!(tot.len(), nn, "tot length mismatch");
+    assert_eq!(l_min.len(), nn.div_ceil(BLOCK), "l_min length mismatch");
+}
+
 /// Plain-Rust reference kernels — the single source of truth for the
 /// semantics (including NaN propagation) of every other backend.
 pub mod scalar {
@@ -409,6 +456,58 @@ pub mod scalar {
                 m = m.max(s.to_bits() as i64);
             }
             block_max[b] = f64::from_bits(m as u64);
+        }
+    }
+
+    /// The count pass of a ClaSP evaluation: two prefix sums over the
+    /// per-key counts of an `nn`-row range, `nn = left.len()`, with one
+    /// minimum per [`BLOCK`]-split block. In wrapping `u32` arithmetic (a
+    /// negative step is its two's complement):
+    ///
+    /// ```text
+    /// tot[p]   = nn - (cnt[0] + ... + cnt[p])        p in 0..nn
+    /// left[p]  = step[1] + ... + step[p]             (left[0] = 0)
+    /// l_min[b] = min of left[p] over the splits p of block b, that is
+    ///            [max(64b, 1), min(64b + 64, nn)); u32::MAX if none
+    /// ```
+    ///
+    /// `step[0]` enters no result. This is the reference body: the AVX2 scan
+    /// ([`avx2::split_counts`]) gives the same integers.
+    ///
+    /// # Panics
+    /// Panics if a slice length disagrees with `nn`.
+    pub fn split_counts(
+        cnt: &[u32],
+        step: &[u32],
+        left: &mut [u32],
+        tot: &mut [u32],
+        l_min: &mut [u32],
+    ) {
+        check_split_counts(cnt, step, left, tot, l_min);
+        let nn = left.len();
+        if nn == 0 {
+            return;
+        }
+        let n = nn as u32;
+        // Index 0 is no split: it only seeds the sums.
+        let (mut zeros, mut l) = (cnt[0], 0u32);
+        (left[0], tot[0]) = (0, n.wrapping_sub(zeros));
+        for (b, m) in l_min.iter_mut().enumerate() {
+            let (lo, hi) = ((b * BLOCK).max(1), (b * BLOCK + BLOCK).min(nn));
+            let mut mn = u32::MAX;
+            for (((t, left), &c), &s) in tot[lo..hi]
+                .iter_mut()
+                .zip(&mut left[lo..hi])
+                .zip(&cnt[lo..hi])
+                .zip(&step[lo..hi])
+            {
+                zeros = zeros.wrapping_add(c);
+                *t = n.wrapping_sub(zeros);
+                l = l.wrapping_add(s);
+                *left = l;
+                mn = mn.min(l);
+            }
+            *m = mn;
         }
     }
 
@@ -1157,6 +1256,115 @@ pub mod avx2 {
         blocks: Range<usize>,
     ) {
         scalar::profile_scores(score_fn, left, tot, profile, block_max, blocks);
+    }
+
+    /// The count pass, 8 splits per instruction: each chunk of eight `u32`
+    /// counts is scanned in registers (`scan8`) and offset by the running
+    /// sum, which a lane-7 broadcast carries to the next chunk. Integer
+    /// sums are exact, so this equals [`scalar::split_counts`].
+    pub fn split_counts(
+        cnt: &[u32],
+        step: &[u32],
+        left: &mut [u32],
+        tot: &mut [u32],
+        l_min: &mut [u32],
+    ) {
+        assert_available();
+        check_split_counts(cnt, step, left, tot, l_min);
+        // SAFETY: the CPU supports AVX2 and every slice has the length
+        // the impl requires, both asserted above.
+        unsafe { split_counts_impl(cnt, step, left, tot, l_min) }
+    }
+
+    /// # Safety
+    /// The CPU must support AVX2, and the slices must pass
+    /// `check_split_counts`: the pass reads `cnt` and `step` and writes
+    /// `left` and `tot` by raw pointer, up to `left.len()`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn split_counts_impl(
+        cnt: &[u32],
+        step: &[u32],
+        left: &mut [u32],
+        tot: &mut [u32],
+        l_min: &mut [u32],
+    ) {
+        const W: usize = 8;
+        let nn = left.len();
+        if nn == 0 {
+            return;
+        }
+        let (cp, sp) = (cnt.as_ptr(), step.as_ptr());
+        let (lp, tp) = (left.as_mut_ptr(), tot.as_mut_ptr());
+        let n = nn as u32;
+        let vn = _mm256_set1_epi32(n as i32);
+        let lane7 = _mm256_set1_epi32(7);
+        // The running sums, in every lane. The step sum starts at
+        // `-step[0]`, so that `left[0] = 0`.
+        let mut zeros = _mm256_setzero_si256();
+        let mut l = _mm256_set1_epi32(step[0].wrapping_neg() as i32);
+        // Index 0 is no split: an all-ones lane keeps it out of block 0's
+        // minimum.
+        let mut not_split = _mm256_setr_epi32(-1, 0, 0, 0, 0, 0, 0, 0);
+        for (b, lo) in (0..nn).step_by(BLOCK).enumerate() {
+            let hi = (lo + BLOCK).min(nn);
+            let mut vmin = _mm256_set1_epi32(-1);
+            let mut i = lo;
+            while i + W <= hi {
+                zeros = _mm256_add_epi32(zeros, scan8(_mm256_loadu_si256(cp.add(i).cast())));
+                l = _mm256_add_epi32(l, scan8(_mm256_loadu_si256(sp.add(i).cast())));
+                _mm256_storeu_si256(tp.add(i).cast(), _mm256_sub_epi32(vn, zeros));
+                _mm256_storeu_si256(lp.add(i).cast(), l);
+                vmin = _mm256_min_epu32(vmin, _mm256_or_si256(l, not_split));
+                not_split = _mm256_setzero_si256();
+                zeros = _mm256_permutevar8x32_epi32(zeros, lane7);
+                l = _mm256_permutevar8x32_epi32(l, lane7);
+                i += W;
+            }
+            // The ragged end of the last block, one split at a time.
+            let mut m = hmin_epu32(vmin);
+            let mut z = _mm256_cvtsi256_si32(zeros) as u32;
+            let mut s = _mm256_cvtsi256_si32(l) as u32;
+            while i < hi {
+                z = z.wrapping_add(*cp.add(i));
+                *tp.add(i) = n.wrapping_sub(z);
+                s = s.wrapping_add(*sp.add(i));
+                *lp.add(i) = s;
+                if i > 0 {
+                    m = m.min(s);
+                }
+                i += 1;
+            }
+            l_min[b] = m;
+        }
+    }
+
+    /// Inclusive prefix sum of the eight `u32` lanes of `x`, wrapping:
+    /// two in-lane shifts give each 128-bit half its own sums, then the
+    /// low half's total (its lane 3) is added to the high half.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn scan8(x: __m256i) -> __m256i {
+        let x = _mm256_add_epi32(x, _mm256_slli_si256::<4>(x));
+        let x = _mm256_add_epi32(x, _mm256_slli_si256::<8>(x));
+        // [0 | low half], then lane 3 of each half broadcast within it.
+        let low = _mm256_permute2x128_si256::<0x08>(x, x);
+        _mm256_add_epi32(x, _mm256_shuffle_epi32::<0xFF>(low))
+    }
+
+    /// Smallest unsigned lane of `v`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn hmin_epu32(v: __m256i) -> u32 {
+        let m = _mm_min_epu32(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+        let m = _mm_min_epu32(m, _mm_shuffle_epi32::<0b01_00_11_10>(m));
+        let m = _mm_min_epu32(m, _mm_shuffle_epi32::<0b10_11_00_01>(m));
+        _mm_cvtsi128_si32(m) as u32
     }
 }
 

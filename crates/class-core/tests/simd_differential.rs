@@ -7,7 +7,9 @@
 //! outputs (`block_max`, `block_hits`), with every NaN counted as equal but
 //! NaN lanes required in the same places — NaN semantics are part of the
 //! kernel contract (see `class_core::simd`). So does the profile score pass
-//! (scores and block maxima), over the whole range and block by block.
+//! (scores and block maxima), over the whole range and block by block, and
+//! the count pass (`left`, `tot` and the block minima of `left`), which
+//! also matches a naive running sum.
 
 use class_core::simd::{self, autovec, scalar, QStepIo};
 use class_core::{ScoreFn, SplitMix64};
@@ -560,8 +562,118 @@ fn profile_kernel_follows_its_definition() {
     }
 }
 
+/// Random count columns for an `nn`-split range: `cnt` in `0..4`, and
+/// `step` in `-3..=3` as wrapping `u32`, so negative steps occur and
+/// `left` wraps below zero and back. `step[0]` is drawn too: the kernel
+/// must ignore it.
+fn count_columns(nn: usize, seed: u64) -> (Vec<u32>, Vec<u32>) {
+    let mut rng = SplitMix64::new(seed);
+    let mut draw = |n: u32| (rng.next_f64() * f64::from(n)) as u32;
+    let cnt = (0..nn).map(|_| draw(4)).collect();
+    let step = (0..nn).map(|_| draw(7).wrapping_sub(3)).collect();
+    (cnt, step)
+}
+
+/// `(left, tot, l_min)` of one backend's count pass; the outputs start
+/// filled with a marker, so an unwritten entry shows.
+fn run_counts(backend: &str, cnt: &[u32], step: &[u32]) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+    let nn = cnt.len();
+    let mark = 0xDEAD_BEEF;
+    let (mut left, mut tot) = (vec![mark; nn], vec![mark; nn]);
+    let mut l_min = vec![mark; nn.div_ceil(simd::BLOCK)];
+    let (l, t, m) = (&mut left, &mut tot, &mut l_min);
+    match backend {
+        "scalar" => scalar::split_counts(cnt, step, l, t, m),
+        "dispatch" => simd::split_counts(cnt, step, l, t, m),
+        #[cfg(target_arch = "x86_64")]
+        "avx2" => simd::avx2::split_counts(cnt, step, l, t, m),
+        other => panic!("unknown backend {other}"),
+    }
+    (left, tot, l_min)
+}
+
+/// The count pass by its definition: running sums over `cnt` from index
+/// 0 and over `step` from index 1, and each block's smallest `left` over
+/// its splits (index 0 is none).
+fn naive_counts(cnt: &[u32], step: &[u32]) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+    let nn = cnt.len();
+    let (mut zeros, mut l) = (0u32, 0u32);
+    let (mut left, mut tot) = (vec![0u32; nn], vec![0u32; nn]);
+    for p in 0..nn {
+        zeros = zeros.wrapping_add(cnt[p]);
+        tot[p] = (nn as u32).wrapping_sub(zeros);
+        if p > 0 {
+            l = l.wrapping_add(step[p]);
+        }
+        left[p] = l;
+    }
+    let l_min = (0..nn.div_ceil(simd::BLOCK))
+        .map(|b| {
+            let splits = (b * simd::BLOCK).max(1)..((b + 1) * simd::BLOCK).min(nn);
+            splits.map(|p| left[p]).min().unwrap_or(u32::MAX)
+        })
+        .collect();
+    (left, tot, l_min)
+}
+
+fn check_counts(cnt: &[u32], step: &[u32], label: &str) {
+    let want = naive_counts(cnt, step);
+    for backend in ["scalar"].into_iter().chain(profile_backends()) {
+        let (left, tot, l_min) = run_counts(backend, cnt, step);
+        let label = format!("{backend}/{label}(nn={})", cnt.len());
+        assert_eq!(left, want.0, "{label}: left");
+        assert_eq!(tot, want.1, "{label}: tot");
+        assert_eq!(l_min, want.2, "{label}: l_min");
+    }
+}
+
+#[test]
+fn count_kernel_agrees_bit_for_bit_and_with_running_sums() {
+    // Lengths around the 8-split chunk and the 64-split block, and a
+    // full window; several seeds each.
+    for nn in [
+        2usize, 3, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 1000, 10_001,
+    ] {
+        for seed in 0..3 {
+            let (cnt, step) = count_columns(nn, 700 + 31 * seed + nn as u64);
+            check_counts(&cnt, &step, "random");
+        }
+    }
+}
+
+#[test]
+fn count_kernel_leaves_index_zero_out_of_block_zero() {
+    // With every step 1, `left` is `p`: block 0's minimum is split 1's 1,
+    // not index 0's 0, and the other blocks start at their first split.
+    // A lone index has no split: its block minimum is `u32::MAX`.
+    for nn in [1usize, 2, 8, 9, 64, 65, 200] {
+        let (cnt, step) = (vec![0u32; nn], vec![1u32; nn]);
+        check_counts(&cnt, &step, "unit steps");
+        let (_, _, l_min) = run_counts("dispatch", &cnt, &step);
+        let firsts: Vec<u32> = (0..l_min.len())
+            .map(|b| if b == 0 { 1 } else { (b * simd::BLOCK) as u32 })
+            .map(|p| if nn > 1 { p } else { u32::MAX })
+            .collect();
+        assert_eq!(l_min, firsts, "nn={nn}");
+    }
+    assert!(run_counts("dispatch", &[], &[]).0.is_empty());
+}
+
+#[test]
+#[should_panic(expected = "step length mismatch")]
+fn count_kernel_rejects_mismatched_lengths() {
+    let (mut left, mut tot, mut l_min) = ([0u32; 9], [0u32; 9], [0u32; 1]);
+    simd::split_counts(&[0; 9], &[0; 8], &mut left, &mut tot, &mut l_min);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn proptest_count_kernel_agrees(nn in 0usize..300, seed in any::<u64>()) {
+        let (cnt, step) = count_columns(nn, seed);
+        check_counts(&cnt, &step, "proptest");
+    }
 
     #[test]
     fn proptest_profile_kernel_agrees(nn in 0usize..300, seed in any::<u64>()) {
