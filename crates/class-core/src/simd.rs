@@ -58,36 +58,55 @@
 
 //! This module provides fused kernels for the Q-step sweep, the
 //! subsequence-moment sums and the explicit dot products that seed the
-//! recursion, the profile count pass and the profile score pass, in three
+//! recursion, the profile count pass and the profile score pass, in two
 //! layers that share one semantics:
 //!
-//! * [`scalar`] — the plain-Rust reference implementation and the single
-//!   source of truth: every other backend must produce the same values
-//!   (bit-identical for the element-wise Q-step kernels, within rounding
-//!   reassociation for the reductions).
-//! * [`autovec`] — the same loops restructured into 4-wide `[f64; 4]`
-//!   lane blocks with branchless selects, written so stable-Rust LLVM
-//!   autovectorizes them on any target.
-//! * [`avx2`] (x86-64 only) — explicit 256-bit `core::arch` intrinsics,
-//!   selected at runtime via CPU feature detection with [`autovec`] as the
-//!   portable fallback.
+//! * [`scalar`] — plain Rust, the reference and the portable fallback.
+//!   Its loops are written so that LLVM vectorizes them at the baseline
+//!   target: zipped slices with no per-slot indexing, branch-free scores
+//!   (compute, then select) and block outputs folded in 8-slot chunks.
+//! * [`avx2`] (x86-64 only) — selected at runtime by CPU feature
+//!   detection. It runs the scalar bodies of the reductions and of the
+//!   profile score pass compiled with AVX2 enabled, and explicit 256-bit
+//!   `core::arch` intrinsics for the Q-step sweep and the count pass.
 //!
-//! The profile score pass has one body, [`scalar::profile_scores`]: plain
-//! elementwise Rust that [`avx2::profile_scores`] compiles with AVX2
-//! enabled, without intrinsics, and that the scalar and autovec backends
-//! run as built for the baseline target. All three are bit-identical.
-//! The count pass has one plain body as well, [`scalar::split_counts`],
-//! which the scalar and autovec backends run; the AVX2 backend runs the
-//! intrinsic scan [`avx2::split_counts`]. Integer sums are exact, so they
-//! agree bit for bit.
+//! Every kernel gives the same bits on both backends. The reductions
+//! ([`scalar::dot`], [`scalar::sum_sumsq`], [`scalar::diff_sumsq`]) have
+//! one summation order, four lane accumulators folded `(0 + 2) + (1 + 3)`
+//! plus a sequential tail, and one body. The Q-step and the profile score
+//! pass are elementwise, and the integer sums of the count pass are exact.
+//!
+//! The Q-step sweep alone, µs per call (a scratch harness calling the
+//! kernels on random columns, best of 15 batches per run, median of six
+//! alternated runs, 2-core x86-64 VM with AVX2; the host is noisy, the
+//! paired ratios in the last column are steadier):
+//!
+//! | measure, d, w | scalar before | `autovec` (deleted) | scalar | AVX2 | scalar / `autovec` |
+//! |---|---:|---:|---:|---:|---:|
+//! | Pearson, 10k, 42 | 50.9 | 37.4 | 26.4 | 13.9 | 0.71 (0.52–0.82) |
+//! | Pearson, 500, 24 | 2.17 | 1.56 | 1.12 | 0.71 | 0.69 (0.66–0.90) |
+//! | Euclidean, 10k, 42 | 31.2 | 24.3 | 19.6 | 9.6 | 0.88 (0.58–1.01) |
+//! | Euclidean, 500, 24 | 1.29 | 0.94 | 0.74 | 0.29 | 0.80 (0.70–1.00) |
+//! | CID, 10k, 42 | 37.0 | 31.6 | 21.7 | 10.6 | 0.83 (0.66–0.88) |
+//! | CID, 500, 24 | 1.91 | 1.43 | 1.22 | 0.67 | 0.76 (0.47–1.19) |
+//!
+//! "Scalar before" indexed every slot and branched per score; the scalar
+//! body now zips its slices and selects, so the baseline build vectorizes
+//! it and the `autovec` lane blocks have nothing left to add. The AVX2
+//! Q-step stays in intrinsics: the same scalar body compiled with AVX2
+//! enabled took 1.09–1.16× their time (Pearson), 1.50–1.57× (Euclidean)
+//! and 1.21–1.34× (CID), medians of six paired runs at the two sizes;
+//! a fused single-pass plain body, probed at Pearson d = 10k, took
+//! 1.36–1.44×, and 1.39× as an AVX-512 build.
 //!
 //! The free functions at the top level ([`dot`], [`sum_sumsq`],
 //! [`diff_sumsq`], [`qstep_pearson`], [`qstep_euclidean`], [`qstep_cid`],
 //! [`split_counts`], [`profile_scores`]) dispatch to the best available
-//! backend, resolved once per process.
-//! The `CLASS_SIMD` environment variable (`scalar` | `autovec` | `avx2`)
-//! overrides the choice for A/B measurements; an unavailable request
-//! falls back to [`Backend::Autovec`].
+//! backend, resolved once per process. The `CLASS_SIMD` environment
+//! variable (`scalar` | `avx2`) overrides the choice for A/B measurements;
+//! a value that cannot be honoured (an unknown name, or `avx2` on a CPU
+//! without it) is reported once on stderr, and the best available backend
+//! runs.
 //!
 //! NaN semantics are part of the contract: dirty stream values must
 //! propagate (or be floored/zeroed) exactly as the scalar reference does,
@@ -95,23 +114,20 @@
 //! NaN-containing inputs across all remainder lengths.
 
 use crate::crossval::ScoreFn;
-use crate::similarity::{
-    pearson_from_dot, sq_cid_from_dot, sq_euclidean_from_dot, CE_FLOOR, SIGMA_FLOOR,
-};
+use crate::similarity::{pearson_from_dot, sq_cid_from_dot, sq_euclidean_from_dot};
 use std::ops::Range;
 use std::sync::OnceLock;
 
-/// Lane width of the vectorized kernels (4 × f64 = 256 bit).
+/// Lane width of the reductions' accumulators and of the AVX2 Q-step
+/// (4 × f64 = 256 bit).
 pub const LANES: usize = 4;
 
 /// Which kernel implementation services the dispatching free functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Plain-Rust reference loops (semantics source of truth).
+    /// Plain-Rust loops: the reference and the portable fallback.
     Scalar,
-    /// 4-wide lane blocks autovectorized by LLVM on stable Rust.
-    Autovec,
-    /// Explicit AVX2 `core::arch` intrinsics (x86-64, runtime-detected).
+    /// AVX2 (x86-64, runtime-detected).
     Avx2,
 }
 
@@ -120,7 +136,6 @@ impl Backend {
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
-            Backend::Autovec => "autovec",
             Backend::Avx2 => "avx2",
         }
     }
@@ -133,7 +148,8 @@ pub fn active_backend() -> Backend {
     *ACTIVE.get_or_init(detect)
 }
 
-fn avx2_available() -> bool {
+/// Whether the running CPU supports the [`avx2`] kernels.
+pub fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2")
@@ -145,22 +161,36 @@ fn avx2_available() -> bool {
 }
 
 fn detect() -> Backend {
-    match std::env::var("CLASS_SIMD").ok().as_deref() {
-        Some("scalar") => return Backend::Scalar,
-        Some("autovec") => return Backend::Autovec,
-        Some("avx2") => {
-            return if avx2_available() {
-                Backend::Avx2
-            } else {
-                Backend::Autovec
-            };
-        }
-        _ => {}
+    let value = std::env::var_os("CLASS_SIMD");
+    let value = value.as_ref().map(|v| v.to_string_lossy());
+    let (backend, warning) = parse(value.as_deref(), avx2_available());
+    if let Some(warning) = warning {
+        eprintln!("warning: {warning}");
     }
-    if avx2_available() {
-        Backend::Avx2
-    } else {
-        Backend::Autovec
+    backend
+}
+
+/// The backend a `CLASS_SIMD` value selects (`None` when it is unset) on
+/// a CPU with or without AVX2, and a warning when the value cannot be
+/// honoured. Unset or empty picks the best available backend, as does an
+/// unknown value; `avx2` without AVX2 runs [`Backend::Scalar`].
+fn parse(value: Option<&str>, avx2: bool) -> (Backend, Option<String>) {
+    let best = if avx2 { Backend::Avx2 } else { Backend::Scalar };
+    match value.unwrap_or("") {
+        "" => (best, None),
+        "scalar" => (Backend::Scalar, None),
+        "avx2" if avx2 => (Backend::Avx2, None),
+        "avx2" => (
+            Backend::Scalar,
+            Some("CLASS_SIMD=avx2, but this CPU has no AVX2; using scalar".into()),
+        ),
+        other => (
+            best,
+            Some(format!(
+                "CLASS_SIMD={other:?} is not one of scalar|avx2; using {}",
+                best.name()
+            )),
+        ),
     }
 }
 
@@ -220,12 +250,17 @@ pub struct QStepIo<'a> {
 }
 
 impl QStepIo<'_> {
+    /// Asserts the slice lengths of one sweep, including each named
+    /// per-slot column of the measure.
     #[inline]
-    fn check(&self) {
+    fn check(&self, columns: &[(&str, &[f64])]) {
         let n = self.q.len();
         assert_eq!(self.scores.len(), n, "scores length mismatch");
         assert_eq!(self.tail.len(), n, "tail length mismatch");
         assert_eq!(self.head.len(), n, "head length mismatch");
+        for (name, column) in columns {
+            assert_eq!(column.len(), n, "{name} length mismatch");
+        }
         assert!(self.kth.len() <= n, "kth longer than q");
         let blocks = self.kth.len().div_ceil(BLOCK);
         assert_eq!(self.block_max.len(), blocks, "block_max length mismatch");
@@ -236,14 +271,10 @@ impl QStepIo<'_> {
 /// Dot product of two equal-length slices via the active backend.
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot operand length mismatch");
     match active_backend() {
-        Backend::Scalar => scalar::dot(a, b),
-        Backend::Autovec => autovec::dot(a, b),
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => avx2::dot(a, b),
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx2 => autovec::dot(a, b),
+        _ => scalar::dot(a, b),
     }
 }
 
@@ -251,12 +282,9 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 #[inline]
 pub fn sum_sumsq(a: &[f64]) -> (f64, f64) {
     match active_backend() {
-        Backend::Scalar => scalar::sum_sumsq(a),
-        Backend::Autovec => autovec::sum_sumsq(a),
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => avx2::sum_sumsq(a),
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx2 => autovec::sum_sumsq(a),
+        _ => scalar::sum_sumsq(a),
     }
 }
 
@@ -265,12 +293,9 @@ pub fn sum_sumsq(a: &[f64]) -> (f64, f64) {
 #[inline]
 pub fn diff_sumsq(a: &[f64]) -> f64 {
     match active_backend() {
-        Backend::Scalar => scalar::diff_sumsq(a),
-        Backend::Autovec => autovec::diff_sumsq(a),
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => avx2::diff_sumsq(a),
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx2 => autovec::diff_sumsq(a),
+        _ => scalar::diff_sumsq(a),
     }
 }
 
@@ -279,16 +304,10 @@ pub fn diff_sumsq(a: &[f64]) -> f64 {
 /// subsequence's, `w` the subsequence width as f64.
 #[inline]
 pub fn qstep_pearson(io: QStepIo<'_>, mu: &[f64], sig: &[f64], w: f64, mu_n: f64, sig_n: f64) {
-    io.check();
-    assert_eq!(mu.len(), io.q.len(), "mu length mismatch");
-    assert_eq!(sig.len(), io.q.len(), "sig length mismatch");
     match active_backend() {
-        Backend::Scalar => scalar::qstep_pearson(io, mu, sig, w, mu_n, sig_n),
-        Backend::Autovec => autovec::qstep_pearson(io, mu, sig, w, mu_n, sig_n),
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => avx2::qstep_pearson(io, mu, sig, w, mu_n, sig_n),
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx2 => autovec::qstep_pearson(io, mu, sig, w, mu_n, sig_n),
+        _ => scalar::qstep_pearson(io, mu, sig, w, mu_n, sig_n),
     }
 }
 
@@ -296,15 +315,10 @@ pub fn qstep_pearson(io: QStepIo<'_>, mu: &[f64], sig: &[f64], w: f64, mu_n: f64
 /// `ssq` are the per-slot sums of squares, `ssq_n` the newest one's.
 #[inline]
 pub fn qstep_euclidean(io: QStepIo<'_>, ssq: &[f64], ssq_n: f64) {
-    io.check();
-    assert_eq!(ssq.len(), io.q.len(), "ssq length mismatch");
     match active_backend() {
-        Backend::Scalar => scalar::qstep_euclidean(io, ssq, ssq_n),
-        Backend::Autovec => autovec::qstep_euclidean(io, ssq, ssq_n),
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => avx2::qstep_euclidean(io, ssq, ssq_n),
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx2 => autovec::qstep_euclidean(io, ssq, ssq_n),
+        _ => scalar::qstep_euclidean(io, ssq, ssq_n),
     }
 }
 
@@ -312,23 +326,15 @@ pub fn qstep_euclidean(io: QStepIo<'_>, ssq: &[f64], ssq_n: f64) {
 /// distance. `ssq`/`ce2` are per-slot, `ssq_n`/`ce2_n` the newest one's.
 #[inline]
 pub fn qstep_cid(io: QStepIo<'_>, ssq: &[f64], ce2: &[f64], ssq_n: f64, ce2_n: f64) {
-    io.check();
-    assert_eq!(ssq.len(), io.q.len(), "ssq length mismatch");
-    assert_eq!(ce2.len(), io.q.len(), "ce2 length mismatch");
     match active_backend() {
-        Backend::Scalar => scalar::qstep_cid(io, ssq, ce2, ssq_n, ce2_n),
-        Backend::Autovec => autovec::qstep_cid(io, ssq, ce2, ssq_n, ce2_n),
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => avx2::qstep_cid(io, ssq, ce2, ssq_n, ce2_n),
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx2 => autovec::qstep_cid(io, ssq, ce2, ssq_n, ce2_n),
+        _ => scalar::qstep_cid(io, ssq, ce2, ssq_n, ce2_n),
     }
 }
 
 /// ClaSP profile score pass with fused block maxima via the active backend
-/// (see [`scalar::profile_scores`] for the contract). [`Backend::Autovec`]
-/// runs the scalar body: it is already a branch-free elementwise loop that
-/// LLVM vectorizes at the baseline target.
+/// (see [`scalar::profile_scores`] for the contract).
 #[inline]
 pub fn profile_scores(
     score_fn: ScoreFn,
@@ -346,8 +352,7 @@ pub fn profile_scores(
 }
 
 /// The count pass of a ClaSP evaluation via the active backend (see
-/// [`scalar::split_counts`] for the contract). [`Backend::Autovec`] runs
-/// the scalar body: its loop-carried sums do not autovectorize.
+/// [`scalar::split_counts`] for the contract).
 #[inline]
 pub fn split_counts(
     cnt: &[u32],
@@ -373,8 +378,8 @@ fn check_split_counts(cnt: &[u32], step: &[u32], left: &[u32], tot: &[u32], l_mi
     assert_eq!(l_min.len(), nn.div_ceil(BLOCK), "l_min length mismatch");
 }
 
-/// Plain-Rust reference kernels — the single source of truth for the
-/// semantics (including NaN propagation) of every other backend.
+/// Plain-Rust kernels: the reference for the semantics (including NaN
+/// propagation) of the [`avx2`] backend, and the portable fallback.
 pub mod scalar {
     use super::*;
 
@@ -570,44 +575,74 @@ pub mod scalar {
         0.5 * (r0 + r1)
     }
 
-    /// Dot product, sequential accumulation.
+    /// Dot product in the reductions' one summation order: four lane
+    /// accumulators folded `(0 + 2) + (1 + 3)`, then a sequential tail.
+    ///
+    /// # Panics
+    /// Panics if the lengths differ.
+    #[inline]
     pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        let mut acc = 0.0;
-        for (&x, &y) in a.iter().zip(b) {
-            acc += x * y;
-        }
-        acc
+        assert_eq!(a.len(), b.len(), "dot operand length mismatch");
+        let [s] = lane_sums(a, b, |x, y| [x * y]);
+        s
     }
 
-    /// `(sum, sum of squares)`, sequential accumulation.
+    /// `(sum, sum of squares)` in the reductions' one summation order.
+    #[inline]
     pub fn sum_sumsq(a: &[f64]) -> (f64, f64) {
-        let mut s = 0.0;
-        let mut q = 0.0;
-        for &v in a {
-            s += v;
-            q += v * v;
-        }
+        let [s, q] = lane_sums(a, a, |x, _| [x, x * x]);
         (s, q)
     }
 
-    /// Sum of squared consecutive differences, sequential accumulation.
+    /// Sum of squared consecutive differences over the `n - 1` pairs, in
+    /// the reductions' one summation order.
+    #[inline]
     pub fn diff_sumsq(a: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for p in a.windows(2) {
-            let d = p[1] - p[0];
-            acc += d * d;
-        }
-        acc
+        let nd = a.len().saturating_sub(1);
+        let [s] = lane_sums(&a[a.len() - nd..], &a[..nd], |hi, lo| {
+            let d = hi - lo;
+            [d * d]
+        });
+        s
     }
 
-    /// The Q-step skeleton shared by the three measures: `score(i, dot)`
-    /// is slot `i`'s similarity given its completed dot product. Scores
-    /// every slot first, then derives the block outputs from them — the
-    /// definition the fused backends must reproduce.
+    /// The one summation order of the reductions: `K` sums of `term(a[i],
+    /// b[i])` over `i < a.len()`, each accumulated in [`LANES`] lanes
+    /// (lane `i mod 4`) over the whole 4-element chunks, the lanes folded
+    /// `(0 + 2) + (1 + 3)`, then the remaining terms added in sequence.
+    /// `b` must be as long as `a`.
     #[inline(always)]
-    fn qstep(io: QStepIo<'_>, score: impl Fn(usize, f64) -> f64) {
-        io.check();
+    fn lane_sums<const K: usize>(
+        a: &[f64],
+        b: &[f64],
+        term: impl Fn(f64, f64) -> [f64; K],
+    ) -> [f64; K] {
+        let (ca, cb) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+        let (ra, rb) = (ca.remainder(), cb.remainder());
+        let mut acc = [[0.0; K]; LANES];
+        for (x, y) in ca.zip(cb) {
+            for (l, acc) in acc.iter_mut().enumerate() {
+                for (s, t) in acc.iter_mut().zip(term(x[l], y[l])) {
+                    *s += t;
+                }
+            }
+        }
+        let mut sums = std::array::from_fn(|k| (acc[0][k] + acc[2][k]) + (acc[1][k] + acc[3][k]));
+        for (&x, &y) in ra.iter().zip(rb) {
+            for (s, t) in sums.iter_mut().zip(term(x, y)) {
+                *s += t;
+            }
+        }
+        sums
+    }
+
+    /// The Q-step skeleton shared by the three measures: `score(dot, c)`
+    /// is a slot's similarity given its completed dot product and its item
+    /// `c` of the measure's `columns`. Scores every slot first, then
+    /// derives the block outputs from the scores ([`block_outputs`]) — the
+    /// definition in [`QStepIo`].
+    #[inline(always)]
+    fn qstep<C>(io: QStepIo<'_>, columns: impl Iterator<Item = C>, score: impl Fn(f64, C) -> f64) {
         let QStepIo {
             q,
             scores,
@@ -619,407 +654,128 @@ pub mod scalar {
             block_max,
             block_hits,
         } = io;
-        for i in 0..q.len() {
-            let dot = q[i] + tail[i] * last;
-            scores[i] = score(i, dot);
-            q[i] = dot - head[i] * first;
+        let slots = q.iter_mut().zip(scores.iter_mut()).zip(tail).zip(head);
+        for ((((q, s), &t), &h), c) in slots.zip(columns) {
+            let dot = *q + t * last;
+            *s = score(dot, c);
+            *q = dot - h * first;
         }
         let blocks = scores[..kth.len()].chunks(BLOCK).zip(kth.chunks(BLOCK));
-        let outs = block_max.iter_mut().zip(block_hits.iter_mut());
-        for ((sb, kb), (mx, hits)) in blocks.zip(outs) {
-            *mx = sb.iter().fold(f64::NEG_INFINITY, |m, &s| m.max(s)) + 0.0;
-            *hits = sb
-                .iter()
-                .zip(kb)
-                .enumerate()
-                .fold(0, |h, (j, (&s, &t))| h | u64::from(s >= t) << j);
+        for ((sb, kb), (mx, hits)) in blocks.zip(block_max.iter_mut().zip(block_hits)) {
+            (*mx, *hits) = block_outputs(sb, kb);
         }
+    }
+
+    /// One block's `(maximum, hit bits)` from its scores and thresholds,
+    /// folded in 8-slot chunks: a NaN score fails both `s > m` and `s >=
+    /// t`, so it neither moves the maximum nor sets a bit, and `+ 0.0`
+    /// reports a −0.0 maximum as +0.0.
+    #[inline(always)]
+    fn block_outputs(scores: &[f64], kth: &[f64]) -> (f64, u64) {
+        const W: usize = 8;
+        let (sc, kc) = (scores.chunks_exact(W), kth.chunks_exact(W));
+        let (sr, kr, whole) = (sc.remainder(), kc.remainder(), W * sc.len());
+        let mut m = [f64::NEG_INFINITY; W];
+        let mut hits = 0u64;
+        for (j, (s, t)) in sc.zip(kc).enumerate() {
+            let mut bits = 0u64;
+            for l in 0..W {
+                m[l] = if s[l] > m[l] { s[l] } else { m[l] };
+                bits |= u64::from(s[l] >= t[l]) << l;
+            }
+            hits |= bits << (W * j);
+        }
+        let mut mx = f64::NEG_INFINITY;
+        for s in m {
+            mx = if s > mx { s } else { mx };
+        }
+        for (j, (&s, &t)) in sr.iter().zip(kr).enumerate() {
+            mx = if s > mx { s } else { mx };
+            hits |= u64::from(s >= t) << (whole + j);
+        }
+        (mx + 0.0, hits)
     }
 
     /// Fused Q-step, Pearson scoring (see [`QStepIo`]).
     pub fn qstep_pearson(io: QStepIo<'_>, mu: &[f64], sig: &[f64], w: f64, mu_n: f64, sig_n: f64) {
-        qstep(io, pearson(mu, sig, w, mu_n, sig_n));
+        io.check(&[("mu", mu), ("sig", sig)]);
+        qstep(io, mu.iter().zip(sig), |dot, (&m, &g)| {
+            pearson_from_dot(dot, w, m, g, mu_n, sig_n)
+        });
     }
 
     /// Fused Q-step, negated squared Euclidean scoring.
     pub fn qstep_euclidean(io: QStepIo<'_>, ssq: &[f64], ssq_n: f64) {
-        qstep(io, euclidean(ssq, ssq_n));
+        io.check(&[("ssq", ssq)]);
+        qstep(io, ssq.iter(), |dot, &c| {
+            -sq_euclidean_from_dot(dot, c, ssq_n)
+        });
     }
 
     /// Fused Q-step, negated squared CID scoring.
     pub fn qstep_cid(io: QStepIo<'_>, ssq: &[f64], ce2: &[f64], ssq_n: f64, ce2_n: f64) {
-        qstep(io, cid(ssq, ce2, ssq_n, ce2_n));
-    }
-
-    /// Per-slot Pearson score; also the remainder path of the lane backends.
-    #[inline(always)]
-    pub(super) fn pearson<'a>(
-        mu: &'a [f64],
-        sig: &'a [f64],
-        w: f64,
-        mu_n: f64,
-        sig_n: f64,
-    ) -> impl Fn(usize, f64) -> f64 + 'a {
-        move |i, dot| pearson_from_dot(dot, w, mu[i], sig[i], mu_n, sig_n)
-    }
-
-    /// Per-slot negated squared Euclidean score.
-    #[inline(always)]
-    pub(super) fn euclidean(ssq: &[f64], ssq_n: f64) -> impl Fn(usize, f64) -> f64 + '_ {
-        move |i, dot| -sq_euclidean_from_dot(dot, ssq[i], ssq_n)
-    }
-
-    /// Per-slot negated squared CID score.
-    #[inline(always)]
-    pub(super) fn cid<'a>(
-        ssq: &'a [f64],
-        ce2: &'a [f64],
-        ssq_n: f64,
-        ce2_n: f64,
-    ) -> impl Fn(usize, f64) -> f64 + 'a {
-        move |i, dot| -sq_cid_from_dot(dot, ssq[i], ssq_n, ce2[i], ce2_n)
+        io.check(&[("ssq", ssq), ("ce2", ce2)]);
+        qstep(io, ssq.iter().zip(ce2), |dot, (&c, &e)| {
+            -sq_cid_from_dot(dot, c, ssq_n, e, ce2_n)
+        });
     }
 }
 
-/// 4-wide lane-block kernels written so stable-Rust LLVM autovectorizes
-/// them: fixed-size `[f64; 4]` blocks, independent accumulators for the
-/// reductions, branchless selects for the element-wise kernels. The
-/// element-wise Q-step kernels are value-identical to [`scalar`]; the
-/// reductions differ only by summation order.
-pub mod autovec {
-    use super::*;
-
-    /// Dot product with 4 independent lane accumulators.
-    pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        let m = a.len() - a.len() % LANES;
-        let mut acc = [0.0f64; LANES];
-        for (ca, cb) in a[..m].chunks_exact(LANES).zip(b[..m].chunks_exact(LANES)) {
-            for l in 0..LANES {
-                acc[l] += ca[l] * cb[l];
-            }
-        }
-        let mut s = (acc[0] + acc[2]) + (acc[1] + acc[3]);
-        for (&x, &y) in a[m..].iter().zip(&b[m..]) {
-            s += x * y;
-        }
-        s
-    }
-
-    /// `(sum, sum of squares)` with 4 independent lane accumulators.
-    pub fn sum_sumsq(a: &[f64]) -> (f64, f64) {
-        let m = a.len() - a.len() % LANES;
-        let mut acc_s = [0.0f64; LANES];
-        let mut acc_q = [0.0f64; LANES];
-        for c in a[..m].chunks_exact(LANES) {
-            for l in 0..LANES {
-                acc_s[l] += c[l];
-                acc_q[l] += c[l] * c[l];
-            }
-        }
-        let mut s = (acc_s[0] + acc_s[2]) + (acc_s[1] + acc_s[3]);
-        let mut q = (acc_q[0] + acc_q[2]) + (acc_q[1] + acc_q[3]);
-        for &v in &a[m..] {
-            s += v;
-            q += v * v;
-        }
-        (s, q)
-    }
-
-    /// Sum of squared consecutive differences, 4 lane accumulators over
-    /// the `n - 1` difference pairs.
-    pub fn diff_sumsq(a: &[f64]) -> f64 {
-        if a.len() < 2 {
-            return 0.0;
-        }
-        let nd = a.len() - 1;
-        let m = nd - nd % LANES;
-        let mut acc = [0.0f64; LANES];
-        let mut i = 0;
-        while i < m {
-            for l in 0..LANES {
-                let d = a[i + l + 1] - a[i + l];
-                acc[l] += d * d;
-            }
-            i += LANES;
-        }
-        let mut s = (acc[0] + acc[2]) + (acc[1] + acc[3]);
-        for j in m..nd {
-            let d = a[j + 1] - a[j];
-            s += d * d;
-        }
-        s
-    }
-
-    /// Branchless floor at zero that preserves NaN, matching the scalar
-    /// `sq_euclidean_from_dot` clamp (the select compares false on NaN).
-    #[inline(always)]
-    fn floor0(x: f64) -> f64 {
-        if x < 0.0 {
-            0.0
-        } else {
-            x
-        }
-    }
-
-    /// Branchless clamp into `[-1, 1]` that, like `f64::clamp`, leaves NaN
-    /// untouched (both selects compare false on NaN).
-    #[inline(always)]
-    fn clamp1(c: f64) -> f64 {
-        let lo = if c < -1.0 { -1.0 } else { c };
-        if lo > 1.0 {
-            1.0
-        } else {
-            lo
-        }
-    }
-
-    impl QStepIo<'_> {
-        /// One Q-step over the lane block at slot `i`, scored by `lanes`;
-        /// returns the scores. Fixed-size views keep it to one bounds check
-        /// per slice.
-        #[inline(always)]
-        fn lane_step(
-            &mut self,
-            i: usize,
-            lanes: &impl Fn(usize, [f64; LANES]) -> [f64; LANES],
-        ) -> [f64; LANES] {
-            let (last, first) = (self.last, self.first);
-            let qb: &mut [f64; LANES] = (&mut self.q[i..i + LANES]).try_into().unwrap();
-            let tb: &[f64; LANES] = self.tail[i..i + LANES].try_into().unwrap();
-            let hb: &[f64; LANES] = self.head[i..i + LANES].try_into().unwrap();
-            let dot: [f64; LANES] = std::array::from_fn(|l| qb[l] + tb[l] * last);
-            let sc = lanes(i, dot);
-            self.scores[i..i + LANES].copy_from_slice(&sc);
-            for l in 0..LANES {
-                qb[l] = dot[l] - hb[l] * first;
-            }
-            sc
-        }
-
-        /// One Q-step at the single slot `i`, scored by `slot`.
-        #[inline(always)]
-        fn slot_step(&mut self, i: usize, slot: &impl Fn(usize, f64) -> f64) -> f64 {
-            let dot = self.q[i] + self.tail[i] * self.last;
-            self.scores[i] = slot(i, dot);
-            self.q[i] = dot - self.head[i] * self.first;
-            self.scores[i]
-        }
-    }
-
-    /// The Q-step skeleton shared by the three measures, fused with the
-    /// admission filter: `lanes(i, dot)` scores the lane block at slot
-    /// `i`, `slot(i, dot)` a single remainder slot. The sweep filters each
-    /// [`BLOCK`] of the eligible prefix as it scores it, then scores the
-    /// unfiltered rest. Hit bits enter a block's word at the top and shift
-    /// down by a constant, so one final shift aligns its first slot to
-    /// bit 0.
-    #[inline(always)]
-    fn qstep(
-        mut io: QStepIo<'_>,
-        lanes: impl Fn(usize, [f64; LANES]) -> [f64; LANES],
-        slot: impl Fn(usize, f64) -> f64,
-    ) {
-        io.check();
-        let (n, nfilt) = (io.q.len(), io.kth.len());
-        for b in 0..nfilt.div_ceil(BLOCK) {
-            let (lo, hi) = (b * BLOCK, (b * BLOCK + BLOCK).min(nfilt));
-            let mut vmax = [f64::NEG_INFINITY; LANES];
-            let mut hits = 0u64;
-            let mut i = lo;
-            while i + LANES <= hi {
-                let sc = io.lane_step(i, &lanes);
-                let kb: &[f64; LANES] = io.kth[i..i + LANES].try_into().unwrap();
-                let mut bits = 0u64;
-                for l in 0..LANES {
-                    // NaN compares false, so it never displaces the max.
-                    vmax[l] = if sc[l] > vmax[l] { sc[l] } else { vmax[l] };
-                    bits |= u64::from(sc[l] >= kb[l]) << l;
-                }
-                hits = hits >> LANES | bits << (BLOCK - LANES);
-                i += LANES;
-            }
-            let mut mx = vmax.into_iter().fold(f64::NEG_INFINITY, f64::max);
-            while i < hi {
-                let sc = io.slot_step(i, &slot);
-                mx = mx.max(sc);
-                hits = hits >> 1 | u64::from(sc >= io.kth[i]) << (BLOCK - 1);
-                i += 1;
-            }
-            io.block_max[b] = mx + 0.0;
-            io.block_hits[b] = hits >> (BLOCK - (hi - lo));
-        }
-        let mut i = nfilt;
-        while i + LANES <= n {
-            io.lane_step(i, &lanes);
-            i += LANES;
-        }
-        while i < n {
-            io.slot_step(i, &slot);
-            i += 1;
-        }
-    }
-
-    /// Fused Q-step, Pearson scoring; value-identical to the scalar kernel.
-    pub fn qstep_pearson(io: QStepIo<'_>, mu: &[f64], sig: &[f64], w: f64, mu_n: f64, sig_n: f64) {
-        let flat_n = sig_n < SIGMA_FLOOR;
-        let lanes = |i: usize, dot: [f64; LANES]| {
-            let (mb, gb) = (&mu[i..i + LANES], &sig[i..i + LANES]);
-            std::array::from_fn(|l| {
-                let c = clamp1((dot[l] - w * mb[l] * mu_n) / (w * gb[l] * sig_n));
-                if flat_n || gb[l] < SIGMA_FLOOR {
-                    0.0
-                } else {
-                    c
-                }
-            })
-        };
-        qstep(io, lanes, scalar::pearson(mu, sig, w, mu_n, sig_n));
-    }
-
-    /// Fused Q-step, negated squared Euclidean scoring; value-identical to
-    /// the scalar kernel.
-    pub fn qstep_euclidean(io: QStepIo<'_>, ssq: &[f64], ssq_n: f64) {
-        let lanes = |i: usize, dot: [f64; LANES]| {
-            let cb = &ssq[i..i + LANES];
-            std::array::from_fn(|l| -floor0(cb[l] + ssq_n - 2.0 * dot[l]))
-        };
-        qstep(io, lanes, scalar::euclidean(ssq, ssq_n));
-    }
-
-    /// Fused Q-step, negated squared CID scoring; value-identical to the
-    /// scalar kernel.
-    pub fn qstep_cid(io: QStepIo<'_>, ssq: &[f64], ce2: &[f64], ssq_n: f64, ce2_n: f64) {
-        let lanes = |i: usize, dot: [f64; LANES]| {
-            let (cb, eb) = (&ssq[i..i + LANES], &ce2[i..i + LANES]);
-            std::array::from_fn(|l| {
-                let ed2 = floor0(cb[l] + ssq_n - 2.0 * dot[l]);
-                let (hi, lo) = if eb[l] >= ce2_n {
-                    (eb[l], ce2_n)
-                } else {
-                    (ce2_n, eb[l])
-                };
-                -(ed2 * (hi / lo.max(CE_FLOOR)))
-            })
-        };
-        qstep(io, lanes, scalar::cid(ssq, ce2, ssq_n, ce2_n));
-    }
-}
-
-/// Explicit AVX2 kernels (`core::arch::x86_64` intrinsics). Every public
-/// function asserts [`avx2::available`] and falls through to [`scalar`]
-/// for the `n % 4` remainder. NaN handling replicates the scalar kernels
+/// AVX2 kernels (x86-64). Every public function asserts
+/// [`avx2_available`]. The reductions and the profile score pass run the
+/// [`scalar`] bodies compiled with AVX2 enabled, so they give the same
+/// bits. The Q-step sweep and the count pass are explicit `core::arch`
+/// intrinsics; the sweep scores its `n % 4` remainder slot by slot with
+/// the scalar arithmetic. Its NaN handling replicates the scalar kernels
 /// exactly: clamps blend the unordered lanes back, and `maxpd`'s
-/// returns-second-operand-on-NaN rule matches `f64::max`.
+/// returns-second-operand-on-NaN rule matches an `s > m` select.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)] // raw intrinsics behind runtime feature detection
 pub mod avx2 {
     use super::*;
+    use crate::similarity::{CE_FLOOR, SIGMA_FLOOR};
     use core::arch::x86_64::*;
-
-    /// Whether the running CPU supports these kernels.
-    pub fn available() -> bool {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
 
     #[inline(always)]
     fn assert_available() {
-        assert!(available(), "AVX2 kernels called on a CPU without AVX2");
+        assert!(
+            avx2_available(),
+            "AVX2 kernels called on a CPU without AVX2"
+        );
     }
 
-    /// Dot product; lane-accumulation order matches [`autovec::dot`].
+    /// Runs `body`, a call of a [`scalar`] kernel, compiled with AVX2
+    /// enabled: the same IEEE operations in the same order, so the same
+    /// bits (Rust contracts no multiply-add).
+    #[inline(always)]
+    fn run<R>(body: impl FnOnce() -> R) -> R {
+        /// # Safety
+        /// The CPU must support AVX2.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn with_avx2<R>(body: impl FnOnce() -> R) -> R {
+            body()
+        }
+        assert_available();
+        // SAFETY: the CPU supports AVX2 (asserted above), the only
+        // requirement of a `target_feature` function; the body is safe
+        // code.
+        unsafe { with_avx2(body) }
+    }
+
+    /// [`scalar::dot`] compiled with AVX2.
     pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-        assert_available();
-        // Hard assert: the impl reads raw pointers sized by `a.len()`, so a
-        // shorter `b` would be an out-of-bounds read, not a panic.
-        assert_eq!(a.len(), b.len(), "dot operand length mismatch");
-        unsafe { dot_impl(a, b) }
+        run(|| scalar::dot(a, b))
     }
 
-    #[target_feature(enable = "avx2")]
-    unsafe fn dot_impl(a: &[f64], b: &[f64]) -> f64 {
-        let n = a.len();
-        let m = n - n % LANES;
-        let mut acc = _mm256_setzero_pd();
-        let mut i = 0;
-        while i < m {
-            let va = _mm256_loadu_pd(a.as_ptr().add(i));
-            let vb = _mm256_loadu_pd(b.as_ptr().add(i));
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(va, vb));
-            i += LANES;
-        }
-        let mut s = hsum(acc);
-        for j in m..n {
-            s += a[j] * b[j];
-        }
-        s
-    }
-
-    /// `(sum, sum of squares)`; lane order matches [`autovec::sum_sumsq`].
+    /// [`scalar::sum_sumsq`] compiled with AVX2.
     pub fn sum_sumsq(a: &[f64]) -> (f64, f64) {
-        assert_available();
-        unsafe { sum_sumsq_impl(a) }
+        run(|| scalar::sum_sumsq(a))
     }
 
-    #[target_feature(enable = "avx2")]
-    unsafe fn sum_sumsq_impl(a: &[f64]) -> (f64, f64) {
-        let n = a.len();
-        let m = n - n % LANES;
-        let mut acc_s = _mm256_setzero_pd();
-        let mut acc_q = _mm256_setzero_pd();
-        let mut i = 0;
-        while i < m {
-            let v = _mm256_loadu_pd(a.as_ptr().add(i));
-            acc_s = _mm256_add_pd(acc_s, v);
-            acc_q = _mm256_add_pd(acc_q, _mm256_mul_pd(v, v));
-            i += LANES;
-        }
-        let mut s = hsum(acc_s);
-        let mut q = hsum(acc_q);
-        for &v in &a[m..] {
-            s += v;
-            q += v * v;
-        }
-        (s, q)
-    }
-
-    /// Sum of squared consecutive differences via overlapping loads.
+    /// [`scalar::diff_sumsq`] compiled with AVX2.
     pub fn diff_sumsq(a: &[f64]) -> f64 {
-        assert_available();
-        unsafe { diff_sumsq_impl(a) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn diff_sumsq_impl(a: &[f64]) -> f64 {
-        if a.len() < 2 {
-            return 0.0;
-        }
-        let nd = a.len() - 1;
-        let m = nd - nd % LANES;
-        let mut acc = _mm256_setzero_pd();
-        let mut i = 0;
-        while i < m {
-            let lo = _mm256_loadu_pd(a.as_ptr().add(i));
-            let hi = _mm256_loadu_pd(a.as_ptr().add(i + 1));
-            let d = _mm256_sub_pd(hi, lo);
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
-            i += LANES;
-        }
-        let mut s = hsum(acc);
-        for j in m..nd {
-            let d = a[j + 1] - a[j];
-            s += d * d;
-        }
-        s
-    }
-
-    /// Horizontal sum in the `(0 + 2) + (1 + 3)` order the lane-block
-    /// backends use.
-    #[target_feature(enable = "avx2")]
-    unsafe fn hsum(v: __m256d) -> f64 {
-        let mut lanes = [0.0f64; LANES];
-        _mm256_storeu_pd(lanes.as_mut_ptr(), v);
-        (lanes[0] + lanes[2]) + (lanes[1] + lanes[3])
+        run(|| scalar::diff_sumsq(a))
     }
 
     /// Largest lane of `v`, whose lanes are not NaN.
@@ -1031,10 +787,13 @@ pub mod avx2 {
     }
 
     /// The Q-step skeleton shared by the three measures, fused with the
-    /// admission filter; the structure of [`autovec`]'s, with `lanes(i,
-    /// dot)` scoring a 256-bit lane block and `slot(i, dot)` a remainder
-    /// slot. Callers define `lanes` inside their own `avx2` function, so
-    /// that the closure inherits the target feature and inlines here.
+    /// admission filter: `lanes(i, dot)` scores the 256-bit lane block at
+    /// slot `i`, `slot(i, dot)` a single remainder slot. The sweep filters
+    /// each [`BLOCK`] of the eligible prefix as it scores it, then scores
+    /// the unfiltered rest. Hit bits enter a block's word at the top and
+    /// shift down by a constant, so one final shift aligns its first slot
+    /// to bit 0. Callers define `lanes` inside their own `avx2` function,
+    /// so that the closure inherits the target feature and inlines here.
     ///
     /// # Safety
     /// The CPU must support AVX2, `io` must pass [`QStepIo::check`], and
@@ -1123,9 +882,7 @@ pub mod avx2 {
     pub fn qstep_pearson(io: QStepIo<'_>, mu: &[f64], sig: &[f64], w: f64, mu_n: f64, sig_n: f64) {
         assert_available();
         // Hard asserts: the impl reads raw pointers sized by `q.len()`.
-        io.check();
-        assert_eq!(mu.len(), io.q.len(), "mu length mismatch");
-        assert_eq!(sig.len(), io.q.len(), "sig length mismatch");
+        io.check(&[("mu", mu), ("sig", sig)]);
         unsafe { qstep_pearson_impl(io, mu, sig, w, mu_n, sig_n) }
     }
 
@@ -1161,15 +918,15 @@ pub mod avx2 {
             let flat = _mm256_or_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(vsig, vfloor), flat_n);
             _mm256_blendv_pd(val, vzero, flat)
         };
-        qstep(io, lanes, scalar::pearson(mu, sig, w, mu_n, sig_n));
+        let slot = |i: usize, dot| pearson_from_dot(dot, w, mu[i], sig[i], mu_n, sig_n);
+        qstep(io, lanes, slot);
     }
 
     /// Fused Q-step, negated squared Euclidean scoring; value-identical to
     /// the scalar kernel (NaN-preserving floor at zero included).
     pub fn qstep_euclidean(io: QStepIo<'_>, ssq: &[f64], ssq_n: f64) {
         assert_available();
-        io.check();
-        assert_eq!(ssq.len(), io.q.len(), "ssq length mismatch");
+        io.check(&[("ssq", ssq)]);
         unsafe { qstep_euclidean_impl(io, ssq, ssq_n) }
     }
 
@@ -1187,7 +944,9 @@ pub mod avx2 {
             let ed2 = _mm256_max_pd(vzero, inner);
             _mm256_xor_pd(ed2, vsign)
         };
-        qstep(io, lanes, scalar::euclidean(ssq, ssq_n));
+        qstep(io, lanes, |i, dot| {
+            -sq_euclidean_from_dot(dot, ssq[i], ssq_n)
+        });
     }
 
     /// Fused Q-step, negated squared CID scoring; value-identical to the
@@ -1196,9 +955,7 @@ pub mod avx2 {
     /// them).
     pub fn qstep_cid(io: QStepIo<'_>, ssq: &[f64], ce2: &[f64], ssq_n: f64, ce2_n: f64) {
         assert_available();
-        io.check();
-        assert_eq!(ssq.len(), io.q.len(), "ssq length mismatch");
-        assert_eq!(ce2.len(), io.q.len(), "ce2 length mismatch");
+        io.check(&[("ssq", ssq), ("ce2", ce2)]);
         unsafe { qstep_cid_impl(io, ssq, ce2, ssq_n, ce2_n) }
     }
 
@@ -1225,11 +982,11 @@ pub mod avx2 {
             let cid2 = _mm256_mul_pd(ed2, _mm256_div_pd(hi, lo));
             _mm256_xor_pd(cid2, vsign)
         };
-        qstep(io, lanes, scalar::cid(ssq, ce2, ssq_n, ce2_n));
+        let slot = |i: usize, dot| -sq_cid_from_dot(dot, ssq[i], ssq_n, ce2[i], ce2_n);
+        qstep(io, lanes, slot);
     }
 
-    /// The profile score pass; the scalar body compiled for AVX2, so it is
-    /// bit-identical to [`scalar::profile_scores`] (no intrinsics, no
+    /// [`scalar::profile_scores`] compiled with AVX2 (no intrinsics, no
     /// reassociation: every lane runs the reference's division).
     pub fn profile_scores(
         score_fn: ScoreFn,
@@ -1239,23 +996,7 @@ pub mod avx2 {
         block_max: &mut [f64],
         blocks: Range<usize>,
     ) {
-        assert_available();
-        // SAFETY: the CPU supports AVX2 (asserted above), the only
-        // requirement of a `target_feature` function; the body is safe
-        // code with checked indexing.
-        unsafe { profile_scores_impl(score_fn, left, tot, profile, block_max, blocks) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn profile_scores_impl(
-        score_fn: ScoreFn,
-        left: &[u32],
-        tot: &[u32],
-        profile: &mut [f64],
-        block_max: &mut [f64],
-        blocks: Range<usize>,
-    ) {
-        scalar::profile_scores(score_fn, left, tot, profile, block_max, blocks);
+        run(|| scalar::profile_scores(score_fn, left, tot, profile, block_max, blocks));
     }
 
     /// The count pass, 8 splits per instruction: each chunk of eight `u32`
@@ -1380,11 +1121,41 @@ mod tests {
 
     #[test]
     fn backend_name_roundtrip() {
-        assert_eq!(Backend::Scalar.name(), "scalar");
-        assert_eq!(Backend::Autovec.name(), "autovec");
-        assert_eq!(Backend::Avx2.name(), "avx2");
+        for backend in [Backend::Scalar, Backend::Avx2] {
+            assert_eq!(parse(Some(backend.name()), true), (backend, None));
+        }
         // Dispatch resolves to something usable on this machine.
         let _ = active_backend();
+    }
+
+    #[test]
+    fn parse_honours_the_two_backend_names() {
+        for avx2 in [false, true] {
+            let best = if avx2 { Backend::Avx2 } else { Backend::Scalar };
+            assert_eq!(parse(None, avx2), (best, None), "unset");
+            assert_eq!(parse(Some(""), avx2), (best, None), "empty");
+            assert_eq!(parse(Some("scalar"), avx2), (Backend::Scalar, None));
+        }
+        assert_eq!(parse(Some("avx2"), true), (Backend::Avx2, None));
+    }
+
+    #[test]
+    fn parse_warns_about_a_value_it_cannot_honour() {
+        let (backend, warning) = parse(Some("avx2"), false);
+        assert_eq!(backend, Backend::Scalar);
+        assert!(warning.unwrap().contains("no AVX2"));
+        // A deleted backend name, a typo and garbage run the best backend
+        // and name the two valid values.
+        for value in ["autovec", "AVX2", "avx512", "sse2 ", "\u{fffd}"] {
+            for (avx2, best) in [(false, Backend::Scalar), (true, Backend::Avx2)] {
+                let (backend, warning) = parse(Some(value), avx2);
+                assert_eq!(backend, best, "{value:?}");
+                let warning = warning.expect("a warning");
+                assert!(warning.contains("scalar|avx2"), "{warning}");
+                assert!(warning.contains(&format!("{value:?}")), "{warning}");
+                assert!(warning.ends_with(best.name()), "{warning}");
+            }
+        }
     }
 
     #[test]
@@ -1392,9 +1163,11 @@ mod tests {
         for n in [0usize, 1, 3, 4, 5, 63, 64, 65, 200] {
             let a = random(n, 1 + n as u64);
             let b = random(n, 1000 + n as u64);
-            let want = scalar::dot(&a, &b);
-            let got = dot(&a, &b);
-            assert!((got - want).abs() <= 1e-10 * (1.0 + want.abs()), "n={n}");
+            assert_eq!(
+                dot(&a, &b).to_bits(),
+                scalar::dot(&a, &b).to_bits(),
+                "n={n}"
+            );
         }
     }
 
@@ -1402,13 +1175,8 @@ mod tests {
     fn dispatch_moments_match_scalar() {
         for n in [0usize, 1, 2, 5, 8, 131] {
             let a = random(n, 7 + n as u64);
-            let (ws, wq) = scalar::sum_sumsq(&a);
-            let (gs, gq) = sum_sumsq(&a);
-            assert!((gs - ws).abs() <= 1e-10 * (1.0 + ws.abs()));
-            assert!((gq - wq).abs() <= 1e-10 * (1.0 + wq.abs()));
-            let wd = scalar::diff_sumsq(&a);
-            let gd = diff_sumsq(&a);
-            assert!((gd - wd).abs() <= 1e-10 * (1.0 + wd.abs()));
+            assert_eq!(sum_sumsq(&a), scalar::sum_sumsq(&a), "n={n}");
+            assert_eq!(diff_sumsq(&a), scalar::diff_sumsq(&a), "n={n}");
         }
     }
 

@@ -46,7 +46,9 @@ pub(crate) const CE_FLOOR: f64 = 1e-12;
 
 /// Pearson correlation from a dot product and per-subsequence moments
 /// (paper Eq. 4). Degenerate (flat) subsequences yield a correlation of 0,
-/// and the result is clamped into `[-1, 1]` for numerical robustness.
+/// and the result is clamped into `[-1, 1]` for numerical robustness (NaN
+/// stays NaN). Branch-free: the correlation is computed, then selected,
+/// so a loop over slots vectorizes.
 #[inline]
 pub(crate) fn pearson_from_dot(
     dot: f64,
@@ -56,11 +58,12 @@ pub(crate) fn pearson_from_dot(
     mu_b: f64,
     sig_b: f64,
 ) -> f64 {
-    if sig_a < SIGMA_FLOOR || sig_b < SIGMA_FLOOR {
-        return 0.0;
+    let c = ((dot - w * mu_a * mu_b) / (w * sig_a * sig_b)).clamp(-1.0, 1.0);
+    if (sig_a < SIGMA_FLOOR) | (sig_b < SIGMA_FLOOR) {
+        0.0
+    } else {
+        c
     }
-    let c = (dot - w * mu_a * mu_b) / (w * sig_a * sig_b);
-    c.clamp(-1.0, 1.0)
 }
 
 /// Squared Euclidean distance from a dot product and per-subsequence sums of
@@ -83,11 +86,10 @@ pub(crate) fn sq_euclidean_from_dot(dot: f64, ssq_a: f64, ssq_b: f64) -> f64 {
 #[inline]
 pub(crate) fn sq_cid_from_dot(dot: f64, ssq_a: f64, ssq_b: f64, ce2_a: f64, ce2_b: f64) -> f64 {
     let ed2 = sq_euclidean_from_dot(dot, ssq_a, ssq_b);
-    let (hi, lo) = if ce2_a >= ce2_b {
-        (ce2_a, ce2_b)
-    } else {
-        (ce2_b, ce2_a)
-    };
+    // Ordered compare: a NaN `ce2_a` becomes `lo`.
+    let a_hi = ce2_a >= ce2_b;
+    let hi = if a_hi { ce2_a } else { ce2_b };
+    let lo = if a_hi { ce2_b } else { ce2_a };
     let cf2 = hi / lo.max(CE_FLOOR);
     ed2 * cf2
 }

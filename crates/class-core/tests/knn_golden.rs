@@ -2,11 +2,13 @@
 //! bit, so a rewrite of its selection or insertion loops cannot change a
 //! neighbour list, a tie order, a score or a list edit unnoticed.
 //!
-//! Every stream is integer-valued: with integer inputs every sum and dot
-//! product is exact, so reassociated reductions give identical bits and
-//! the same digests hold under every kernel backend. Run it on each one
-//! with `CLASS_SIMD=scalar|autovec|avx2 cargo test -p class-core --release
-//! --test knn_golden`.
+//! Most streams are integer-valued, so every sum and dot product on them
+//! is exact whatever its order. The real-valued streams
+//! ([`real_streams`]) are not: they pin the one summation order that every
+//! kernel backend shares for the seeding dot products and the moment sums.
+//! The same digests hold under every backend; run it on each one with
+//! `CLASS_SIMD=scalar|avx2 cargo test -p class-core --release --test
+//! knn_golden`.
 
 use class_core::{KnnConfig, Similarity, SplitMix64, StreamingKnn};
 
@@ -155,22 +157,37 @@ fn digest_stream(h: &mut Fnv, cfg: KnnConfig, xs: &[f64]) {
     }
 }
 
+/// Two real-valued regimes, whose sums round differently in every other
+/// order: seeded noise in [-1, 1), and a noisy sine whose period changes
+/// halfway.
+fn real_streams(n: usize) -> [Vec<f64>; 2] {
+    let mut rng = SplitMix64::new(13);
+    let noise: Vec<f64> = (0..n).map(|_| rng.next_f64() * 2.0 - 1.0).collect();
+    let sine = (0..n)
+        .map(|t| {
+            let period = if t < n / 2 { 12.0 } else { 7.0 };
+            (std::f64::consts::TAU * t as f64 / period).sin() + 0.1 * rng.next_f64()
+        })
+        .collect();
+    [noise, sine]
+}
+
 fn digest(
-    n: usize,
+    streams: &[Vec<f64>],
     sizes: &[(usize, usize)],
     similarity: Similarity,
     k: usize,
     update_existing: bool,
 ) -> u64 {
     let mut h = Fnv::new();
-    for xs in streams(n) {
+    for xs in streams {
         for &(d, w) in sizes {
             let cfg = KnnConfig {
                 similarity,
                 update_existing,
                 ..KnnConfig::new(d, w, k)
             };
-            digest_stream(&mut h, cfg, &xs);
+            digest_stream(&mut h, cfg, xs);
         }
     }
     h.0
@@ -222,12 +239,24 @@ const GOLDEN_BLOCKS: [(Similarity, usize, bool, u64); 18] = [
     (Similarity::Cid, 16, false, 0xf7de_19e8_3ea8_657c),
 ];
 
+/// Digests of [`real_streams`] at [`SIZES`] and [`BLOCK_SIZES`],
+/// captured on the AVX2 backend before the plain reductions took its
+/// summation order.
+const GOLDEN_REAL: [(Similarity, usize, bool, u64); 6] = [
+    (Similarity::Pearson, 3, true, 0x498b_6d3d_994e_1372),
+    (Similarity::Pearson, 3, false, 0x031a_f586_339a_16c7),
+    (Similarity::Euclidean, 3, true, 0x0927_8769_72fc_2e75),
+    (Similarity::Euclidean, 3, false, 0xcc33_27ce_b0ad_f8ad),
+    (Similarity::Cid, 3, true, 0xea34_b6ca_e6ae_b362),
+    (Similarity::Cid, 3, false, 0x6598_9c48_7615_372b),
+];
+
 /// Compares every `(measure, k, update_existing)` digest against `table`.
-fn check(n: usize, sizes: &[(usize, usize)], table: &[(Similarity, usize, bool, u64)]) {
+fn check(streams: &[Vec<f64>], sizes: &[(usize, usize)], table: &[(Similarity, usize, bool, u64)]) {
     let mismatches: Vec<String> = table
         .iter()
         .filter_map(|&(sim, k, upd, want)| {
-            let got = digest(n, sizes, sim, k, upd);
+            let got = digest(streams, sizes, sim, k, upd);
             (got != want).then(|| {
                 format!("{sim:?} k={k} update_existing={upd}: got {got:#018x}, want {want:#018x}")
             })
@@ -243,10 +272,16 @@ fn check(n: usize, sizes: &[(usize, usize)], table: &[(Similarity, usize, bool, 
 
 #[test]
 fn streaming_knn_matches_golden_digest() {
-    check(N, &SIZES, &GOLDEN);
+    check(&streams(N), &SIZES, &GOLDEN);
 }
 
 #[test]
 fn streaming_knn_matches_golden_digest_across_blocks() {
-    check(N_BLOCK, &BLOCK_SIZES, &GOLDEN_BLOCKS);
+    check(&streams(N_BLOCK), &BLOCK_SIZES, &GOLDEN_BLOCKS);
+}
+
+#[test]
+fn streaming_knn_matches_golden_digest_on_real_values() {
+    let sizes = [SIZES.as_slice(), BLOCK_SIZES.as_slice()].concat();
+    check(&real_streams(N_BLOCK), &sizes, &GOLDEN_REAL);
 }

@@ -1,17 +1,19 @@
-//! Differential tests of the SIMD layer: every backend (autovec, and AVX2
-//! where the CPU supports it) must agree with the scalar reference on
-//! random, constant, and NaN-containing inputs, across all remainder
-//! lengths (`n % 4 != 0` included). The reductions agree within 1e-12
-//! (relative, to absorb reassociated accumulation). The element-wise
-//! Q-step kernels agree bit for bit: `q`, `scores` and the admission-block
-//! outputs (`block_max`, `block_hits`), with every NaN counted as equal but
-//! NaN lanes required in the same places — NaN semantics are part of the
-//! kernel contract (see `class_core::simd`). So does the profile score pass
-//! (scores and block maxima), over the whole range and block by block, and
-//! the count pass (`left`, `tot` and the block minima of `left`), which
-//! also matches a naive running sum.
+//! Differential tests of the SIMD layer: the AVX2 backend (where the CPU
+//! supports it) and the dispatched functions must agree with the scalar
+//! reference bit for bit on random, constant, and NaN-containing inputs,
+//! across all remainder lengths (`n % 4 != 0` included). The reductions
+//! share one summation order, and also agree within 1e-12 (relative) with
+//! a plain sequential sum. The Q-step kernels agree on `q`, `scores` and
+//! the admission-block outputs (`block_max`, `block_hits`), with every NaN
+//! counted as equal but NaN lanes required in the same places — NaN
+//! semantics are part of the kernel contract (see `class_core::simd`) —
+//! and each backend's block outputs follow their definition from its own
+//! scores. So does the profile score pass (scores and block maxima), over
+//! the whole range and block by block, and the count pass (`left`, `tot`
+//! and the block minima of `left`), which also matches a naive running
+//! sum.
 
-use class_core::simd::{self, autovec, scalar, QStepIo};
+use class_core::simd::{self, scalar, QStepIo, BLOCK};
 use class_core::{ScoreFn, SplitMix64};
 use proptest::prelude::*;
 use std::ops::Range;
@@ -74,6 +76,39 @@ impl QStepOut {
         }
         assert_eq!(self.block_hits, want.block_hits, "{label}/block_hits");
     }
+
+    /// Asserts that the block outputs follow the definition in `QStepIo`,
+    /// computed from this run's own scores: per block of the prefix `kth`
+    /// covers, the non-NaN maximum (−∞ if none) with −0.0 reported as
+    /// +0.0, and bit `j` set iff slot `j` is in the block and its score is
+    /// `>=` its threshold (ordered: NaN sets no bit).
+    fn assert_block_definition(&self, kth: &[f64], label: &str) {
+        let blocks = self.scores[..kth.len()]
+            .chunks(BLOCK)
+            .zip(kth.chunks(BLOCK));
+        assert_eq!(self.block_max.len(), kth.len().div_ceil(BLOCK), "{label}");
+        for (b, (sb, kb)) in blocks.enumerate() {
+            let max = sb
+                .iter()
+                .filter(|s| !s.is_nan())
+                .fold(f64::NEG_INFINITY, |m, &s| m.max(s));
+            let max = if max == 0.0 { 0.0 } else { max };
+            assert_eq!(
+                self.block_max[b].to_bits(),
+                max.to_bits(),
+                "{label}/block_max[{b}]: {:?} vs {max:?}",
+                self.block_max[b]
+            );
+            for j in 0..BLOCK {
+                let hit = j < sb.len() && sb[j] >= kb[j];
+                assert_eq!(
+                    self.block_hits[b] >> j & 1 == 1,
+                    hit,
+                    "{label}/block_hits[{b}] bit {j}"
+                );
+            }
+        }
+    }
 }
 
 /// Runs one Q-step kernel variant on fresh copies of the shared inputs,
@@ -93,7 +128,7 @@ fn run_qstep(
     let (mu, sig, aux) = moments;
     let (mu_n, sig_n, ssq_n, ce2_n) = newest;
     let (last, first) = shift;
-    let blocks = kth.len().div_ceil(simd::BLOCK);
+    let blocks = kth.len().div_ceil(BLOCK);
     let mut out = QStepOut {
         q: q0.to_vec(),
         scores: vec![0.0; q0.len()],
@@ -114,11 +149,8 @@ fn run_qstep(
     let w = 8.0;
     match (which, backend) {
         ("pearson", "scalar") => scalar::qstep_pearson(io, mu, sig, w, mu_n, sig_n),
-        ("pearson", "autovec") => autovec::qstep_pearson(io, mu, sig, w, mu_n, sig_n),
         ("euclidean", "scalar") => scalar::qstep_euclidean(io, sig, ssq_n),
-        ("euclidean", "autovec") => autovec::qstep_euclidean(io, sig, ssq_n),
         ("cid", "scalar") => scalar::qstep_cid(io, sig, aux, ssq_n, ce2_n),
-        ("cid", "autovec") => autovec::qstep_cid(io, sig, aux, ssq_n, ce2_n),
         #[cfg(target_arch = "x86_64")]
         ("pearson", "avx2") => simd::avx2::qstep_pearson(io, mu, sig, w, mu_n, sig_n),
         #[cfg(target_arch = "x86_64")]
@@ -130,10 +162,11 @@ fn run_qstep(
     out
 }
 
+/// Every Q-step backend: the scalar reference, which is also the portable
+/// fallback, and AVX2 where the CPU supports it.
 fn qstep_backends() -> Vec<&'static str> {
-    let mut b = vec!["autovec"];
-    #[cfg(target_arch = "x86_64")]
-    if simd::avx2::available() {
+    let mut b = vec!["scalar"];
+    if simd::avx2_available() {
         b.push("avx2");
     }
     b
@@ -189,72 +222,87 @@ fn check_qstep_all(n: usize, seed: u64, nan_at: Option<usize>, constant: bool) {
         .map(|v| v.abs())
         .collect();
     let newest = (0.3, if seed % 3 == 0 { 1e-9 } else { 0.9 }, 4.2, 1.7);
-    check_qstep_inputs(n, &q0, &tail, &head, (&mu, &sig, &aux), newest);
+    let moments = (mu.as_slice(), sig.as_slice(), aux.as_slice());
+    check_qstep_inputs(&q0, &tail, &head, moments, newest, prefixes(n));
 }
 
-/// Compares every backend against the scalar reference on the given
-/// inputs, for every eligible prefix of [`prefixes`].
+/// Runs every backend on the given inputs, for each eligible prefix length
+/// in `nfilts`: each run's block outputs must follow their definition
+/// from its own scores, and every output must match the scalar
+/// reference's bit for bit.
 fn check_qstep_inputs(
-    n: usize,
     q0: &[f64],
     tail: &[f64],
     head: &[f64],
     moments: (&[f64], &[f64], &[f64]),
     newest: (f64, f64, f64, f64),
+    nfilts: impl IntoIterator<Item = usize> + Clone,
 ) {
-    let shift = (1.12, -0.57);
+    let (n, shift) = (q0.len(), (1.12, -0.57));
     for which in ["pearson", "euclidean", "cid"] {
         let run = |backend, kth: &[f64]| {
             run_qstep(which, backend, q0, tail, head, moments, newest, shift, kth)
         };
         let plain = run("scalar", &[]);
-        for nfilt in prefixes(n) {
+        for nfilt in nfilts.clone() {
             let kth = admission_column(&plain.scores, nfilt);
             let want = run("scalar", &kth);
             for backend in qstep_backends() {
-                run(backend, &kth)
-                    .assert_matches(&want, &format!("{which}/{backend}(n={n}, nfilt={nfilt})"));
+                let label = format!("{which}/{backend}(n={n}, nfilt={nfilt})");
+                let got = run(backend, &kth);
+                got.assert_block_definition(&kth, &label);
+                got.assert_matches(&want, &label);
             }
         }
     }
 }
 
-fn check_reductions(a: &[f64], b: &[f64], label: &str) {
-    let want_dot = scalar::dot(a, b);
-    let (want_s, want_q) = scalar::sum_sumsq(a);
-    let want_d = scalar::diff_sumsq(a);
-    let mut variants: Vec<(&str, f64, f64, f64, f64)> = vec![{
-        let (s, q) = autovec::sum_sumsq(a);
-        ("autovec", autovec::dot(a, b), s, q, autovec::diff_sumsq(a))
-    }];
-    #[cfg(target_arch = "x86_64")]
-    if simd::avx2::available() {
-        let (s, q) = simd::avx2::sum_sumsq(a);
-        variants.push((
-            "avx2",
+/// `[dot, sum, sum of squares, diff_sumsq]` of one reduction backend.
+fn run_reductions(backend: &str, a: &[f64], b: &[f64]) -> [f64; 4] {
+    let (dot, (sum, sumsq), diff) = match backend {
+        "scalar" => (
+            scalar::dot(a, b),
+            scalar::sum_sumsq(a),
+            scalar::diff_sumsq(a),
+        ),
+        "dispatch" => (simd::dot(a, b), simd::sum_sumsq(a), simd::diff_sumsq(a)),
+        #[cfg(target_arch = "x86_64")]
+        "avx2" => (
             simd::avx2::dot(a, b),
-            s,
-            q,
+            simd::avx2::sum_sumsq(a),
             simd::avx2::diff_sumsq(a),
-        ));
+        ),
+        other => panic!("unknown backend {other}"),
+    };
+    [dot, sum, sumsq, diff]
+}
+
+/// The reductions by their definition, summed in sequence.
+fn sequential_reductions(a: &[f64], b: &[f64]) -> [f64; 4] {
+    let dot = a.iter().zip(b).fold(0.0, |s, (x, y)| s + x * y);
+    let sum = a.iter().fold(0.0, |s, x| s + x);
+    let sumsq = a.iter().fold(0.0, |s, x| s + x * x);
+    let diff = a
+        .windows(2)
+        .fold(0.0, |s, p| s + (p[1] - p[0]) * (p[1] - p[0]));
+    [dot, sum, sumsq, diff]
+}
+
+fn check_reductions(a: &[f64], b: &[f64], label: &str) {
+    const NAMES: [&str; 4] = ["dot", "sum", "sumsq", "diff_sumsq"];
+    let want = run_reductions("scalar", a, b);
+    for backend in profile_backends() {
+        let got = run_reductions(backend, a, b);
+        for ((name, got), want) in NAMES.iter().zip(got).zip(want) {
+            assert_eq!(
+                bits(&[got]),
+                bits(&[want]),
+                "{label}/{backend}/{name}: {got} vs {want}"
+            );
+        }
     }
-    for (name, got_dot, got_s, got_q, got_d) in variants {
-        assert!(
-            close(got_dot, want_dot),
-            "{label}/{name}/dot: {got_dot} vs {want_dot}"
-        );
-        assert!(
-            close(got_s, want_s),
-            "{label}/{name}/sum: {got_s} vs {want_s}"
-        );
-        assert!(
-            close(got_q, want_q),
-            "{label}/{name}/sumsq: {got_q} vs {want_q}"
-        );
-        assert!(
-            close(got_d, want_d),
-            "{label}/{name}/diff_sumsq: {got_d} vs {want_d}"
-        );
+    for ((name, got), seq) in NAMES.iter().zip(want).zip(sequential_reductions(a, b)) {
+        assert!(close(got, seq), "{label}/{name}: {got} vs sequential {seq}");
     }
 }
 
@@ -286,45 +334,50 @@ fn qstep_kernels_agree_across_remainder_lengths() {
 
 #[test]
 fn block_outputs_follow_the_scalar_definition() {
-    // The scalar reference itself against the definition in `QStepIo`:
-    // the non-NaN maximum with -0.0 reported as +0.0, and ordered `>=`
-    // hit bits, on a hand-made 70-slot sweep with a 66-slot prefix.
+    // A hand-made 70-slot sweep with a NaN Q slot, zero sums of squares
+    // (Euclidean scores of 0.0 and -0.0 occur) and a 66-slot prefix among
+    // the others; every prefix length up to 70 is filtered.
     let n = 70;
     let q0 = make_input(n, 11, Some(5), false);
     let tail = make_input(n, 12, None, false);
     let head = make_input(n, 13, None, false);
     let ssq = vec![0.0; n];
+    let moments = (ssq.as_slice(), ssq.as_slice(), ssq.as_slice());
+    check_qstep_inputs(&q0, &tail, &head, moments, (0.0, 1.0, 0.0, 1.0), 0..=n);
     let out = run_qstep(
         "euclidean",
         "scalar",
         &q0,
         &tail,
         &head,
-        (&ssq, &ssq, &ssq),
+        moments,
         (0.0, 1.0, 0.0, 1.0),
         (0.0, 0.0),
         &vec![-1.0; 66],
     );
-    for (b, range) in [(0, 0..64), (1, 64..66)] {
-        let sc = &out.scores[range.clone()];
-        let want_max = sc
-            .iter()
-            .copied()
-            .filter(|s| !s.is_nan())
-            .fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(out.block_max[b], want_max, "block {b}");
-        assert!(out.block_max[b].is_sign_positive() || want_max < 0.0);
-        for (j, &s) in sc.iter().enumerate() {
-            assert_eq!(
-                out.block_hits[b] >> j & 1 == 1,
-                s >= -1.0,
-                "block {b} slot {j}"
-            );
-        }
-        let past = out.block_hits[b].checked_shr(sc.len() as u32).unwrap_or(0);
-        assert_eq!(past, 0, "block {b}: bits past the prefix");
-    }
+    out.assert_block_definition(&[-1.0; 66], "euclidean/scalar(n=70, nfilt=66)");
     assert!(out.scores[5].is_nan() && out.block_hits[0] & 1 << 5 == 0);
+}
+
+#[test]
+fn block_outputs_follow_the_definition_at_every_prefix_length() {
+    // Every ragged block length, each 8-slot chunk remainder among them,
+    // over two blocks and one slot; with no NaN, a NaN score, and a run
+    // of NaN scores that fills whole chunks.
+    let n = 2 * BLOCK + 1;
+    for nan in [0..0, 37..38, 8..24] {
+        let mut q0 = make_input(n, 31, None, false);
+        q0[nan].fill(f64::NAN);
+        let tail = make_input(n, 32, None, false);
+        let head = make_input(n, 33, None, false);
+        let mu = make_input(n, 34, None, false);
+        let sig: Vec<f64> = make_input(n, 35, None, false)
+            .iter()
+            .map(|v| v.abs() + 0.5)
+            .collect();
+        let newest = (0.3, 0.9, 4.2, 1.7);
+        check_qstep_inputs(&q0, &tail, &head, (&mu, &sig, &sig), newest, 0..=n);
+    }
 }
 
 #[test]
@@ -342,7 +395,7 @@ fn an_all_nan_block_reports_minus_infinity() {
         .map(|v| v.abs() + 0.5)
         .collect();
     let newest = (0.3, 0.9, 4.2, 1.7);
-    check_qstep_inputs(n, &q0, &tail, &head, (&mu, &sig, &sig), newest);
+    check_qstep_inputs(&q0, &tail, &head, (&mu, &sig, &sig), newest, prefixes(n));
     for which in ["pearson", "euclidean", "cid"] {
         let out = run_qstep(
             which,
@@ -368,15 +421,14 @@ fn an_all_nan_block_reports_minus_infinity() {
 
 #[test]
 fn dispatch_layer_matches_scalar_reference() {
-    // The top-level free functions must agree with `scalar` no matter which
-    // backend the process resolved to.
+    // The top-level free functions must agree with `scalar` bit for bit no
+    // matter which backend the process resolved to.
     let a = make_input(101, 42, Some(50), false);
     let b = make_input(101, 43, None, false);
-    assert!(close(simd::dot(&a, &b), scalar::dot(&a, &b)));
-    let (s, q) = simd::sum_sumsq(&a);
-    let (ws, wq) = scalar::sum_sumsq(&a);
-    assert!(close(s, ws) && close(q, wq));
-    assert!(close(simd::diff_sumsq(&a), scalar::diff_sumsq(&a)));
+    assert_eq!(
+        bits(&run_reductions("dispatch", &a, &b)),
+        bits(&run_reductions("scalar", &a, &b))
+    );
 }
 
 /// Per-split counts for an `nn`-row profile: random consistent counts
@@ -416,7 +468,7 @@ fn run_profile(
     left: &[u32],
     tot: &[u32],
 ) -> (Vec<u64>, Vec<u64>) {
-    let blocks = left.len().div_ceil(simd::BLOCK);
+    let blocks = left.len().div_ceil(BLOCK);
     run_profile_blocks(backend, score_fn, left, tot, std::iter::once(0..blocks))
 }
 
@@ -431,7 +483,7 @@ fn run_profile_blocks(
 ) -> (Vec<u64>, Vec<u64>) {
     let nn = left.len();
     let mut profile = vec![f64::NAN; nn];
-    let mut block_max = vec![f64::NAN; nn.div_ceil(simd::BLOCK)];
+    let mut block_max = vec![f64::NAN; nn.div_ceil(BLOCK)];
     for blocks in ranges {
         let (p, m) = (&mut profile, &mut block_max);
         match backend {
@@ -445,12 +497,12 @@ fn run_profile_blocks(
     (bits(&profile), bits(&block_max))
 }
 
-/// Every profile backend: the dispatched one (whatever `CLASS_SIMD`
-/// resolved to) and AVX2 where the CPU supports it.
+/// Every backend the scalar reference is checked against: the dispatched
+/// one (whatever `CLASS_SIMD` resolved to) and AVX2 where the CPU
+/// supports it.
 fn profile_backends() -> Vec<&'static str> {
     let mut b = vec!["dispatch"];
-    #[cfg(target_arch = "x86_64")]
-    if simd::avx2::available() {
+    if simd::avx2_available() {
         b.push("avx2");
     }
     b
@@ -483,7 +535,7 @@ fn profile_kernel_scores_only_the_requested_blocks() {
     // untouched.
     for nn in [2usize, 63, 64, 65, 200, 1_000] {
         let (left, tot) = profile_counts(nn, 800 + nn as u64);
-        let blocks = nn.div_ceil(simd::BLOCK);
+        let blocks = nn.div_ceil(BLOCK);
         for first in [0, 1] {
             let picked: Vec<usize> = (first..blocks).step_by(2).rev().collect();
             for score_fn in [ScoreFn::MacroF1, ScoreFn::BalancedAccuracy] {
@@ -498,7 +550,7 @@ fn profile_kernel_scores_only_the_requested_blocks() {
                     );
                     let label = format!("{backend}/{}(nn={nn}, first={first})", score_fn.name());
                     for b in 0..blocks {
-                        let splits = b * simd::BLOCK..((b + 1) * simd::BLOCK).min(nn);
+                        let splits = b * BLOCK..((b + 1) * BLOCK).min(nn);
                         if picked.contains(&b) {
                             assert_eq!(got[splits.clone()], full[splits], "{label}: block {b}");
                             assert_eq!(got_max[b], full_max[b], "{label}: block {b} maximum");
@@ -540,7 +592,7 @@ fn profile_kernel_follows_its_definition() {
             assert_eq!(profile[2], 0.0 + 0.5 * (2.0 * 2.0 / (2 * nn) as f64));
         }
         for (b, &mx) in block_max.iter().enumerate() {
-            let block = &profile[b * simd::BLOCK..((b + 1) * simd::BLOCK).min(nn)];
+            let block = &profile[b * BLOCK..((b + 1) * BLOCK).min(nn)];
             let want = block.iter().fold(0.0, |m: f64, &v| m.max(v));
             assert_eq!(f64::from_bits(mx), want, "{}: block {b}", score_fn.name());
         }
@@ -556,7 +608,7 @@ fn profile_kernel_follows_its_definition() {
         tot[planted] = (nn - planted) as u32;
         for score_fn in [ScoreFn::MacroF1, ScoreFn::BalancedAccuracy] {
             let (_, block_max) = run_profile("scalar", score_fn, &left, &tot);
-            let mx = f64::from_bits(block_max[planted / simd::BLOCK]);
+            let mx = f64::from_bits(block_max[planted / BLOCK]);
             assert_eq!(mx, 1.0, "{}: planted at {planted}", score_fn.name());
         }
     }
@@ -580,7 +632,7 @@ fn run_counts(backend: &str, cnt: &[u32], step: &[u32]) -> (Vec<u32>, Vec<u32>, 
     let nn = cnt.len();
     let mark = 0xDEAD_BEEF;
     let (mut left, mut tot) = (vec![mark; nn], vec![mark; nn]);
-    let mut l_min = vec![mark; nn.div_ceil(simd::BLOCK)];
+    let mut l_min = vec![mark; nn.div_ceil(BLOCK)];
     let (l, t, m) = (&mut left, &mut tot, &mut l_min);
     match backend {
         "scalar" => scalar::split_counts(cnt, step, l, t, m),
@@ -607,9 +659,9 @@ fn naive_counts(cnt: &[u32], step: &[u32]) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
         }
         left[p] = l;
     }
-    let l_min = (0..nn.div_ceil(simd::BLOCK))
+    let l_min = (0..nn.div_ceil(BLOCK))
         .map(|b| {
-            let splits = (b * simd::BLOCK).max(1)..((b + 1) * simd::BLOCK).min(nn);
+            let splits = (b * BLOCK).max(1)..((b + 1) * BLOCK).min(nn);
             splits.map(|p| left[p]).min().unwrap_or(u32::MAX)
         })
         .collect();
@@ -651,7 +703,7 @@ fn count_kernel_leaves_index_zero_out_of_block_zero() {
         check_counts(&cnt, &step, "unit steps");
         let (_, _, l_min) = run_counts("dispatch", &cnt, &step);
         let firsts: Vec<u32> = (0..l_min.len())
-            .map(|b| if b == 0 { 1 } else { (b * simd::BLOCK) as u32 })
+            .map(|b| if b == 0 { 1 } else { (b * BLOCK) as u32 })
             .map(|p| if nn > 1 { p } else { u32::MAX })
             .collect();
         assert_eq!(l_min, firsts, "nn={nn}");

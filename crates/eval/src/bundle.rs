@@ -311,7 +311,7 @@ pub struct RunBundle {
     pub tool: String,
     /// The run's RNG seed, when the tool is seeded.
     pub seed: Option<u64>,
-    /// Active SIMD backend (`scalar` / `autovec` / `avx2`).
+    /// Active SIMD backend (`scalar` / `avx2`).
     pub simd_backend: String,
     /// `git describe --always --dirty` at run time.
     pub git_describe: String,

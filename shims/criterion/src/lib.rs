@@ -12,6 +12,12 @@
 //! analysis, no plots, and no baseline comparison — enough to rank
 //! implementations and catch order-of-magnitude regressions by eye.
 //!
+//! Positional command-line arguments filter by name, as criterion's do,
+//! but by substring instead of regex: `cargo bench --bench core_speedups
+//! -- structured_peak` runs only the benchmarks whose full name
+//! (`group/function/parameter`) contains `structured_peak`. Arguments
+//! starting with `-` (such as the `--bench` cargo passes) are ignored.
+//!
 //! [`bench_with_input`]: BenchmarkGroup::bench_with_input
 
 #![warn(missing_docs)]
@@ -116,7 +122,7 @@ impl From<String> for BenchmarkId {
 /// A named set of related benchmarks, printed under a common prefix.
 pub struct BenchmarkGroup<'a> {
     name: String,
-    _parent: &'a mut Criterion,
+    parent: &'a mut Criterion,
 }
 
 impl BenchmarkGroup<'_> {
@@ -142,7 +148,8 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher),
     {
         let id = id.into();
-        run_one(&format!("{}/{}", self.name, id.0), &mut f);
+        self.parent
+            .run_one(&format!("{}/{}", self.name, id.0), &mut f);
         self
     }
 
@@ -156,7 +163,7 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher, &I),
     {
-        run_one(
+        self.parent.run_one(
             &format!("{}/{}", self.name, id.0),
             &mut |b: &mut Bencher| f(b, input),
         );
@@ -176,22 +183,6 @@ pub enum Throughput {
     Bytes(u64),
 }
 
-fn run_one<F: FnMut(&mut Bencher)>(full_name: &str, f: &mut F) {
-    let mut b = Bencher::new();
-    f(&mut b);
-    if b.iterations == 0 {
-        // The body never called `iter` — nothing to report.
-        println!("{full_name:<48} (no measurement)");
-        return;
-    }
-    println!(
-        "{full_name:<48} mean {:>12} best {:>12}  ({} iters)",
-        fmt_ns(b.mean_ns),
-        fmt_ns(b.best_ns),
-        b.iterations
-    );
-}
-
 fn fmt_ns(ns: f64) -> String {
     if ns < 1e3 {
         format!("{ns:.1} ns")
@@ -205,18 +196,56 @@ fn fmt_ns(ns: f64) -> String {
 }
 
 /// Top-level benchmark driver; one per bench binary.
-#[derive(Default)]
-pub struct Criterion {}
+pub struct Criterion {
+    /// Name filters from the command line; empty runs every benchmark.
+    filters: Vec<String>,
+}
+
+impl Default for Criterion {
+    /// A driver filtered by the process's positional arguments.
+    fn default() -> Self {
+        Self::with_args(std::env::args().skip(1))
+    }
+}
 
 impl Criterion {
+    /// A driver filtered by `args`: each one not starting with `-` is a
+    /// substring a benchmark's full name must contain (any one of them).
+    fn with_args(args: impl IntoIterator<Item = String>) -> Self {
+        let filters = args.into_iter().filter(|a| !a.starts_with('-')).collect();
+        Self { filters }
+    }
+
+    /// Whether the benchmark named `full_name` passes the filters.
+    fn selects(&self, full_name: &str) -> bool {
+        self.filters.is_empty() || self.filters.iter().any(|f| full_name.contains(f.as_str()))
+    }
+
+    /// Runs and reports one benchmark, unless the filters skip it.
+    fn run_one<F: FnMut(&mut Bencher)>(&self, full_name: &str, f: &mut F) {
+        if !self.selects(full_name) {
+            return;
+        }
+        let mut b = Bencher::new();
+        f(&mut b);
+        if b.iterations == 0 {
+            // The body never called `iter` — nothing to report.
+            println!("{full_name:<48} (no measurement)");
+            return;
+        }
+        println!(
+            "{full_name:<48} mean {:>12} best {:>12}  ({} iters)",
+            fmt_ns(b.mean_ns),
+            fmt_ns(b.best_ns),
+            b.iterations
+        );
+    }
+
     /// Open a named [`BenchmarkGroup`].
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         let name = name.into();
         println!("group {name}");
-        BenchmarkGroup {
-            name,
-            _parent: self,
-        }
+        BenchmarkGroup { name, parent: self }
     }
 
     /// Benchmark a closure at the top level (no group).
@@ -225,7 +254,7 @@ impl Criterion {
         F: FnMut(&mut Bencher),
     {
         let id = id.into();
-        run_one(&id.0, &mut f);
+        self.run_one(&id.0, &mut f);
         self
     }
 }
@@ -250,4 +279,31 @@ macro_rules! criterion_main {
             $($group();)+
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn criterion(args: &[&str]) -> Criterion {
+        Criterion::with_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn no_positional_argument_selects_everything() {
+        for args in [&[][..], &["--bench"], &["--bench", "--nocapture"]] {
+            assert!(criterion(args).selects("knn_update/streaming/1000"));
+        }
+    }
+
+    #[test]
+    fn positional_arguments_select_by_substring() {
+        let c = criterion(&["--bench", "structured_peak", "naive/4000"]);
+        assert!(c.selects("crossval/structured_peak/10000"));
+        assert!(c.selects("crossval/naive/4000"));
+        assert!(!c.selects("crossval/naive/1000"));
+        assert!(!c.selects("knn_update/streaming/1000"));
+        // Substrings, not patterns: no regex metacharacters apply.
+        assert!(!criterion(&["streaming.*"]).selects("knn_update/streaming/1000"));
+    }
 }
