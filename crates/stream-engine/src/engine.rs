@@ -15,6 +15,10 @@
 //! * Each registered stream is a **state machine** (its operator plus a
 //!   ring consumer) hash-assigned to a shard and stepped by that shard's
 //!   event loop in drained batches.
+//! * A shard sleeps only while none of its streams has work, and wakes on
+//!   work, not on a timer: registration, a push into an empty ring and a
+//!   closing producer ring the shard's bell with the stream's id, and
+//!   the shard visits only the streams rung (see [`crate::ring`]).
 //! * Records travel through fixed-capacity [`crate::ring`] buffers whose
 //!   full-ring behaviour is the per-stream [`crate::Backpressure`] policy
 //!   (block / drop-oldest / error).
@@ -45,10 +49,11 @@
 //!   [`InputGuard`] that heals or skips non-finite values and quarantines
 //!   on NaN bursts or flatlined (stuck-at) feeds before degraded data
 //!   reaches operator state.
-//! * **Ingest retry/backoff.** [`StreamHandle::push_with_retry`] and
-//!   [`feed_all`] return typed [`IngestError`]s — bounded
-//!   exponential-backoff retries under a [`RetryPolicy`] instead of
-//!   panicking on transient ring-full or a wedged engine.
+//! * **Typed ingest errors.** [`StreamHandle::push_with_retry`] retries
+//!   a full `error`-policy ring with bounded exponential backoff under a
+//!   [`RetryPolicy`], and [`feed_all`] waits for ring space for at most
+//!   a stall budget; both return typed [`IngestError`]s instead of
+//!   panicking on a full ring or a wedged engine.
 //!
 //! ```
 //! use stream_engine::{serve, EngineConfig, TumblingWindowMean};
@@ -70,10 +75,11 @@
 use crate::guard::{GuardConfig, GuardTrip, GuardVerdict, InputGuard};
 use crate::latency::{LatencyHistogram, ServingStats, ShardStats, StreamStats};
 use crate::operator::Operator;
-use crate::ring::{self, PushError, RingConfig, RingCounters};
+use crate::ring::{self, Bell, PushError, RingConfig, RingCounters};
 use crate::Record;
 use class_core::SplitMix64;
 use std::cell::Cell;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
@@ -83,8 +89,12 @@ use std::time::{Duration, Instant};
 const DRAIN_BATCH: usize = 256;
 /// Records the bulk feeder pushes per ring visit.
 const FEED_CHUNK: usize = 64;
-/// How long an idle worker (or starved feeder) sleeps before re-polling.
-const IDLE_PARK: Duration = Duration::from_micros(200);
+/// How long [`feed_all`] waits for space in any of its rings before it
+/// reports the engine as wedged.
+const FEED_STALL: Duration = Duration::from_secs(20);
+/// The key a shard's bell is rung with when its inbox closes; no stream
+/// has it.
+const INBOX_CLOSED: usize = usize::MAX;
 
 /// Locks a mutex, recovering from poisoning. Every mutex in this crate
 /// guards monitor, registry or ring state (latency histograms, quarantine
@@ -272,13 +282,6 @@ impl RetryPolicy {
     }
 }
 
-/// Stall detection for [`feed_all`]: the feeder gives up only after
-/// `FEED_STALL_ROUNDS` *consecutive* no-progress rounds with exponential
-/// backoff between them (~20 s of total silence across every stream) —
-/// generous enough that only a genuinely wedged engine trips it.
-const FEED_STALL_ROUNDS: u32 = 400;
-const FEED_STALL_MAX_DELAY: Duration = Duration::from_millis(50);
-
 /// A typed ingest failure, returned instead of panicking the feeder.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IngestError {
@@ -299,7 +302,7 @@ pub enum IngestError {
     /// No stream accepted a single record for the full stall window: the
     /// engine is wedged (or an operator is blocked indefinitely).
     Stalled {
-        /// Cumulative time slept with zero progress.
+        /// Time waited for ring space with zero progress.
         waited: Duration,
         /// Streams that still had data to deliver.
         pending: usize,
@@ -341,7 +344,7 @@ impl std::error::Error for IngestError {}
 /// `records_in + drops + quarantined_after <= pushed` even mid-batch
 /// (every consumed or evicted record's push happens-before the counter
 /// value the snapshot observed).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct StreamMonitor {
     id: usize,
     shard: usize,
@@ -351,6 +354,8 @@ struct StreamMonitor {
     healed: AtomicU64,
     skipped: AtomicU64,
     done: AtomicBool,
+    /// Rung by the shard once it has set `done`; a detach waits on it.
+    retired: Bell,
     quarantine: Mutex<Option<(QuarantineCause, u64)>>,
     latency: Mutex<LatencyHistogram>,
     counters: Arc<RingCounters>,
@@ -497,7 +502,7 @@ impl StatsHandle {
 /// and reports the stream's [`StreamResult`]).
 #[derive(Debug)]
 pub struct StreamHandle {
-    producer: ring::Producer<Record<f64>>,
+    pub(crate) producer: ring::Producer<Record<f64>>,
     id: usize,
     t: u64,
     scratch: Vec<Record<f64>>,
@@ -565,6 +570,14 @@ impl StreamHandle {
     /// smaller granularity (e.g. fairness across many streams, as in
     /// [`feed_all`]) pass a smaller slice.
     pub fn try_feed(&mut self, values: &[f64]) -> Result<usize, PushError> {
+        let n = self.feed_unrung(values)?;
+        self.producer.wake();
+        Ok(n)
+    }
+
+    /// [`StreamHandle::try_feed`] that leaves the shard's wake-up owed
+    /// (see [`ring::Producer::feed_unrung`]).
+    pub(crate) fn feed_unrung(&mut self, values: &[f64]) -> Result<usize, PushError> {
         self.scratch.clear();
         self.scratch.extend(
             values
@@ -573,7 +586,7 @@ impl StreamHandle {
                 .enumerate()
                 .map(|(i, &v)| Record::new(self.t + i as u64, v)),
         );
-        let n = self.producer.try_feed(&self.scratch)?;
+        let n = self.producer.feed_unrung(&self.scratch)?;
         self.t += n as u64;
         Ok(n)
     }
@@ -681,11 +694,8 @@ where
     Op: Operator<In = f64>,
     Op::Out: Send,
 {
-    config: EngineConfig,
-    inboxes: Vec<mpsc::Sender<NewStream<'env, Op>>>,
+    registrar: Registrar<'env, Op>,
     workers: Vec<std::thread::ScopedJoinHandle<'scope, Vec<StreamResult<Op::Out>>>>,
-    registry: Arc<StatsRegistry>,
-    next_id: Arc<AtomicUsize>,
 }
 
 impl<'scope, 'env, Op> ServingEngine<'scope, 'env, Op>
@@ -698,19 +708,25 @@ where
         config: EngineConfig,
     ) -> ServingEngine<'scope, 'env, Op> {
         let shards = config.shards.max(1);
-        let mut inboxes = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = mpsc::channel::<NewStream<'env, Op>>();
-            inboxes.push(tx);
-            workers.push(scope.spawn(move || shard_worker(rx)));
-        }
-        ServingEngine {
-            config: EngineConfig { shards, ..config },
+        let bells: Vec<Arc<Bell>> = (0..shards).map(|_| Arc::default()).collect();
+        let (inboxes, workers) = bells
+            .iter()
+            .map(|bell| {
+                let (tx, rx) = mpsc::channel();
+                let bell = Arc::clone(bell);
+                (tx, scope.spawn(move || shard_worker(rx, &bell)))
+            })
+            .unzip();
+        let shared = Arc::new(EngineShared {
             inboxes,
-            workers,
+            bells,
             registry: Arc::new(StatsRegistry::new(shards)),
-            next_id: Arc::new(AtomicUsize::new(0)),
+            next_id: AtomicUsize::new(0),
+            default_ring: config.ring,
+        });
+        ServingEngine {
+            registrar: Registrar { shared },
+            workers,
         }
     }
 
@@ -724,7 +740,7 @@ where
     pub fn register(&mut self, factory: impl FnOnce() -> Op + Send + 'env) -> StreamHandle {
         self.register_with(
             StreamOptions {
-                ring: self.config.ring,
+                ring: self.registrar.default_ring(),
                 ..StreamOptions::default()
             },
             factory,
@@ -749,7 +765,7 @@ where
         opts: StreamOptions,
         factory: impl FnOnce() -> Op + Send + 'env,
     ) -> Result<StreamHandle, RegisterError> {
-        register_stream_inner(&self.inboxes, &self.registry, &self.next_id, opts, factory)
+        self.registrar.register_stream(opts, factory)
     }
 
     /// Detaches a stream from the live engine: closes its handle, waits
@@ -758,7 +774,7 @@ where
     /// other stream throughout — this is the shard-safe handoff the
     /// network tier uses when a producer sends DETACH.
     pub fn detach_stream(&self, handle: StreamHandle) -> DetachReport {
-        detach_stream_inner(&self.registry, handle)
+        self.registrar.detach_stream(handle)
     }
 
     /// A cloneable, `Send` registration surface over this engine.
@@ -773,26 +789,19 @@ where
     /// registrar holds their inboxes open, so a leaked clone would make
     /// `serve` wait forever.
     pub fn registrar(&self) -> Registrar<'env, Op> {
-        Registrar {
-            inboxes: self.inboxes.clone(),
-            registry: Arc::clone(&self.registry),
-            next_id: Arc::clone(&self.next_id),
-            default_ring: self.config.ring,
-        }
+        self.registrar.clone()
     }
 
     /// Takes a live snapshot of per-stream and per-shard accounting.
     pub fn stats(&self) -> ServingStats {
-        self.registry.snapshot()
+        self.registrar.shared.registry.snapshot()
     }
 
     /// A cloneable, `'static` [`StatsHandle`] over the same snapshots as
     /// [`ServingEngine::stats`] — hand it to exporter threads (it stays
     /// valid, frozen, after [`serve`] returns).
     pub fn stats_handle(&self) -> StatsHandle {
-        StatsHandle {
-            registry: Arc::clone(&self.registry),
-        }
+        self.registrar.stats_handle()
     }
 
     /// Binds a [`crate::metrics::MetricsServer`] on `addr` (e.g.
@@ -807,10 +816,10 @@ where
     }
 
     fn join(self) -> Vec<StreamResult<Op::Out>> {
-        // Closing the inboxes tells workers no more registrations come;
-        // they exit once every assigned stream is closed and drained.
-        drop(self.inboxes);
-        let registered = self.next_id.load(Ordering::Relaxed);
+        let registered = self.registrar.shared.next_id.load(Ordering::Relaxed);
+        // Dropping the last registrar closes the inboxes: workers exit once
+        // every assigned stream is closed and drained.
+        drop(self.registrar);
         let mut results: Vec<StreamResult<Op::Out>> = Vec::with_capacity(registered);
         for w in self.workers {
             results.extend(
@@ -860,6 +869,27 @@ pub struct DetachReport {
     pub state: StreamState,
 }
 
+/// What every [`Registrar`] clone (the engine's own included) shares:
+/// the shards' inboxes and bells, the stats registry and the id counter.
+struct EngineShared<'env, Op> {
+    inboxes: Vec<mpsc::Sender<NewStream<'env, Op>>>,
+    bells: Vec<Arc<Bell>>,
+    registry: Arc<StatsRegistry>,
+    next_id: AtomicUsize,
+    default_ring: RingConfig,
+}
+
+impl<Op> Drop for EngineShared<'_, Op> {
+    /// The last owner closes the inboxes, then rings every shard so a
+    /// parked worker sees the close.
+    fn drop(&mut self) {
+        self.inboxes.clear();
+        for bell in &self.bells {
+            bell.ring(INBOX_CLOSED);
+        }
+    }
+}
+
 /// A cloneable, `Send` registration surface over a live engine — see
 /// [`ServingEngine::registrar`] for semantics and the shutdown contract.
 pub struct Registrar<'env, Op>
@@ -867,10 +897,7 @@ where
     Op: Operator<In = f64>,
     Op::Out: Send,
 {
-    inboxes: Vec<mpsc::Sender<NewStream<'env, Op>>>,
-    registry: Arc<StatsRegistry>,
-    next_id: Arc<AtomicUsize>,
-    default_ring: RingConfig,
+    shared: Arc<EngineShared<'env, Op>>,
 }
 
 impl<'env, Op> Clone for Registrar<'env, Op>
@@ -880,10 +907,7 @@ where
 {
     fn clone(&self) -> Self {
         Self {
-            inboxes: self.inboxes.clone(),
-            registry: Arc::clone(&self.registry),
-            next_id: Arc::clone(&self.next_id),
-            default_ring: self.default_ring,
+            shared: Arc::clone(&self.shared),
         }
     }
 }
@@ -895,8 +919,8 @@ where
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Registrar")
-            .field("shards", &self.inboxes.len())
-            .field("default_ring", &self.default_ring)
+            .field("shards", &self.shared.inboxes.len())
+            .field("default_ring", &self.shared.default_ring)
             .finish()
     }
 }
@@ -913,109 +937,83 @@ where
         opts: StreamOptions,
         factory: impl FnOnce() -> Op + Send + 'env,
     ) -> Result<StreamHandle, RegisterError> {
-        register_stream_inner(&self.inboxes, &self.registry, &self.next_id, opts, factory)
-    }
-
-    /// Detaches a stream and waits for its shard to retire it (see
-    /// [`ServingEngine::detach_stream`]).
-    pub fn detach_stream(&self, handle: StreamHandle) -> DetachReport {
-        detach_stream_inner(&self.registry, handle)
-    }
-
-    /// The engine's default ring configuration, for callers (the wire
-    /// REGISTER path) that let the engine pick capacity/policy.
-    pub fn default_ring(&self) -> RingConfig {
-        self.default_ring
-    }
-
-    /// A cloneable, `'static` stats handle over the same engine.
-    pub fn stats_handle(&self) -> StatsHandle {
-        StatsHandle {
-            registry: Arc::clone(&self.registry),
-        }
-    }
-}
-
-/// Shared registration path for [`ServingEngine::register_stream`] and
-/// [`Registrar::register_stream`].
-fn register_stream_inner<'env, Op>(
-    inboxes: &[mpsc::Sender<NewStream<'env, Op>>],
-    registry: &Arc<StatsRegistry>,
-    next_id: &AtomicUsize,
-    opts: StreamOptions,
-    factory: impl FnOnce() -> Op + Send + 'env,
-) -> Result<StreamHandle, RegisterError>
-where
-    Op: Operator<In = f64> + 'env,
-    Op::Out: Send + 'env,
-{
-    let id = next_id.fetch_add(1, Ordering::Relaxed);
-    let shards = inboxes.len();
-    let shard = match opts.shard {
-        Some(s) => s % shards,
-        // The first SplitMix64 output seeded with the id: a cheap,
-        // well-mixed hash, so consecutive ids spread across shards.
-        None => (SplitMix64::new(id as u64).next_u64() % shards as u64) as usize,
-    };
-    let (producer, consumer) = ring::ring(opts.ring);
-    let monitor = Arc::new(StreamMonitor {
-        id,
-        shard,
-        name: opts.name.unwrap_or_else(|| format!("stream-{id}")),
-        records_in: AtomicU64::new(0),
-        quarantined_after: AtomicU64::new(0),
-        healed: AtomicU64::new(0),
-        skipped: AtomicU64::new(0),
-        done: AtomicBool::new(false),
-        quarantine: Mutex::new(None),
-        latency: Mutex::new(LatencyHistogram::new()),
-        counters: producer.counters(),
-    });
-    lock_recover(&registry.monitors).push(Arc::clone(&monitor));
-    if inboxes[shard]
-        .send(NewStream {
+        let sh = &*self.shared;
+        let id = sh.next_id.fetch_add(1, Ordering::Relaxed);
+        let shards = sh.inboxes.len();
+        let shard = match opts.shard {
+            Some(s) => s % shards,
+            // The first SplitMix64 output seeded with the id: a cheap,
+            // well-mixed hash, so consecutive ids spread across shards.
+            None => (SplitMix64::new(id as u64).next_u64() % shards as u64) as usize,
+        };
+        let (producer, consumer) = ring::ring_on(opts.ring, Arc::clone(&sh.bells[shard]), id);
+        let monitor = Arc::new(StreamMonitor {
+            id,
+            shard,
+            name: opts.name.unwrap_or_else(|| format!("stream-{id}")),
+            counters: producer.counters(),
+            ..StreamMonitor::default()
+        });
+        lock_recover(&sh.registry.monitors).push(Arc::clone(&monitor));
+        let sent = sh.inboxes[shard].send(NewStream {
             id,
             consumer,
             factory: Box::new(factory),
             monitor,
             timing: opts.timing,
             guard: opts.guard,
+        });
+        if sent.is_err() {
+            // The worker is gone (engine tearing down): undo the monitor so
+            // the registry never advertises a stream nobody serves.
+            lock_recover(&sh.registry.monitors).retain(|m| m.id != id);
+            return Err(RegisterError);
+        }
+        sh.bells[shard].ring(id);
+        Ok(StreamHandle {
+            producer,
+            id,
+            t: 0,
+            scratch: Vec::with_capacity(FEED_CHUNK),
         })
-        .is_err()
-    {
-        // The worker is gone (engine tearing down): undo the monitor so
-        // the registry never advertises a stream nobody serves.
-        lock_recover(&registry.monitors).retain(|m| m.id != id);
-        return Err(RegisterError);
     }
-    Ok(StreamHandle {
-        producer,
-        id,
-        t: 0,
-        scratch: Vec::with_capacity(FEED_CHUNK),
-    })
-}
 
-/// Shared detach path: close the handle, wait for the shard to retire
-/// the stream, report the final ledger.
-fn detach_stream_inner(registry: &Arc<StatsRegistry>, handle: StreamHandle) -> DetachReport {
-    let id = handle.id();
-    let monitor = registry
-        .monitor(id)
-        .expect("a live StreamHandle always has a registered monitor");
-    drop(handle); // closes the ring: the shard drains, flushes, retires
-    while !monitor.done.load(Ordering::Acquire) {
-        std::thread::sleep(IDLE_PARK);
+    /// Detaches a stream and waits for its shard to retire it (see
+    /// [`ServingEngine::detach_stream`]).
+    pub fn detach_stream(&self, handle: StreamHandle) -> DetachReport {
+        let id = handle.id();
+        let monitor = self
+            .shared
+            .registry
+            .monitor(id)
+            .expect("a live StreamHandle always has a registered monitor");
+        drop(handle); // closes the ring: the shard drains, flushes, retires
+        while !monitor.done.load(Ordering::Acquire) {
+            monitor.retired.wait(&mut Vec::new(), None);
+        }
+        // Acquire on `done` paired with the shard's Release store makes the
+        // final counter values below visible: the ledger is exact.
+        DetachReport {
+            stream: id,
+            records_in: monitor.records_in.load(Ordering::Acquire),
+            drops: monitor.counters.drops.load(Ordering::Acquire),
+            quarantined_after: monitor.quarantined_after.load(Ordering::Acquire),
+            pushed: monitor.counters.pushed.load(Ordering::Acquire),
+            state: monitor.state(),
+        }
     }
-    // Acquire on `done` paired with the shard's Release store makes the
-    // final counter values below visible: the ledger is exact.
-    DetachReport {
-        stream: id,
-        records_in: monitor.records_in.load(Ordering::Acquire),
-        drops: monitor.counters.drops.load(Ordering::Acquire),
-        quarantined_after: monitor.quarantined_after.load(Ordering::Acquire),
-        pushed: monitor.counters.pushed.load(Ordering::Acquire),
-        state: monitor.state(),
+
+    /// The engine's default ring configuration, for callers (the wire
+    /// REGISTER path) that let the engine pick capacity/policy.
+    pub fn default_ring(&self) -> RingConfig {
+        self.shared.default_ring
+    }
+
+    /// A cloneable, `'static` stats handle over the same engine.
+    pub fn stats_handle(&self) -> StatsHandle {
+        StatsHandle {
+            registry: Arc::clone(&self.shared.registry),
+        }
     }
 }
 
@@ -1043,7 +1041,8 @@ where
 pub struct FeedReport {
     /// Records accepted per stream, indexed like the handles.
     pub pushed: Vec<u64>,
-    /// No-progress rounds the feeder backed off on (0 = never starved).
+    /// No-progress rounds after which the feeder waited for ring space
+    /// (0 = never starved).
     pub backoff_rounds: u64,
 }
 
@@ -1054,81 +1053,90 @@ impl FeedReport {
     }
 }
 
+/// Gives all `handles` one space bell, rung with a handle's index
+/// whenever a drain frees space in its full ring, so a feeder can wait
+/// for all at once.
+pub(crate) fn share_space(handles: &mut [StreamHandle]) -> Arc<Bell> {
+    let bell = Arc::new(Bell::default());
+    for (i, h) in handles.iter_mut().enumerate() {
+        h.producer.share_space(&bell, i);
+    }
+    bell
+}
+
 /// Drives many in-memory streams to completion through their handles:
 /// non-blocking round-robin bulk pushes, so one full ring never stalls
 /// the others (no head-of-line blocking), with each handle closed the
 /// moment its data is exhausted so its shard can flush early. `handles`
 /// and `data` are matched by index.
 ///
-/// Starvation is bounded: if *no* stream accepts a single record for
-/// ~20 s of exponentially backed-off rounds, the engine is wedged and
-/// `feed_all` returns [`IngestError::Stalled`] instead of spinning
-/// forever (a quarantined stream keeps draining, so it never stalls the
-/// feeder).
-pub fn feed_all(handles: Vec<StreamHandle>, data: &[&[f64]]) -> Result<FeedReport, IngestError> {
+/// A full ring leaves the rotation until a drain frees space in it; with
+/// every unfinished ring full the feeder waits. If no ring gains space
+/// for 20 s, the engine is wedged and `feed_all` returns
+/// [`IngestError::Stalled`] (a quarantined stream keeps draining, so it
+/// never stalls the feeder).
+pub fn feed_all(
+    mut handles: Vec<StreamHandle>,
+    data: &[&[f64]],
+) -> Result<FeedReport, IngestError> {
     assert_eq!(
         handles.len(),
         data.len(),
         "one data slice per stream handle"
     );
+    let space = share_space(&mut handles);
     let mut slots: Vec<Option<StreamHandle>> = handles.into_iter().map(Some).collect();
     let mut cursors = vec![0usize; data.len()];
     let mut remaining = slots.len();
     let mut report = FeedReport {
         pushed: vec![0; data.len()],
-        backoff_rounds: 0,
+        ..FeedReport::default()
     };
-    let mut stall_rounds: u32 = 0;
-    let mut waited = Duration::ZERO;
+    // Streams whose ring may have room, in visiting order, and the ones
+    // the space bell named since the last look.
+    let mut ready: VecDeque<usize> = (0..slots.len()).collect();
+    let mut queued = vec![true; slots.len()];
+    let mut rung: Vec<usize> = Vec::new();
     while remaining > 0 {
-        let mut progressed = false;
-        for i in 0..slots.len() {
-            let Some(handle) = slots[i].as_mut() else {
-                continue;
-            };
-            let xs = data[i];
-            if cursors[i] >= xs.len() {
-                slots[i] = None; // close: the shard finishes the stream
-                remaining -= 1;
-                progressed = true;
-                continue;
-            }
-            let end = (cursors[i] + FEED_CHUNK).min(xs.len());
-            let n = match handle.try_feed(&xs[cursors[i]..end]) {
-                Ok(n) => n,
-                Err(PushError::Disconnected) => {
-                    return Err(IngestError::Disconnected {
-                        stream: handle.id(),
-                    })
-                }
-                // try_feed never reports overflow: it accepts what fits.
-                Err(PushError::Overflow(_)) => 0,
-            };
-            if n > 0 {
-                cursors[i] += n;
-                report.pushed[i] += n as u64;
-                progressed = true;
+        for i in rung.drain(..) {
+            if !queued[i] {
+                queued[i] = true;
+                ready.push_back(i);
             }
         }
-        if progressed {
-            stall_rounds = 0;
-        } else {
-            // Every unfinished ring is full: the consumers own the pace.
-            // Back off exponentially; give up only after a silence long
-            // enough to mean the engine is wedged.
-            stall_rounds += 1;
-            report.backoff_rounds += 1;
-            if stall_rounds >= FEED_STALL_ROUNDS {
-                return Err(IngestError::Stalled {
-                    waited,
-                    pending: remaining,
-                });
+        for _ in 0..ready.len() {
+            let i = ready
+                .pop_front()
+                .expect("visiting at most ready.len() streams");
+            let handle = slots[i].as_mut().expect("queued streams are open");
+            let (xs, at) = (data[i], cursors[i]);
+            let offered = &xs[at..(at + FEED_CHUNK).min(xs.len())];
+            // try_feed accepts what fits: its only error is a disconnect.
+            let Ok(n) = handle.try_feed(offered) else {
+                let stream = handle.id();
+                return Err(IngestError::Disconnected { stream });
+            };
+            cursors[i] += n;
+            report.pushed[i] += n as u64;
+            if cursors[i] == xs.len() {
+                slots[i] = None; // close: the shard finishes the stream
+                remaining -= 1;
+            } else if n == offered.len() {
+                ready.push_back(i);
+            } else {
+                // Full now: the drain that frees space rings the bell.
+                queued[i] = false;
             }
-            let delay = IDLE_PARK
-                .saturating_mul(1u32.checked_shl(stall_rounds.min(16)).unwrap_or(u32::MAX))
-                .min(FEED_STALL_MAX_DELAY);
-            waited += delay;
-            std::thread::sleep(delay);
+        }
+        let idle = ready.is_empty() && remaining > 0;
+        report.backoff_rounds += u64::from(idle);
+        let timeout = if idle { FEED_STALL } else { Duration::ZERO };
+        space.wait(&mut rung, Some(timeout));
+        if idle && rung.is_empty() {
+            return Err(IngestError::Stalled {
+                waited: FEED_STALL,
+                pending: remaining,
+            });
         }
     }
     Ok(report)
@@ -1149,6 +1157,8 @@ struct ActiveStream<Op: Operator<In = f64>> {
     quarantine: Option<(QuarantineCause, u64)>,
     busy: Duration,
     monitor: Arc<StreamMonitor>,
+    /// On the shard's run list (so a second ring does not add it twice).
+    scheduled: bool,
 }
 
 impl<Op: Operator<In = f64>> ActiveStream<Op> {
@@ -1270,61 +1280,130 @@ where
     }
 }
 
-/// The shard event loop: accept registrations, round-robin over owned
-/// streams draining + stepping each, flush and retire finished streams,
-/// park briefly when fully idle. Operator faults quarantine their stream
-/// (never the shard), so this function itself never panics. Returns the
-/// shard's stream results.
-fn shard_worker<'env, Op>(inbox: mpsc::Receiver<NewStream<'env, Op>>) -> Vec<StreamResult<Op::Out>>
+/// Flushes a closed, drained stream (a panicking flush quarantines it),
+/// marks it done, wakes a detach waiting on it, and returns its result.
+fn retire<Op>(mut st: ActiveStream<Op>) -> StreamResult<Op::Out>
+where
+    Op: Operator<In = f64>,
+{
+    if st.quarantine.is_none() {
+        let op = st
+            .op
+            .as_mut()
+            .expect("healthy streams keep their operator until flush");
+        let output = &mut st.output;
+        let t0 = Instant::now();
+        let outcome = catch_unwind(AssertUnwindSafe(|| op.flush(output)));
+        st.busy += t0.elapsed();
+        if let Err(payload) = outcome {
+            st.enter_quarantine(QuarantineCause::OperatorPanic {
+                message: panic_message(payload),
+            });
+        }
+    }
+    // Release pairs with a detach's Acquire load of `done`: once the close
+    // is observed, every final counter store above is too, so the detach
+    // report's ledger is exact.
+    st.monitor.done.store(true, Ordering::Release);
+    st.monitor.retired.ring(st.id);
+    let latency = lock_recover(&st.monitor.latency).clone();
+    let state = match &st.quarantine {
+        Some((cause, at_record)) => StreamState::Quarantined {
+            cause: cause.clone(),
+            at_record: *at_record,
+        },
+        None => StreamState::Done,
+    };
+    StreamResult {
+        stream: st.id,
+        shard: st.monitor.shard,
+        output: st.output,
+        records_in: st.records_in,
+        drops: st.monitor.counters.drops.load(Ordering::Relaxed),
+        quarantined_after: st.quarantined_after,
+        pushed: st.monitor.counters.pushed.load(Ordering::Relaxed),
+        healed: st.guard.as_ref().map_or(0, |g| g.healed()),
+        skipped: st.guard.as_ref().map_or(0, |g| g.skipped()),
+        retries: st.monitor.counters.retries.load(Ordering::Relaxed),
+        state,
+        busy: st.busy,
+        latency,
+    }
+}
+
+/// The shard event loop: accept registrations, visit the streams whose
+/// rings rang (registered, gained data, closed) in round-robin order,
+/// draining and stepping each, flush and retire finished streams, and
+/// wait on the shard's bell when no stream has work. Operator faults
+/// quarantine their stream (never the shard), so this function itself
+/// never panics. Returns the shard's stream results.
+fn shard_worker<'env, Op>(
+    inbox: mpsc::Receiver<NewStream<'env, Op>>,
+    bell: &Bell,
+) -> Vec<StreamResult<Op::Out>>
 where
     Op: Operator<In = f64>,
     Op::Out: Send,
 {
-    let mut active: Vec<ActiveStream<Op>> = Vec::new();
+    let mut active: HashMap<usize, ActiveStream<Op>> = HashMap::new();
+    // Streams with work, in visiting order, and the keys rung since the
+    // last look at the bell.
+    let mut run: VecDeque<usize> = VecDeque::new();
+    let mut rung: Vec<usize> = Vec::new();
     let mut finished: Vec<StreamResult<Op::Out>> = Vec::new();
     let mut batch: Vec<Record<f64>> = Vec::with_capacity(DRAIN_BATCH);
     let mut inbox_open = true;
-    // The factory runs under the same panic boundary as the operator it
-    // builds: a panicking factory quarantines its stream at record 0.
-    let accept = |ns: NewStream<'env, Op>| {
-        let built = catch_unwind(AssertUnwindSafe(ns.factory));
-        let mut st = ActiveStream {
-            id: ns.id,
-            consumer: ns.consumer,
-            op: None,
-            guard: ns.guard.map(InputGuard::new),
-            timing: ns.timing,
-            output: Vec::new(),
-            records_in: 0,
-            quarantined_after: 0,
-            quarantine: None,
-            busy: Duration::ZERO,
-            monitor: ns.monitor,
-        };
-        match built {
-            Ok(op) => st.op = Some(op),
-            Err(payload) => st.enter_quarantine(QuarantineCause::OperatorPanic {
-                message: panic_message(payload),
-            }),
-        }
-        st
-    };
     loop {
+        // A registration is sent before its id rings, so every rung id
+        // is known once the inbox is drained.
         while inbox_open {
             match inbox.try_recv() {
-                Ok(ns) => active.push(accept(ns)),
+                Ok(ns) => {
+                    // The factory runs under the same panic boundary as
+                    // the operator it builds: a panicking factory
+                    // quarantines its stream at record 0.
+                    let built = catch_unwind(AssertUnwindSafe(ns.factory));
+                    let mut st = ActiveStream {
+                        id: ns.id,
+                        consumer: ns.consumer,
+                        op: None,
+                        guard: ns.guard.map(InputGuard::new),
+                        timing: ns.timing,
+                        output: Vec::new(),
+                        records_in: 0,
+                        quarantined_after: 0,
+                        quarantine: None,
+                        busy: Duration::ZERO,
+                        monitor: ns.monitor,
+                        scheduled: false,
+                    };
+                    match built {
+                        Ok(op) => st.op = Some(op),
+                        Err(payload) => st.enter_quarantine(QuarantineCause::OperatorPanic {
+                            message: panic_message(payload),
+                        }),
+                    }
+                    active.insert(ns.id, st);
+                }
                 Err(mpsc::TryRecvError::Empty) => break,
                 Err(mpsc::TryRecvError::Disconnected) => inbox_open = false,
             }
         }
-        let mut progressed = false;
-        let mut i = 0;
-        while i < active.len() {
-            let st = &mut active[i];
+        for id in rung.drain(..) {
+            // Unknown keys: `INBOX_CLOSED`, or a stream retired already.
+            if let Some(st) = active.get_mut(&id) {
+                if !st.scheduled {
+                    st.scheduled = true;
+                    run.push_back(id);
+                }
+            }
+        }
+        for _ in 0..run.len() {
+            let id = run.pop_front().expect("visiting at most run.len() streams");
+            let st = active.get_mut(&id).expect("scheduled streams are active");
             batch.clear();
             let n = st.consumer.drain_into(&mut batch, DRAIN_BATCH);
             if n > 0 {
-                progressed = true;
                 if st.quarantine.is_some() {
                     // Drain-and-discard: the producer must never wedge
                     // on a stream that is already out of service.
@@ -1337,73 +1416,23 @@ where
                     step_batch(st, &mut batch, n);
                 }
             }
-            // `is_finished` re-checks emptiness: a producer that closed
-            // mid-drain still gets its tail drained on the next visit.
-            if n < DRAIN_BATCH && st.consumer.is_finished() {
-                let mut st = active.swap_remove(i);
-                progressed = true;
-                if st.quarantine.is_none() {
-                    let op = st
-                        .op
-                        .as_mut()
-                        .expect("healthy streams keep their operator until flush");
-                    let output = &mut st.output;
-                    let t0 = Instant::now();
-                    let outcome = catch_unwind(AssertUnwindSafe(|| op.flush(output)));
-                    st.busy += t0.elapsed();
-                    if let Err(payload) = outcome {
-                        st.enter_quarantine(QuarantineCause::OperatorPanic {
-                            message: panic_message(payload),
-                        });
-                    }
-                }
-                // Release pairs with a detach's Acquire poll on `done`:
-                // once the close is observed, every final counter store
-                // above is too, so the detach report's ledger is exact.
-                st.monitor.done.store(true, Ordering::Release);
-                let latency = lock_recover(&st.monitor.latency).clone();
-                let state = match &st.quarantine {
-                    Some((cause, at_record)) => StreamState::Quarantined {
-                        cause: cause.clone(),
-                        at_record: *at_record,
-                    },
-                    None => StreamState::Done,
-                };
-                finished.push(StreamResult {
-                    stream: st.id,
-                    shard: st.monitor.shard,
-                    output: st.output,
-                    records_in: st.records_in,
-                    drops: st.monitor.counters.drops.load(Ordering::Relaxed),
-                    quarantined_after: st.quarantined_after,
-                    pushed: st.monitor.counters.pushed.load(Ordering::Relaxed),
-                    healed: st.guard.as_ref().map_or(0, |g| g.healed()),
-                    skipped: st.guard.as_ref().map_or(0, |g| g.skipped()),
-                    retries: st.monitor.counters.retries.load(Ordering::Relaxed),
-                    state,
-                    busy: st.busy,
-                    latency,
-                });
-                continue; // swap_remove put a new stream at index i
+            if n == DRAIN_BATCH {
+                // Possibly more queued: back of the line, for fairness.
+                run.push_back(id);
+            } else if st.consumer.is_finished() {
+                let st = active.remove(&id).expect("visited stream is active");
+                finished.push(retire(st));
+            } else {
+                // Drained empty and still open: its next push or its
+                // close rings the bell again.
+                st.scheduled = false;
             }
-            i += 1;
         }
-        if !inbox_open && active.is_empty() {
+        if run.is_empty() && !inbox_open && active.is_empty() {
             return finished;
         }
-        if !progressed {
-            if inbox_open {
-                // Idle but still accepting: block on the inbox with a
-                // timeout so ring polls keep happening.
-                match inbox.recv_timeout(IDLE_PARK) {
-                    Ok(ns) => active.push(accept(ns)),
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => inbox_open = false,
-                }
-            } else {
-                std::thread::sleep(IDLE_PARK);
-            }
-        }
+        // With no stream to run, wait for a ring: no timeout, no poll.
+        bell.wait(&mut rung, (!run.is_empty()).then_some(Duration::ZERO));
     }
 }
 

@@ -277,8 +277,6 @@ pub struct DriveOutcome {
 
 /// Chunk size matching the engine's bulk feeder granularity.
 const DRIVE_CHUNK: usize = 64;
-/// Park between fruitless rounds (all open rings full).
-const DRIVE_PARK: Duration = Duration::from_micros(200);
 
 /// Drives the fleet like [`crate::feed_all`], but applies the plan's
 /// *feeder* faults: [`FaultKind::Stall`] sleeps the source at its trigger
@@ -287,13 +285,14 @@ const DRIVE_PARK: Duration = Duration::from_micros(200);
 /// `rejected`, not errors). Data and operator faults must already be
 /// installed via [`FaultPlan::corrupt`] / [`FaultingOperator`].
 pub fn drive(
-    handles: Vec<StreamHandle>,
+    mut handles: Vec<StreamHandle>,
     data: &[Vec<f64>],
     plan: &FaultPlan,
     retry: &RetryPolicy,
 ) -> Result<DriveOutcome, IngestError> {
     assert_eq!(handles.len(), data.len(), "one data vec per stream handle");
     let n = handles.len();
+    let space = crate::engine::share_space(&mut handles);
     let mut slots: Vec<Option<StreamHandle>> = handles.into_iter().map(Some).collect();
     let mut cursors = vec![0usize; n];
     let mut stalled = vec![false; n];
@@ -375,9 +374,9 @@ pub fn drive(
                 }
             }
         }
-        if !progressed {
-            std::thread::sleep(DRIVE_PARK);
-        }
+        // Take the space bell's keys; when every open ring is full and
+        // refused its retries, first wait for a drain to free space.
+        space.wait(&mut Vec::new(), progressed.then_some(Duration::ZERO));
     }
     Ok(outcome)
 }

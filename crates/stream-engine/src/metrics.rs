@@ -25,13 +25,13 @@
 
 use crate::engine::{lock_recover, StatsHandle};
 use crate::latency::{ServingStats, ShardStats, StreamStats};
-use crate::net::{ConnStats, NetStats, NetStatsHandle};
+use crate::net::{accept_until, ConnStats, NetStats, NetStatsHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Schema identifier stamped into every [`render_stats_json`] document.
 pub const STATS_JSON_SCHEMA: &str = "class-serving-stats/v1";
@@ -68,26 +68,43 @@ fn escape_json(value: &str) -> String {
     out
 }
 
-/// One family's HELP/TYPE header.
-fn family(out: &mut String, name: &str, kind: &str, help: &str) {
-    out.push_str("# HELP ");
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(help);
-    out.push('\n');
-    out.push_str("# TYPE ");
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(kind);
-    out.push('\n');
+/// Appends one metric family: its HELP/TYPE header (a counter when the
+/// name ends in `_total`, a gauge otherwise) and one `name{labels} value`
+/// line per sample (no braces for empty labels).
+fn family(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    samples: impl IntoIterator<Item = (String, String)>,
+) {
+    let kind = if name.ends_with("_total") {
+        "counter"
+    } else {
+        "gauge"
+    };
+    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+    for (labels, value) in samples {
+        if labels.is_empty() {
+            out.push_str(&format!("{name} {value}\n"));
+        } else {
+            out.push_str(&format!("{name}{{{labels}}} {value}\n"));
+        }
+    }
 }
 
-/// A metric-family table entry: series name, HELP text, and the
-/// accessor pulling its value out of a per-shard snapshot.
-type ShardFamily = (&'static str, &'static str, fn(&ShardStats) -> u64);
+/// A family table entry: name, HELP text, and the accessor rendering
+/// its value from one row of a snapshot.
+type Family<T> = (&'static str, &'static str, fn(&T) -> String);
 
-/// A metric-family table entry over per-stream snapshots.
-type StreamFamily = (&'static str, &'static str, fn(&StreamStats) -> u64);
+/// The p50 and p99 samples of a latency-quantile family.
+fn quantiles(labels: &str, p50: Duration, p99: Duration) -> [(String, String); 2] {
+    [("0.5", p50), ("0.99", p99)].map(|(q, d)| {
+        (
+            format!("{labels},quantile=\"{q}\""),
+            d.as_secs_f64().to_string(),
+        )
+    })
+}
 
 /// The per-stream label set, shared by every `class_stream_*` series.
 fn stream_labels(s: &StreamStats) -> String {
@@ -109,223 +126,153 @@ fn stream_labels(s: &StreamStats) -> String {
 /// series per producer connection (`conn`/`peer` labels).
 pub fn render_prometheus(stats: &ServingStats, net: Option<&NetStats>) -> String {
     let mut out = String::with_capacity(4096);
+    let engine = [
+        (
+            "class_engine_uptime_seconds",
+            "Time since the serving engine started.",
+            stats.uptime.as_secs_f64().to_string(),
+        ),
+        (
+            "class_engine_streams",
+            "Streams registered with the engine.",
+            stats.streams.len().to_string(),
+        ),
+        (
+            "class_engine_active_streams",
+            "Streams not yet done (quarantined streams still draining count).",
+            stats.active_streams().to_string(),
+        ),
+        (
+            "class_engine_quarantined_streams",
+            "Streams taken out of service by a fault.",
+            stats.quarantined().to_string(),
+        ),
+    ];
+    for (name, help, value) in engine {
+        family(&mut out, name, help, [(String::new(), value)]);
+    }
 
-    // Engine-level gauges.
-    family(
-        &mut out,
-        "class_engine_uptime_seconds",
-        "gauge",
-        "Time since the serving engine started.",
-    );
-    out.push_str(&format!(
-        "class_engine_uptime_seconds {}\n",
-        stats.uptime.as_secs_f64()
-    ));
-    family(
-        &mut out,
-        "class_engine_streams",
-        "gauge",
-        "Streams registered with the engine.",
-    );
-    out.push_str(&format!("class_engine_streams {}\n", stats.streams.len()));
-    family(
-        &mut out,
-        "class_engine_active_streams",
-        "gauge",
-        "Streams not yet done (quarantined streams still draining count).",
-    );
-    out.push_str(&format!(
-        "class_engine_active_streams {}\n",
-        stats.active_streams()
-    ));
-    family(
-        &mut out,
-        "class_engine_quarantined_streams",
-        "gauge",
-        "Streams taken out of service by a fault.",
-    );
-    out.push_str(&format!(
-        "class_engine_quarantined_streams {}\n",
-        stats.quarantined()
-    ));
-
-    // Per-shard families, one series per shard.
-    let shard_gauges: [ShardFamily; 6] = [
+    let shard_families: [Family<ShardStats>; 6] = [
         (
             "class_shard_streams",
             "Streams assigned to the shard (finished ones included).",
-            |s| s.streams as u64,
+            |s| s.streams.to_string(),
         ),
         (
             "class_shard_active_streams",
             "Streams the shard is still serving.",
-            |s| s.active as u64,
+            |s| s.active.to_string(),
         ),
         (
             "class_shard_quarantined_streams",
             "Streams quarantined on the shard.",
-            |s| s.quarantined as u64,
+            |s| s.quarantined.to_string(),
         ),
         (
             "class_shard_records_in_total",
             "Records processed across the shard's streams.",
-            |s| s.records_in,
+            |s| s.records_in.to_string(),
         ),
         (
             "class_shard_drops_total",
             "Backpressure drops across the shard's streams.",
-            |s| s.drops,
+            |s| s.drops.to_string(),
         ),
         (
             "class_shard_queue_depth",
             "Sum of the shard's ring-buffer depths.",
-            |s| s.queue_depth as u64,
+            |s| s.queue_depth.to_string(),
         ),
     ];
-    for (name, help, get) in shard_gauges {
-        let kind = if name.ends_with("_total") {
-            "counter"
-        } else {
-            "gauge"
-        };
-        family(&mut out, name, kind, help);
-        for s in &stats.shards {
-            out.push_str(&format!("{name}{{shard=\"{}\"}} {}\n", s.shard, get(s)));
-        }
+    let shard_labels = |s: &ShardStats| format!("shard=\"{}\"", s.shard);
+    for (name, help, get) in shard_families {
+        let samples = stats.shards.iter().map(|s| (shard_labels(s), get(s)));
+        family(&mut out, name, help, samples);
     }
     family(
         &mut out,
         "class_shard_latency_seconds",
-        "gauge",
         "Per-record operator latency quantiles over the shard's merged histogram.",
+        stats
+            .shards
+            .iter()
+            .flat_map(|s| quantiles(&shard_labels(s), s.p50, s.p99)),
     );
-    for s in &stats.shards {
-        out.push_str(&format!(
-            "class_shard_latency_seconds{{shard=\"{}\",quantile=\"0.5\"}} {}\n",
-            s.shard,
-            s.p50.as_secs_f64()
-        ));
-        out.push_str(&format!(
-            "class_shard_latency_seconds{{shard=\"{}\",quantile=\"0.99\"}} {}\n",
-            s.shard,
-            s.p99.as_secs_f64()
-        ));
-    }
 
-    // Per-stream families, one series per stream.
-    let stream_counters: [StreamFamily; 7] = [
+    let stream_families: [Family<StreamStats>; 10] = [
         (
             "class_stream_records_in_total",
             "Records consumed while healthy (operator-processed plus guard-healed/skipped).",
-            |s| s.records_in,
+            |s| s.records_in.to_string(),
         ),
         (
             "class_stream_drops_total",
             "Records evicted by the drop-oldest backpressure policy.",
-            |s| s.drops,
+            |s| s.drops.to_string(),
         ),
         (
             "class_stream_quarantined_after_total",
             "Records drained and discarded after the stream was quarantined.",
-            |s| s.quarantined_after,
+            |s| s.quarantined_after.to_string(),
         ),
         (
             "class_stream_pushed_total",
             "Records accepted into the stream's ring.",
-            |s| s.pushed,
+            |s| s.pushed.to_string(),
         ),
         (
             "class_stream_healed_total",
             "Non-finite values the input guard replaced.",
-            |s| s.healed,
+            |s| s.healed.to_string(),
         ),
         (
             "class_stream_skipped_total",
             "Records the input guard dropped before the operator.",
-            |s| s.skipped,
+            |s| s.skipped.to_string(),
         ),
         (
             "class_stream_retries_total",
             "Ingest backoff retries against the stream's ring.",
-            |s| s.retries,
+            |s| s.retries.to_string(),
+        ),
+        (
+            "class_stream_queue_depth",
+            "Records currently queued in the stream's ring buffer.",
+            |s| s.queue_depth.to_string(),
+        ),
+        (
+            "class_stream_done",
+            "1 once the stream is closed, drained, and flushed.",
+            |s| u8::from(s.done).to_string(),
+        ),
+        (
+            "class_stream_quarantined",
+            "1 if the stream was taken out of service by a fault.",
+            |s| u8::from(s.state.is_quarantined()).to_string(),
         ),
     ];
-    for (name, help, get) in stream_counters {
-        family(&mut out, name, "counter", help);
-        for s in &stats.streams {
-            out.push_str(&format!("{name}{{{}}} {}\n", stream_labels(s), get(s)));
-        }
-    }
-    family(
-        &mut out,
-        "class_stream_queue_depth",
-        "gauge",
-        "Records currently queued in the stream's ring buffer.",
-    );
-    for s in &stats.streams {
-        out.push_str(&format!(
-            "class_stream_queue_depth{{{}}} {}\n",
-            stream_labels(s),
-            s.queue_depth
-        ));
-    }
-    family(
-        &mut out,
-        "class_stream_done",
-        "gauge",
-        "1 once the stream is closed, drained, and flushed.",
-    );
-    for s in &stats.streams {
-        out.push_str(&format!(
-            "class_stream_done{{{}}} {}\n",
-            stream_labels(s),
-            u8::from(s.done)
-        ));
-    }
-    family(
-        &mut out,
-        "class_stream_quarantined",
-        "gauge",
-        "1 if the stream was taken out of service by a fault.",
-    );
-    for s in &stats.streams {
-        out.push_str(&format!(
-            "class_stream_quarantined{{{}}} {}\n",
-            stream_labels(s),
-            u8::from(s.state.is_quarantined())
-        ));
+    for (name, help, get) in stream_families {
+        let samples = stats.streams.iter().map(|s| (stream_labels(s), get(s)));
+        family(&mut out, name, help, samples);
     }
     family(
         &mut out,
         "class_stream_latency_seconds",
-        "gauge",
         "Per-record operator latency quantiles.",
+        stats
+            .streams
+            .iter()
+            .flat_map(|s| quantiles(&stream_labels(s), s.p50, s.p99)),
     );
-    for s in &stats.streams {
-        out.push_str(&format!(
-            "class_stream_latency_seconds{{{},quantile=\"0.5\"}} {}\n",
-            stream_labels(s),
-            s.p50.as_secs_f64()
-        ));
-        out.push_str(&format!(
-            "class_stream_latency_seconds{{{},quantile=\"0.99\"}} {}\n",
-            stream_labels(s),
-            s.p99.as_secs_f64()
-        ));
-    }
     family(
         &mut out,
         "class_stream_latency_mean_seconds",
-        "gauge",
         "Mean per-record operator latency.",
+        stats
+            .streams
+            .iter()
+            .map(|s| (stream_labels(s), s.mean.as_secs_f64().to_string())),
     );
-    for s in &stats.streams {
-        out.push_str(&format!(
-            "class_stream_latency_mean_seconds{{{}}} {}\n",
-            stream_labels(s),
-            s.mean.as_secs_f64()
-        ));
-    }
 
     if let Some(net) = net {
         render_net_families(&mut out, net);
@@ -333,124 +280,86 @@ pub fn render_prometheus(stats: &ServingStats, net: Option<&NetStats>) -> String
     out
 }
 
-/// The per-connection label set, shared by every `class_net_conn_*`
-/// series.
-fn conn_labels(c: &ConnStats) -> String {
-    format!("conn=\"{}\",peer=\"{}\"", c.conn, escape_label(&c.peer))
-}
-
-/// A metric-family table entry over per-connection snapshots.
-type ConnFamily = (&'static str, &'static str, fn(&ConnStats) -> u64);
-
 /// Appends the network ingestion tier's metric families.
 fn render_net_families(out: &mut String, net: &NetStats) {
-    family(
-        out,
-        "class_net_connections",
-        "gauge",
-        "Producer connections currently open.",
-    );
-    out.push_str(&format!("class_net_connections {}\n", net.active));
-    family(
-        out,
-        "class_net_connections_total",
-        "counter",
-        "Producer connections ever accepted.",
-    );
-    out.push_str(&format!("class_net_connections_total {}\n", net.accepted));
-    family(
-        out,
-        "class_net_frames_total",
-        "counter",
-        "Protocol frames received across all connections.",
-    );
-    out.push_str(&format!("class_net_frames_total {}\n", net.frames()));
-    family(
-        out,
-        "class_net_records_total",
-        "counter",
-        "Record values accepted into rings over the wire.",
-    );
-    out.push_str(&format!("class_net_records_total {}\n", net.records()));
-    family(
-        out,
-        "class_net_throttle_total",
-        "counter",
-        "THROTTLE frames sent (block-policy backpressure stalls).",
-    );
-    out.push_str(&format!(
-        "class_net_throttle_total {}\n",
-        net.throttle_events()
-    ));
-    family(
-        out,
-        "class_net_errors_total",
-        "counter",
-        "Typed protocol ERROR frames sent to producers.",
-    );
-    out.push_str(&format!(
-        "class_net_errors_total {}\n",
-        net.protocol_errors()
-    ));
-
-    let conn_gauges: [ConnFamily; 2] = [
+    let totals = [
+        (
+            "class_net_connections",
+            "Producer connections currently open.",
+            net.active.to_string(),
+        ),
+        (
+            "class_net_connections_total",
+            "Producer connections ever accepted.",
+            net.accepted.to_string(),
+        ),
+        (
+            "class_net_frames_total",
+            "Protocol frames received across all connections.",
+            net.frames().to_string(),
+        ),
+        (
+            "class_net_records_total",
+            "Record values accepted into rings over the wire.",
+            net.records().to_string(),
+        ),
+        (
+            "class_net_throttle_total",
+            "THROTTLE frames sent (block-policy backpressure stalls).",
+            net.throttle_events().to_string(),
+        ),
+        (
+            "class_net_errors_total",
+            "Typed protocol ERROR frames sent to producers.",
+            net.protocol_errors().to_string(),
+        ),
+    ];
+    for (name, help, value) in totals {
+        family(out, name, help, [(String::new(), value)]);
+    }
+    let conn_families: [Family<ConnStats>; 7] = [
         (
             "class_net_conn_open",
             "1 while the producer connection is open.",
-            |c| u64::from(c.open),
+            |c| u8::from(c.open).to_string(),
         ),
         (
             "class_net_conn_streams",
             "Streams currently attached by the connection.",
-            |c| c.streams as u64,
+            |c| c.streams.to_string(),
         ),
-    ];
-    for (name, help, get) in conn_gauges {
-        family(out, name, "gauge", help);
-        for c in &net.connections {
-            out.push_str(&format!("{name}{{{}}} {}\n", conn_labels(c), get(c)));
-        }
-    }
-    let conn_counters: [ConnFamily; 4] = [
         (
             "class_net_conn_frames_total",
             "Protocol frames received on the connection.",
-            |c| c.frames,
+            |c| c.frames.to_string(),
         ),
         (
             "class_net_conn_records_total",
             "Record values the connection fed into rings.",
-            |c| c.records,
+            |c| c.records.to_string(),
         ),
         (
             "class_net_conn_throttle_total",
             "THROTTLE frames sent to the connection.",
-            |c| c.throttle_events,
+            |c| c.throttle_events.to_string(),
         ),
         (
             "class_net_conn_errors_total",
             "Typed ERROR frames sent to the connection.",
-            |c| c.protocol_errors,
+            |c| c.protocol_errors.to_string(),
+        ),
+        (
+            "class_net_conn_frames_per_sec",
+            "Frames per second over the connection's lifetime.",
+            |c| c.frames_per_sec().to_string(),
         ),
     ];
-    for (name, help, get) in conn_counters {
-        family(out, name, "counter", help);
-        for c in &net.connections {
-            out.push_str(&format!("{name}{{{}}} {}\n", conn_labels(c), get(c)));
-        }
-    }
-    family(
-        out,
-        "class_net_conn_frames_per_sec",
-        "gauge",
-        "Frames per second over the connection's lifetime.",
-    );
-    for c in &net.connections {
-        out.push_str(&format!(
-            "class_net_conn_frames_per_sec{{{}}} {}\n",
-            conn_labels(c),
-            c.frames_per_sec()
-        ));
+    for (name, help, get) in conn_families {
+        let samples = net.connections.iter().map(|c| {
+            let labels = format!("conn=\"{}\",peer=\"{}\"", c.conn, escape_label(&c.peer));
+            (labels, get(c))
+        });
+        family(out, name, help, samples);
     }
 }
 
@@ -484,11 +393,11 @@ pub fn render_stats_json(stats: &ServingStats, net: Option<&NetStats>) -> String
     ));
     out.push_str("},\n");
     out.push_str("  \"shards\": [\n");
-    for (i, s) in stats.shards.iter().enumerate() {
-        out.push_str(&format!(
+    out.push_str(&json_rows(stats.shards.iter().map(|s| {
+        format!(
             "    {{\"shard\": {}, \"streams\": {}, \"active\": {}, \"quarantined\": {}, \
              \"records_in\": {}, \"drops\": {}, \"queue_depth\": {}, \"p50_ns\": {}, \
-             \"p99_ns\": {}}}{}\n",
+             \"p99_ns\": {}}}",
             s.shard,
             s.streams,
             s.active,
@@ -498,12 +407,11 @@ pub fn render_stats_json(stats: &ServingStats, net: Option<&NetStats>) -> String
             s.queue_depth,
             s.p50.as_nanos(),
             s.p99.as_nanos(),
-            if i + 1 < stats.shards.len() { "," } else { "" }
-        ));
-    }
+        )
+    })));
     out.push_str("  ],\n");
     out.push_str("  \"streams\": [\n");
-    for (i, s) in stats.streams.iter().enumerate() {
+    out.push_str(&json_rows(stats.streams.iter().map(|s| {
         let state = if s.state.is_quarantined() {
             "quarantined"
         } else if s.done {
@@ -518,11 +426,11 @@ pub fn render_stats_json(stats: &ServingStats, net: Option<&NetStats>) -> String
             ),
             None => "null".to_string(),
         };
-        out.push_str(&format!(
+        format!(
             "    {{\"stream\": {}, \"name\": \"{}\", \"shard\": {}, \"state\": \"{state}\", \
              \"records_in\": {}, \"drops\": {}, \"quarantined_after\": {}, \"pushed\": {}, \
              \"healed\": {}, \"skipped\": {}, \"retries\": {}, \"queue_depth\": {}, \
-             \"p50_ns\": {}, \"p99_ns\": {}, \"mean_ns\": {}, \"quarantine\": {quarantine}}}{}\n",
+             \"p50_ns\": {}, \"p99_ns\": {}, \"mean_ns\": {}, \"quarantine\": {quarantine}}}",
             s.stream,
             escape_json(&s.name),
             s.shard,
@@ -537,9 +445,8 @@ pub fn render_stats_json(stats: &ServingStats, net: Option<&NetStats>) -> String
             s.p50.as_nanos(),
             s.p99.as_nanos(),
             s.mean.as_nanos(),
-            if i + 1 < stats.streams.len() { "," } else { "" }
-        ));
-    }
+        )
+    })));
     match net {
         None => out.push_str("  ]\n}\n"),
         Some(net) => {
@@ -556,11 +463,11 @@ pub fn render_stats_json(stats: &ServingStats, net: Option<&NetStats>) -> String
                 net.protocol_errors()
             ));
             out.push_str("    \"connections\": [\n");
-            for (i, c) in net.connections.iter().enumerate() {
-                out.push_str(&format!(
+            out.push_str(&json_rows(net.connections.iter().map(|c| {
+                format!(
                     "      {{\"conn\": {}, \"peer\": \"{}\", \"open\": {}, \"streams\": {}, \
                      \"frames\": {}, \"records\": {}, \"throttle_events\": {}, \
-                     \"protocol_errors\": {}, \"uptime_s\": {:.3}, \"frames_per_sec\": {:.1}}}{}\n",
+                     \"protocol_errors\": {}, \"uptime_s\": {:.3}, \"frames_per_sec\": {:.1}}}",
                     c.conn,
                     escape_json(&c.peer),
                     c.open,
@@ -571,15 +478,19 @@ pub fn render_stats_json(stats: &ServingStats, net: Option<&NetStats>) -> String
                     c.protocol_errors,
                     c.uptime.as_secs_f64(),
                     c.frames_per_sec(),
-                    if i + 1 < net.connections.len() {
-                        ","
-                    } else {
-                        ""
-                    }
-                ));
-            }
+                )
+            })));
             out.push_str("    ]\n  }\n}\n");
         }
+    }
+    out
+}
+
+/// One JSON array element per line, comma-separated.
+fn json_rows(rows: impl Iterator<Item = String>) -> String {
+    let mut out = rows.collect::<Vec<_>>().join(",\n");
+    if !out.is_empty() {
+        out.push('\n');
     }
     out
 }
@@ -605,11 +516,17 @@ pub fn vm_hwm_kb() -> Option<u64> {
 #[derive(Debug)]
 pub struct MetricsServer {
     addr: SocketAddr,
-    source: Arc<Mutex<Option<StatsHandle>>>,
-    net_source: Arc<Mutex<Option<NetStatsHandle>>>,
-    stop: Arc<AtomicBool>,
-    scrapes: Arc<AtomicU64>,
+    shared: Arc<Endpoint>,
     thread: Option<std::thread::JoinHandle<()>>,
+}
+
+/// What a [`MetricsServer`] shares with its listener thread.
+#[derive(Debug, Default)]
+struct Endpoint {
+    source: Mutex<Option<StatsHandle>>,
+    net_source: Mutex<Option<NetStatsHandle>>,
+    stop: AtomicBool,
+    scrapes: AtomicU64,
 }
 
 impl MetricsServer {
@@ -621,25 +538,19 @@ impl MetricsServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let source: Arc<Mutex<Option<StatsHandle>>> = Arc::new(Mutex::new(None));
-        let net_source: Arc<Mutex<Option<NetStatsHandle>>> = Arc::new(Mutex::new(None));
-        let stop = Arc::new(AtomicBool::new(false));
-        let scrapes = Arc::new(AtomicU64::new(0));
-        let thread = {
-            let source = Arc::clone(&source);
-            let net_source = Arc::clone(&net_source);
-            let stop = Arc::clone(&stop);
-            let scrapes = Arc::clone(&scrapes);
-            std::thread::Builder::new()
-                .name("class-metrics".into())
-                .spawn(move || listen_loop(listener, &source, &net_source, &stop, &scrapes))?
-        };
+        let shared = Arc::new(Endpoint::default());
+        let ep = Arc::clone(&shared);
+        let thread = std::thread::Builder::new()
+            .name("class-metrics".into())
+            .spawn(move || {
+                accept_until(&listener, &ep.stop, |conn, _peer| {
+                    // A failed scrape must not take the listener down.
+                    let _ = handle_conn(conn, &ep);
+                });
+            })?;
         Ok(MetricsServer {
             addr,
-            source,
-            net_source,
-            stop,
-            scrapes,
+            shared,
             thread: Some(thread),
         })
     }
@@ -651,67 +562,48 @@ impl MetricsServer {
 
     /// Attaches (or replaces) the stats source served from now on.
     pub fn attach(&self, handle: StatsHandle) {
-        *lock_recover(&self.source) = Some(handle);
+        *lock_recover(&self.shared.source) = Some(handle);
     }
 
     /// Attaches (or replaces) a network ingestion tier: `/metrics`
     /// grows the `class_net_*` families and `/stats.json` a `"net"`
     /// object (see [`crate::IngestServer::net_stats`]).
     pub fn attach_net(&self, handle: NetStatsHandle) {
-        *lock_recover(&self.net_source) = Some(handle);
+        *lock_recover(&self.shared.net_source) = Some(handle);
     }
 
     /// How many `/metrics` scrapes have been answered.
     pub fn scrapes(&self) -> u64 {
-        self.scrapes.load(Ordering::Relaxed)
+        self.shared.scrapes.load(Ordering::Relaxed)
     }
 }
 
 impl Drop for MetricsServer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.shared.stop.store(true, Ordering::Release);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
     }
 }
 
-/// Accept-poll cadence; also bounds shutdown latency on `Drop`.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// Budget for a whole request head (and for writing the response): the
+/// listener serves one connection at a time, so a client that trickles
+/// its request must not hold it for longer than this.
+const CONN_TIMEOUT: Duration = Duration::from_secs(2);
 
-fn listen_loop(
-    listener: TcpListener,
-    source: &Mutex<Option<StatsHandle>>,
-    net_source: &Mutex<Option<NetStatsHandle>>,
-    stop: &AtomicBool,
-    scrapes: &AtomicU64,
-) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((conn, _peer)) => {
-                // A failed scrape must not take the listener down.
-                let _ = handle_conn(conn, source, net_source, scrapes);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-}
-
-fn handle_conn(
-    mut conn: TcpStream,
-    source: &Mutex<Option<StatsHandle>>,
-    net_source: &Mutex<Option<NetStatsHandle>>,
-    scrapes: &AtomicU64,
-) -> std::io::Result<()> {
+fn handle_conn(mut conn: TcpStream, ep: &Endpoint) -> std::io::Result<()> {
     conn.set_nonblocking(false)?;
-    conn.set_read_timeout(Some(Duration::from_secs(2)))?;
-    conn.set_write_timeout(Some(Duration::from_secs(2)))?;
+    conn.set_write_timeout(Some(CONN_TIMEOUT))?;
+    let deadline = Instant::now() + CONN_TIMEOUT;
     let mut head = Vec::with_capacity(512);
     let mut buf = [0u8; 512];
     while !head.windows(4).any(|w| w == b"\r\n\r\n") {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        conn.set_read_timeout(Some(left))?;
         let n = conn.read(&mut buf)?;
         if n == 0 || head.len() + n > 8192 {
             break;
@@ -720,11 +612,13 @@ fn handle_conn(
     }
     let request = String::from_utf8_lossy(&head);
     let path = request.split_whitespace().nth(1).unwrap_or("/").to_string();
-    let snapshot = lock_recover(source).as_ref().map(StatsHandle::stats);
-    let net_snapshot = lock_recover(net_source).as_ref().map(NetStatsHandle::stats);
+    let snapshot = lock_recover(&ep.source).as_ref().map(StatsHandle::stats);
+    let net_snapshot = lock_recover(&ep.net_source)
+        .as_ref()
+        .map(NetStatsHandle::stats);
     let (status, content_type, body) = match (path.as_str(), snapshot) {
         ("/metrics", Some(stats)) => {
-            scrapes.fetch_add(1, Ordering::Relaxed);
+            ep.scrapes.fetch_add(1, Ordering::Relaxed);
             (
                 "200 OK",
                 "text/plain; version=0.0.4; charset=utf-8",
@@ -760,12 +654,10 @@ fn handle_conn(
 /// so the file always ends with the run's terminal stats.
 #[derive(Debug)]
 pub struct SnapshotWriter {
-    stop: Arc<AtomicBool>,
+    /// Dropping the sender stops the writer.
+    stop: Option<mpsc::Sender<()>>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
-
-/// How often the writer wakes to check for stop between snapshots.
-const SNAPSHOT_POLL: Duration = Duration::from_millis(50);
 
 impl SnapshotWriter {
     /// Starts snapshotting `handle` to `path` every `interval`.
@@ -775,30 +667,20 @@ impl SnapshotWriter {
         interval: Duration,
     ) -> SnapshotWriter {
         let path = path.into();
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("class-snapshots".into())
-                .spawn(move || {
-                    loop {
-                        let _ = write_snapshot(&handle, &path);
-                        let mut slept = Duration::ZERO;
-                        while slept < interval && !stop.load(Ordering::Relaxed) {
-                            std::thread::sleep(SNAPSHOT_POLL);
-                            slept += SNAPSHOT_POLL;
-                        }
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                    }
-                    // Terminal snapshot: the file ends at the final stats.
+        let (stop, stopped) = mpsc::channel::<()>();
+        let thread = std::thread::Builder::new()
+            .name("class-snapshots".into())
+            .spawn(move || {
+                let _ = write_snapshot(&handle, &path);
+                while let Err(mpsc::RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
                     let _ = write_snapshot(&handle, &path);
-                })
-                .expect("spawning the snapshot writer thread")
-        };
+                }
+                // Terminal snapshot: the file ends at the final stats.
+                let _ = write_snapshot(&handle, &path);
+            })
+            .expect("spawning the snapshot writer thread");
         SnapshotWriter {
-            stop,
+            stop: Some(stop),
             thread: Some(thread),
         }
     }
@@ -809,7 +691,7 @@ impl SnapshotWriter {
 
 impl Drop for SnapshotWriter {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.take();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }

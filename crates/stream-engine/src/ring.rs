@@ -9,17 +9,33 @@
 //! bounded online model makes the same constant-memory argument for the
 //! operator itself).
 //!
-//! A ring is a `VecDeque` behind a mutex, plus one condvar on which a
-//! blocked producer waits for space. Locking is amortised over batches:
-//! [`Producer::try_feed`] (the path of `feed_all` and the network tier)
-//! and [`Consumer::drain_into`] (the shard loop) take the lock once per
-//! call, not once per record. The layer ledger is why this is enough: a
-//! traced `fleet-inproc` benchmark run (128 ClaSS streams saturating one
-//! shard, 2-core x86-64 VM) puts 96 % of the shard's wall time in the
-//! operator and 1–3 % in everything else, rings included, so an
-//! uncontended lock per batch is not a cost that can be measured there.
-//! Stats snapshots never take the lock; they read monotone atomic
+//! A ring is a `VecDeque` behind a mutex. Locking is amortised over
+//! batches: [`Producer::try_feed`] (the path of `feed_all` and the
+//! network tier) and [`Consumer::drain_into`] (the shard loop) take the
+//! lock once per call, not once per record. The layer ledger is why this
+//! is enough: a traced `fleet-inproc` benchmark run (128 ClaSS streams
+//! saturating one shard, 2-core x86-64 VM) puts 96 % of the shard's wall
+//! time in the operator and 1–3 % in everything else, rings included, so
+//! an uncontended lock per batch is not a cost that can be measured
+//! there. Stats snapshots never take the lock; they read monotone atomic
 //! counters.
+//!
+//! ## Wake-ups
+//!
+//! Nothing on the record path sleeps and polls. A ring rings a bell,
+//! decided under its lock, when the other side can make progress:
+//!
+//! * the **data bell** (the shard's, keyed by stream id) when a push
+//!   makes the queue non-empty and when the producer goes away;
+//! * the **space bell** (the ring's own, or one `feed_all` shares among
+//!   its handles) when a drain frees space in a full ring and when the
+//!   consumer goes away.
+//!
+//! A bell is *sticky*: a wait returns every key rung since the previous
+//! wait, so a ring that lands between a waiter's last look and its wait
+//! is never lost, and no timeout is needed to recover one. It notifies
+//! only a parked waiter, so a busy shard pays one uncontended lock per
+//! empty→non-empty transition and no wake-up system call.
 //!
 //! What happens when the ring is full is the per-stream
 //! [`Backpressure`] policy:
@@ -45,6 +61,7 @@ use crate::engine::lock_recover;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 /// What a full ring does to an incoming record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -155,18 +172,77 @@ impl RingCounters {
     }
 }
 
+/// A sticky wake-up list for one waiting thread (see the module doc):
+/// [`Bell::ring`] appends a key, [`Bell::wait`] returns every key rung
+/// since the previous wait.
+#[derive(Debug, Default)]
+pub(crate) struct Bell {
+    state: Mutex<Chimes>,
+    wake: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct Chimes {
+    keys: Vec<usize>,
+    parked: bool,
+}
+
+impl Bell {
+    /// Appends `key` (a key rung twice in a row is kept once, so a bell
+    /// rung with one key only ever holds one) and wakes a parked waiter.
+    pub(crate) fn ring(&self, key: usize) {
+        let mut st = lock_recover(&self.state);
+        if st.keys.last() != Some(&key) {
+            st.keys.push(key);
+        }
+        if st.parked {
+            st.parked = false;
+            self.wake.notify_one();
+        }
+    }
+
+    /// Moves every key rung since the last wait into `keys`, first
+    /// waiting while none is pending: without limit for `None`, at most
+    /// `timeout` otherwise (`Some(Duration::ZERO)` never waits). Adds no
+    /// key only when the timeout ran out.
+    pub(crate) fn wait(&self, keys: &mut Vec<usize>, timeout: Option<Duration>) {
+        let deadline = timeout.map(|t| Instant::now() + t);
+        let mut st = lock_recover(&self.state);
+        while st.keys.is_empty() {
+            st.parked = true;
+            st = match deadline {
+                None => self.wake.wait(st).unwrap_or_else(PoisonError::into_inner),
+                Some(d) => {
+                    let left = d.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        break;
+                    }
+                    let waited = self.wake.wait_timeout(st, left);
+                    waited.unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
+        }
+        st.parked = false;
+        keys.append(&mut st.keys);
+    }
+}
+
 /// The queue and both ends' liveness, all under one lock.
 struct State<T> {
     queue: VecDeque<T>,
     tx_closed: bool,
     rx_closed: bool,
+    /// The space bell and this ring's key on it; replaceable, so that a
+    /// feeder of many rings can wait on all of them at once.
+    space: Arc<Bell>,
+    space_key: usize,
 }
 
 struct Shared<T> {
     state: Mutex<State<T>>,
-    /// Wakes a producer blocked on a full ring: signalled when a drain
-    /// frees space in a full ring and when the consumer goes away.
-    space: Condvar,
+    /// The data bell and this ring's key on it.
+    data: Arc<Bell>,
+    key: usize,
     counters: Arc<RingCounters>,
     capacity: usize,
     policy: Backpressure,
@@ -194,14 +270,26 @@ impl<T> Shared<T> {
 
 /// Creates a bounded ring, returning its two ends.
 pub fn ring<T>(cfg: RingConfig) -> (Producer<T>, Consumer<T>) {
+    ring_on(cfg, Arc::default(), 0)
+}
+
+/// Creates a bounded ring whose data bell is `data`, rung with `key`.
+pub(crate) fn ring_on<T>(
+    cfg: RingConfig,
+    data: Arc<Bell>,
+    key: usize,
+) -> (Producer<T>, Consumer<T>) {
     assert!(cfg.capacity >= 1, "ring capacity must be >= 1");
     let shared = Arc::new(Shared {
         state: Mutex::new(State {
             queue: VecDeque::with_capacity(cfg.capacity),
             tx_closed: false,
             rx_closed: false,
+            space: Arc::default(),
+            space_key: 0,
         }),
-        space: Condvar::new(),
+        data,
+        key,
         counters: Arc::new(RingCounters::default()),
         capacity: cfg.capacity,
         policy: cfg.policy,
@@ -209,6 +297,7 @@ pub fn ring<T>(cfg: RingConfig) -> (Producer<T>, Consumer<T>) {
     (
         Producer {
             shared: Arc::clone(&shared),
+            owed: false,
         },
         Consumer { shared },
     )
@@ -218,6 +307,9 @@ pub fn ring<T>(cfg: RingConfig) -> (Producer<T>, Consumer<T>) {
 /// drains what is queued, then observes end-of-stream.
 pub struct Producer<T> {
     shared: Arc<Shared<T>>,
+    /// A push made the queue non-empty and the data bell has not been
+    /// rung for it yet (see [`Producer::feed_unrung`]).
+    owed: bool,
 }
 
 impl<T> std::fmt::Debug for Producer<T> {
@@ -247,7 +339,10 @@ impl<T> Producer<T> {
             }
             match sh.policy {
                 Backpressure::Block => {
-                    st = sh.space.wait(st).unwrap_or_else(PoisonError::into_inner);
+                    let space = Arc::clone(&st.space);
+                    drop(st);
+                    space.wait(&mut Vec::new(), None);
+                    st = lock_recover(&sh.state);
                 }
                 Backpressure::DropOldest => sh.evict_oldest(&mut st),
                 Backpressure::Error => {
@@ -257,7 +352,12 @@ impl<T> Producer<T> {
                 }
             }
         }
+        let was_empty = st.queue.is_empty();
         sh.enqueue(&mut st, item);
+        drop(st);
+        if was_empty {
+            sh.data.ring(sh.key);
+        }
         Ok(())
     }
 
@@ -270,6 +370,19 @@ impl<T> Producer<T> {
     where
         T: Copy,
     {
+        let accepted = self.feed_unrung(items)?;
+        self.wake();
+        Ok(accepted)
+    }
+
+    /// [`Producer::try_feed`] without ringing the data bell: the ring is
+    /// owed until [`Producer::wake`], a wait for space or the close pays
+    /// it. Lets a caller answer its own client before the consumer is
+    /// woken and competes for the CPU.
+    pub(crate) fn feed_unrung(&mut self, items: &[T]) -> Result<usize, PushError>
+    where
+        T: Copy,
+    {
         if items.is_empty() {
             return Ok(0);
         }
@@ -278,6 +391,7 @@ impl<T> Producer<T> {
         if st.rx_closed {
             return Err(PushError::Disconnected);
         }
+        let was_empty = st.queue.is_empty();
         let mut accepted = 0;
         for &it in items {
             if st.queue.len() == sh.capacity {
@@ -289,7 +403,32 @@ impl<T> Producer<T> {
             sh.enqueue(&mut st, it);
             accepted += 1;
         }
+        self.owed |= was_empty && accepted > 0;
         Ok(accepted)
+    }
+
+    /// Rings the data bell if a push since the last ring made the queue
+    /// non-empty.
+    pub(crate) fn wake(&mut self) {
+        if std::mem::take(&mut self.owed) {
+            self.shared.data.ring(self.shared.key);
+        }
+    }
+
+    /// Waits until a drain frees space in this ring (or the consumer goes
+    /// away), at most `timeout`, after paying an owed ring (the drain may
+    /// need it). May return early: the caller re-checks the ring.
+    pub(crate) fn wait_space(&mut self, timeout: Duration) {
+        self.wake();
+        let space = Arc::clone(&lock_recover(&self.shared.state).space);
+        space.wait(&mut Vec::new(), Some(timeout));
+    }
+
+    /// Makes `bell` this ring's space bell, rung with `key`, so one
+    /// waiter can wait for space in many rings.
+    pub(crate) fn share_space(&mut self, bell: &Arc<Bell>, key: usize) {
+        let mut st = lock_recover(&self.shared.state);
+        (st.space, st.space_key) = (Arc::clone(bell), key);
     }
 
     /// Records currently queued (racy snapshot; reads the counters,
@@ -327,6 +466,7 @@ impl<T> Producer<T> {
 impl<T> Drop for Producer<T> {
     fn drop(&mut self) {
         lock_recover(&self.shared.state).tx_closed = true;
+        self.shared.data.ring(self.shared.key);
     }
 }
 
@@ -346,7 +486,7 @@ impl<T> std::fmt::Debug for Consumer<T> {
 
 impl<T> Consumer<T> {
     /// Moves up to `max` queued records into `out` and returns the
-    /// count, waking a producer blocked on the ring if it was full.
+    /// count, ringing the space bell if the ring was full.
     pub fn drain_into(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         let sh = &*self.shared;
         let mut st = lock_recover(&sh.state);
@@ -356,11 +496,11 @@ impl<T> Consumer<T> {
         if n > 0 {
             sh.counters.popped.fetch_add(n as u64, Ordering::Release);
         }
+        // Only a full ring can have a producer waiting for space.
+        let space = (was_full && n > 0).then(|| (Arc::clone(&st.space), st.space_key));
         drop(st);
-        // Only a full ring can have a producer waiting, and there is only
-        // one producer.
-        if was_full && n > 0 {
-            sh.space.notify_one();
+        if let Some((bell, key)) = space {
+            bell.ring(key);
         }
         n
     }
@@ -374,8 +514,11 @@ impl<T> Consumer<T> {
 
 impl<T> Drop for Consumer<T> {
     fn drop(&mut self) {
-        lock_recover(&self.shared.state).rx_closed = true;
-        self.shared.space.notify_all();
+        let mut st = lock_recover(&self.shared.state);
+        st.rx_closed = true;
+        let (bell, key) = (Arc::clone(&st.space), st.space_key);
+        drop(st);
+        bell.ring(key);
     }
 }
 
@@ -489,6 +632,64 @@ mod tests {
             .expect("a blocked push must return once the consumer is gone");
         assert_eq!(result, Err(PushError::Disconnected));
         pusher.join().unwrap();
+    }
+
+    /// A ring that lands before the wait is kept and returned by it: the
+    /// wake-up a waiter would otherwise lose between its last look at its
+    /// work and its wait.
+    #[test]
+    fn bell_is_sticky_and_keeps_a_repeated_key_once() {
+        let bell = Bell::default();
+        bell.ring(3);
+        bell.ring(3);
+        bell.ring(5);
+        let mut keys = Vec::new();
+        bell.wait(&mut keys, None);
+        assert_eq!(keys, vec![3, 5]);
+        keys.clear();
+        bell.wait(&mut keys, Some(std::time::Duration::ZERO));
+        assert!(keys.is_empty(), "a wait consumes what it returns");
+        let t0 = std::time::Instant::now();
+        bell.wait(&mut keys, Some(std::time::Duration::from_millis(20)));
+        assert!(keys.is_empty() && t0.elapsed() >= std::time::Duration::from_millis(20));
+    }
+
+    #[test]
+    fn parked_bell_waiter_wakes_on_ring() {
+        let bell = Arc::new(Bell::default());
+        let ringer = Arc::clone(&bell);
+        let waiter = std::thread::spawn(move || {
+            let mut keys = Vec::new();
+            bell.wait(&mut keys, None);
+            keys
+        });
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        ringer.ring(7);
+        assert_eq!(waiter.join().unwrap(), vec![7]);
+    }
+
+    /// The data bell rings on each empty→non-empty transition and on the
+    /// producer's close, never on a push into a non-empty ring.
+    #[test]
+    fn data_bell_rings_on_first_record_and_on_close() {
+        let bell = Arc::new(Bell::default());
+        let (mut tx, mut rx) = ring_on::<u32>(
+            RingConfig::new(4, Backpressure::Block),
+            Arc::clone(&bell),
+            9,
+        );
+        let mut keys = Vec::new();
+        let zero = Some(std::time::Duration::ZERO);
+        tx.push(1).unwrap();
+        tx.try_feed(&[2, 3]).unwrap();
+        bell.wait(&mut keys, zero);
+        assert_eq!(keys, vec![9]);
+        keys.clear();
+        rx.drain_into(&mut Vec::new(), usize::MAX);
+        tx.push(4).unwrap();
+        drop(tx);
+        bell.wait(&mut keys, zero);
+        assert_eq!(keys, vec![9], "push after a drain, then close, coalesce");
     }
 
     #[test]

@@ -10,15 +10,18 @@
 //!   delivers the rejected record;
 //!
 //! plus a property test interleaving many streams of arbitrary lengths
-//! through tiny rings on varying shard counts.
+//! through tiny rings on varying shard counts, and a stress test that
+//! would hang if the engine ever lost a wake-up.
 
 use class_core::stats::SplitMix64;
 use class_core::{ClassConfig, ClassSegmenter, StreamingSegmenter, WidthSelection};
 use proptest::prelude::*;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 use stream_engine::{
     feed_all, serve, Backpressure, EngineConfig, Operator, OverflowError, PushError, Record,
-    RingConfig, SegmenterOperator, TumblingWindowMean,
+    Registrar, RingConfig, SegmenterOperator, StreamOptions, StreamState, TumblingWindowMean,
 };
 
 /// Two-regime stream: sine whose frequency doubles at `cp`.
@@ -187,6 +190,135 @@ fn error_policy_surfaces_a_typed_overflow_and_loses_only_rejected_records() {
     // rejected record never reaches the operator.
     assert_eq!(r.records_in, accepted);
     assert_eq!(r.drops, 0, "error policy drops nothing silently");
+}
+
+/// Producer threads of the churn test, and streams each registers.
+const PRODUCERS: usize = 4;
+const STREAMS_PER_PRODUCER: usize = 16;
+
+/// The value of record `t` of stream `id`: unique, so order and loss show.
+fn churn_value(id: usize, t: u64) -> f64 {
+    (id as u64 * 100_000 + t) as f64
+}
+
+/// One producer thread of the churn test: registers its streams through
+/// its own registrar clone, feeds them in random bursts of 1–9 records
+/// with a yield after each, so every ring goes empty and non-empty over
+/// and over, and closes or detaches each stream as soon as its data is
+/// out (a fifth of them carry none). Returns `(stream id, records)`.
+fn churn_producer(p: usize, registrar: Registrar<'_, TumblingWindowMean>) -> Vec<(usize, u64)> {
+    let mut rng = SplitMix64::new(p as u64 + 1);
+    let mut live: Vec<_> = (0..STREAMS_PER_PRODUCER)
+        .map(|k| {
+            let opts = StreamOptions {
+                ring: registrar.default_ring(),
+                ..StreamOptions::default()
+            };
+            let handle = registrar
+                .register_stream(opts, || TumblingWindowMean::new(1))
+                .expect("the engine accepts registrations while the body runs");
+            let len = if k % 5 == 0 {
+                0
+            } else {
+                rng.next_u64() % 6_000
+            };
+            (handle, len, 0u64)
+        })
+        .collect();
+    let mut fed = Vec::new();
+    while !live.is_empty() {
+        let i = (rng.next_u64() % live.len() as u64) as usize;
+        let (handle, len, sent) = &mut live[i];
+        if sent == len {
+            let (handle, len, _) = live.swap_remove(i);
+            let id = handle.id();
+            if id % 2 == 1 {
+                // Detach while the other streams keep running.
+                let report = registrar.detach_stream(handle);
+                assert_eq!(report.state, StreamState::Done, "stream {id}");
+                assert_eq!(
+                    (
+                        report.records_in,
+                        report.pushed,
+                        report.drops,
+                        report.quarantined_after
+                    ),
+                    (len, len, 0, 0),
+                    "stream {id}: detach ledger"
+                );
+            }
+            fed.push((id, len));
+            continue;
+        }
+        let burst = (1 + rng.next_u64() % 9).min(*len - *sent);
+        for _ in 0..burst {
+            let v = churn_value(handle.id(), *sent);
+            handle.push(v).expect("block rings accept every record");
+            *sent += 1;
+        }
+        std::thread::yield_now();
+    }
+    fed
+}
+
+/// 64 streams on 4-slot block rings over 2 shards, fed by 4 producer
+/// threads in tiny bursts, registered through registrar clones and
+/// detached or closed while the others run. A single lost wake-up (a
+/// shard that never sees a ring's data or close, a producer that never
+/// sees space, a detach that never sees the retire) hangs the run, so a
+/// watchdog fails it after 60 s; every stream's ledger must be exact.
+#[test]
+fn no_wake_up_is_lost_under_churn() {
+    let (done_tx, done_rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let config = EngineConfig {
+            shards: 2,
+            ring: RingConfig::new(4, Backpressure::Block),
+        };
+        let (results, fed) = serve(config, |engine| {
+            let registrar = engine.registrar();
+            std::thread::scope(|s| {
+                let producers: Vec<_> = (0..PRODUCERS)
+                    .map(|p| {
+                        let registrar = registrar.clone();
+                        s.spawn(move || churn_producer(p, registrar))
+                    })
+                    .collect();
+                producers
+                    .into_iter()
+                    .flat_map(|p| p.join().expect("producer thread"))
+                    .collect::<Vec<_>>()
+            })
+        });
+        assert_eq!(results.len(), PRODUCERS * STREAMS_PER_PRODUCER);
+        assert_eq!(fed.len(), results.len());
+        for (id, len) in fed {
+            let r = &results[id];
+            assert_eq!(r.stream, id);
+            assert_eq!(r.state, StreamState::Done, "stream {id}");
+            assert_eq!(
+                (r.records_in, r.pushed, r.drops),
+                (len, len, 0),
+                "stream {id}"
+            );
+            assert_eq!(r.accounted(), r.pushed, "stream {id}: ledger");
+            let want: Vec<f64> = (0..len).map(|t| churn_value(id, t)).collect();
+            let got: Vec<f64> = r.output.iter().map(|rec| rec.value).collect();
+            assert!(got == want, "stream {id}: records lost or reordered");
+        }
+        let _ = done_tx.send(());
+    });
+    match done_rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(()) => worker.join().expect("churn run"),
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("the churn run hung for 60 s: the engine lost a wake-up")
+        }
+        Err(RecvTimeoutError::Disconnected) => {
+            if let Err(payload) = worker.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    }
 }
 
 proptest! {

@@ -21,7 +21,9 @@
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 use stream_engine::{
     feed_all, render_prometheus, render_stats_json, serve, ConnStats, EngineConfig, NetStats,
     QuarantineCause, ServingStats, ShardStats, SnapshotWriter, StreamOptions, StreamState,
@@ -460,6 +462,49 @@ fn unattached_endpoint_returns_503_until_a_source_arrives() {
     let server = stream_engine::MetricsServer::bind("127.0.0.1:0").expect("bind");
     let (head, _) = http_get(server.addr(), "/metrics");
     assert!(head.starts_with("HTTP/1.1 503"), "{head}");
+}
+
+/// The endpoint answers one connection at a time. A client that trickles
+/// its request, a byte every 500 ms (inside any per-read timeout), must
+/// lose the listener at the request-head deadline instead of holding it
+/// until 8 KiB have arrived, so a second client's scrape still completes.
+#[test]
+fn a_trickling_client_does_not_stall_other_scrapes() {
+    let (_, handle) = serve(EngineConfig::new(1), |engine| {
+        engine.register(|| TumblingWindowMean::new(4)).close();
+        engine.stats_handle()
+    });
+    let server = stream_engine::MetricsServer::bind("127.0.0.1:0").expect("bind");
+    server.attach(handle);
+    let addr = server.addr();
+    let stop = Arc::new(AtomicBool::new(false));
+    let trickler = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut conn = TcpStream::connect(addr).expect("connecting the trickling client");
+            // 20 bytes over 10 s: long enough to outlast the scrape below,
+            // bounded so that a listener it does hold is let go.
+            let head = b"GET /metrics HTTP/1.1\r\nX";
+            for &byte in head.iter().take(20) {
+                if stop.load(Ordering::Relaxed) || conn.write_all(&[byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(500));
+            }
+        })
+    };
+    // Let the listener take the trickling connection first.
+    std::thread::sleep(Duration::from_millis(300));
+    let t0 = Instant::now();
+    let (head, _) = http_get(addr, "/metrics");
+    let took = t0.elapsed();
+    stop.store(true, Ordering::Relaxed);
+    trickler.join().expect("trickling client");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert!(
+        took < Duration::from_secs(4),
+        "a scrape waited {took:?} behind a trickling client"
+    );
 }
 
 #[test]
