@@ -66,8 +66,8 @@ use std::collections::BTreeMap;
 use stream_engine::{
     drive, interleave_channels, serve, silence_injected_panics, vm_hwm_kb, Backpressure,
     DriveOutcome, EngineConfig, FaultKind, FaultPlan, FaultingOperator, GuardConfig, MetricsServer,
-    MultivariateSegmenterOperator, Operator, RetryPolicy, RingConfig, SegmenterOperator,
-    SnapshotWriter, StreamOptions, StreamResult,
+    MultivariateSegmenterOperator, Operator, RingConfig, SegmenterOperator, SnapshotWriter,
+    StreamOptions, StreamResult,
 };
 
 struct Preset {
@@ -331,7 +331,6 @@ fn serve_fleet<Op: Operator<In = f64, Out = u64>>(
     options: impl Fn(usize) -> StreamOptions,
     build: impl Fn() -> Op + Copy + Send,
 ) -> (Vec<StreamResult<u64>>, DriveOutcome) {
-    let retry = RetryPolicy::default();
     let (results, outcome) = serve(EngineConfig::new(spec.shards), |engine| {
         if let Some(m) = metrics {
             m.attach(engine.stats_handle());
@@ -349,7 +348,7 @@ fn serve_fleet<Op: Operator<In = f64, Out = u64>>(
                 engine.register_with(options(k), move || FaultingOperator::new(build(), kind))
             })
             .collect();
-        drive(handles, data, plan, &retry)
+        drive(handles, data, plan)
     });
     let outcome = outcome.expect("no deadlock: the feeder must complete under faults");
     (results, outcome)

@@ -39,6 +39,14 @@ impl SplitMix64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
+    /// Standard normal sample (Box-Muller, cosine branch): draws two
+    /// uniforms, the first clamped away from zero.
+    pub fn gaussian(&mut self) -> f64 {
+        let u1 = self.next_f64().max(1e-12);
+        let u2 = self.next_f64();
+        (-2.0 * u1.ln()).sqrt() * (2.0 * core::f64::consts::PI * u2).cos()
+    }
+
     /// Uniform integer in `[0, n)`. `n` must be positive.
     #[inline]
     pub fn next_below(&mut self, n: u64) -> u64 {

@@ -181,12 +181,6 @@ mod tests {
     use super::*;
     use class_core::stats::SplitMix64;
 
-    fn gaussian(rng: &mut SplitMix64) -> f64 {
-        let u1 = rng.next_f64().max(1e-12);
-        let u2 = rng.next_f64();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * core::f64::consts::PI * u2).cos()
-    }
-
     #[test]
     fn bucket_invariant_holds() {
         let mut adwin = Adwin::new(AdwinConfig::default());
@@ -208,9 +202,9 @@ mod tests {
         let mut cps = Vec::new();
         for i in 0..4000u64 {
             let x = if i < 2000 {
-                gaussian(&mut rng) * 0.2
+                rng.gaussian() * 0.2
             } else {
-                3.0 + gaussian(&mut rng) * 0.2
+                3.0 + rng.gaussian() * 0.2
             };
             adwin.step(x, &mut cps);
         }
@@ -229,7 +223,7 @@ mod tests {
         let mut adwin = Adwin::new(AdwinConfig::default());
         let mut cps = Vec::new();
         for _ in 0..6000 {
-            adwin.step(gaussian(&mut rng), &mut cps);
+            adwin.step(rng.gaussian(), &mut cps);
         }
         assert!(cps.len() <= 2, "false positives: {cps:?}");
     }
@@ -241,7 +235,7 @@ mod tests {
             (0..3000u64)
                 .map(|i| {
                     let base = ((i / 300) % 2) as f64 * 0.8;
-                    base + gaussian(&mut rng) * 0.4
+                    base + rng.gaussian() * 0.4
                 })
                 .collect::<Vec<_>>()
         };

@@ -235,13 +235,6 @@ mod tests {
     use super::*;
     use class_core::stats::SplitMix64;
 
-    fn gaussian(rng: &mut SplitMix64) -> f64 {
-        // Box-Muller.
-        let u1 = rng.next_f64().max(1e-12);
-        let u2 = rng.next_f64();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * core::f64::consts::PI * u2).cos()
-    }
-
     #[test]
     fn ln_gamma_matches_known_values() {
         assert!((ln_gamma(1.0)).abs() < 1e-9);
@@ -256,9 +249,9 @@ mod tests {
         let xs: Vec<f64> = (0..2000)
             .map(|i| {
                 if i < 1000 {
-                    gaussian(&mut rng)
+                    rng.gaussian()
                 } else {
-                    6.0 + gaussian(&mut rng)
+                    6.0 + rng.gaussian()
                 }
             })
             .collect();
@@ -280,7 +273,7 @@ mod tests {
         let xs: Vec<f64> = (0..2400)
             .map(|i| {
                 let s = if i < 1200 { 0.5 } else { 4.0 };
-                s * gaussian(&mut rng)
+                s * rng.gaussian()
             })
             .collect();
         let cfg = BocdConfig {
@@ -298,7 +291,7 @@ mod tests {
     #[test]
     fn bocd_quiet_on_stationary_gaussian() {
         let mut rng = SplitMix64::new(3);
-        let xs: Vec<f64> = (0..3000).map(|_| gaussian(&mut rng)).collect();
+        let xs: Vec<f64> = (0..3000).map(|_| rng.gaussian()).collect();
         let mut bocd = Bocd::new(BocdConfig::default());
         let cps = bocd.segment_series(&xs);
         assert!(cps.len() <= 1, "false positives: {cps:?}");
@@ -310,7 +303,7 @@ mod tests {
         let mut bocd = Bocd::new(BocdConfig::default());
         let mut sink = Vec::new();
         for _ in 0..500 {
-            bocd.step(gaussian(&mut rng), &mut sink);
+            bocd.step(rng.gaussian(), &mut sink);
         }
         assert!(
             bocd.map_run_length() > 400,
@@ -329,7 +322,7 @@ mod tests {
         let mut bocd = Bocd::new(cfg);
         let mut sink = Vec::new();
         for _ in 0..1000 {
-            bocd.step(gaussian(&mut rng), &mut sink);
+            bocd.step(rng.gaussian(), &mut sink);
         }
         assert!(bocd.log_r.len() <= 128);
     }

@@ -250,12 +250,6 @@ mod tests {
     use super::*;
     use class_core::stats::SplitMix64;
 
-    fn gaussian(rng: &mut SplitMix64) -> f64 {
-        let u1 = rng.next_f64().max(1e-12);
-        let u2 = rng.next_f64();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * core::f64::consts::PI * u2).cos()
-    }
-
     #[test]
     fn sdar_learns_ar_process() {
         // AR(1): x_t = 0.8 x_{t-1} + e_t. After convergence the outlier
@@ -266,7 +260,7 @@ mod tests {
         let mut late = 0.0;
         let mut cnt = 0;
         for i in 0..5000 {
-            x = 0.8 * x + 0.1 * gaussian(&mut rng);
+            x = 0.8 * x + 0.1 * rng.gaussian();
             let s = sdar.step(x);
             if i > 2000 {
                 late += s;
@@ -285,7 +279,7 @@ mod tests {
         let mut rng = SplitMix64::new(2);
         let mut sdar = Sdar::new(2, 0.02);
         for _ in 0..1000 {
-            sdar.step(0.05 * gaussian(&mut rng));
+            sdar.step(0.05 * rng.gaussian());
         }
         let surprise = sdar.step(5.0);
         let normal = {
@@ -301,9 +295,9 @@ mod tests {
         let xs: Vec<f64> = (0..4000)
             .map(|i| {
                 if i < 2000 {
-                    gaussian(&mut rng) * 0.3
+                    rng.gaussian() * 0.3
                 } else {
-                    4.0 + gaussian(&mut rng) * 0.3
+                    4.0 + rng.gaussian() * 0.3
                 }
             })
             .collect();
@@ -321,7 +315,7 @@ mod tests {
         let xs: Vec<f64> = (0..4000)
             .map(|i| {
                 let s = if i < 2000 { 0.2 } else { 2.5 };
-                s * gaussian(&mut rng)
+                s * rng.gaussian()
             })
             .collect();
         let mut cf = ChangeFinder::new(ChangeFinderConfig::default());
@@ -338,7 +332,7 @@ mod tests {
         let mut x = 0.0;
         let xs: Vec<f64> = (0..6000)
             .map(|_| {
-                x = 0.7 * x + 0.2 * gaussian(&mut rng);
+                x = 0.7 * x + 0.2 * rng.gaussian();
                 x
             })
             .collect();

@@ -113,12 +113,6 @@ mod tests {
     use super::*;
     use class_core::stats::SplitMix64;
 
-    fn gaussian(rng: &mut SplitMix64) -> f64 {
-        let u1 = rng.next_f64().max(1e-12);
-        let u2 = rng.next_f64();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * core::f64::consts::PI * u2).cos()
-    }
-
     #[test]
     fn ddm_detects_regime_change() {
         let mut rng = SplitMix64::new(1);
@@ -127,7 +121,7 @@ mod tests {
                 if i < 2000 {
                     (i as f64 * 0.05).sin() * 0.5
                 } else {
-                    gaussian(&mut rng) * 2.0
+                    rng.gaussian() * 2.0
                 }
             })
             .collect();
@@ -151,13 +145,7 @@ mod tests {
     fn reset_clears_state_after_drift() {
         let mut rng = SplitMix64::new(2);
         let xs: Vec<f64> = (0..3000)
-            .map(|i| {
-                if i < 1500 {
-                    0.0
-                } else {
-                    5.0 + gaussian(&mut rng)
-                }
-            })
+            .map(|i| if i < 1500 { 0.0 } else { 5.0 + rng.gaussian() })
             .collect();
         let mut ddm = Ddm::new(DdmConfig::default());
         let _ = ddm.segment_series(&xs);
@@ -179,7 +167,7 @@ mod tests {
             } else {
                 0.01 + (i - 2000) as f64 * 0.002
             };
-            let x = (i as f64 * 0.05).sin() + noise * gaussian(&mut rng);
+            let x = (i as f64 * 0.05).sin() + noise * rng.gaussian();
             ddm.step(x, &mut cps);
             if ddm.in_warning() && cps.is_empty() {
                 saw_warning = true;

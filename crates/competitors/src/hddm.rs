@@ -217,12 +217,6 @@ mod tests {
     use super::*;
     use class_core::stats::SplitMix64;
 
-    fn gaussian(rng: &mut SplitMix64) -> f64 {
-        let u1 = rng.next_f64().max(1e-12);
-        let u2 = rng.next_f64();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * core::f64::consts::PI * u2).cos()
-    }
-
     fn noisy_then_chaotic(n: usize, cp: usize, seed: u64) -> Vec<f64> {
         let mut rng = SplitMix64::new(seed);
         (0..n)
@@ -230,7 +224,7 @@ mod tests {
                 if i < cp {
                     (i as f64 * 0.05).sin() * 0.3
                 } else {
-                    gaussian(&mut rng) * 3.0
+                    rng.gaussian() * 3.0
                 }
             })
             .collect()
@@ -300,7 +294,7 @@ mod tests {
     #[test]
     fn hddm_quiet_on_stationary_error_rate() {
         let mut rng = SplitMix64::new(3);
-        let xs: Vec<f64> = (0..8000).map(|_| gaussian(&mut rng)).collect();
+        let xs: Vec<f64> = (0..8000).map(|_| rng.gaussian()).collect();
         let cfg = HddmConfig {
             delta: 1e-6,
             ..Default::default()

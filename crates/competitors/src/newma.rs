@@ -91,13 +91,8 @@ impl Newma {
     /// Creates a NEWMA detector.
     pub fn new(cfg: NewmaConfig) -> Self {
         let mut rng = SplitMix64::new(cfg.seed);
-        let mut gaussian = move || {
-            let u1: f64 = rng.next_f64().max(1e-12);
-            let u2: f64 = rng.next_f64();
-            (-2.0 * u1.ln()).sqrt() * (2.0 * core::f64::consts::PI * u2).cos()
-        };
         let proj: Vec<f64> = (0..cfg.n_features * cfg.embed_window)
-            .map(|_| gaussian() * cfg.gamma)
+            .map(|_| rng.gaussian() * cfg.gamma)
             .collect();
         let mut rng2 = SplitMix64::new(cfg.seed ^ 0xABCD);
         let phase: Vec<f64> = (0..cfg.n_features)
@@ -230,21 +225,15 @@ impl StreamingSegmenter for Newma {
 mod tests {
     use super::*;
 
-    fn gaussian(rng: &mut SplitMix64) -> f64 {
-        let u1 = rng.next_f64().max(1e-12);
-        let u2 = rng.next_f64();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * core::f64::consts::PI * u2).cos()
-    }
-
     #[test]
     fn newma_detects_distribution_shift() {
         let mut rng = SplitMix64::new(1);
         let xs: Vec<f64> = (0..4000)
             .map(|i| {
                 if i < 2000 {
-                    gaussian(&mut rng) * 0.3
+                    rng.gaussian() * 0.3
                 } else {
-                    3.0 + gaussian(&mut rng) * 0.9
+                    3.0 + rng.gaussian() * 0.9
                 }
             })
             .collect();
@@ -262,7 +251,7 @@ mod tests {
         let xs: Vec<f64> = (0..5000)
             .map(|i| {
                 let f = if i < 2500 { 0.1 } else { 0.6 };
-                (i as f64 * f).sin() + 0.05 * gaussian(&mut rng)
+                (i as f64 * f).sin() + 0.05 * rng.gaussian()
             })
             .collect();
         let mut newma = Newma::new(NewmaConfig::default());
@@ -276,7 +265,7 @@ mod tests {
     #[test]
     fn newma_with_max_quantile_is_conservative() {
         let mut rng = SplitMix64::new(3);
-        let xs: Vec<f64> = (0..6000).map(|_| gaussian(&mut rng)).collect();
+        let xs: Vec<f64> = (0..6000).map(|_| rng.gaussian()).collect();
         let mut newma = Newma::new(NewmaConfig::default());
         let cps = newma.segment_series(&xs);
         assert!(cps.len() <= 1, "false positives: {cps:?}");
@@ -288,9 +277,9 @@ mod tests {
         let xs: Vec<f64> = (0..3000)
             .map(|i| {
                 if i < 1500 {
-                    gaussian(&mut rng)
+                    rng.gaussian()
                 } else {
-                    4.0 + gaussian(&mut rng)
+                    4.0 + rng.gaussian()
                 }
             })
             .collect();
@@ -305,7 +294,7 @@ mod tests {
         let xs: Vec<f64> = (0..4000)
             .map(|i| {
                 let base = if (i / 800) % 2 == 0 { 0.0 } else { 2.0 };
-                base + gaussian(&mut rng) * 0.4
+                base + rng.gaussian() * 0.4
             })
             .collect();
         let hi = NewmaConfig {

@@ -114,21 +114,15 @@ mod tests {
     use super::*;
     use class_core::stats::SplitMix64;
 
-    fn gaussian(rng: &mut SplitMix64) -> f64 {
-        let u1 = rng.next_f64().max(1e-12);
-        let u2 = rng.next_f64();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * core::f64::consts::PI * u2).cos()
-    }
-
     #[test]
     fn detects_sustained_mean_shift() {
         let mut rng = SplitMix64::new(1);
         let xs: Vec<f64> = (0..4000)
             .map(|i| {
                 if i < 2000 {
-                    gaussian(&mut rng) * 0.3
+                    rng.gaussian() * 0.3
                 } else {
-                    4.0 + gaussian(&mut rng) * 0.3
+                    4.0 + rng.gaussian() * 0.3
                 }
             })
             .collect();
@@ -144,7 +138,7 @@ mod tests {
     fn detects_downward_shift_too() {
         let mut rng = SplitMix64::new(2);
         let xs: Vec<f64> = (0..4000)
-            .map(|i| if i < 2000 { 3.0 } else { -3.0 } + gaussian(&mut rng) * 0.2)
+            .map(|i| if i < 2000 { 3.0 } else { -3.0 } + rng.gaussian() * 0.2)
             .collect();
         let mut ph = PageHinkley::new(PageHinkleyConfig::default());
         let cps = ph.segment_series(&xs);
@@ -162,7 +156,7 @@ mod tests {
         let xs: Vec<f64> = (0..6000)
             .map(|i| {
                 let f = if i < 3000 { 0.1 } else { 0.5 };
-                (i as f64 * f).sin() + 0.05 * gaussian(&mut rng)
+                (i as f64 * f).sin() + 0.05 * rng.gaussian()
             })
             .collect();
         let mut ph = PageHinkley::new(PageHinkleyConfig::default());
@@ -176,7 +170,7 @@ mod tests {
     #[test]
     fn quiet_on_stationary_noise() {
         let mut rng = SplitMix64::new(4);
-        let xs: Vec<f64> = (0..8000).map(|_| gaussian(&mut rng)).collect();
+        let xs: Vec<f64> = (0..8000).map(|_| rng.gaussian()).collect();
         let mut ph = PageHinkley::new(PageHinkleyConfig::default());
         let cps = ph.segment_series(&xs);
         assert!(cps.len() <= 2, "false positives: {cps:?}");

@@ -285,18 +285,12 @@ mod tests {
     use super::*;
     use class_core::stats::SplitMix64;
 
-    fn gaussian(rng: &mut SplitMix64) -> f64 {
-        let u1 = rng.next_f64().max(1e-12);
-        let u2 = rng.next_f64();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * core::f64::consts::PI * u2).cos()
-    }
-
     fn freq_shift(n: usize, cp: usize, seed: u64) -> Vec<f64> {
         let mut rng = SplitMix64::new(seed);
         (0..n)
             .map(|i| {
                 let f = if i < cp { 0.1 } else { 0.45 };
-                (i as f64 * f).sin() + 0.03 * gaussian(&mut rng)
+                (i as f64 * f).sin() + 0.03 * rng.gaussian()
             })
             .collect()
     }
@@ -330,7 +324,7 @@ mod tests {
         let xs: Vec<f64> = (0..3000)
             .map(|i| {
                 let s = if i < 1500 { 0.2 } else { 2.0 };
-                s * gaussian(&mut rng)
+                s * rng.gaussian()
             })
             .collect();
         let mut cfg = WindowConfig::new(150);
@@ -348,7 +342,7 @@ mod tests {
     fn l2_cost_detects_mean_shift() {
         let mut rng = SplitMix64::new(4);
         let xs: Vec<f64> = (0..2000)
-            .map(|i| if i < 1000 { 0.0 } else { 3.0 } + 0.2 * gaussian(&mut rng))
+            .map(|i| if i < 1000 { 0.0 } else { 3.0 } + 0.2 * rng.gaussian())
             .collect();
         let mut cfg = WindowConfig::new(120);
         cfg.cost = WindowCost::L2;
@@ -365,7 +359,7 @@ mod tests {
     fn quiet_on_stationary_signal() {
         let mut rng = SplitMix64::new(5);
         let xs: Vec<f64> = (0..4000)
-            .map(|i| (i as f64 * 0.2).sin() + 0.05 * gaussian(&mut rng))
+            .map(|i| (i as f64 * 0.2).sin() + 0.05 * rng.gaussian())
             .collect();
         let mut seg = WindowSegmenter::new(WindowConfig::new(150));
         let cps = seg.segment_series(&xs);

@@ -8,7 +8,7 @@
 //! configurable subset of channels is "uninformative" (pure noise),
 //! modelling broken or irrelevant sensors.
 
-use crate::regimes::{gaussian, Regime};
+use crate::regimes::Regime;
 use crate::series::{random_segment_lengths, AnnotatedSeries};
 use class_core::stats::SplitMix64;
 
@@ -158,11 +158,11 @@ pub fn generate_multivariate(spec: &MultivariateSpec) -> MultivariateSeries {
                 regime.generate_into(seg_len, &mut chan_rng, &mut values);
             }
             for v in &mut values {
-                *v += spec.noise * gaussian(&mut chan_rng);
+                *v += spec.noise * chan_rng.gaussian();
             }
         } else {
             for _ in 0..spec.len {
-                values.push(gaussian(&mut chan_rng) * 0.5);
+                values.push(chan_rng.gaussian() * 0.5);
             }
         }
         channels.push(values);

@@ -185,13 +185,13 @@ impl Regime {
             Regime::Ar1 { phi, sigma } => {
                 let mut x = 0.0f64;
                 for _ in 0..len {
-                    x = phi * x + sigma * gaussian(rng);
+                    x = phi * x + sigma * rng.gaussian();
                     out.push(x);
                 }
             }
             Regime::Noise { level, sigma } => {
                 for _ in 0..len {
-                    out.push(level + sigma * gaussian(rng));
+                    out.push(level + sigma * rng.gaussian());
                 }
             }
             Regime::Sawtooth { period, amp } => {
@@ -248,13 +248,6 @@ impl Regime {
             }
         }
     }
-}
-
-/// Standard normal sample (Box-Muller).
-pub(crate) fn gaussian(rng: &mut SplitMix64) -> f64 {
-    let u1 = rng.next_f64().max(1e-12);
-    let u2 = rng.next_f64();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * PI * u2).cos()
 }
 
 #[cfg(test)]

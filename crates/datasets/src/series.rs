@@ -1,6 +1,6 @@
 //! Annotated series assembly: regimes + segment layout + noise/artefacts.
 
-use crate::regimes::{gaussian, Regime};
+use crate::regimes::Regime;
 use class_core::stats::SplitMix64;
 
 /// A generated univariate time series with ground-truth annotations, the
@@ -97,7 +97,7 @@ pub fn build_series(
     // Additive noise, drift and spikes.
     let n = values.len().max(1) as f64;
     for (t, v) in values.iter_mut().enumerate() {
-        *v += noise.sigma * gaussian(&mut rng);
+        *v += noise.sigma * rng.gaussian();
         *v += noise.drift * (t as f64 / n - 0.5);
         if noise.spike_prob > 0.0 && rng.next_f64() < noise.spike_prob {
             *v += noise.spike_amp * (rng.next_f64() - 0.5) * 2.0;

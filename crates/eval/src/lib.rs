@@ -26,9 +26,7 @@ pub use ranks::{
     wins_and_ties, Summary,
 };
 pub use report::{box_plots, cd_diagram, summary_table, wins_line, MethodScores};
-pub use runner::{
-    covering_matrix, run_matrix, run_matrix_mixed, run_one, AlgoSpec, MultivariateJob, RunResult,
-};
+pub use runner::{covering_matrix, run_matrix, run_one, AlgoSpec, RunResult};
 
 /// Sliding window size used by the scaled-down experiment profile
 /// (the paper's default is 10_000 on unscaled data; the laptop profile

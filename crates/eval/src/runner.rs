@@ -4,9 +4,9 @@
 //! matching the paper's single-core measurement protocol).
 
 use crate::covering::covering;
-use class_core::{ClassConfig, ClassSegmenter, MultivariateConfig, StreamingSegmenter};
+use class_core::{ClassConfig, ClassSegmenter, StreamingSegmenter};
 use competitors::{build, CompetitorKind, SeriesContext};
-use datasets::{AnnotatedSeries, MultivariateSeries};
+use datasets::AnnotatedSeries;
 use std::time::{Duration, Instant};
 
 /// Which algorithm to run, with the experiment-level knobs.
@@ -113,150 +113,55 @@ pub fn run_one(spec: &AlgoSpec, series: &AnnotatedSeries) -> RunResult {
     }
 }
 
-/// One multivariate job for the matrix runner: a fused multi-channel
-/// segmenter (paper §6 sensor fusion) over one [`MultivariateSeries`],
-/// served as a single engine stream carrying the channels interleaved.
-#[derive(Debug, Clone)]
-pub struct MultivariateJob {
-    /// Fused segmenter configuration (fusion strategy, channel
-    /// selection, per-channel base config).
-    pub cfg: MultivariateConfig,
-    /// The multi-channel series with its shared annotations.
-    pub series: MultivariateSeries,
-}
-
-impl MultivariateJob {
-    /// A quorum-fusion job with the default multivariate configuration
-    /// derived from a univariate base config.
-    pub fn quorum(base: ClassConfig, series: MultivariateSeries) -> Self {
-        Self {
-            cfg: MultivariateConfig::new(base, series.n_channels()),
-            series,
-        }
-    }
-}
-
-/// A job in the mixed matrix: either one (algorithm, series) univariate
-/// pair or one multivariate fused stream.
-#[derive(Debug, Clone, Copy)]
-enum JobRef {
-    Uni(usize, usize),
-    Multi(usize),
-}
-
-/// Runs every algorithm over every univariate series on the multi-stream
-/// serving engine. Equivalent to [`run_matrix_mixed`] with no
-/// multivariate jobs; results are in deterministic (algo-major,
-/// series-minor) order.
+/// Runs every algorithm over every series on the multi-stream serving
+/// engine: each (algorithm, series) pair is an independent stream,
+/// sharded over `threads` engine workers and fed through bounded ring
+/// buffers with the lossless `Block` policy. Results are in
+/// deterministic (algo-major, series-minor) order.
+///
+/// Jobs are packed onto shards greedily by series length, heaviest
+/// first, so no shard straggles; the packing depends only on the job
+/// list. Jobs are registered and fed through [`stream_engine::feed_all`]
+/// in waves of `4 * threads`, so at most `4 * threads` streams are being
+/// fed at any moment, plus the earlier waves' streams still draining
+/// their last ring (at most 512 records each) — a paper-scale matrix is
+/// thousands of jobs, and each live ClaSS operator holds O(window)
+/// state. `runtime` is operator-busy time measured per drained batch
+/// (`stream_engine::Timing::Batch`), which matches the paper's
+/// single-core measurement protocol even though shards interleave many
+/// streams — and keeps per-record clock reads out of baselines whose
+/// step is cheaper than a clock read.
 pub fn run_matrix(
     algos: &[AlgoSpec],
     series: &[AnnotatedSeries],
     threads: usize,
 ) -> Vec<RunResult> {
-    run_matrix_mixed(algos, series, &[], threads).0
-}
-
-/// Runs a mixed experiment matrix on the multi-stream serving engine:
-/// every (algorithm, univariate series) pair plus every multivariate job
-/// is registered as an independent stream, sharded over `threads` engine
-/// workers and fed through bounded ring buffers with the lossless
-/// `Block` policy. Returns `(univariate results in (algo-major,
-/// series-minor) order, multivariate results in job order)`.
-///
-/// Jobs are bin-packed onto shards greedily by **record weight** —
-/// points for a univariate job, points x channels for a multivariate one
-/// (its interleaved stream pushes one record per channel per time step)
-/// — heaviest first, so a 6-channel PAMAP stream counts six times a
-/// univariate series of the same length and no shard straggles. The
-/// packing depends only on the job list and is fully deterministic. At
-/// most `4 * threads` jobs are *live* (registered, operator built, ring
-/// allocated) at any moment — a paper-scale matrix is thousands of jobs,
-/// and each live ClaSS operator holds O(window) state per channel, so
-/// the feeder opens jobs as earlier ones complete instead of
-/// materializing all of them up front. `runtime` is operator-busy time
-/// measured per drained batch (`stream_engine::Timing::Batch`), which
-/// matches the paper's single-core measurement protocol even though
-/// shards interleave many streams — and keeps per-record clock reads out
-/// of baselines whose step is cheaper than a clock read.
-pub fn run_matrix_mixed(
-    algos: &[AlgoSpec],
-    series: &[AnnotatedSeries],
-    mv_jobs: &[MultivariateJob],
-    threads: usize,
-) -> (Vec<RunResult>, Vec<RunResult>) {
-    use class_core::MultivariateClass;
     use stream_engine::{
-        serve, Backpressure, EngineConfig, MultivariateSegmenterOperator, Operator, Record,
-        RingConfig, SegmenterOperator, StreamHandle, StreamOptions, Timing,
+        feed_all, serve, Backpressure, EngineConfig, RingConfig, SegmenterOperator, StreamOptions,
+        Timing,
     };
 
-    /// The engine serves one operator type per run; a mixed matrix wraps
-    /// both kinds behind one dispatching operator.
-    enum MatrixOperator {
-        Uni(SegmenterOperator<Box<dyn StreamingSegmenter>>),
-        Multi(Box<MultivariateSegmenterOperator>),
-    }
-
-    impl Operator for MatrixOperator {
-        type In = f64;
-        type Out = u64;
-
-        fn process(&mut self, rec: Record<f64>, out: &mut Vec<Record<u64>>) {
-            match self {
-                MatrixOperator::Uni(op) => op.process(rec, out),
-                MatrixOperator::Multi(op) => op.process(rec, out),
-            }
-        }
-
-        fn flush(&mut self, out: &mut Vec<Record<u64>>) {
-            match self {
-                MatrixOperator::Uni(op) => op.flush(out),
-                MatrixOperator::Multi(op) => op.flush(out),
-            }
-        }
-
-        fn name(&self) -> &'static str {
-            "matrix"
-        }
-    }
-
-    let mut jobs: Vec<JobRef> = (0..algos.len())
-        .flat_map(|a| (0..series.len()).map(move |s| JobRef::Uni(a, s)))
-        .chain((0..mv_jobs.len()).map(JobRef::Multi))
+    // (algorithm, series) pairs, heaviest first; the sort is stable, so
+    // ties keep the algo-major, series-minor layout.
+    let mut jobs: Vec<(usize, usize)> = (0..algos.len())
+        .flat_map(|a| (0..series.len()).map(move |s| (a, s)))
         .collect();
     if jobs.is_empty() {
-        return (Vec::new(), Vec::new());
+        return Vec::new();
     }
-    // Interleaved record stream for one multivariate job (the engine's
-    // shared frame-major transport layout) — built only when the job
-    // goes live and dropped when it closes, so the bounded-live-jobs
-    // design holds for the duplicated multivariate data too (a
-    // paper-scale matrix never materializes a second copy of every
-    // recording at once).
-    let interleave =
-        |m: usize| -> Vec<f64> { stream_engine::interleave_channels(&mv_jobs[m].series.channels) };
-    // Record weight: how many records the job pushes through its ring.
-    let weight = |job: &JobRef| -> u64 {
-        match *job {
-            JobRef::Uni(_, s) => series[s].len() as u64,
-            JobRef::Multi(m) => (mv_jobs[m].series.len() * mv_jobs[m].series.n_channels()) as u64,
-        }
-    };
-    // Heaviest-first; the sort is stable, so ties keep the deterministic
-    // (uni algo-major, then multivariate job-order) layout.
-    jobs.sort_by_key(|j| std::cmp::Reverse(weight(j)));
+    jobs.sort_by_key(|&(_, s)| std::cmp::Reverse(series[s].len()));
     let threads = threads.max(1).min(jobs.len());
     // Greedy balance: each job (heaviest first) goes to the least-loaded
     // shard by total records, ties to the lowest shard index.
-    let mut load = vec![0u64; threads];
-    let shard_of: Vec<usize> = jobs
-        .iter()
-        .map(|j| {
+    let mut load = vec![0usize; threads];
+    let jobs: Vec<(usize, usize, usize)> = jobs
+        .into_iter()
+        .map(|(a, s)| {
             let shard = (0..threads)
                 .min_by_key(|&k| (load[k], k))
                 .expect(">=1 shard");
-            load[shard] += weight(j);
-            shard
+            load[shard] += series[s].len();
+            (a, s, shard)
         })
         .collect();
 
@@ -264,129 +169,56 @@ pub fn run_matrix_mixed(
         shards: threads,
         ring: RingConfig::new(512, Backpressure::Block),
     };
-    // The greedy packing spreads the heaviest-first prefix across shards
-    // (the first `threads` jobs land on distinct shards), so a live
-    // window of 4x threads keeps every shard busy.
-    let max_live = 4 * threads;
-    let (results, stream_jobs) = serve(config, |engine| {
-        // Stream id -> index into `jobs`, in registration order.
-        let mut stream_jobs: Vec<usize> = Vec::with_capacity(jobs.len());
-        // (job index, handle, feed cursor, interleaved buffer for
-        // multivariate jobs) of each live job.
-        let mut live: Vec<(usize, StreamHandle, usize, Option<Vec<f64>>)> = Vec::new();
-        let mut next = 0usize;
-        loop {
-            while live.len() < max_live && next < jobs.len() {
-                let job = jobs[next];
-                let handle = engine.register_with(
-                    StreamOptions {
+    // The greedy packing spreads the heaviest-first prefix of each wave
+    // across shards, so a wave of 4x threads keeps every shard busy.
+    let (results, ()) = serve(config, |engine| {
+        for wave in jobs.chunks(4 * threads) {
+            let handles = wave
+                .iter()
+                .map(|&(a, s, shard)| {
+                    let opts = StreamOptions {
                         ring: config.ring,
                         timing: Timing::Batch,
-                        shard: Some(shard_of[next]),
+                        shard: Some(shard),
                         ..StreamOptions::default()
-                    },
-                    move || match job {
-                        JobRef::Uni(a, s) => MatrixOperator::Uni(SegmenterOperator::new(
-                            algos[a].instantiate(&series[s]),
-                        )),
-                        JobRef::Multi(m) => {
-                            let j = &mv_jobs[m];
-                            MatrixOperator::Multi(Box::new(MultivariateSegmenterOperator::new(
-                                MultivariateClass::new(j.cfg.clone(), j.series.n_channels()),
-                            )))
-                        }
-                    },
-                );
-                stream_jobs.push(next);
-                let mv_data = match job {
-                    JobRef::Multi(m) => Some(interleave(m)),
-                    JobRef::Uni(..) => None,
-                };
-                live.push((next, handle, 0, mv_data));
-                next += 1;
-            }
-            if live.is_empty() {
-                break;
-            }
-            let mut progressed = false;
-            let mut i = 0;
-            while i < live.len() {
-                let (job, handle, cursor, mv_data) = &mut live[i];
-                let xs: &[f64] = match (&jobs[*job], mv_data.as_deref()) {
-                    (JobRef::Uni(_, s), _) => &series[*s].values,
-                    (JobRef::Multi(_), Some(buf)) => buf,
-                    (JobRef::Multi(_), None) => unreachable!("multi job registered with buffer"),
-                };
-                if *cursor >= xs.len() {
-                    // Close the handle: the shard flushes the operator
-                    // and a registration slot frees up.
-                    live.swap_remove(i);
-                    progressed = true;
-                    continue;
-                }
-                let n = handle
-                    .try_feed(&xs[*cursor..])
-                    .expect("shard workers outlive the feed loop: consumers are only dropped at engine join()");
-                if n > 0 {
-                    *cursor += n;
-                    progressed = true;
-                }
-                i += 1;
-            }
-            if !progressed {
-                // Every live ring is full: the shards own the pace.
-                std::thread::sleep(std::time::Duration::from_micros(200));
-            }
+                    };
+                    engine.register_with(opts, move || {
+                        SegmenterOperator::new(algos[a].instantiate(&series[s]))
+                    })
+                })
+                .collect();
+            let data: Vec<&[f64]> = wave
+                .iter()
+                .map(|&(_, s, _)| &series[s].values[..])
+                .collect();
+            feed_all(handles, &data).expect(
+                "shard workers outlive the feed: consumers are only dropped at engine join()",
+            );
         }
-        stream_jobs
     });
 
-    // Stream ids follow registration order; scatter back to the
-    // deterministic layouts through the stream -> job mapping.
-    let mut out: Vec<Option<RunResult>> = (0..algos.len() * series.len()).map(|_| None).collect();
-    let mut out_mv: Vec<Option<RunResult>> = (0..mv_jobs.len()).map(|_| None).collect();
+    // Stream ids follow registration order, i.e. the sorted job order;
+    // scatter back to the deterministic (algo-major, series-minor) layout.
+    let mut out: Vec<Option<RunResult>> = (0..jobs.len()).map(|_| None).collect();
     for r in results {
+        let (a, s, _) = jobs[r.stream];
         let mut cps: Vec<u64> = r.output.iter().map(|rec| rec.value).collect();
         cps.sort_unstable();
         cps.dedup();
-        match jobs[stream_jobs[r.stream]] {
-            JobRef::Uni(a, s) => {
-                let ser = &series[s];
-                let cov = covering(&ser.change_points, &cps, ser.len() as u64);
-                out[a * series.len() + s] = Some(RunResult {
-                    algo: algos[a].name(),
-                    series: ser.name.clone(),
-                    archive: ser.archive,
-                    covering: cov,
-                    runtime: r.busy,
-                    n_points: ser.len(),
-                    cps,
-                });
-            }
-            JobRef::Multi(m) => {
-                let ser = &mv_jobs[m].series;
-                let cov = covering(&ser.change_points, &cps, ser.len() as u64);
-                out_mv[m] = Some(RunResult {
-                    algo: "MultivariateClaSS",
-                    series: ser.name.clone(),
-                    archive: ser.archive,
-                    covering: cov,
-                    runtime: r.busy,
-                    n_points: ser.len(),
-                    cps,
-                });
-            }
-        }
+        let ser = &series[s];
+        out[a * series.len() + s] = Some(RunResult {
+            algo: algos[a].name(),
+            series: ser.name.clone(),
+            archive: ser.archive,
+            covering: covering(&ser.change_points, &cps, ser.len() as u64),
+            runtime: r.busy,
+            n_points: ser.len(),
+            cps,
+        });
     }
-    (
-        out.into_iter()
-            .map(|r| r.expect("every job served"))
-            .collect(),
-        out_mv
-            .into_iter()
-            .map(|r| r.expect("every multivariate job served"))
-            .collect(),
-    )
+    out.into_iter()
+        .map(|r| r.expect("every job served"))
+        .collect()
 }
 
 /// Extracts the per-series Covering score matrix `scores[algo][series]`
@@ -520,47 +352,6 @@ mod tests {
         for (a, b) in got.iter().zip(&serial) {
             assert_eq!(a.cps, b.cps);
         }
-    }
-
-    #[test]
-    fn run_matrix_mixed_serves_multivariate_jobs() {
-        use datasets::{generate_multivariate, MultivariateSpec};
-        let spec = MultivariateSpec {
-            n_channels: 3,
-            n_informative: 2,
-            len: 6_000,
-            n_segments: 2,
-            noise: 0.05,
-            seed: 13,
-        };
-        let mv = generate_multivariate(&spec);
-        let true_cps = mv.change_points.clone();
-        let mut base = ClassConfig::with_window_size(1500);
-        base.width = class_core::WidthSelection::Fixed(mv.width.clamp(10, 60));
-        base.log10_alpha = -12.0;
-        let jobs = vec![MultivariateJob::quorum(base.clone(), mv)];
-        let algos = vec![AlgoSpec::Baseline {
-            kind: CompetitorKind::Ddm,
-            window_size: 1000,
-        }];
-        let series = vec![small_series()];
-        let (uni, multi) = run_matrix_mixed(&algos, &series, &jobs, 4);
-        assert_eq!(uni.len(), 1);
-        assert_eq!(multi.len(), 1);
-        let r = &multi[0];
-        assert_eq!(r.algo, "MultivariateClaSS");
-        assert_eq!(r.n_points, 6_000, "n_points counts frames, not records");
-        assert!((0.0..=1.0).contains(&r.covering));
-        assert!(
-            r.cps
-                .iter()
-                .any(|&c| true_cps.iter().any(|&t| c.abs_diff(t) < 800)),
-            "no fused cp near the truth: {:?} vs {true_cps:?}",
-            r.cps
-        );
-        // Deterministic across thread counts, like the univariate path.
-        let (_, again) = run_matrix_mixed(&algos, &series, &jobs, 1);
-        assert_eq!(r.cps, again[0].cps);
     }
 
     #[test]

@@ -49,11 +49,12 @@
 //!   [`InputGuard`] that heals or skips non-finite values and quarantines
 //!   on NaN bursts or flatlined (stuck-at) feeds before degraded data
 //!   reaches operator state.
-//! * **Typed ingest errors.** [`StreamHandle::push_with_retry`] retries
-//!   a full `error`-policy ring with bounded exponential backoff under a
-//!   [`RetryPolicy`], and [`feed_all`] waits for ring space for at most
-//!   a stall budget; both return typed [`IngestError`]s instead of
-//!   panicking on a full ring or a wedged engine.
+//! * **Typed ingest errors.** No producer sleeps and retries: a full
+//!   ring either waits on its space bell ([`crate::Backpressure::Block`]) or
+//!   refuses at once ([`crate::PushError::Overflow`] under
+//!   [`crate::Backpressure::Error`]), and [`feed_all`] waits for ring space
+//!   for at most a stall budget before it returns a typed
+//!   [`IngestError`] instead of hanging on a wedged engine.
 //!
 //! ```
 //! use stream_engine::{serve, EngineConfig, TumblingWindowMean};
@@ -240,60 +241,9 @@ impl std::fmt::Display for StreamState {
     }
 }
 
-/// Bounded exponential backoff for ingest retries: attempt `k` sleeps
-/// `min(base_delay << k, max_delay)` before retrying.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total push attempts (>= 1); `1` means fail on the first overflow.
-    pub max_attempts: u32,
-    /// Sleep before the first retry.
-    pub base_delay: Duration,
-    /// Cap on the per-retry sleep.
-    pub max_delay: Duration,
-}
-
-impl Default for RetryPolicy {
-    /// Twelve attempts, 100 µs doubling to a 20 ms cap — rides out a
-    /// consumer pause of ~100 ms before giving up.
-    fn default() -> Self {
-        Self {
-            max_attempts: 12,
-            base_delay: Duration::from_micros(100),
-            max_delay: Duration::from_millis(20),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// No retries: fail on the first overflow.
-    pub fn none() -> Self {
-        Self {
-            max_attempts: 1,
-            ..Self::default()
-        }
-    }
-
-    /// Sleep before retry number `attempt` (0-based).
-    fn delay(&self, attempt: u32) -> Duration {
-        let exp = self
-            .base_delay
-            .saturating_mul(1u32.checked_shl(attempt).unwrap_or(u32::MAX));
-        exp.min(self.max_delay)
-    }
-}
-
 /// A typed ingest failure, returned instead of panicking the feeder.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IngestError {
-    /// Every attempt found the ring full under the `error` policy.
-    RetriesExhausted {
-        /// Stream whose ring rejected the record.
-        stream: usize,
-        /// Attempts made (the policy's `max_attempts`).
-        attempts: u32,
-        /// Capacity of the rejecting ring.
-        capacity: usize,
-    },
     /// The stream's shard is gone; no record can be delivered.
     Disconnected {
         /// Stream whose consumer disappeared.
@@ -312,14 +262,6 @@ pub enum IngestError {
 impl std::fmt::Display for IngestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            IngestError::RetriesExhausted {
-                stream,
-                attempts,
-                capacity,
-            } => write!(
-                f,
-                "stream {stream}: ring (capacity {capacity}) still full after {attempts} attempts"
-            ),
             IngestError::Disconnected { stream } => {
                 write!(f, "stream {stream}: shard worker disconnected")
             }
@@ -453,7 +395,6 @@ impl StatsRegistry {
                 pushed,
                 healed: m.healed.load(Ordering::Relaxed),
                 skipped: m.skipped.load(Ordering::Relaxed),
-                retries: m.counters.retries.load(Ordering::Relaxed),
                 queue_depth,
                 done,
                 state,
@@ -524,42 +465,6 @@ impl StreamHandle {
         let rec = Record::new(self.t, value);
         self.t += 1;
         self.producer.push(rec)
-    }
-
-    /// [`StreamHandle::push`] with bounded exponential-backoff retries
-    /// on transient ring-full under the `error` policy, returning a
-    /// typed [`IngestError`] once the policy is exhausted. As with
-    /// `push`, the source position is consumed exactly once per call,
-    /// whether or not the record is eventually accepted.
-    pub fn push_with_retry(&mut self, value: f64, retry: &RetryPolicy) -> Result<(), IngestError> {
-        let rec = Record::new(self.t, value);
-        self.t += 1;
-        let attempts = retry.max_attempts.max(1);
-        for attempt in 0..attempts {
-            match self.producer.push(rec) {
-                Ok(()) => {
-                    if attempt > 0 {
-                        self.producer.note_retries(u64::from(attempt));
-                    }
-                    return Ok(());
-                }
-                Err(PushError::Disconnected) => {
-                    return Err(IngestError::Disconnected { stream: self.id })
-                }
-                Err(PushError::Overflow(e)) => {
-                    if attempt + 1 == attempts {
-                        self.producer.note_retries(u64::from(attempt));
-                        return Err(IngestError::RetriesExhausted {
-                            stream: self.id,
-                            attempts,
-                            capacity: e.capacity,
-                        });
-                    }
-                    std::thread::sleep(retry.delay(attempt));
-                }
-            }
-        }
-        unreachable!("the retry loop returns on every branch of its final attempt")
     }
 
     /// Non-blocking bulk push of up to one ring capacity of
@@ -648,8 +553,6 @@ pub struct StreamResult<Out> {
     pub healed: u64,
     /// Records the input guard dropped before the operator.
     pub skipped: u64,
-    /// Ingest backoff retries performed against this stream's ring.
-    pub retries: u64,
     /// Terminal state: [`StreamState::Done`] or
     /// [`StreamState::Quarantined`].
     pub state: StreamState,
@@ -1324,7 +1227,6 @@ where
         pushed: st.monitor.counters.pushed.load(Ordering::Relaxed),
         healed: st.guard.as_ref().map_or(0, |g| g.healed()),
         skipped: st.guard.as_ref().map_or(0, |g| g.skipped()),
-        retries: st.monitor.counters.retries.load(Ordering::Relaxed),
         state,
         busy: st.busy,
         latency,
@@ -1740,65 +1642,18 @@ mod tests {
     }
 
     #[test]
-    fn push_with_retry_exhausts_into_a_typed_error() {
+    fn push_to_a_full_error_ring_is_rejected_and_consumes_its_position() {
         let (mut h, _consumer) = raw_handle(RingConfig::new(2, Backpressure::Error), 7);
         h.push(1.0).unwrap();
         h.push(2.0).unwrap();
-        let retry = RetryPolicy {
-            max_attempts: 3,
-            base_delay: Duration::from_micros(50),
-            max_delay: Duration::from_micros(200),
-        };
-        let err = h.push_with_retry(3.0, &retry).unwrap_err();
         assert_eq!(
-            err,
-            IngestError::RetriesExhausted {
-                stream: 7,
-                attempts: 3,
-                capacity: 2
-            }
+            h.push(3.0),
+            Err(PushError::Overflow(ring::OverflowError { capacity: 2 }))
         );
-        // Only the accepted records count as pushed; retries are counted.
+        // Only the accepted records count as pushed.
         assert_eq!(h.pushed(), 2);
-        let counters = h.producer.counters();
-        assert_eq!(counters.retries.load(Ordering::Relaxed), 2);
-        // The position was consumed exactly once for the failed record.
+        // The position was consumed exactly once per rejected record.
         h.push(4.0).unwrap_err();
         assert_eq!(h.t, 4);
-    }
-
-    #[test]
-    fn push_with_retry_succeeds_once_the_consumer_drains() {
-        let (mut h, mut consumer) = raw_handle(RingConfig::new(1, Backpressure::Error), 0);
-        h.push(0.0).unwrap();
-        let drainer = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(5));
-            let mut out = Vec::new();
-            while consumer.drain_into(&mut out, usize::MAX) == 0 {
-                std::thread::sleep(Duration::from_micros(100));
-            }
-            (out, consumer)
-        });
-        let err = h.push_with_retry(1.0, &RetryPolicy::default());
-        assert_eq!(err, Ok(()));
-        assert!(
-            h.producer.counters().retries.load(Ordering::Relaxed) >= 1,
-            "the successful push went through the backoff path"
-        );
-        let (out, _consumer) = drainer.join().unwrap();
-        assert_eq!(out[0].value, 0.0);
-    }
-
-    #[test]
-    fn push_with_retry_reports_disconnect_immediately() {
-        let (mut h, consumer) = raw_handle(RingConfig::new(4, Backpressure::Block), 3);
-        drop(consumer);
-        let t0 = Instant::now();
-        let err = h.push_with_retry(1.0, &RetryPolicy::default()).unwrap_err();
-        assert_eq!(err, IngestError::Disconnected { stream: 3 });
-        assert!(
-            t0.elapsed() < Duration::from_millis(50),
-            "no pointless backoff against a dead consumer"
-        );
     }
 }

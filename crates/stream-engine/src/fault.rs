@@ -16,8 +16,9 @@
 //! stream's ledger must balance exactly
 //! (`records_in + drops + quarantined_after == pushed`).
 
-use crate::engine::{IngestError, RetryPolicy, StreamHandle};
+use crate::engine::{IngestError, StreamHandle};
 use crate::operator::Operator;
+use crate::ring::PushError;
 use crate::Record;
 use class_core::SplitMix64;
 use std::time::Duration;
@@ -63,9 +64,9 @@ pub enum FaultKind {
         millis: u64,
     },
     /// The feeder bursts records one-at-a-time (no chunk fairness) for
-    /// `len` records starting at `at`, with retries disabled — under the
-    /// `error` ring policy, overflow rejections are real record loss at
-    /// the edge.
+    /// `len` records starting at `at`, with a plain
+    /// [`StreamHandle::push`] each — under the `error` ring policy, an
+    /// overflow rejection is real record loss at the edge.
     OverflowStorm {
         /// First storm index.
         at: usize,
@@ -271,7 +272,7 @@ pub struct DriveOutcome {
     /// Records the rings accepted.
     pub accepted: Vec<u64>,
     /// Records rejected at the edge (overflow storms under the `error`
-    /// policy with retries exhausted).
+    /// policy).
     pub rejected: Vec<u64>,
 }
 
@@ -280,15 +281,17 @@ const DRIVE_CHUNK: usize = 64;
 
 /// Drives the fleet like [`crate::feed_all`], but applies the plan's
 /// *feeder* faults: [`FaultKind::Stall`] sleeps the source at its trigger
-/// cursor, [`FaultKind::OverflowStorm`] bursts records one-at-a-time with
-/// retries disabled (rejections under the `error` policy are counted as
-/// `rejected`, not errors). Data and operator faults must already be
-/// installed via [`FaultPlan::corrupt`] / [`FaultingOperator`].
+/// cursor, [`FaultKind::OverflowStorm`] bursts records one-at-a-time
+/// with [`StreamHandle::push`] (rejections under the `error` policy are
+/// counted as `rejected`, not errors). Outside a storm every stream is
+/// fed in chunks that never block; when a round moves no record, every
+/// open ring is full and the feeder waits on the space bell its rings
+/// share. Data and operator faults must already be installed via
+/// [`FaultPlan::corrupt`] / [`FaultingOperator`].
 pub fn drive(
     mut handles: Vec<StreamHandle>,
     data: &[Vec<f64>],
     plan: &FaultPlan,
-    retry: &RetryPolicy,
 ) -> Result<DriveOutcome, IngestError> {
     assert_eq!(handles.len(), data.len(), "one data vec per stream handle");
     let n = handles.len();
@@ -301,7 +304,6 @@ pub fn drive(
         accepted: vec![0; n],
         rejected: vec![0; n],
     };
-    let storm_retry = RetryPolicy::none();
     let mut remaining = n;
     while remaining > 0 {
         let mut progressed = false;
@@ -329,53 +331,37 @@ pub fn drive(
                 _ => false,
             };
             if in_storm {
-                // One record per push, retries off: a producer that
-                // outruns its ring and eats the rejections.
-                let x = xs[cursors[i]];
+                // One record per push: a producer that outruns its ring
+                // and eats the rejections.
                 outcome.offered[i] += 1;
-                match handle.push_with_retry(x, &storm_retry) {
+                match handle.push(xs[cursors[i]]) {
                     Ok(()) => outcome.accepted[i] += 1,
-                    Err(IngestError::RetriesExhausted { .. }) => outcome.rejected[i] += 1,
-                    Err(e) => return Err(e),
+                    Err(PushError::Overflow(_)) => outcome.rejected[i] += 1,
+                    Err(PushError::Disconnected) => {
+                        return Err(IngestError::Disconnected {
+                            stream: handle.id(),
+                        })
+                    }
                 }
                 cursors[i] += 1;
                 progressed = true;
             } else {
                 let end = (cursors[i] + DRIVE_CHUNK).min(xs.len());
-                let accepted = match handle.try_feed(&xs[cursors[i]..end]) {
-                    Ok(m) => m,
-                    Err(crate::ring::PushError::Disconnected) => {
-                        return Err(IngestError::Disconnected {
-                            stream: handle.id(),
-                        })
-                    }
-                    Err(crate::ring::PushError::Overflow(_)) => 0,
+                // try_feed accepts what fits: its only error is a
+                // disconnect, and 0 means the ring is full.
+                let Ok(accepted) = handle.try_feed(&xs[cursors[i]..end]) else {
+                    return Err(IngestError::Disconnected {
+                        stream: handle.id(),
+                    });
                 };
-                if accepted > 0 {
-                    cursors[i] += accepted;
-                    outcome.offered[i] += accepted as u64;
-                    outcome.accepted[i] += accepted as u64;
-                    progressed = true;
-                } else {
-                    // Ring full: force one record through the caller's
-                    // retry policy so the backoff path runs under real
-                    // contention. Exhaustion is transient here (the
-                    // consumer always drains) — come back next round.
-                    match handle.push_with_retry(xs[cursors[i]], retry) {
-                        Ok(()) => {
-                            cursors[i] += 1;
-                            outcome.offered[i] += 1;
-                            outcome.accepted[i] += 1;
-                            progressed = true;
-                        }
-                        Err(IngestError::RetriesExhausted { .. }) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
+                cursors[i] += accepted;
+                outcome.offered[i] += accepted as u64;
+                outcome.accepted[i] += accepted as u64;
+                progressed |= accepted > 0;
             }
         }
-        // Take the space bell's keys; when every open ring is full and
-        // refused its retries, first wait for a drain to free space.
+        // Take the space bell's keys; when every open ring is full, first
+        // wait for a drain to free space.
         space.wait(&mut Vec::new(), progressed.then_some(Duration::ZERO));
     }
     Ok(outcome)

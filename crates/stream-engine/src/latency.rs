@@ -141,8 +141,6 @@ pub struct StreamStats {
     pub healed: u64,
     /// Records the input guard dropped before the operator so far.
     pub skipped: u64,
-    /// Ingest backoff retries performed against the stream's ring.
-    pub retries: u64,
     /// Records currently queued in the stream's ring buffer.
     pub queue_depth: usize,
     /// Whether the stream has been closed, drained, and flushed.
@@ -298,7 +296,6 @@ mod tests {
             pushed: records_in + drops,
             healed: 0,
             skipped: 0,
-            retries: 0,
             queue_depth: depth,
             done,
             state: if done {

@@ -51,7 +51,7 @@ pub mod source;
 
 pub use engine::{
     feed_all, serve, DetachReport, EngineConfig, FeedReport, IngestError, QuarantineCause,
-    RegisterError, Registrar, RetryPolicy, ServingEngine, StatsHandle, StreamHandle, StreamOptions,
+    RegisterError, Registrar, ServingEngine, StatsHandle, StreamHandle, StreamOptions,
     StreamResult, StreamState, Timing,
 };
 #[cfg(feature = "fault-inject")]

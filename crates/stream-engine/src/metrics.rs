@@ -199,7 +199,7 @@ pub fn render_prometheus(stats: &ServingStats, net: Option<&NetStats>) -> String
             .flat_map(|s| quantiles(&shard_labels(s), s.p50, s.p99)),
     );
 
-    let stream_families: [Family<StreamStats>; 10] = [
+    let stream_families: [Family<StreamStats>; 9] = [
         (
             "class_stream_records_in_total",
             "Records consumed while healthy (operator-processed plus guard-healed/skipped).",
@@ -229,11 +229,6 @@ pub fn render_prometheus(stats: &ServingStats, net: Option<&NetStats>) -> String
             "class_stream_skipped_total",
             "Records the input guard dropped before the operator.",
             |s| s.skipped.to_string(),
-        ),
-        (
-            "class_stream_retries_total",
-            "Ingest backoff retries against the stream's ring.",
-            |s| s.retries.to_string(),
         ),
         (
             "class_stream_queue_depth",
@@ -429,7 +424,7 @@ pub fn render_stats_json(stats: &ServingStats, net: Option<&NetStats>) -> String
         format!(
             "    {{\"stream\": {}, \"name\": \"{}\", \"shard\": {}, \"state\": \"{state}\", \
              \"records_in\": {}, \"drops\": {}, \"quarantined_after\": {}, \"pushed\": {}, \
-             \"healed\": {}, \"skipped\": {}, \"retries\": {}, \"queue_depth\": {}, \
+             \"healed\": {}, \"skipped\": {}, \"queue_depth\": {}, \
              \"p50_ns\": {}, \"p99_ns\": {}, \"mean_ns\": {}, \"quarantine\": {quarantine}}}",
             s.stream,
             escape_json(&s.name),
@@ -440,7 +435,6 @@ pub fn render_stats_json(stats: &ServingStats, net: Option<&NetStats>) -> String
             s.pushed,
             s.healed,
             s.skipped,
-            s.retries,
             s.queue_depth,
             s.p50.as_nanos(),
             s.p99.as_nanos(),
@@ -724,7 +718,6 @@ mod tests {
                 pushed: 12,
                 healed: 0,
                 skipped: 0,
-                retries: 0,
                 queue_depth: 1,
                 done: false,
                 state: StreamState::Active,

@@ -726,8 +726,9 @@ impl IngestServer {
         let registry = Arc::new(NetRegistry::default());
         let (accept_stop, accepted) = (Arc::clone(&stop), Arc::clone(&registry));
         let factory = Arc::new(factory);
-        // One thread per connection, all joined before the accept thread
-        // ends.
+        // One thread per connection: a thread whose connection has ended
+        // is joined when the next connection arrives, the rest before the
+        // accept thread ends.
         let accept_thread = std::thread::spawn(move || {
             let mut conn_threads = Vec::new();
             accept_until(&listener, &accept_stop, |sock, peer| {
@@ -746,6 +747,7 @@ impl IngestServer {
                 let registrar = registrar.clone();
                 let factory = Arc::clone(&factory);
                 let stop = Arc::clone(&accept_stop);
+                join_finished(&mut conn_threads);
                 conn_threads.push(std::thread::spawn(move || {
                     let streams = HashMap::new();
                     Connection {
@@ -792,6 +794,19 @@ impl Drop for IngestServer {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
+    }
+}
+
+/// Joins the threads in `threads` that have ended, keeping the rest, so
+/// a long-running server holds one handle per open connection rather
+/// than one per connection ever made.
+fn join_finished(threads: &mut Vec<std::thread::JoinHandle<()>>) {
+    let (done, open): (Vec<_>, Vec<_>) = std::mem::take(threads)
+        .into_iter()
+        .partition(|t| t.is_finished());
+    *threads = open;
+    for t in done {
+        let _ = t.join();
     }
 }
 
@@ -1348,6 +1363,23 @@ pub struct AckInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn join_finished_keeps_only_running_threads() {
+        let (release, parked) = std::sync::mpsc::channel::<()>();
+        let mut threads = vec![std::thread::spawn(move || {
+            let _ = parked.recv();
+        })];
+        threads.extend((0..8).map(|_| std::thread::spawn(|| {})));
+        while threads[1..].iter().any(|t| !t.is_finished()) {
+            std::thread::yield_now();
+        }
+        join_finished(&mut threads);
+        assert_eq!(threads.len(), 1, "the eight ended threads are joined");
+        assert!(!threads[0].is_finished(), "the running thread is kept");
+        release.send(()).unwrap();
+        threads.pop().unwrap().join().unwrap();
+    }
 
     fn roundtrip(frame: &Frame) {
         let bytes = frame.encode();

@@ -154,8 +154,6 @@ pub(crate) struct RingCounters {
     /// The fault-accounting ledger balances against this:
     /// `processed + dropped + quarantined_after == pushed`.
     pub(crate) pushed: AtomicU64,
-    /// Backoff retries the producer performed against this ring.
-    pub(crate) retries: AtomicU64,
 }
 
 impl RingCounters {
@@ -450,11 +448,6 @@ impl<T> Producer<T> {
     /// Records ever accepted into the ring (rejected pushes excluded).
     pub fn pushed(&self) -> u64 {
         self.shared.counters.pushed.load(Ordering::Relaxed)
-    }
-
-    /// Counts `n` producer backoff retries against this ring.
-    pub(crate) fn note_retries(&self, n: u64) {
-        self.shared.counters.retries.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Shared counters handle for external stats snapshots.

@@ -12,7 +12,6 @@
 //! happens on the ingest thread, the backpressured ring carries the
 //! records to the stream's shard.
 
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// An in-memory stream source with optional rate pacing.
@@ -26,34 +25,6 @@ impl ReplaySource {
     /// A source replaying `values` as fast as the consumer drains it.
     pub fn new(values: Vec<f64>) -> Self {
         Self { values, rate: None }
-    }
-
-    /// Reads a plain one-observation-per-line text file — annotation-free
-    /// feeds for consumers that link only `stream-engine` (annotated
-    /// archive files go through `datasets::load_series_file` instead).
-    /// Non-finite values are rejected like the archive parsers reject
-    /// them: a `nan` line would silently poison a segmenter's running
-    /// statistics. Errors carry the 1-based line number.
-    pub fn from_txt_file(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let body = std::fs::read_to_string(path.as_ref())?;
-        let mut values = Vec::new();
-        for (i, line) in body.lines().enumerate() {
-            let bad = |what: &str| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("{}:{}: {what} `{line}`", path.as_ref().display(), i + 1),
-                )
-            };
-            let v: f64 = line
-                .trim()
-                .parse()
-                .map_err(|_| bad("expected a decimal value, got"))?;
-            if !v.is_finite() {
-                return Err(bad("non-finite value"));
-            }
-            values.push(v);
-        }
-        Ok(Self::new(values))
     }
 
     /// Paces the replay at `records_per_sec` (must be positive): the n-th
@@ -317,30 +288,6 @@ mod tests {
             elapsed >= Duration::from_millis(55),
             "paced replay finished too fast: {elapsed:?}"
         );
-    }
-
-    #[test]
-    fn txt_file_source_reads_values_and_reports_bad_lines() {
-        let dir = std::env::temp_dir().join("class-stream-engine-source-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let good = dir.join("good.txt");
-        std::fs::write(&good, "0.5\n1.5\n-2.25\n").unwrap();
-        let src = ReplaySource::from_txt_file(&good).unwrap();
-        assert_eq!(src.values(), &[0.5, 1.5, -2.25]);
-
-        let bad = dir.join("bad.txt");
-        std::fs::write(&bad, "0.5\nnope\n").unwrap();
-        let err = ReplaySource::from_txt_file(&bad).unwrap_err();
-        assert!(err.to_string().contains("bad.txt:2:"), "{err}");
-
-        let nan = dir.join("nan.txt");
-        std::fs::write(&nan, "0.5\n1.0\nnan\n").unwrap();
-        let err = ReplaySource::from_txt_file(&nan).unwrap_err();
-        assert!(err.to_string().contains("nan.txt:3:"), "{err}");
-        assert!(err.to_string().contains("non-finite"), "{err}");
-        std::fs::remove_file(&good).ok();
-        std::fs::remove_file(&bad).ok();
-        std::fs::remove_file(&nan).ok();
     }
 
     #[test]

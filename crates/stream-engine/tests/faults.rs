@@ -15,8 +15,8 @@
 use proptest::prelude::*;
 use stream_engine::{
     drive, feed_all, serve, silence_injected_panics, Backpressure, DriveOutcome, EngineConfig,
-    FaultKind, FaultPlan, FaultingOperator, GuardConfig, GuardTrip, QuarantineCause, RetryPolicy,
-    RingConfig, StreamFault, StreamOptions, StreamResult, StreamState, TumblingWindowMean,
+    FaultKind, FaultPlan, FaultingOperator, GuardConfig, GuardTrip, QuarantineCause, RingConfig,
+    StreamFault, StreamOptions, StreamResult, StreamState, TumblingWindowMean,
     INJECTED_PANIC_PREFIX,
 };
 
@@ -76,7 +76,7 @@ fn run_fleet(
                 )
             })
             .collect();
-        drive(handles, &corrupted, plan, &RetryPolicy::default())
+        drive(handles, &corrupted, plan)
     });
     (results, outcome.expect("feeder completes under faults"))
 }

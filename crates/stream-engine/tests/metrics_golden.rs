@@ -44,7 +44,6 @@ fn fixture() -> ServingStats {
         pushed: 1000 + stream as u64 * 112,
         healed: stream as u64 * 2,
         skipped: 0,
-        retries: stream as u64 * 3,
         queue_depth: 4 - stream,
         done: false,
         state: StreamState::Active,

@@ -29,8 +29,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use stream_engine::{
     drive, serve, silence_injected_panics, vm_hwm_kb, Backpressure, EngineConfig, FaultKind,
-    FaultPlan, FaultingOperator, GuardConfig, RetryPolicy, RingConfig, ServingStats, StatsHandle,
-    StreamOptions, TumblingWindowMean,
+    FaultPlan, FaultingOperator, GuardConfig, RingConfig, ServingStats, StatsHandle, StreamOptions,
+    TumblingWindowMean,
 };
 
 /// Deterministic per-stream feeds (phase-shifted sines with a small
@@ -89,7 +89,6 @@ fn assert_monotone(prev: &ServingStats, next: &ServingStats) {
             ("pushed", p.pushed, n.pushed),
             ("healed", p.healed, n.healed),
             ("skipped", p.skipped, n.skipped),
-            ("retries", p.retries, n.retries),
         ] {
             assert!(
                 b >= a,
@@ -127,7 +126,6 @@ fn sampled_run(
         plan.corrupt(k, xs);
     }
     let stop = Arc::new(AtomicBool::new(false));
-    let retry = RetryPolicy::default();
     let (_results, (outcome, snapshots, handle)) = serve(EngineConfig::new(shards), |engine| {
         let handle = engine.stats_handle();
         let sampler_handle = handle.clone();
@@ -159,7 +157,7 @@ fn sampled_run(
                 )
             })
             .collect();
-        let outcome = drive(handles, &data, &plan, &retry);
+        let outcome = drive(handles, &data, &plan);
         stop.store(true, Ordering::Relaxed);
         let snapshots = sampler.join().expect("sampler thread never panics");
         (outcome, snapshots, handle)

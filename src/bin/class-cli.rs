@@ -535,16 +535,15 @@ where
     Op: stream_engine::Operator<In = f64, Out = u64>,
 {
     let started = std::time::Instant::now();
-    let retry = stream_engine::RetryPolicy::default();
     let (mut results, fed) = stream_engine::serve(stream_engine::EngineConfig::new(1), |engine| {
         if let Some(m) = metrics {
             m.attach(engine.stats_handle());
         }
         let mut handle = engine.register_with(opts, build);
         for v in records {
-            handle.push_with_retry(v, &retry)?;
+            handle.push(v)?;
         }
-        Ok::<(), stream_engine::IngestError>(())
+        Ok::<(), stream_engine::PushError>(())
     });
     file.elapsed = started.elapsed();
     let result = results.remove(0);

@@ -841,7 +841,6 @@ fn serve_status_falls_back_to_a_snapshot_file_and_flags_quarantines() {
         pushed: 1000,
         healed: 0,
         skipped: 0,
-        retries: 0,
         queue_depth: 0,
         done,
         state,
