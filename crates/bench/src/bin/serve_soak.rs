@@ -56,8 +56,7 @@
 //! only on the stderr `OK` line.
 
 use class_core::{
-    ChannelGuardConfig, ClassConfig, ClassSegmenter, MultivariateClass, MultivariateConfig,
-    WidthSelection,
+    ClassConfig, ClassSegmenter, MultivariateClass, MultivariateConfig, WidthSelection,
 };
 use datasets::{build_series, NoiseSpec, Regime};
 use eval::bundle::RunBundle;
@@ -100,11 +99,7 @@ const FULL: Preset = Preset {
 /// detector, so any guard quarantine is attributable to the plan.
 /// (Multivariate streams use per-channel guards instead: a data fault
 /// retires the hit channel, it does not take down the fused stream.)
-const GUARD: GuardConfig = GuardConfig {
-    non_finite: stream_engine::GuardAction::Heal,
-    nan_burst: 8,
-    flatline: 16,
-};
+const GUARD: GuardConfig = GuardConfig::new(8, 16);
 
 /// Peak-RSS cap. The quick fleet's data is ~1 MB and per-stream ClaSS
 /// state is window-bounded; a leak under sustained faulting is the only
@@ -296,7 +291,7 @@ fn run_round(
             },
             move || {
                 let mut mcfg = MultivariateConfig::new(base_cfg(), channels);
-                mcfg.channel_guard = Some(ChannelGuardConfig::new(4, 16));
+                mcfg.channel_guard = Some(GuardConfig::new(4, 16));
                 MultivariateSegmenterOperator::new(MultivariateClass::new(mcfg, channels))
             },
         )

@@ -1,64 +1,46 @@
-//! Degraded-input policies: per-stream value guards between the ring and
-//! the operator.
+//! Degraded-input policy: a value guard between a sensor feed and a
+//! segmenter.
 //!
 //! Real archive data makes degraded inputs routine rather than
 //! exceptional: the wide-CSV fixtures model dead IMU sensors, and WFDB's
 //! `-32768`/`-2048` invalid-sample sentinels decode to NaN. A long-running
-//! serving deployment must decide *per stream* what to do when a feed goes
-//! bad — heal an isolated glitch, skip it, or take the stream out of
-//! service — instead of letting poisoned values run through operator state
-//! for hours. [`GuardConfig`] is that policy; the engine instantiates one
-//! [`InputGuard`] per guarded stream (see
-//! [`crate::StreamOptions::guard`]) and consults it for every record
-//! before the operator sees it.
+//! deployment must decide per feed what to do when it goes bad — heal an
+//! isolated glitch, or take the feed out of service — instead of letting
+//! poisoned values run through segmenter state for hours. [`GuardConfig`]
+//! is that policy and [`InputGuard`] applies it to one feed, a value at a
+//! time. The same guard serves both granularities: the serving engine
+//! installs one per guarded stream, and [`crate::MultivariateClass`] one
+//! per channel (see [`crate::MultivariateConfig::channel_guard`]).
 
-/// What a guard does with a value it objects to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GuardAction {
-    /// Replace the value with the last finite value seen on this stream
-    /// (records before the first finite value are skipped). The default:
-    /// sample-and-hold is what a hardware acquisition front-end does.
-    #[default]
-    Heal,
-    /// Drop the record without stepping the operator.
-    Skip,
-    /// Quarantine the stream immediately.
-    Quarantine,
-}
-
-/// Per-stream degraded-input policy. The zero thresholds disable their
-/// detectors, so `GuardConfig::default()` only heals isolated non-finite
-/// values and never quarantines.
+/// Degraded-input policy for one feed. A non-finite (NaN/±inf) value is
+/// healed with the feed's last finite value, or skipped while no finite
+/// value has arrived yet. The zero thresholds disable their detectors, so
+/// `GuardConfig::default()` only heals and never trips.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GuardConfig {
-    /// Action for a non-finite (NaN/±inf) value.
-    pub non_finite: GuardAction,
-    /// Quarantine after this many *consecutive* non-finite values,
-    /// regardless of [`GuardConfig::non_finite`] — a burst means the
-    /// sensor is gone, not glitching. `0` disables burst detection.
+    /// Trip after this many *consecutive* non-finite values — a burst
+    /// means the sensor is gone, not glitching. `0` disables burst
+    /// detection.
     pub nan_burst: usize,
-    /// Quarantine after this many consecutive *identical* finite values —
-    /// a flatlined (stuck-at) sensor. `0` disables flatline detection.
+    /// Trip after this many consecutive *identical* finite values — a
+    /// flatlined (stuck-at) sensor. `0` disables flatline detection.
     pub flatline: usize,
 }
 
 impl GuardConfig {
-    /// A guard that heals isolated non-finite values and quarantines on
+    /// A guard that heals isolated non-finite values and trips on
     /// `nan_burst` consecutive non-finite or `flatline` identical values.
-    pub fn new(nan_burst: usize, flatline: usize) -> Self {
+    pub const fn new(nan_burst: usize, flatline: usize) -> Self {
         Self {
-            non_finite: GuardAction::Heal,
             nan_burst,
             flatline,
         }
     }
 }
 
-/// Why a guard took its stream out of service.
+/// Why a guard took its feed out of service.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GuardTrip {
-    /// A non-finite value arrived under [`GuardAction::Quarantine`].
-    NonFinite,
     /// `len` consecutive non-finite values crossed the burst threshold.
     NanBurst {
         /// Length of the non-finite run, including the tripping value.
@@ -76,7 +58,6 @@ pub enum GuardTrip {
 impl std::fmt::Display for GuardTrip {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            GuardTrip::NonFinite => write!(f, "non-finite value"),
             GuardTrip::NanBurst { len } => {
                 write!(f, "non-finite burst of {len} consecutive values")
             }
@@ -90,17 +71,16 @@ impl std::fmt::Display for GuardTrip {
 /// The guard's verdict on one value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GuardVerdict {
-    /// Deliver this (possibly healed) value to the operator.
+    /// Deliver this (possibly healed) value.
     Pass(f64),
-    /// Drop the record; the operator never sees it.
+    /// A non-finite value with no finite value to hold yet.
     Skip,
-    /// Quarantine the stream.
+    /// Take the feed out of service.
     Trip(GuardTrip),
 }
 
-/// Running guard state for one stream. Purely sequential over the
-/// stream's values — the engine consults it record-at-a-time on the
-/// stream's shard, so it needs no synchronisation.
+/// Running guard state for one feed. Purely sequential over the feed's
+/// values, so it needs no synchronisation.
 #[derive(Debug, Clone)]
 pub struct InputGuard {
     cfg: GuardConfig,
@@ -113,7 +93,7 @@ pub struct InputGuard {
 }
 
 impl InputGuard {
-    /// A fresh guard for one stream.
+    /// A fresh guard for one feed.
     pub fn new(cfg: GuardConfig) -> Self {
         Self {
             cfg,
@@ -126,7 +106,7 @@ impl InputGuard {
         }
     }
 
-    /// Inspects one incoming value and decides what the operator sees.
+    /// Inspects one incoming value and decides what the segmenter sees.
     #[inline]
     pub fn inspect(&mut self, x: f64) -> GuardVerdict {
         if !x.is_finite() {
@@ -135,24 +115,15 @@ impl InputGuard {
             if self.cfg.nan_burst > 0 && self.nan_run >= self.cfg.nan_burst {
                 return GuardVerdict::Trip(GuardTrip::NanBurst { len: self.nan_run });
             }
-            return match self.cfg.non_finite {
-                GuardAction::Heal => match self.last_finite {
-                    Some(v) => {
-                        self.healed += 1;
-                        GuardVerdict::Pass(v)
-                    }
-                    // Nothing to hold yet: skip until the first finite
-                    // value arrives.
-                    None => {
-                        self.skipped += 1;
-                        GuardVerdict::Skip
-                    }
-                },
-                GuardAction::Skip => {
+            return match self.last_finite {
+                Some(v) => {
+                    self.healed += 1;
+                    GuardVerdict::Pass(v)
+                }
+                None => {
                     self.skipped += 1;
                     GuardVerdict::Skip
                 }
-                GuardAction::Quarantine => GuardVerdict::Trip(GuardTrip::NonFinite),
             };
         }
         self.nan_run = 0;
@@ -179,7 +150,7 @@ impl InputGuard {
         self.healed
     }
 
-    /// Records skipped (dropped before the operator) so far.
+    /// Values skipped (non-finite before any finite value) so far.
     pub fn skipped(&self) -> u64 {
         self.skipped
     }
@@ -245,25 +216,5 @@ mod tests {
         for i in 0..100 {
             assert!(matches!(g.inspect((i % 2) as f64), GuardVerdict::Pass(_)));
         }
-    }
-
-    #[test]
-    fn skip_and_quarantine_actions_apply_to_non_finite() {
-        let mut g = InputGuard::new(GuardConfig {
-            non_finite: GuardAction::Skip,
-            ..GuardConfig::default()
-        });
-        g.inspect(1.0);
-        assert_eq!(g.inspect(f64::NAN), GuardVerdict::Skip);
-        assert_eq!(g.skipped(), 1);
-
-        let mut g = InputGuard::new(GuardConfig {
-            non_finite: GuardAction::Quarantine,
-            ..GuardConfig::default()
-        });
-        assert_eq!(
-            g.inspect(f64::NEG_INFINITY),
-            GuardVerdict::Trip(GuardTrip::NonFinite)
-        );
     }
 }

@@ -14,7 +14,10 @@
 //! * **window size selection** (SuSS, FFT, ACF, MWF) to learn the
 //!   subsequence width from the stream prefix ([`wss`]),
 //! * **batch ClaSP** as a reference implementation built on the same
-//!   primitives ([`clasp_batch`]).
+//!   primitives ([`clasp_batch`]), and
+//! * a **degraded-input guard** that heals NaNs and retires dead or
+//!   stuck feeds ([`guard`]), shared by the serving engine's streams and
+//!   the channels of a fused [`MultivariateClass`].
 //!
 //! ## Quickstart
 //!
@@ -45,6 +48,7 @@ pub mod clasp_batch;
 pub mod class;
 pub mod crossval;
 pub mod fft;
+pub mod guard;
 pub mod knn;
 pub mod multivariate;
 pub mod segmenter;
@@ -56,10 +60,11 @@ pub mod wss;
 pub use clasp_batch::{clasp_profile, clasp_segment, ClaspConfig};
 pub use class::{ClassConfig, ClassSegmenter, WidthSelection};
 pub use crossval::{CrossVal, ScoreFn};
+pub use guard::{GuardConfig, GuardTrip, GuardVerdict, InputGuard};
 pub use knn::{KnnConfig, StreamingKnn};
 pub use multivariate::{
-    ChannelFault, ChannelGuardConfig, ChannelSelection, FusionStrategy, MultivariateClass,
-    MultivariateConfig, VoteFuser,
+    ChannelFault, ChannelSelection, FusionStrategy, MultivariateClass, MultivariateConfig,
+    VoteFuser,
 };
 pub use segmenter::StreamingSegmenter;
 pub use similarity::Similarity;

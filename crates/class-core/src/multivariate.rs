@@ -13,6 +13,7 @@
 //!   tolerance, at the median of the votes.
 
 use crate::class::{ClassConfig, ClassSegmenter};
+use crate::guard::{GuardConfig, GuardTrip, GuardVerdict, InputGuard};
 use crate::segmenter::StreamingSegmenter;
 
 /// How per-channel change point votes are fused.
@@ -73,18 +74,11 @@ pub enum ChannelSelection {
 }
 
 /// Why a channel of a fused multivariate stream was retired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ChannelFault {
-    /// The channel delivered `len` consecutive non-finite values.
-    NanBurst {
-        /// Burst length at the trip.
-        len: usize,
-    },
-    /// The channel delivered `len` consecutive identical finite values.
-    Flatline {
-        /// Run length at the trip.
-        len: usize,
-    },
+    /// The channel's [`InputGuard`] tripped (see
+    /// [`MultivariateConfig::channel_guard`]).
+    Guard(GuardTrip),
     /// Retired by the caller (e.g. the serving layer quarantined the
     /// channel's source) via [`MultivariateClass::quarantine_channel`].
     External,
@@ -93,34 +87,8 @@ pub enum ChannelFault {
 impl std::fmt::Display for ChannelFault {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ChannelFault::NanBurst { len } => write!(f, "{len} consecutive non-finite values"),
-            ChannelFault::Flatline { len } => write!(f, "flatlined for {len} samples"),
+            ChannelFault::Guard(trip) => write!(f, "{trip}"),
             ChannelFault::External => write!(f, "retired by the caller"),
-        }
-    }
-}
-
-/// Per-channel degraded-input policy: a fused stream should lose a dead
-/// sensor, not die of it. Isolated non-finite values are healed with the
-/// channel's last finite value; a sustained burst or flatline retires the
-/// channel and re-quorums the fuser over the survivors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChannelGuardConfig {
-    /// Consecutive non-finite values that retire a channel (0 disables;
-    /// non-finite values are then delivered to the segmenter verbatim).
-    pub nan_burst: usize,
-    /// Consecutive identical finite values that retire a channel
-    /// (0 disables).
-    pub flatline: usize,
-}
-
-impl ChannelGuardConfig {
-    /// A guard tripping on `nan_burst` consecutive non-finite values or
-    /// `flatline` consecutive identical values (0 disables either).
-    pub fn new(nan_burst: usize, flatline: usize) -> Self {
-        Self {
-            nan_burst,
-            flatline,
         }
     }
 }
@@ -134,9 +102,14 @@ pub struct MultivariateConfig {
     pub fusion: FusionStrategy,
     /// Channel selection strategy.
     pub selection: ChannelSelection,
-    /// Per-channel degraded-input policy. `None` (the default) delivers
-    /// channel values verbatim and never retires a channel.
-    pub channel_guard: Option<ChannelGuardConfig>,
+    /// Per-channel degraded-input policy: a fused stream should lose a
+    /// dead sensor, not die of it. Each channel gets its own
+    /// [`InputGuard`]; a healed value replaces the raw one, a channel
+    /// with no finite value yet is fed 0.0, and a trip retires the
+    /// channel and re-quorums the fuser over the survivors. `None` (the
+    /// default) delivers channel values verbatim and never retires a
+    /// channel.
+    pub channel_guard: Option<GuardConfig>,
 }
 
 impl MultivariateConfig {
@@ -305,14 +278,6 @@ impl VoteFuser {
     }
 }
 
-/// Per-channel degraded-input tracking for [`ChannelGuardConfig`].
-#[derive(Debug, Clone, Default)]
-struct ChannelGuardState {
-    nan_run: usize,
-    flat_run: usize,
-    last_finite: Option<f64>,
-}
-
 /// Multivariate streaming segmenter: per-channel ClaSS + vote fusion.
 pub struct MultivariateClass {
     cfg: MultivariateConfig,
@@ -326,9 +291,8 @@ pub struct MultivariateClass {
     selected: bool,
     fuser: VoteFuser,
     scratch: Vec<u64>,
-    guards: Vec<ChannelGuardState>,
-    /// Guard-healed copy of the current observation row.
-    row: Vec<f64>,
+    /// One guard per channel; empty when the stream is unguarded.
+    guards: Vec<InputGuard>,
     /// Why each retired channel was retired (`None` while healthy or when
     /// merely dropped by dimension selection).
     faults: Vec<Option<ChannelFault>>,
@@ -356,8 +320,9 @@ impl MultivariateClass {
             selected: matches!(cfg.selection, ChannelSelection::All),
             fuser: VoteFuser::new(cfg.fusion),
             scratch: Vec::new(),
-            guards: vec![ChannelGuardState::default(); n_channels],
-            row: Vec::new(),
+            guards: cfg
+                .channel_guard
+                .map_or_else(Vec::new, |g| vec![InputGuard::new(g); n_channels]),
             faults: vec![None; n_channels],
             cfg,
             t: 0,
@@ -399,41 +364,6 @@ impl MultivariateClass {
         }
     }
 
-    /// Applies the channel guard to the current row (already copied into
-    /// `self.row`): heals isolated non-finite values in place and appends
-    /// every channel the policy retires this step to `trips`.
-    fn guard_row(&mut self, g: ChannelGuardConfig, trips: &mut Vec<(usize, ChannelFault)>) {
-        for i in 0..self.n_channels {
-            if self.channels[i].is_none() {
-                continue;
-            }
-            let x = self.row[i];
-            let st = &mut self.guards[i];
-            if x.is_finite() {
-                st.nan_run = 0;
-                st.flat_run = if st.last_finite == Some(x) {
-                    st.flat_run + 1
-                } else {
-                    1
-                };
-                st.last_finite = Some(x);
-                if g.flatline > 0 && st.flat_run >= g.flatline {
-                    trips.push((i, ChannelFault::Flatline { len: st.flat_run }));
-                }
-            } else {
-                st.flat_run = 0;
-                st.nan_run += 1;
-                if g.nan_burst > 0 && st.nan_run >= g.nan_burst {
-                    trips.push((i, ChannelFault::NanBurst { len: st.nan_run }));
-                } else {
-                    // Heal: substitute the channel's last finite value
-                    // (zero before any finite value arrived).
-                    self.row[i] = st.last_finite.unwrap_or(0.0);
-                }
-            }
-        }
-    }
-
     /// Feeds one observation vector (one value per channel); fused change
     /// points are appended to `cps`.
     ///
@@ -470,26 +400,26 @@ impl MultivariateClass {
                 }
             }
         }
-        // Degraded-input policy: heal or retire channels before their
-        // segmenters see the row.
-        let guarded = if let Some(g) = self.cfg.channel_guard {
-            self.row.clear();
-            self.row.extend_from_slice(xs);
-            let mut trips = Vec::new();
-            self.guard_row(g, &mut trips);
-            for (i, fault) in trips {
-                self.quarantine_channel(i, fault);
-            }
-            true
-        } else {
-            false
-        };
-        // Per-channel segmentation and vote collection.
-        let row = &self.row;
-        for (i, ch) in self.channels.iter_mut().enumerate() {
-            let Some(seg) = ch else { continue };
+        // Per-channel segmentation and vote collection. A guard trip
+        // retires its channel before it steps; trips within one row
+        // retire channels in ascending order.
+        for i in 0..self.n_channels {
+            let Some(seg) = self.channels[i].as_mut() else {
+                continue;
+            };
+            let x = match self.guards.get_mut(i).map(|g| g.inspect(xs[i])) {
+                None => xs[i],
+                Some(GuardVerdict::Pass(v)) => v,
+                // Nothing finite to hold yet: every channel still steps
+                // once per row.
+                Some(GuardVerdict::Skip) => 0.0,
+                Some(GuardVerdict::Trip(trip)) => {
+                    self.quarantine_channel(i, ChannelFault::Guard(trip));
+                    continue;
+                }
+            };
             self.scratch.clear();
-            seg.step(if guarded { row[i] } else { xs[i] }, &mut self.scratch);
+            seg.step(x, &mut self.scratch);
             for &cp in &self.scratch {
                 self.fuser.vote(i, cp);
             }
@@ -696,7 +626,7 @@ mod tests {
             row[2] = f64::NAN;
         }
         let mut cfg = MultivariateConfig::new(base_cfg(), 3);
-        cfg.channel_guard = Some(ChannelGuardConfig::new(5, 0));
+        cfg.channel_guard = Some(GuardConfig::new(5, 0));
         let mut mv = MultivariateClass::new(cfg, 3);
         let mut cps = Vec::new();
         for row in &xs {
@@ -705,7 +635,7 @@ mod tests {
         mv.finalize(&mut cps);
         assert_eq!(
             mv.channel_faults()[2],
-            Some(ChannelFault::NanBurst { len: 5 }),
+            Some(ChannelFault::Guard(GuardTrip::NanBurst { len: 5 })),
             "the dead sensor is retired with its cause recorded"
         );
         assert_eq!(mv.active_channels(), vec![0, 1]);
@@ -722,7 +652,7 @@ mod tests {
             row[2] = 0.25; // sensor sticks
         }
         let mut cfg = MultivariateConfig::new(base_cfg(), 3);
-        cfg.channel_guard = Some(ChannelGuardConfig::new(0, 50));
+        cfg.channel_guard = Some(GuardConfig::new(0, 50));
         let mut mv = MultivariateClass::new(cfg, 3);
         let mut cps = Vec::new();
         for row in &xs {
@@ -730,7 +660,10 @@ mod tests {
         }
         assert_eq!(
             mv.channel_faults()[2],
-            Some(ChannelFault::Flatline { len: 50 })
+            Some(ChannelFault::Guard(GuardTrip::Flatline {
+                len: 50,
+                value: 0.25
+            }))
         );
         assert_eq!(mv.active_channels(), vec![0, 1]);
     }
@@ -743,7 +676,7 @@ mod tests {
             xs[t][2] = f64::NAN;
         }
         let mut cfg = MultivariateConfig::new(base_cfg(), 3);
-        cfg.channel_guard = Some(ChannelGuardConfig::new(5, 0));
+        cfg.channel_guard = Some(GuardConfig::new(5, 0));
         let mut mv = MultivariateClass::new(cfg, 3);
         let mut cps = Vec::new();
         for row in &xs {
@@ -751,6 +684,39 @@ mod tests {
         }
         assert_eq!(mv.channel_faults(), &[None, None, None]);
         assert_eq!(mv.active_channels(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn leading_nans_on_a_guarded_channel_are_fed_as_zero() {
+        // Channels 0 and 2 deliver no finite value for their first four
+        // rows (under the 5-burst threshold): the guard has nothing to
+        // hold, so they step on 0.0 and stay in step with channel 1.
+        let mut zeros = three_channel_stream(5000, 2500, 15);
+        for row in zeros.iter_mut().take(4) {
+            row[0] = 0.0;
+            row[2] = 0.0;
+        }
+        let mut nans = zeros.clone();
+        for row in nans.iter_mut().take(4) {
+            row[0] = f64::NAN;
+            row[2] = f64::NEG_INFINITY;
+        }
+        let run = |xs: &[[f64; 3]], guard: Option<GuardConfig>| {
+            let mut cfg = MultivariateConfig::new(base_cfg(), 3);
+            cfg.channel_guard = guard;
+            let mut mv = MultivariateClass::new(cfg, 3);
+            let mut cps = Vec::new();
+            for row in xs {
+                mv.step(row, &mut cps);
+            }
+            mv.finalize(&mut cps);
+            (cps, mv.active_channels())
+        };
+        let (guarded, active) = run(&nans, Some(GuardConfig::new(5, 0)));
+        assert_eq!(active, vec![0, 1, 2]);
+        let (reference, _) = run(&zeros, None);
+        assert!(!reference.is_empty(), "no change point fused at all");
+        assert_eq!(guarded, reference);
     }
 
     #[test]
@@ -805,7 +771,7 @@ mod tests {
         let cfg = MultivariateConfig::new(base_cfg(), 3);
         let mut mv = MultivariateClass::new(cfg, 3);
         mv.quarantine_channel(1, ChannelFault::External);
-        mv.quarantine_channel(1, ChannelFault::NanBurst { len: 9 });
+        mv.quarantine_channel(1, ChannelFault::Guard(GuardTrip::NanBurst { len: 9 }));
         assert_eq!(
             mv.channel_faults()[1],
             Some(ChannelFault::External),

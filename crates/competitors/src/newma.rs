@@ -84,7 +84,6 @@ pub struct Newma {
     delay_at: usize,
     cooldown: Cooldown,
     t: u64,
-    last_stat: f64,
 }
 
 impl Newma {
@@ -113,14 +112,8 @@ impl Newma {
             delay_at: 0,
             cooldown: Cooldown::new(cfg.cooldown),
             t: 0,
-            last_stat: 0.0,
             cfg,
         }
-    }
-
-    /// Most recent detection statistic.
-    pub fn last_statistic(&self) -> f64 {
-        self.last_stat
     }
 
     fn threshold(&self) -> f64 {
@@ -178,7 +171,6 @@ impl StreamingSegmenter for Newma {
             dist2 += diff * diff;
         }
         let stat = dist2.sqrt();
-        self.last_stat = stat;
         let warm = 3 * (1.0 / ls) as u64;
         // Collect the reference maximum for one extra slow window before
         // any detection is allowed.

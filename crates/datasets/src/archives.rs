@@ -178,31 +178,6 @@ impl Default for GenConfig {
     }
 }
 
-/// All 107 benchmark series (TSSB + UTSA), the paper's "benchmarks" group.
-pub fn benchmark_series(cfg: &GenConfig) -> Vec<AnnotatedSeries> {
-    let mut out = Archive::Tssb.generate(cfg);
-    out.extend(Archive::Utsa.generate(cfg));
-    out
-}
-
-/// All 485 data-archive series, the paper's "data archives" group.
-pub fn archive_series(cfg: &GenConfig) -> Vec<AnnotatedSeries> {
-    let mut out = Vec::new();
-    for a in Archive::all() {
-        if !a.spec().is_benchmark {
-            out.extend(a.generate(cfg));
-        }
-    }
-    out
-}
-
-/// All 592 series.
-pub fn all_series(cfg: &GenConfig) -> Vec<AnnotatedSeries> {
-    let mut out = benchmark_series(cfg);
-    out.extend(archive_series(cfg));
-    out
-}
-
 fn splitmix_combine(seed: u64, salt: u64) -> u64 {
     let mut rng = SplitMix64::new(seed ^ salt.wrapping_mul(0x9E3779B97F4A7C15));
     rng.next_u64()
@@ -463,6 +438,11 @@ fn regime_pool(archive: Archive, rng: &mut SplitMix64) -> Vec<Regime> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manifest::{resolve_all_series, resolve_archive_series, resolve_benchmark_series};
+
+    fn all_series(cfg: &GenConfig) -> Vec<AnnotatedSeries> {
+        resolve_all_series(cfg, None).expect("synthetic archives")
+    }
 
     #[test]
     fn series_counts_match_table1() {
@@ -471,8 +451,8 @@ mod tests {
             let series = a.generate(&cfg);
             assert_eq!(series.len(), a.spec().n_series, "{}", a.spec().name);
         }
-        assert_eq!(benchmark_series(&cfg).len(), 107);
-        assert_eq!(archive_series(&cfg).len(), 485);
+        assert_eq!(resolve_benchmark_series(&cfg, None).unwrap().len(), 107);
+        assert_eq!(resolve_archive_series(&cfg, None).unwrap().len(), 485);
         assert_eq!(all_series(&cfg).len(), 592);
     }
 

@@ -57,7 +57,7 @@ pub mod regimes;
 pub mod series;
 pub mod wfdb;
 
-pub use archives::{all_series, archive_series, benchmark_series, Archive, ArchiveSpec, GenConfig};
+pub use archives::{Archive, ArchiveSpec, GenConfig};
 pub use edf::{EdfRecord, EdfSignal};
 pub use formats::{MultivariateRaw, ParseError, RawSeries};
 pub use loader::{
@@ -67,8 +67,7 @@ pub use loader::{
 pub use manifest::{
     fixtures_dir, resolve_all_series, resolve_archive, resolve_archive_channels,
     resolve_archive_series, resolve_benchmark_series, resolve_channel_series,
-    resolve_multivariate_archive, resolve_multivariate_series, DataDir, DiskArchive, SeriesOrigin,
-    DATA_DIR_ENV,
+    resolve_multivariate_archive, DataDir, DiskArchive, SeriesOrigin, DATA_DIR_ENV,
 };
 pub use multivariate::{generate_multivariate, MultivariateSeries, MultivariateSpec};
 pub use regimes::Regime;

@@ -381,22 +381,6 @@ pub fn resolve_all_series(
     Ok(out)
 }
 
-/// Resolves the multivariate form of every data archive (the six
-/// annotated archives; TSSB/UTSA are univariate), mixing real and
-/// synthetic as available.
-pub fn resolve_multivariate_series(
-    cfg: &GenConfig,
-    data_dir: Option<&DataDir>,
-) -> Result<Vec<MultivariateSeries>, LoadError> {
-    let mut out = Vec::new();
-    for a in Archive::all() {
-        if !a.spec().is_benchmark {
-            out.extend(resolve_multivariate_archive(a, cfg, data_dir)?.0);
-        }
-    }
-    Ok(out)
-}
-
 /// Resolves one archive under the paper's **univariate protocol**: the
 /// benchmark archives (TSSB, UTSA) are univariate already and resolve via
 /// [`resolve_archive`]; a data archive resolves its multivariate series
@@ -421,7 +405,7 @@ pub fn resolve_archive_channels(
 
 /// Resolves the per-channel extraction of every data archive (the six
 /// annotated archives), mixing real and synthetic as available — the
-/// univariate protocol counterpart of [`resolve_multivariate_series`].
+/// paper's univariate protocol over the data-archive group.
 pub fn resolve_channel_series(
     cfg: &GenConfig,
     data_dir: Option<&DataDir>,

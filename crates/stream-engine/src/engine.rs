@@ -73,12 +73,11 @@
 //! assert!(results.iter().all(|r| r.records_in == 100));
 //! ```
 
-use crate::guard::{GuardConfig, GuardTrip, GuardVerdict, InputGuard};
 use crate::latency::{LatencyHistogram, ServingStats, ShardStats, StreamStats};
 use crate::operator::Operator;
 use crate::ring::{self, Bell, PushError, RingConfig, RingCounters};
 use crate::Record;
-use class_core::SplitMix64;
+use class_core::{GuardConfig, GuardTrip, GuardVerdict, InputGuard, SplitMix64};
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -1341,7 +1340,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::guard::GuardAction;
     use crate::operator::TumblingWindowMean;
     use crate::ring::Backpressure;
 
@@ -1606,10 +1604,7 @@ mod tests {
     #[test]
     fn guard_heals_nans_without_quarantine() {
         let opts = StreamOptions {
-            guard: Some(GuardConfig {
-                non_finite: GuardAction::Heal,
-                ..GuardConfig::default()
-            }),
+            guard: Some(GuardConfig::default()),
             ..StreamOptions::default()
         };
         let (results, ()) = serve(EngineConfig::new(1), |engine| {

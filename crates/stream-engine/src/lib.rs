@@ -30,10 +30,11 @@
 //!   into a window operator emitting change point records,
 //! * [`MultivariateSegmenterOperator`] registers a fused multi-channel
 //!   [`class_core::MultivariateClass`] (paper §6 sensor fusion) as **one**
-//!   stream, its channels travelling interleaved through one ring, and
-//! * [`ReplaySource`] / [`MultiChannelReplaySource`] replay a loaded
-//!   (file-backed) series, unpaced like the paper's RAM-resident streams
-//!   or throttled to a configurable record rate like a live sensor feed.
+//!   stream, its channels travelling interleaved through one ring
+//!   ([`interleave_channels`]), and
+//! * [`ReplaySource`] replays a loaded (file-backed) series, unpaced
+//!   like the paper's RAM-resident streams or throttled to a configurable
+//!   record rate like a live sensor feed.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -41,7 +42,6 @@
 pub mod engine;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
-pub mod guard;
 pub mod latency;
 pub mod metrics;
 pub mod net;
@@ -49,6 +49,7 @@ pub mod operator;
 pub mod ring;
 pub mod source;
 
+pub use class_core::{GuardConfig, GuardTrip, GuardVerdict, InputGuard};
 pub use engine::{
     feed_all, serve, DetachReport, EngineConfig, FeedReport, IngestError, QuarantineCause,
     RegisterError, Registrar, ServingEngine, StatsHandle, StreamHandle, StreamOptions,
@@ -59,7 +60,6 @@ pub use fault::{
     drive, silence_injected_panics, DriveOutcome, FaultKind, FaultPlan, FaultingOperator,
     StreamFault, INJECTED_PANIC_PREFIX,
 };
-pub use guard::{GuardAction, GuardConfig, GuardTrip, GuardVerdict, InputGuard};
 pub use latency::{LatencyHistogram, ServingStats, ShardStats, StreamStats};
 pub use metrics::{render_prometheus, render_stats_json, vm_hwm_kb, MetricsServer, SnapshotWriter};
 pub use net::{
@@ -70,9 +70,7 @@ pub use operator::{
     MultivariateSegmenterOperator, Operator, SegmenterOperator, TumblingWindowMean,
 };
 pub use ring::{Backpressure, OverflowError, PushError, RingConfig};
-pub use source::{
-    interleave_channels, MultiChannelReplayIter, MultiChannelReplaySource, ReplayIter, ReplaySource,
-};
+pub use source::{interleave_channels, ReplayIter, ReplaySource};
 
 /// A timestamped stream record. `timestamp` is the position in the source
 /// stream (processing time in the paper's setup).

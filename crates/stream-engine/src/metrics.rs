@@ -25,7 +25,7 @@
 
 use crate::engine::{lock_recover, StatsHandle};
 use crate::latency::{ServingStats, ShardStats, StreamStats};
-use crate::net::{accept_until, ConnStats, NetStats, NetStatsHandle};
+use crate::net::{accept_until, stop_listener, ConnStats, NetStats, NetStatsHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -502,7 +502,8 @@ pub fn vm_hwm_kb() -> Option<u64> {
 /// Serves `GET /metrics` (Prometheus text exposition) and
 /// `GET /stats.json` (the JSON snapshot) from the currently attached
 /// [`StatsHandle`]; `503` until one is attached, `404` elsewhere. The
-/// listener accepts non-blockingly and shuts down on [`Drop`].
+/// listener thread sleeps in `accept` while idle and shuts down on
+/// [`Drop`].
 ///
 /// [`MetricsServer::attach`] is callable repeatedly — a multi-round soak
 /// re-attaches each round's engine while the endpoint (and its scrape
@@ -530,7 +531,6 @@ impl MetricsServer {
     /// [`MetricsServer::attach`].
     pub fn bind(addr: &str) -> std::io::Result<MetricsServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Endpoint::default());
         let ep = Arc::clone(&shared);
@@ -574,7 +574,7 @@ impl MetricsServer {
 
 impl Drop for MetricsServer {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
+        stop_listener(self.addr, &self.shared.stop);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -587,7 +587,6 @@ impl Drop for MetricsServer {
 const CONN_TIMEOUT: Duration = Duration::from_secs(2);
 
 fn handle_conn(mut conn: TcpStream, ep: &Endpoint) -> std::io::Result<()> {
-    conn.set_nonblocking(false)?;
     conn.set_write_timeout(Some(CONN_TIMEOUT))?;
     let deadline = Instant::now() + CONN_TIMEOUT;
     let mut head = Vec::with_capacity(512);

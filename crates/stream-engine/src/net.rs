@@ -48,7 +48,7 @@ use crate::operator::Operator;
 use crate::ring::{Backpressure, RingConfig};
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -75,9 +75,9 @@ const NO_STREAM: u32 = u32::MAX;
 /// How often blocking server loops re-check the stop flag.
 const NET_POLL: Duration = Duration::from_millis(100);
 
-/// How often a listener with no pending connection re-checks its stop
-/// flag; bounds shutdown latency only (it is off the record path).
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How long a listener waits after a failed `accept` (say, out of file
+/// descriptors) before it tries again, so an error loop cannot spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 const TAG_HELLO: u8 = 1;
 const TAG_REGISTER: u8 = 2;
@@ -720,7 +720,6 @@ impl IngestServer {
         F: Fn(&RegisterRequest) -> Op + Send + Sync + 'static,
     {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let registry = Arc::new(NetRegistry::default());
@@ -790,7 +789,7 @@ impl IngestServer {
 
 impl Drop for IngestServer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
+        stop_listener(self.addr, &self.stop);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -810,20 +809,41 @@ fn join_finished(threads: &mut Vec<std::thread::JoinHandle<()>>) {
     }
 }
 
-/// Accepts connections on a non-blocking `listener` until `stop` is set,
+/// Accepts connections on a blocking `listener` until `stop` is set,
 /// handing each to `on_conn`. The one listener loop of the crate (the
-/// ingest server and the metrics endpoint).
+/// ingest server and the metrics endpoint); an idle listener sleeps in
+/// `accept` until [`stop_listener`] wakes it.
 pub(crate) fn accept_until(
     listener: &TcpListener,
     stop: &AtomicBool,
     mut on_conn: impl FnMut(TcpStream, SocketAddr),
 ) {
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::Acquire) {
+            return;
+        }
+        match accepted {
             Ok((sock, peer)) => on_conn(sock, peer),
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
+}
+
+/// Sets `stop` and wakes the [`accept_until`] loop of the listener bound
+/// to `addr` with one connection of its own (over loopback when the
+/// listener is bound to an unspecified address).
+pub(crate) fn stop_listener(addr: SocketAddr, stop: &AtomicBool) {
+    stop.store(true, Ordering::Release);
+    let mut wake = addr;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(if wake.is_ipv4() {
+            Ipv4Addr::LOCALHOST.into()
+        } else {
+            Ipv6Addr::LOCALHOST.into()
+        });
+    }
+    let _ = TcpStream::connect(wake);
 }
 
 /// Bytes read from a socket and not yet decoded into frames; both ends

@@ -128,9 +128,8 @@ impl<S: StreamingSegmenter> Operator for SegmenterOperator<S> {
 /// The multivariate ClaSS window operator (paper §6 sensor fusion): one
 /// multi-channel stream registers as **one** serving-engine stream. The
 /// ring carries the channels interleaved frame-major (the layout
-/// [`crate::MultiChannelReplaySource::interleaved`] produces); this
-/// operator reassembles each frame and steps the fused segmenter once
-/// per complete frame. Emitted records carry the change point position
+/// [`crate::interleave_channels`] produces); this operator reassembles
+/// each frame and steps the fused segmenter once per complete frame. Emitted records carry the change point position
 /// (in frames) as payload and the frame index as timestamp, matching
 /// [`SegmenterOperator`]'s convention (`u64::MAX` for flush-time
 /// reports).

@@ -100,91 +100,23 @@ impl Iterator for ReplayIter {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Multi-channel replay
-// ---------------------------------------------------------------------------
-
-/// An in-memory **multi-channel** stream source: one frame per time step,
-/// one value per channel. The serving engine's rings carry scalar `f64`
-/// records, so a multi-channel stream travels **interleaved frame-major**
-/// (`t0c0, t0c1, ..., t1c0, ...`) through one ring and is reassembled
-/// into rows by the stream's operator (see
-/// `crate::MultivariateSegmenterOperator`) — one sensor, one stream, one
-/// backpressure domain, exactly like the univariate case. Optional
-/// pacing applies per *frame*, mirroring a multi-sensor device emitting
-/// one synchronized sample vector per tick.
-#[derive(Debug, Clone)]
-pub struct MultiChannelReplaySource {
-    channels: Vec<Vec<f64>>,
-    rate: Option<f64>,
-}
-
-impl MultiChannelReplaySource {
-    /// A source replaying channel-major `channels` (all the same length)
-    /// as fast as the consumer drains it.
-    ///
-    /// # Panics
-    /// Panics on zero channels or ragged channel lengths.
-    pub fn new(channels: Vec<Vec<f64>>) -> Self {
-        assert!(!channels.is_empty(), "need at least one channel");
-        let n = channels[0].len();
-        assert!(
-            channels.iter().all(|c| c.len() == n),
-            "ragged channel lengths"
-        );
-        Self {
-            channels,
-            rate: None,
-        }
-    }
-
-    /// Paces the replay at `frames_per_sec` (must be positive): frame `n`
-    /// is withheld until `n / frames_per_sec` seconds after the first
-    /// one, mirroring a fixed-rate multi-sensor feed.
-    pub fn with_rate(mut self, frames_per_sec: f64) -> Self {
-        assert!(
-            frames_per_sec > 0.0,
-            "replay rate must be positive, got {frames_per_sec}"
-        );
-        self.rate = Some(frames_per_sec);
-        self
-    }
-
-    /// Number of channels.
-    pub fn n_channels(&self) -> usize {
-        self.channels.len()
-    }
-
-    /// Number of frames (time steps) the source will emit.
-    pub fn len(&self) -> usize {
-        self.channels[0].len()
-    }
-
-    /// Whether the source is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The underlying channel-major values.
-    pub fn channels(&self) -> &[Vec<f64>] {
-        &self.channels
-    }
-
-    /// Flattens the source into the interleaved frame-major scalar
-    /// sequence that travels through a serving-engine ring.
-    pub fn interleaved(&self) -> Vec<f64> {
-        interleave_channels(&self.channels)
-    }
-}
-
 /// Flattens channel-major data into the interleaved frame-major scalar
 /// sequence (`t0c0, t0c1, ..., t1c0, ...`) the serving engine's rings
 /// carry for multi-channel streams. This is the transport layout
 /// `crate::MultivariateSegmenterOperator` reassembles frames from — the
-/// single source of truth every feeder (replay sources, the eval matrix
-/// runner, load generators) must share.
+/// single source of truth every feeder (a [`ReplaySource`] over the
+/// result, the eval matrix runner, load generators) must share. Paced at
+/// `R × channels` records per second, the replay delivers `R` frames per
+/// second.
+///
+/// # Panics
+/// Panics on ragged channel lengths.
 pub fn interleave_channels(channels: &[Vec<f64>]) -> Vec<f64> {
     let n = channels.first().map_or(0, Vec::len);
+    assert!(
+        channels.iter().all(|c| c.len() == n),
+        "ragged channel lengths"
+    );
     let mut out = Vec::with_capacity(n * channels.len());
     for t in 0..n {
         for chan in channels {
@@ -192,56 +124,6 @@ pub fn interleave_channels(channels: &[Vec<f64>]) -> Vec<f64> {
         }
     }
     out
-}
-
-impl IntoIterator for MultiChannelReplaySource {
-    type Item = Vec<f64>;
-    type IntoIter = MultiChannelReplayIter;
-
-    fn into_iter(self) -> MultiChannelReplayIter {
-        MultiChannelReplayIter {
-            channels: self.channels,
-            rate: self.rate,
-            t: 0,
-            started: None,
-        }
-    }
-}
-
-/// Iterator over a [`MultiChannelReplaySource`], yielding one frame (one
-/// value per channel) at a time, sleeping to hold the target frame rate.
-#[derive(Debug)]
-pub struct MultiChannelReplayIter {
-    channels: Vec<Vec<f64>>,
-    rate: Option<f64>,
-    t: usize,
-    started: Option<Instant>,
-}
-
-impl Iterator for MultiChannelReplayIter {
-    type Item = Vec<f64>;
-
-    fn next(&mut self) -> Option<Vec<f64>> {
-        if self.t >= self.channels[0].len() {
-            return None;
-        }
-        if let Some(rate) = self.rate {
-            let start = *self.started.get_or_insert_with(Instant::now);
-            let due = Duration::from_secs_f64(self.t as f64 / rate);
-            let elapsed = start.elapsed();
-            if due > elapsed {
-                std::thread::sleep(due - elapsed);
-            }
-        }
-        let row = self.channels.iter().map(|c| c[self.t]).collect();
-        self.t += 1;
-        Some(row)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.channels[0].len() - self.t;
-        (left, Some(left))
-    }
 }
 
 #[cfg(test)]
@@ -297,36 +179,29 @@ mod tests {
     }
 
     #[test]
-    fn multi_channel_replay_yields_frames_and_interleaves() {
-        let src = MultiChannelReplaySource::new(vec![vec![0.0, 1.0, 2.0], vec![10.0, 11.0, 12.0]]);
-        assert_eq!(src.n_channels(), 2);
-        assert_eq!(src.len(), 3);
+    fn channels_interleave_frame_major() {
+        let channels = vec![vec![0.0, 1.0, 2.0], vec![10.0, 11.0, 12.0]];
         assert_eq!(
-            src.interleaved(),
-            vec![0.0, 10.0, 1.0, 11.0, 2.0, 12.0],
-            "frame-major interleaving"
+            interleave_channels(&channels),
+            vec![0.0, 10.0, 1.0, 11.0, 2.0, 12.0]
         );
-        let rows: Vec<Vec<f64>> = src.into_iter().collect();
-        assert_eq!(
-            rows,
-            vec![vec![0.0, 10.0], vec![1.0, 11.0], vec![2.0, 12.0]]
-        );
+        assert!(interleave_channels(&[]).is_empty());
     }
 
     #[test]
     fn multi_channel_paced_replay_holds_the_rate_floor() {
-        let src =
-            MultiChannelReplaySource::new(vec![vec![0.0; 100], vec![0.0; 100]]).with_rate(2000.0);
+        // 100 frames of 2 channels at 2000 frames/s: frame 99 is due at
+        // 99/2000 s; only the floor is asserted.
+        let channels = vec![vec![0.0; 100], vec![0.0; 100]];
+        let src = ReplaySource::new(interleave_channels(&channels)).with_rate(2.0 * 2000.0);
         let start = Instant::now();
-        let n = src.into_iter().count();
-        assert_eq!(n, 100);
-        // Frame 99 is due at 99/2000 s; only the floor is asserted.
+        assert_eq!(src.into_iter().count(), 200);
         assert!(start.elapsed() >= Duration::from_millis(45));
     }
 
     #[test]
     #[should_panic(expected = "ragged channel lengths")]
     fn ragged_channels_are_rejected() {
-        let _ = MultiChannelReplaySource::new(vec![vec![1.0], vec![1.0, 2.0]]);
+        let _ = interleave_channels(&[vec![1.0], vec![1.0, 2.0]]);
     }
 }

@@ -1,8 +1,12 @@
 //! An idle engine sleeps: shards with registered but silent streams wait
-//! on their bell and are not woken by a timer. The test counts the
-//! voluntary context switches of every thread of this process except its
-//! own while 4 idle streams sit on 2 shards for 500 ms. A shard that polled
-//! every 200 µs would switch about 5000 times a second.
+//! on their bell, and the ingest and metrics listeners wait in `accept`;
+//! none is woken by a timer. The test counts the voluntary context
+//! switches of every thread of this process except its own while 4 idle
+//! streams sit on 2 shards, next to a bound `IngestServer` with one idle
+//! connected `NetClient` and a `MetricsServer`, for 500 ms. A shard that
+//! polled every 200 µs would switch about 5000 times a second, a listener
+//! that polled every 5 ms about 200. The idle connection's thread wakes
+//! on its 100 ms read timeout, about 5 times in the window.
 //!
 //! Kept as the only test in this binary so no sibling test's threads
 //! add to the count.
@@ -10,7 +14,9 @@
 #![cfg(target_os = "linux")]
 
 use std::time::Duration;
-use stream_engine::{serve, EngineConfig, TumblingWindowMean};
+use stream_engine::{
+    serve, EngineConfig, IngestServer, MetricsServer, NetClient, TumblingWindowMean,
+};
 
 /// Voluntary context switches summed over this process's threads, except
 /// the thread with id `skip`.
@@ -41,17 +47,24 @@ fn idle_shards_do_not_wake() {
         let handles: Vec<_> = (0..4)
             .map(|_| engine.register(|| TumblingWindowMean::new(4)))
             .collect();
+        let server = IngestServer::bind("127.0.0.1:0", engine.registrar(), |_req| {
+            TumblingWindowMean::new(4)
+        })
+        .expect("binding a loopback ingest listener");
+        let client = NetClient::connect(server.addr(), "idle").expect("connect");
+        let metrics = MetricsServer::bind("127.0.0.1:0").expect("binding a metrics listener");
         // Let the shards accept the registrations and park.
         std::thread::sleep(Duration::from_millis(50));
         let before = voluntary_switches_except(&me);
         std::thread::sleep(Duration::from_millis(500));
         let after = voluntary_switches_except(&me);
+        drop((client, server, metrics));
         drop(handles);
         after - before
     });
     assert_eq!(results.len(), 4);
     assert!(
         switches < 50,
-        "idle shards woke {switches} times in 500 ms: something polls"
+        "idle engine and listeners woke {switches} times in 500 ms: something polls"
     );
 }

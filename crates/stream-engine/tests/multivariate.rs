@@ -12,8 +12,8 @@ use class_core::{
     ClassConfig, ClassSegmenter, MultivariateClass, MultivariateConfig, VoteFuser, WidthSelection,
 };
 use stream_engine::{
-    serve, Backpressure, EngineConfig, MultiChannelReplaySource, MultivariateSegmenterOperator,
-    Record, RingConfig, SegmenterOperator,
+    interleave_channels, serve, Backpressure, EngineConfig, MultivariateSegmenterOperator, Record,
+    RingConfig, SegmenterOperator,
 };
 
 const N_CHANNELS: usize = 3;
@@ -42,8 +42,7 @@ fn base_cfg() -> ClassConfig {
 /// deliberately tiny ring (the interleaved feed must survive real
 /// backpressure) and returns its output records in emission order.
 fn serve_fused(channels: &[Vec<f64>], cfg: &MultivariateConfig) -> Vec<Record<u64>> {
-    let source = MultiChannelReplaySource::new(channels.to_vec());
-    let interleaved = source.interleaved();
+    let interleaved = interleave_channels(channels);
     let config = EngineConfig {
         shards: 1,
         ring: RingConfig::new(64, Backpressure::Block),

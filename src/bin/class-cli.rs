@@ -190,12 +190,13 @@ struct DatasetsRunArgs {
 }
 
 impl DatasetsRunArgs {
-    /// The `--guard-*` thresholds as `(nan_burst, flatline)`, 0 = off;
-    /// `None` when neither flag is given (values pass verbatim).
-    fn guard(&self) -> Option<(usize, usize)> {
+    /// The `--guard-*` policy (an absent threshold is 0 = off) for a
+    /// univariate stream or each channel of a fused one; `None` when
+    /// neither flag is given (values pass verbatim).
+    fn guard(&self) -> Option<stream_engine::GuardConfig> {
         let (nan_burst, flatline) = (self.guard_nan_burst, self.guard_flatline);
         (nan_burst.is_some() || flatline.is_some())
-            .then(|| (nan_burst.unwrap_or(0), flatline.unwrap_or(0)))
+            .then(|| stream_engine::GuardConfig::new(nan_burst.unwrap_or(0), flatline.unwrap_or(0)))
     }
 }
 
@@ -490,9 +491,7 @@ fn replay_univariate_series(
         source = source.with_rate(rate);
     }
     let opts = stream_engine::StreamOptions {
-        guard: args
-            .guard()
-            .map(|(n, f)| stream_engine::GuardConfig::new(n, f)),
+        guard: args.guard(),
         name: Some(series.name.clone()),
         ..stream_engine::StreamOptions::default()
     };
@@ -655,13 +654,13 @@ fn replay_multivariate_series(
     // Per-channel degraded-input policy: a tripped channel is retired
     // inside the fused segmenter (votes re-quorumed) instead of taking
     // the whole stream down.
-    cfg.channel_guard = args
-        .guard()
-        .map(|(n, f)| class_core::ChannelGuardConfig::new(n, f));
+    cfg.channel_guard = args.guard();
 
-    let mut source = stream_engine::MultiChannelReplaySource::new(series.channels.clone());
+    // --rate counts frames: each frame is `n_channels` ring records.
+    let mut source =
+        stream_engine::ReplaySource::new(stream_engine::interleave_channels(&series.channels));
     if let Some(rate) = args.rate {
-        source = source.with_rate(rate);
+        source = source.with_rate(rate * n_channels as f64);
     }
     let opts = stream_engine::StreamOptions {
         name: Some(series.name.clone()),
@@ -678,7 +677,7 @@ fn replay_multivariate_series(
             true_cps: series.change_points.clone(),
             ..FileScore::default()
         },
-        source.into_iter().flatten(),
+        source,
         opts,
         move || {
             stream_engine::MultivariateSegmenterOperator::new(MultivariateClass::new(

@@ -583,6 +583,40 @@ fn datasets_list_tsv_counts_skipped_files_and_fixtures_have_none() {
 }
 
 #[test]
+fn datasets_run_guarded_fused_streams_keep_their_pinned_output() {
+    // Per-channel guards on fused streams, pinned byte for byte:
+    // `--guard-nan-burst 2 --guard-flatline 3`. The mHealth channels
+    // never repeat a value or go non-finite, so their rows match the
+    // unguarded run; r201's quantised samples repeat three times in a
+    // row, so the flatline detector retires its channels and the record
+    // reports no change point (unguarded it finds 1039).
+    let (stdout, stderr, code) = run_cli(
+        &[
+            "datasets",
+            "run",
+            "--format",
+            "tsv",
+            "--guard-nan-burst",
+            "2",
+            "--guard-flatline",
+            "3",
+            &fixture("mHealth/AnkleGait.csv"),
+            &fixture("mHealth/ChestActivity.csv"),
+            &fixture("ArrDB/r201.hea"),
+        ],
+        "",
+    );
+    assert_eq!(code, 0, "stderr: {stderr}");
+    assert_eq!(
+        stdout,
+        "series\tpoints\twidth\ttrue_cps\tfound_cps\tcovering\tdetection_rate\tmean_delay\tchannels\n\
+         mhealth/AnkleGait\t2200\t30\t1100\t1024\t0.9331\t1.00\t103\t3\n\
+         mhealth/ChestActivity\t2400\t35\t900 1700\t819 1654\t0.9002\t1.00\t146\t3\n\
+         arrdb/r201\t2100\t55\t1200\t\t0.5102\t0.00\t-\t2\n"
+    );
+}
+
+#[test]
 fn datasets_run_tsv_is_byte_identical_across_runs() {
     // The acceptance bar for the multivariate serving path: scoring a
     // WFDB record and a wide-CSV file (plus a univariate control) is

@@ -6,8 +6,13 @@
 use bench::small_subset;
 use class_core::ClassConfig;
 use competitors::CompetitorKind;
-use datasets::{benchmark_series, GenConfig};
+use datasets::{resolve_benchmark_series, AnnotatedSeries, GenConfig};
 use eval::{covering_matrix, mean_ranks, rank_matrix, run_matrix, AlgoSpec};
+
+/// The synthetic benchmark group (TSSB + UTSA).
+fn benchmark_series(cfg: &GenConfig) -> Vec<AnnotatedSeries> {
+    resolve_benchmark_series(cfg, None).expect("synthetic archives")
+}
 
 fn lineup(window: usize) -> Vec<AlgoSpec> {
     let mut algos = vec![AlgoSpec::Class(ClassConfig::with_window_size(window))];
