@@ -13,6 +13,7 @@ use class_core::knn::{KnnConfig, StreamingKnn};
 use class_core::stats::SplitMix64;
 use class_core::{ClassConfig, ClassSegmenter, StreamingSegmenter, WidthSelection};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::f64::consts::PI;
 use std::hint::black_box;
 
 fn filled_knn(d: usize, w: usize) -> (StreamingKnn, SplitMix64) {
@@ -68,6 +69,25 @@ fn bench_knn_update(c: &mut Criterion) {
             });
         });
     }
+    // The `fleet-inproc` shape (d = 500, w = 25) on a noisy sine of
+    // period 25: many blocks hold near-best scores, so neighbour
+    // selection is a larger share of an update than on uniform noise.
+    let (d, w) = (500, 25);
+    group.bench_with_input(BenchmarkId::new("periodic", d), &d, |b, _| {
+        let mut knn = StreamingKnn::new(KnnConfig::new(d, w, 3));
+        let mut rng = SplitMix64::new(43);
+        let mut i = 0u64;
+        let mut next = move || {
+            i += 1;
+            (i as f64 * 0.08 * PI).sin() + 0.1 * (rng.next_f64() - 0.5)
+        };
+        for _ in 0..2 * d {
+            knn.update(next());
+        }
+        b.iter(|| {
+            knn.update(black_box(next()));
+        });
+    });
     group.finish();
 }
 

@@ -23,14 +23,25 @@ pub struct GuardConfig {
     /// detection.
     pub nan_burst: usize,
     /// Trip after this many consecutive *identical* finite values — a
-    /// flatlined (stuck-at) sensor. `0` disables flatline detection.
+    /// flatlined (stuck-at) sensor. `0` disables flatline detection. A
+    /// run of identical values is at least two long, so the smallest
+    /// threshold is 2 (a 1 trips on the second identical value, as 2
+    /// does).
     pub flatline: usize,
 }
 
 impl GuardConfig {
     /// A guard that heals isolated non-finite values and trips on
     /// `nan_burst` consecutive non-finite or `flatline` identical values.
+    ///
+    /// # Panics
+    /// Panics if `flatline` is 1: a flatline threshold is 0 (off) or at
+    /// least 2.
     pub const fn new(nan_burst: usize, flatline: usize) -> Self {
+        assert!(
+            flatline != 1,
+            "a flatline threshold is 0 (off) or at least 2"
+        );
         Self {
             nan_burst,
             flatline,
@@ -161,6 +172,12 @@ mod tests {
     use super::*;
 
     #[test]
+    #[should_panic(expected = "0 (off) or at least 2")]
+    fn a_flatline_threshold_of_one_is_rejected() {
+        let _ = GuardConfig::new(0, 1);
+    }
+
+    #[test]
     fn default_guard_heals_isolated_nans_and_never_trips() {
         let mut g = InputGuard::new(GuardConfig::default());
         assert_eq!(g.inspect(1.0), GuardVerdict::Pass(1.0));
@@ -203,14 +220,17 @@ mod tests {
 
     #[test]
     fn flatline_threshold_trips_on_stuck_values() {
-        let mut g = InputGuard::new(GuardConfig::new(0, 4));
-        for _ in 0..3 {
-            assert_eq!(g.inspect(7.5), GuardVerdict::Pass(7.5));
+        // The smallest threshold, 2, trips on the first repeat.
+        for len in [2, 4] {
+            let mut g = InputGuard::new(GuardConfig::new(0, len));
+            for _ in 1..len {
+                assert_eq!(g.inspect(7.5), GuardVerdict::Pass(7.5));
+            }
+            assert_eq!(
+                g.inspect(7.5),
+                GuardVerdict::Trip(GuardTrip::Flatline { len, value: 7.5 })
+            );
         }
-        assert_eq!(
-            g.inspect(7.5),
-            GuardVerdict::Trip(GuardTrip::Flatline { len: 4, value: 7.5 })
-        );
         // A changing feed never trips.
         let mut g = InputGuard::new(GuardConfig::new(0, 4));
         for i in 0..100 {

@@ -23,14 +23,21 @@
 //!
 //! Both filters are exact because they never reject a score the insertion
 //! body would accept; the body then applies the unchanged exact test.
-//! * Selection scans a block only if its maximum beats `row[kk-1]`, where
-//!   `row` is the candidate list under construction. That value is −∞
-//!   until the list fills and only rises during the sweep, and a block
-//!   maximum is never NaN, so a skipped block holds no score the body
-//!   would take, now or later in the sweep. Selection also skips a block
-//!   whose maximum is below the kk-th largest block maximum: each of the
-//!   kk blocks with the largest maxima holds a score at least that large,
-//!   so the final k-th score is too, and a score below it is never kept.
+//! * Selection keeps the kk best scores of the eligible slots, where kk
+//!   is k or the number of eligible slots if smaller. Its *floor* is the
+//!   kk-th largest block maximum. Each of the kk blocks with the largest
+//!   maxima holds a score at least that large, so the final k-th score is
+//!   at least the floor. A score below the floor may enter the list early
+//!   in a full scan, but a later score always pushes it out. So selection
+//!   visits only the slots whose score is `>=` the floor, one bit mask
+//!   per block ([`crate::simd::floor_hits`]), in ascending slot order as
+//!   a full scan would. Ties among the kept scores then keep their order,
+//!   and a NaN score fails the mask's ordered compare, just as it fails
+//!   the body's test. A block is masked only if its maximum reaches the
+//!   floor and beats `row[kk-1]`, where `row` is the candidate list under
+//!   construction. That value is −∞ until the list fills and only rises
+//!   during the sweep, and a block maximum is never NaN, so a skipped
+//!   block holds no score the body would take, now or later in the sweep.
 //! * Reverse insertion offers the newest subsequence to row `r` only if
 //!   hit bit `r` is set: `score >= kth[r]`, where `kth` is a contiguous
 //!   per-row column holding the k-th score of a full row and −∞ for a row
@@ -509,9 +516,14 @@ impl StreamingKnn {
             if m < floor || m <= row_score[kk - 1] {
                 continue;
             }
+            // Only the block's scores at or above the floor can be kept;
+            // they are visited in ascending slot order, as in a full scan.
             let c0 = qstart + b * simd::BLOCK;
             let c1 = (c0 + simd::BLOCK).min(qstart + nfilt);
-            for s in c0..c1 {
+            let mut hits = simd::floor_hits(&self.scores[c0..c1], floor);
+            while hits != 0 {
+                let s = c0 + hits.trailing_zeros() as usize;
+                hits &= hits - 1;
                 let sc = self.scores[s];
                 if sc > row_score[kk - 1] {
                     let mut pos = n_chosen;

@@ -10,6 +10,24 @@
 //! the scores in two plain-Rust sweeps of their own, the split on the same
 //! host was about 23k, 12k and 14k of 50k.
 //!
+//! At the `fleet-inproc` shape (d = 500, w = 25, k = 3; its 128 streams
+//! at seed 1, same host, AVX2 backend, mean cycles per update over three
+//! passes, three runs) selection cost as much as the sweep while it
+//! scanned whole blocks. It now visits only the slots at or above its
+//! floor ([`floor_hits`], see [`crate::knn`]):
+//!
+//! | part of one update | whole blocks | floor hits |
+//! |---|---:|---:|
+//! | fused Q-step sweep (unchanged) | 1.35–1.52k | 1.20–1.29k |
+//! | k-NN selection | 1.25–1.38k | 0.64–0.68k |
+//! | insertion into older lists | 0.46–0.51k | 0.42–0.45k |
+//! | whole update | 3.44–3.82k | 2.59–2.77k |
+//! | slots visited, list insertions | 174, 16.3 | 5.7, 3.7 |
+//!
+//! Both pass the same 2.8 of about 7 eligible blocks per update. The
+//! figures include the cost of the fenced `rdtsc` reads. With the scalar
+//! backend selection fell from 1.58–1.62k to 0.74–0.91k cycles.
+//!
 //! Every `jump`-th update, ClaSS also evaluates the ClaSP profile
 //! ([`crate::crossval::CrossVal::compute`]); that evaluation is the step
 //! tail, and its elementwise score pass is a kernel here as well. The
@@ -58,8 +76,8 @@
 
 //! This module provides fused kernels for the Q-step sweep, the
 //! subsequence-moment sums and the explicit dot products that seed the
-//! recursion, the profile count pass and the profile score pass, in two
-//! layers that share one semantics:
+//! recursion, the selection's floor mask, the profile count pass and the
+//! profile score pass, in two layers that share one semantics:
 //!
 //! * [`scalar`] — plain Rust, the reference and the portable fallback.
 //!   Its loops are written so that LLVM vectorizes them at the baseline
@@ -67,14 +85,16 @@
 //!   (compute, then select) and block outputs folded in 8-slot chunks.
 //! * [`avx2`] (x86-64 only) — selected at runtime by CPU feature
 //!   detection. It runs the scalar bodies of the reductions and of the
-//!   profile score pass compiled with AVX2 enabled, and explicit 256-bit
-//!   `core::arch` intrinsics for the Q-step sweep and the count pass.
+//!   profile score pass and of the floor mask compiled with AVX2 enabled,
+//!   and explicit 256-bit `core::arch` intrinsics for the Q-step sweep
+//!   and the count pass.
 //!
 //! Every kernel gives the same bits on both backends. The reductions
 //! ([`scalar::dot`], [`scalar::sum_sumsq`], [`scalar::diff_sumsq`]) have
 //! one summation order, four lane accumulators folded `(0 + 2) + (1 + 3)`
-//! plus a sequential tail, and one body. The Q-step and the profile score
-//! pass are elementwise, and the integer sums of the count pass are exact.
+//! plus a sequential tail, and one body. The Q-step, the floor mask and
+//! the profile score pass are elementwise, and the integer sums of the
+//! count pass are exact.
 //!
 //! The Q-step sweep alone, µs per call (a scratch harness calling the
 //! kernels on random columns, best of 15 batches per run, median of six
@@ -101,8 +121,8 @@
 //!
 //! The free functions at the top level ([`dot`], [`sum_sumsq`],
 //! [`diff_sumsq`], [`qstep_pearson`], [`qstep_euclidean`], [`qstep_cid`],
-//! [`split_counts`], [`profile_scores`]) dispatch to the best available
-//! backend, resolved once per process. The `CLASS_SIMD` environment
+//! [`floor_hits`], [`split_counts`], [`profile_scores`]) dispatch to the
+//! best available backend, resolved once per process. The `CLASS_SIMD` environment
 //! variable (`scalar` | `avx2`) overrides the choice for A/B measurements;
 //! a value that cannot be honoured (an unknown name, or `avx2` on a CPU
 //! without it) is reported once on stderr, and the best available backend
@@ -330,6 +350,17 @@ pub fn qstep_cid(io: QStepIo<'_>, ssq: &[f64], ce2: &[f64], ssq_n: f64, ce2_n: f
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => avx2::qstep_cid(io, ssq, ce2, ssq_n, ce2_n),
         _ => scalar::qstep_cid(io, ssq, ce2, ssq_n, ce2_n),
+    }
+}
+
+/// Bit mask of a block's scores at or above `floor` via the active backend
+/// (see [`scalar::floor_hits`] for the contract).
+#[inline]
+pub fn floor_hits(scores: &[f64], floor: f64) -> u64 {
+    match active_backend() {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => avx2::floor_hits(scores, floor),
+        _ => scalar::floor_hits(scores, floor),
     }
 }
 
@@ -696,6 +727,34 @@ pub mod scalar {
         (mx + 0.0, hits)
     }
 
+    /// Bit `j` set iff `scores[j] >= floor`, for a block of at most
+    /// [`BLOCK`] scores, folded in 8-slot chunks like [`QStepIo`]'s hit
+    /// bits. The compare is ordered: a NaN score or a NaN `floor` sets no
+    /// bit, and `-0.0 >= +0.0`. The k-NN selection visits only these
+    /// slots of a block (see [`crate::knn`]).
+    ///
+    /// # Panics
+    /// Panics if `scores` is longer than [`BLOCK`].
+    #[inline(always)]
+    pub fn floor_hits(scores: &[f64], floor: f64) -> u64 {
+        const W: usize = 8;
+        assert!(scores.len() <= BLOCK, "more than BLOCK scores");
+        let chunks = scores.chunks_exact(W);
+        let (rest, whole) = (chunks.remainder(), W * chunks.len());
+        let mut hits = 0u64;
+        for (j, s) in chunks.enumerate() {
+            let mut bits = 0u64;
+            for (l, &s) in s.iter().enumerate() {
+                bits |= u64::from(s >= floor) << l;
+            }
+            hits |= bits << (W * j);
+        }
+        for (j, &s) in rest.iter().enumerate() {
+            hits |= u64::from(s >= floor) << (whole + j);
+        }
+        hits
+    }
+
     /// Fused Q-step, Pearson scoring (see [`QStepIo`]).
     pub fn qstep_pearson(io: QStepIo<'_>, mu: &[f64], sig: &[f64], w: f64, mu_n: f64, sig_n: f64) {
         io.check(&[("mu", mu), ("sig", sig)]);
@@ -722,13 +781,14 @@ pub mod scalar {
 }
 
 /// AVX2 kernels (x86-64). Every public function asserts
-/// [`avx2_available`]. The reductions and the profile score pass run the
-/// [`scalar`] bodies compiled with AVX2 enabled, so they give the same
-/// bits. The Q-step sweep and the count pass are explicit `core::arch`
-/// intrinsics; the sweep scores its `n % 4` remainder slot by slot with
-/// the scalar arithmetic. Its NaN handling replicates the scalar kernels
-/// exactly: clamps blend the unordered lanes back, and `maxpd`'s
-/// returns-second-operand-on-NaN rule matches an `s > m` select.
+/// [`avx2_available`]. The reductions, the floor mask and the profile
+/// score pass run the [`scalar`] bodies compiled with AVX2 enabled, so
+/// they give the same bits. The Q-step sweep and the count pass are
+/// explicit `core::arch` intrinsics; the sweep scores its `n % 4`
+/// remainder slot by slot with the scalar arithmetic. Its NaN handling
+/// replicates the scalar kernels exactly: clamps blend the unordered
+/// lanes back, and `maxpd`'s returns-second-operand-on-NaN rule matches
+/// an `s > m` select.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)] // raw intrinsics behind runtime feature detection
 pub mod avx2 {
@@ -997,6 +1057,11 @@ pub mod avx2 {
         blocks: Range<usize>,
     ) {
         run(|| scalar::profile_scores(score_fn, left, tot, profile, block_max, blocks));
+    }
+
+    /// [`scalar::floor_hits`] compiled with AVX2.
+    pub fn floor_hits(scores: &[f64], floor: f64) -> u64 {
+        run(|| scalar::floor_hits(scores, floor))
     }
 
     /// The count pass, 8 splits per instruction: each chunk of eight `u32`

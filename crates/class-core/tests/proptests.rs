@@ -11,7 +11,7 @@ use class_core::buffer::{ShiftBuffer, ShiftMatrix};
 use class_core::crossval::{naive_split_score, CrossVal, ScoreFn};
 use class_core::fft::{fft_inplace, ifft};
 use class_core::knn::{KnnConfig, StreamingKnn};
-use class_core::similarity::naive;
+use class_core::similarity::{naive, Similarity};
 use class_core::stats::{ln_p_ranksum_binary, BinaryGroups};
 use class_core::wss::{select_width, WidthBounds, WssMethod};
 use proptest::prelude::*;
@@ -284,6 +284,74 @@ proptest! {
             for &nsid in sids {
                 prop_assert!((nsid - sid).abs() >= excl);
             }
+        }
+    }
+}
+
+proptest! {
+    // Light enough to run as many cases as the data-structure checks.
+    #![proptest_config(ProptestConfig::with_cases(cases(64)))]
+
+    #[test]
+    fn knn_selection_equals_brute_force_top_k_on_tie_heavy_inputs(
+        seed in any::<u64>(),
+        d in 40usize..300,
+        w in 3usize..10,
+        k in 1usize..6,
+        levels in 3u64..=5,
+        measure in 0usize..3,
+    ) {
+        // Integer levels keep the dot products exact, so equal
+        // subsequences tie bit for bit; flat runs tie at the sigma floor,
+        // and NaN stretches poison scores until they leave the window.
+        let similarity = [Similarity::Pearson, Similarity::Euclidean, Similarity::Cid][measure];
+        let mut cfg = KnnConfig::new(d, w, k);
+        cfg.similarity = similarity;
+        let excl = cfg.exclusion_radius();
+        let mut knn = StreamingKnn::new(cfg);
+        let mut rng = class_core::SplitMix64::new(seed);
+        let (mut left, mut kind, mut flat) = (0usize, 0u64, 0.0);
+        for t in 0..3 * d {
+            if left == 0 {
+                left = 1 + rng.next_below(2 * w as u64) as usize;
+                // 1 in 32 stretches is NaN, 3 in 10 are flat.
+                kind = match rng.next_below(320) {
+                    0..=9 => 0,
+                    10..=105 => 1,
+                    _ => 2,
+                };
+                flat = rng.next_below(levels) as f64;
+            }
+            left -= 1;
+            let x = match kind {
+                0 => f64::NAN,
+                1 => flat,
+                _ => rng.next_below(levels) as f64,
+            };
+            if !knn.update(x) {
+                continue;
+            }
+            // Brute force: every eligible slot with a score the list can
+            // hold (not NaN, above −∞), by score descending, then sid
+            // ascending, the first k.
+            let (qs, m) = (knn.qstart(), knn.max_subsequences());
+            let nfilt = (m - qs).saturating_sub(excl);
+            let scores = knn.latest_scores();
+            let mut want: Vec<(f64, i64)> = (qs..qs + nfilt)
+                .filter(|&s| scores[s] > f64::NEG_INFINITY)
+                .map(|s| (scores[s], knn.sid_of_slot(s)))
+                .collect();
+            want.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+            want.truncate(k);
+            let (sids, got) = knn.neighbors(m - 1);
+            let got: Vec<(u64, i64)> = got
+                .iter()
+                .map(|s| s.to_bits())
+                .zip(sids.iter().copied())
+                .collect();
+            let want: Vec<(u64, i64)> =
+                want.iter().map(|&(s, sid)| (s.to_bits(), sid)).collect();
+            prop_assert!(got == want, "t={t} {similarity:?}: {got:?} vs {want:?}");
         }
     }
 }

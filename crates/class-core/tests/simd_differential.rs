@@ -11,7 +11,8 @@
 //! scores. So does the profile score pass (scores and block maxima), over
 //! the whole range and block by block, and the count pass (`left`, `tot`
 //! and the block minima of `left`), which also matches a naive running
-//! sum.
+//! sum, and the k-NN selection's floor mask (`floor_hits`), which also
+//! matches its definition.
 
 use class_core::simd::{self, scalar, QStepIo, BLOCK};
 use class_core::{ScoreFn, SplitMix64};
@@ -429,6 +430,73 @@ fn dispatch_layer_matches_scalar_reference() {
         bits(&run_reductions("dispatch", &a, &b)),
         bits(&run_reductions("scalar", &a, &b))
     );
+}
+
+/// The special values of an `f64` compare: NaN, both zeros, both
+/// infinities, and ordinary values either side of them.
+const SPECIALS: [f64; 8] = [
+    f64::NAN,
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    0.5,
+    -0.5,
+    1.0,
+];
+
+/// `floor_hits` of one backend.
+fn run_floor_hits(backend: &str, scores: &[f64], floor: f64) -> u64 {
+    match backend {
+        "scalar" => scalar::floor_hits(scores, floor),
+        "dispatch" => simd::floor_hits(scores, floor),
+        #[cfg(target_arch = "x86_64")]
+        "avx2" => simd::avx2::floor_hits(scores, floor),
+        other => panic!("unknown backend {other}"),
+    }
+}
+
+#[test]
+fn floor_hits_agree_with_their_definition_on_every_length() {
+    // Scores cycle through the special values and random ones, so every
+    // length from an empty block to a full one holds every compare
+    // outcome, and every special value is also the floor: NaN on either
+    // side sets no bit, and -0.0 and +0.0 compare equal.
+    let random = make_input(BLOCK, 31, None, false);
+    let scores: Vec<f64> = random
+        .iter()
+        .enumerate()
+        .map(|(i, &r)| {
+            if i % 3 == 0 {
+                r
+            } else {
+                SPECIALS[i % SPECIALS.len()]
+            }
+        })
+        .collect();
+    for n in 0..=BLOCK {
+        for floor in SPECIALS.into_iter().chain([random[7], random[n % BLOCK]]) {
+            let block = &scores[..n];
+            let want = block
+                .iter()
+                .enumerate()
+                .filter(|&(_, &s)| s >= floor)
+                .fold(0u64, |m, (j, _)| m | 1 << j);
+            for backend in ["scalar"].into_iter().chain(profile_backends()) {
+                assert_eq!(
+                    run_floor_hits(backend, block, floor),
+                    want,
+                    "{backend}(n={n}, floor={floor:?})"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "more than BLOCK scores")]
+fn floor_hits_reject_more_than_one_block() {
+    simd::floor_hits(&[0.0; BLOCK + 1], 0.0);
 }
 
 /// Per-split counts for an `nn`-row profile: random consistent counts

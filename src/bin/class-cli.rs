@@ -97,7 +97,8 @@ DATASETS SUBCOMMANDS (annotated archives: real files, fixtures, synthetic):
         Degraded-input policy: --guard-nan-burst N quarantines a stream
         after N consecutive non-finite values (isolated ones are healed
         with the last finite value); --guard-flatline N quarantines after
-        N identical consecutive values. On a multi-channel file the guard
+        N identical consecutive values (N >= 2: a run is at least two
+        values long). On a multi-channel file the guard
         applies per channel: a tripped channel is retired and the vote
         quorum re-derived over the survivors, so the fused stream
         degrades instead of dying.
@@ -339,7 +340,7 @@ fn parse_datasets_run_args(rest: &[String]) -> DatasetsRunArgs {
         .choice("--format", FORMATS, &mut args.tsv)
         .optional_at_least("--channels", 1, &mut args.channels)
         .optional_at_least("--guard-nan-burst", 1, &mut args.guard_nan_burst)
-        .optional_at_least("--guard-flatline", 1, &mut args.guard_flatline)
+        .optional_at_least("--guard-flatline", 2, &mut args.guard_flatline)
         .switch("--extract-channels", &mut args.extract_channels)
         .optional("--metrics-addr", &mut args.metrics_addr)
         .optional("--bundle-out", &mut args.bundle_out)

@@ -790,11 +790,99 @@ fn datasets_run_quarantines_a_flatlined_stream_with_exit_code_3() {
 }
 
 #[test]
+fn datasets_run_heals_a_short_nan_burst_and_trips_on_a_long_one() {
+    // A two-channel wide CSV whose second channel drops out for 4 frames
+    // (frames 300..304). The wide-CSV parser keeps NaN, so the values
+    // reach the guard. The same file with the burst replaced by the last
+    // finite value, as the guard heals it, is written beside it under
+    // another archive directory, so its rows differ only in their name.
+    const BURST: std::ops::Range<usize> = 300..304;
+    let root = std::env::temp_dir().join("class-cli-smoke-nan-burst");
+    let write = |archive: &str, heal: bool| {
+        let dir = root.join(archive);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut body = String::from("# window=20\na,b,label\n");
+        let mut held = 0.0;
+        for i in 0..1200 {
+            let t = i as f64;
+            let (f, g) = if i < 600 { (0.3, 0.25) } else { (0.7, 0.6) };
+            let a = (t * f).sin();
+            let mut b = (t * g).cos();
+            if BURST.contains(&i) {
+                b = if heal { held } else { f64::NAN };
+            }
+            held = b;
+            body.push_str(&format!("{a},{b},{}\n", usize::from(i >= 600)));
+        }
+        let path = dir.join("Burst.csv");
+        std::fs::write(&path, body).unwrap();
+        path.display().to_string()
+    };
+    let (raw, healed) = (write("raw", false), write("healed", true));
+    let run = |extra: &[&str], file: &str| {
+        let mut args = vec!["datasets", "run", "--format", "tsv"];
+        args.extend_from_slice(extra);
+        args.push(file);
+        run_cli(&args, "")
+    };
+    // Rows without their series name.
+    let rows = |tsv: &str| -> Vec<String> {
+        tsv.lines()
+            .skip(1)
+            .map(|l| l.split_once('\t').unwrap().1.to_string())
+            .collect()
+    };
+
+    for extract in [&["--extract-channels"][..], &[][..]] {
+        // A burst threshold above the burst length heals it: the rows
+        // equal those of the hand-healed file, on the per-channel and the
+        // fused path alike.
+        let guard = [extract, &["--guard-nan-burst", "5"]].concat();
+        let (got, stderr, code) = run(&guard, &raw);
+        assert_eq!(code, 0, "{extract:?}: {stderr}");
+        assert!(!stderr.contains("quarantined"), "{extract:?}: {stderr}");
+        let (want, stderr, code) = run(&guard, &healed);
+        assert_eq!(code, 0, "{extract:?}: {stderr}");
+        assert_eq!(rows(&got), rows(&want), "{extract:?}");
+        assert_eq!(rows(&got).len(), if extract.is_empty() { 1 } else { 2 });
+    }
+
+    // A threshold at the burst length trips on the burst's last frame.
+    // Extracted, the channel's stream is quarantined (exit code 3) and the
+    // clean channel still runs to the end.
+    let (stdout, stderr, code) = run(&["--extract-channels", "--guard-nan-burst", "4"], &raw);
+    assert_eq!(code, 3, "stdout: {stdout}\nstderr: {stderr}");
+    assert!(
+        stderr.contains(
+            "quarantined: raw/Burst/ch1 at record 303: \
+             input guard: non-finite burst of 4 consecutive values"
+        ),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("ch0"), "{stderr}");
+    assert!(stdout.contains("raw/Burst/ch0\t1200\t"), "{stdout}");
+    // Fused, the tripped channel is retired and the stream survives on
+    // the other one: no quarantine, exit code 0.
+    let (stdout, stderr, code) = run(&["--guard-nan-burst", "4"], &raw);
+    assert_eq!(code, 0, "stderr: {stderr}");
+    assert!(!stderr.contains("quarantined"), "{stderr}");
+    assert!(stdout.contains("raw/Burst\t1200\t20\t600\t"), "{stdout}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
 fn datasets_run_guard_flags_validate_their_values() {
-    for flag in ["--guard-nan-burst", "--guard-flatline"] {
-        let (_, stderr, code) = run_cli(&["datasets", "run", flag, "0", "ignored.txt"], "");
-        assert_eq!(code, 2, "{flag}: {stderr}");
-        assert!(stderr.contains("at least 1"), "{flag}: {stderr}");
+    // A flatline threshold of 1 would trip on the second identical value,
+    // exactly as 2 does, so the smallest accepted value is 2.
+    for (flag, value, min) in [
+        ("--guard-nan-burst", "0", "at least 1"),
+        ("--guard-flatline", "0", "at least 2"),
+        ("--guard-flatline", "1", "at least 2"),
+    ] {
+        let (_, stderr, code) = run_cli(&["datasets", "run", flag, value, "ignored.txt"], "");
+        assert_eq!(code, 2, "{flag} {value}: {stderr}");
+        assert!(stderr.contains(min), "{flag} {value}: {stderr}");
     }
 }
 
