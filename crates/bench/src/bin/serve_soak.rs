@@ -306,7 +306,6 @@ fn run_round(
                 ring: ring_for(&plan, k),
                 guard: Some(GUARD),
                 name: Some(format!("soak/{k}")),
-                ..StreamOptions::default()
             },
             move || SegmenterOperator::new(ClassSegmenter::new(base_cfg())),
         )

@@ -19,6 +19,10 @@ use crate::wss::{select_width, WidthBounds, WssMethod};
 /// Smallest sliding window [`ClassSegmenter::new`] accepts.
 pub const MIN_WINDOW_SIZE: usize = 16;
 
+/// Minimum number of new-segment observations a width re-learn
+/// ([`ClassConfig::relearn_width`]) waits for after a change point.
+const RELEARN_MIN: usize = 512;
+
 /// How the subsequence width `w` is determined (paper §3.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WidthSelection {
@@ -82,9 +86,6 @@ pub struct ClassConfig {
     /// width w can be periodically re-learned ... activated on demand").
     /// Only effective with [`WidthSelection::Learn`].
     pub relearn_width: bool,
-    /// Minimum number of new-segment observations required before a
-    /// re-learn is attempted.
-    pub relearn_min: usize,
     /// Seed of the deterministic resampling RNG.
     pub seed: u64,
 }
@@ -104,7 +105,6 @@ impl Default for ClassConfig {
             jump: 5,
             warmup: None,
             relearn_width: false,
-            relearn_min: 512,
             seed: 0x5EED,
         }
     }
@@ -182,7 +182,7 @@ pub struct ClassSegmenter {
     total_seen: u64,
     /// Change point position awaiting a deferred width re-learn (armed when
     /// a CP is reported and `relearn_width` is on; executed once the new
-    /// segment holds `relearn_min` observations).
+    /// segment holds [`RELEARN_MIN`] observations).
     pending_relearn: Option<u64>,
 }
 
@@ -324,7 +324,7 @@ impl ClassSegmenter {
             return; // segment start already evicted; keep the old width
         }
         let seg: Vec<f64> = win[(cp_abs - win_start_abs) as usize..].to_vec();
-        if seg.len() < self.cfg.relearn_min.max(32) {
+        if seg.len() < RELEARN_MIN {
             // Not enough new-segment data yet; keep the request pending.
             self.pending_relearn = Some(cp_abs);
             return;

@@ -206,33 +206,11 @@ impl VoteFuser {
         let horizon = 4 * tolerance + 1;
         self.votes.retain(|v| v.cp + horizon >= pos);
         self.emitted.retain(|&e| e + 2 * horizon >= pos);
-        // Fusion: find a cluster of votes from distinct channels.
-        let min_votes = self.fusion.min_votes();
-        let mut fused: Option<u64> = None;
-        'anchor: for a in 0..self.votes.len() {
-            let anchor = self.votes[a];
-            let mut members: Vec<&Vote> = self
-                .votes
-                .iter()
-                .filter(|v| v.cp.abs_diff(anchor.cp) <= tolerance)
-                .collect();
-            // Distinct channels only.
-            members.sort_by_key(|v| v.channel);
-            members.dedup_by_key(|v| v.channel);
-            if members.len() >= min_votes {
-                let mut positions: Vec<u64> = members.iter().map(|v| v.cp).collect();
-                positions.sort_unstable();
-                let cp = positions[positions.len() / 2];
-                // Suppress re-emission of the same change.
-                for &e in &self.emitted {
-                    if e.abs_diff(cp) <= 2 * tolerance {
-                        continue 'anchor;
-                    }
-                }
-                fused = Some(cp);
-                break;
-            }
-        }
+        // Fusion: the first anchor whose cluster is a new change.
+        let fused = self.votes.iter().find_map(|anchor| {
+            self.cluster(&self.votes, anchor.cp)
+                .and_then(|(cp, fresh)| fresh.then_some(cp))
+        });
         if let Some(cp) = fused {
             self.emitted.push(cp);
             self.votes.retain(|v| v.cp.abs_diff(cp) > tolerance);
@@ -245,36 +223,47 @@ impl VoteFuser {
     /// `cps` in ascending order.
     pub fn finish(&mut self, cps: &mut Vec<u64>) {
         let tolerance = self.fusion.tolerance();
-        let min_votes = self.fusion.min_votes();
         let mut votes = std::mem::take(&mut self.votes);
         votes.sort_by_key(|v| v.cp);
         let mut i = 0;
         while i < votes.len() {
-            let anchor = votes[i];
-            let mut members: Vec<&Vote> = votes
-                .iter()
-                .filter(|v| v.cp.abs_diff(anchor.cp) <= tolerance)
-                .collect();
-            members.sort_by_key(|v| v.channel);
-            members.dedup_by_key(|v| v.channel);
-            if members.len() >= min_votes {
-                let mut positions: Vec<u64> = members.iter().map(|v| v.cp).collect();
-                positions.sort_unstable();
-                let cp = positions[positions.len() / 2];
-                if !self
-                    .emitted
-                    .iter()
-                    .any(|&e| e.abs_diff(cp) <= 2 * tolerance)
-                {
-                    cps.push(cp);
-                    self.emitted.push(cp);
-                }
-                let next = votes.iter().position(|v| v.cp > anchor.cp + tolerance);
-                i = next.unwrap_or(votes.len());
-            } else {
+            let anchor = votes[i].cp;
+            let Some((cp, fresh)) = self.cluster(&votes, anchor) else {
                 i += 1;
+                continue;
+            };
+            if fresh {
+                cps.push(cp);
+                self.emitted.push(cp);
             }
+            let next = votes.iter().position(|v| v.cp > anchor + tolerance);
+            i = next.unwrap_or(votes.len());
         }
+    }
+
+    /// The cluster of `votes` within `tolerance` of `anchor`, one per
+    /// channel (the first in `votes` order): `None` when it misses the
+    /// quorum, else its median position and whether that is a new change
+    /// (no change point emitted within `2 * tolerance`).
+    fn cluster(&self, votes: &[Vote], anchor: u64) -> Option<(u64, bool)> {
+        let tolerance = self.fusion.tolerance();
+        let mut members: Vec<&Vote> = votes
+            .iter()
+            .filter(|v| v.cp.abs_diff(anchor) <= tolerance)
+            .collect();
+        members.sort_by_key(|v| v.channel);
+        members.dedup_by_key(|v| v.channel);
+        if members.len() < self.fusion.min_votes() {
+            return None;
+        }
+        let mut positions: Vec<u64> = members.iter().map(|v| v.cp).collect();
+        positions.sort_unstable();
+        let cp = positions[positions.len() / 2];
+        let fresh = !self
+            .emitted
+            .iter()
+            .any(|&e| e.abs_diff(cp) <= 2 * tolerance);
+        Some((cp, fresh))
     }
 }
 

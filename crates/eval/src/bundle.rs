@@ -357,10 +357,21 @@ impl RunBundle {
 
     /// Renders the bundle as its canonical JSON document.
     pub fn render_json(&self) -> String {
+        // JSON forbids raw control characters inside strings.
         let esc = |s: &str| {
-            s.replace('\\', "\\\\")
-                .replace('"', "\\\"")
-                .replace('\n', "\\n")
+            let mut out = String::with_capacity(s.len());
+            for c in s.chars() {
+                match c {
+                    '\\' => out.push_str("\\\\"),
+                    '"' => out.push_str("\\\""),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if c < ' ' => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+                    c => out.push(c),
+                }
+            }
+            out
         };
         let mut out = String::with_capacity(1024);
         out.push_str("{\n");
@@ -676,8 +687,16 @@ mod tests {
     fn escaped_strings_round_trip() {
         let mut b = sample();
         b.config("path", "dir\\file \"x\"\nnext");
-        let parsed = RunBundle::parse(&b.render_json()).unwrap();
+        b.config("files", "a\tb.csv,c\rd.csv\u{1}");
+        let doc = b.render_json();
+        let parsed = RunBundle::parse(&doc).unwrap();
         assert_eq!(parsed.config, b.config);
+        // Strict JSON readers reject raw control characters in strings;
+        // only the document's own line breaks may remain.
+        assert!(
+            !doc.chars().any(|c| c < ' ' && c != '\n'),
+            "raw control character in {doc:?}"
+        );
     }
 
     #[test]

@@ -7,6 +7,8 @@ use crate::covering::covering;
 use class_core::{ClassConfig, ClassSegmenter, StreamingSegmenter};
 use competitors::{build, CompetitorKind, SeriesContext};
 use datasets::AnnotatedSeries;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Which algorithm to run, with the experiment-level knobs.
@@ -74,7 +76,8 @@ pub struct RunResult {
     pub archive: &'static str,
     /// Covering score against the ground truth.
     pub covering: f64,
-    /// Wall-clock runtime of the full stream pass.
+    /// Wall time of the full stream pass: every `step` plus `finalize`,
+    /// on one core.
     pub runtime: Duration,
     /// Number of processed observations.
     pub n_points: usize,
@@ -113,111 +116,42 @@ pub fn run_one(spec: &AlgoSpec, series: &AnnotatedSeries) -> RunResult {
     }
 }
 
-/// Runs every algorithm over every series on the multi-stream serving
-/// engine: each (algorithm, series) pair is an independent stream,
-/// sharded over `threads` engine workers and fed through bounded ring
-/// buffers with the lossless `Block` policy. Results are in
-/// deterministic (algo-major, series-minor) order.
+/// Runs every algorithm over every series on a pool of `threads` scoped
+/// workers; each (algorithm, series) pair is one independent [`run_one`]
+/// pass, so at most `threads` segmenters are live at once. Results are
+/// in deterministic (algo-major, series-minor) order.
 ///
-/// Jobs are packed onto shards greedily by series length, heaviest
-/// first, so no shard straggles; the packing depends only on the job
-/// list. Jobs are registered and fed through [`stream_engine::feed_all`]
-/// in waves of `4 * threads`, so at most `4 * threads` streams are being
-/// fed at any moment, plus the earlier waves' streams still draining
-/// their last ring (at most 512 records each) — a paper-scale matrix is
-/// thousands of jobs, and each live ClaSS operator holds O(window)
-/// state. `runtime` is operator-busy time measured per drained batch
-/// (`stream_engine::Timing::Batch`), which matches the paper's
-/// single-core measurement protocol even though shards interleave many
-/// streams — and keeps per-record clock reads out of baselines whose
-/// step is cheaper than a clock read.
+/// Jobs are handed out heaviest series first (a stable sort, so ties
+/// keep the algo-major, series-minor order) from one shared counter, so
+/// no worker straggles with a long series at the end; each result goes
+/// into its own slot, so the result path takes no lock. `runtime` is
+/// the wall time of one job's step-and-finalize pass on its worker,
+/// matching the paper's single-core measurement protocol.
 pub fn run_matrix(
     algos: &[AlgoSpec],
     series: &[AnnotatedSeries],
     threads: usize,
 ) -> Vec<RunResult> {
-    use stream_engine::{
-        feed_all, serve, Backpressure, EngineConfig, RingConfig, SegmenterOperator, StreamOptions,
-        Timing,
-    };
-
-    // (algorithm, series) pairs, heaviest first; the sort is stable, so
-    // ties keep the algo-major, series-minor layout.
     let mut jobs: Vec<(usize, usize)> = (0..algos.len())
         .flat_map(|a| (0..series.len()).map(move |s| (a, s)))
         .collect();
-    if jobs.is_empty() {
-        return Vec::new();
-    }
     jobs.sort_by_key(|&(_, s)| std::cmp::Reverse(series[s].len()));
-    let threads = threads.max(1).min(jobs.len());
-    // Greedy balance: each job (heaviest first) goes to the least-loaded
-    // shard by total records, ties to the lowest shard index.
-    let mut load = vec![0usize; threads];
-    let jobs: Vec<(usize, usize, usize)> = jobs
-        .into_iter()
-        .map(|(a, s)| {
-            let shard = (0..threads)
-                .min_by_key(|&k| (load[k], k))
-                .expect(">=1 shard");
-            load[shard] += series[s].len();
-            (a, s, shard)
-        })
-        .collect();
-
-    let config = EngineConfig {
-        shards: threads,
-        ring: RingConfig::new(512, Backpressure::Block),
-    };
-    // The greedy packing spreads the heaviest-first prefix of each wave
-    // across shards, so a wave of 4x threads keeps every shard busy.
-    let (results, ()) = serve(config, |engine| {
-        for wave in jobs.chunks(4 * threads) {
-            let handles = wave
-                .iter()
-                .map(|&(a, s, shard)| {
-                    let opts = StreamOptions {
-                        ring: config.ring,
-                        timing: Timing::Batch,
-                        shard: Some(shard),
-                        ..StreamOptions::default()
-                    };
-                    engine.register_with(opts, move || {
-                        SegmenterOperator::new(algos[a].instantiate(&series[s]))
-                    })
-                })
-                .collect();
-            let data: Vec<&[f64]> = wave
-                .iter()
-                .map(|&(_, s, _)| &series[s].values[..])
-                .collect();
-            feed_all(handles, &data).expect(
-                "shard workers outlive the feed: consumers are only dropped at engine join()",
-            );
+    let slots: Vec<OnceLock<RunResult>> = jobs.iter().map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..threads.max(1).min(jobs.len()) {
+            scope.spawn(|| {
+                while let Some(&(a, s)) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    slots[a * series.len() + s]
+                        .set(run_one(&algos[a], &series[s]))
+                        .expect("each job runs once");
+                }
+            });
         }
     });
-
-    // Stream ids follow registration order, i.e. the sorted job order;
-    // scatter back to the deterministic (algo-major, series-minor) layout.
-    let mut out: Vec<Option<RunResult>> = (0..jobs.len()).map(|_| None).collect();
-    for r in results {
-        let (a, s, _) = jobs[r.stream];
-        let mut cps: Vec<u64> = r.output.iter().map(|rec| rec.value).collect();
-        cps.sort_unstable();
-        cps.dedup();
-        let ser = &series[s];
-        out[a * series.len() + s] = Some(RunResult {
-            algo: algos[a].name(),
-            series: ser.name.clone(),
-            archive: ser.archive,
-            covering: covering(&ser.change_points, &cps, ser.len() as u64),
-            runtime: r.busy,
-            n_points: ser.len(),
-            cps,
-        });
-    }
-    out.into_iter()
-        .map(|r| r.expect("every job served"))
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every job ran"))
         .collect()
 }
 

@@ -136,30 +136,11 @@ impl EngineConfig {
     }
 }
 
-/// How a shard attributes operator time to the latency histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Timing {
-    /// Two clock reads per record: exact per-record latencies. Right for
-    /// operators whose step dominates a clock read (ClaSS: microseconds).
-    #[default]
-    PerRecord,
-    /// Two clock reads per drained batch; the batch average is recorded
-    /// for each record ([`LatencyHistogram::record_n`]). Right for
-    /// nanosecond-scale operators the per-record clock would distort.
-    Batch,
-}
-
 /// Per-stream registration options.
 #[derive(Debug, Clone, Default)]
 pub struct StreamOptions {
     /// Ring capacity and backpressure policy.
     pub ring: RingConfig,
-    /// Latency attribution granularity.
-    pub timing: Timing,
-    /// Pin to a specific shard (modulo the shard count) instead of the
-    /// default hash assignment — for callers that balance load
-    /// themselves (e.g. the eval matrix runner's bin packing).
-    pub shard: Option<usize>,
     /// Degraded-input policy, consulted per record before the operator.
     /// `None` (the default) delivers values verbatim with zero overhead.
     pub guard: Option<GuardConfig>,
@@ -521,7 +502,6 @@ struct NewStream<'env, Op> {
     consumer: ring::Consumer<Record<f64>>,
     factory: Box<dyn FnOnce() -> Op + Send + 'env>,
     monitor: Arc<StreamMonitor>,
-    timing: Timing,
     guard: Option<GuardConfig>,
 }
 
@@ -637,7 +617,7 @@ where
         self.workers.len()
     }
 
-    /// Registers a stream with the engine-default ring and timing; the
+    /// Registers a stream with the engine-default ring; the
     /// operator is built on the owning shard via `factory`.
     pub fn register(&mut self, factory: impl FnOnce() -> Op + Send + 'env) -> StreamHandle {
         self.register_with(
@@ -842,12 +822,9 @@ where
         let sh = &*self.shared;
         let id = sh.next_id.fetch_add(1, Ordering::Relaxed);
         let shards = sh.inboxes.len();
-        let shard = match opts.shard {
-            Some(s) => s % shards,
-            // The first SplitMix64 output seeded with the id: a cheap,
-            // well-mixed hash, so consecutive ids spread across shards.
-            None => (SplitMix64::new(id as u64).next_u64() % shards as u64) as usize,
-        };
+        // The first SplitMix64 output seeded with the id: a cheap,
+        // well-mixed hash, so consecutive ids spread across shards.
+        let shard = (SplitMix64::new(id as u64).next_u64() % shards as u64) as usize;
         let (producer, consumer) = ring::ring_on(opts.ring, Arc::clone(&sh.bells[shard]), id);
         let monitor = Arc::new(StreamMonitor {
             id,
@@ -862,7 +839,6 @@ where
             consumer,
             factory: Box::new(factory),
             monitor,
-            timing: opts.timing,
             guard: opts.guard,
         });
         if sent.is_err() {
@@ -1052,7 +1028,6 @@ struct ActiveStream<Op: Operator<In = f64>> {
     consumer: ring::Consumer<Record<f64>>,
     op: Option<Op>,
     guard: Option<InputGuard>,
-    timing: Timing,
     output: Vec<Record<Op::Out>>,
     records_in: u64,
     quarantined_after: u64,
@@ -1103,21 +1078,18 @@ where
     Op: Operator<In = f64>,
 {
     let done = Cell::new(0u64);
-    let stepped = Cell::new(0u64);
     let trip: Cell<Option<GuardTrip>> = Cell::new(None);
     // Record into a batch-local histogram so the monitor lock is held
     // for a merge, not across up to DRAIN_BATCH operator calls — a
     // stats() snapshot never waits on a processing batch.
     let mut local = LatencyHistogram::new();
     let mut busy = Duration::ZERO;
-    let timing = st.timing;
     let op = st
         .op
         .as_mut()
         .expect("step_batch is only called on healthy streams (op present)");
     let output = &mut st.output;
     let mut guard = st.guard.as_mut();
-    let t0 = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         for rec in batch.drain(..) {
             let verdict = match guard.as_deref_mut() {
@@ -1126,17 +1098,11 @@ where
             };
             match verdict {
                 GuardVerdict::Pass(value) => {
-                    match timing {
-                        Timing::PerRecord => {
-                            let s0 = Instant::now();
-                            op.process(Record::new(rec.timestamp, value), output);
-                            let dt = s0.elapsed();
-                            busy += dt;
-                            local.record(dt);
-                        }
-                        Timing::Batch => op.process(Record::new(rec.timestamp, value), output),
-                    }
-                    stepped.set(stepped.get() + 1);
+                    let s0 = Instant::now();
+                    op.process(Record::new(rec.timestamp, value), output);
+                    let dt = s0.elapsed();
+                    busy += dt;
+                    local.record(dt);
                 }
                 GuardVerdict::Skip => {}
                 GuardVerdict::Trip(t) => {
@@ -1147,11 +1113,6 @@ where
             done.set(done.get() + 1);
         }
     }));
-    if timing == Timing::Batch {
-        let dt = t0.elapsed();
-        busy += dt;
-        local.record_n(dt, stepped.get());
-    }
     st.busy += busy;
     st.records_in += done.get();
     // Release pairs with the Acquire loads in `StatsRegistry::snapshot`:
@@ -1269,7 +1230,6 @@ where
                         consumer: ns.consumer,
                         op: None,
                         guard: ns.guard.map(InputGuard::new),
-                        timing: ns.timing,
                         output: Vec::new(),
                         records_in: 0,
                         quarantined_after: 0,
@@ -1402,22 +1362,12 @@ mod tests {
     }
 
     #[test]
-    fn hash_assignment_is_deterministic_and_pinning_wins() {
+    fn hash_assignment_is_deterministic() {
         let (results, ()) = serve(EngineConfig::new(4), |engine| {
             for _ in 0..8 {
                 engine.register(|| TumblingWindowMean::new(2)).close();
             }
-            let pinned = engine.register_with(
-                StreamOptions {
-                    shard: Some(2),
-                    ..StreamOptions::default()
-                },
-                || TumblingWindowMean::new(2),
-            );
-            assert_eq!(pinned.id(), 8);
-            pinned.close();
         });
-        assert_eq!(results[8].shard, 2);
         let (again, ()) = serve(EngineConfig::new(4), |engine| {
             for _ in 0..8 {
                 engine.register(|| TumblingWindowMean::new(2)).close();

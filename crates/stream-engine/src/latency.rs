@@ -50,26 +50,6 @@ impl LatencyHistogram {
         self.max_ns = self.max_ns.max(ns);
     }
 
-    /// Records `n` operations measured together in `total` wall time,
-    /// attributing the batch-average duration to each. Coarser than
-    /// per-record [`LatencyHistogram::record`] (the histogram's factor-2
-    /// buckets absorb the averaging), but the measurement itself costs
-    /// two clock reads per *batch* instead of per record — the engine
-    /// uses it for operators whose step is cheaper than a clock read.
-    #[inline]
-    pub fn record_n(&mut self, total: Duration, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let total_ns = total.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let avg_ns = total_ns / n;
-        let bucket = (64 - avg_ns.max(1).leading_zeros() as usize - 1).min(32);
-        self.buckets[bucket] += n;
-        self.count += n;
-        self.sum_ns += u128::from(total_ns);
-        self.max_ns = self.max_ns.max(avg_ns);
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -126,7 +106,7 @@ pub struct StreamStats {
     /// `stream-<id>` when none was given). Exported as the `name` label
     /// on every Prometheus series for this stream.
     pub name: String,
-    /// Shard the stream is pinned to.
+    /// Shard serving the stream (a hash of its id).
     pub shard: usize,
     /// Records consumed while healthy (operator-processed plus
     /// guard-healed/skipped) so far.
@@ -266,22 +246,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert!(a.max() >= Duration::from_micros(10));
-    }
-
-    #[test]
-    fn record_n_attributes_batch_average_to_each_record() {
-        let mut batched = LatencyHistogram::new();
-        batched.record_n(Duration::from_micros(800), 100); // 8 us average
-        assert_eq!(batched.count(), 100);
-        assert_eq!(batched.mean(), Duration::from_nanos(8000));
-        let p50 = batched.quantile(0.5);
-        assert!(
-            p50 >= Duration::from_micros(8) && p50 <= Duration::from_micros(16),
-            "{p50:?}"
-        );
-        // Zero-count batches are ignored.
-        batched.record_n(Duration::from_secs(1), 0);
-        assert_eq!(batched.count(), 100);
     }
 
     #[test]

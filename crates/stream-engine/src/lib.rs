@@ -53,7 +53,7 @@ pub use class_core::{GuardConfig, GuardTrip, GuardVerdict, InputGuard};
 pub use engine::{
     feed_all, serve, DetachReport, EngineConfig, FeedReport, IngestError, QuarantineCause,
     RegisterError, Registrar, ServingEngine, StatsHandle, StreamHandle, StreamOptions,
-    StreamResult, StreamState, Timing,
+    StreamResult, StreamState,
 };
 #[cfg(feature = "fault-inject")]
 pub use fault::{

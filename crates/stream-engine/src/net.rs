@@ -573,7 +573,8 @@ impl ConnMonitor {
 pub struct ConnStats {
     /// Connection id (accept order, starting at 0).
     pub conn: u64,
-    /// Peer address (or the client's `HELLO` name once received).
+    /// The client's socket address (`IP:port`); the name it sends in
+    /// `HELLO` is not recorded.
     pub peer: String,
     /// Whether the connection is still open.
     pub open: bool,

@@ -94,14 +94,16 @@ DATASETS SUBCOMMANDS (annotated archives: real files, fixtures, synthetic):
         against the record's shared annotations (the paper's
         per-channel protocol).
 
-        Degraded-input policy: --guard-nan-burst N quarantines a stream
-        after N consecutive non-finite values (isolated ones are healed
-        with the last finite value); --guard-flatline N quarantines after
-        N identical consecutive values (N >= 2: a run is at least two
-        values long). On a multi-channel file the guard
-        applies per channel: a tripped channel is retired and the vote
-        quorum re-derived over the survivors, so the fused stream
-        degrades instead of dying.
+        Degraded-input policy: every stream is guarded. A non-finite
+        value (NaN/inf) is healed with the last finite value, or skipped
+        before the first one. --guard-nan-burst N quarantines a stream
+        after N consecutive non-finite values; --guard-flatline N
+        quarantines after N identical consecutive values (N >= 2: a run
+        is at least two values long). Without them the guard only heals
+        and never quarantines. On a multi-channel file the guard applies
+        per channel: a tripped channel is retired and the vote quorum
+        re-derived over the survivors, so the fused stream degrades
+        instead of dying.
 
         Exit status: 0 ok, 1 load/engine error, 2 usage error, 3 at
         least one stream was quarantined (a report with the cause and
@@ -191,13 +193,14 @@ struct DatasetsRunArgs {
 }
 
 impl DatasetsRunArgs {
-    /// The `--guard-*` policy (an absent threshold is 0 = off) for a
-    /// univariate stream or each channel of a fused one; `None` when
-    /// neither flag is given (values pass verbatim).
-    fn guard(&self) -> Option<stream_engine::GuardConfig> {
-        let (nan_burst, flatline) = (self.guard_nan_burst, self.guard_flatline);
-        (nan_burst.is_some() || flatline.is_some())
-            .then(|| stream_engine::GuardConfig::new(nan_burst.unwrap_or(0), flatline.unwrap_or(0)))
+    /// The guard for a univariate stream or each channel of a fused one:
+    /// it always heals isolated non-finite values, and trips only at the
+    /// `--guard-*` thresholds given (an absent one is 0 = off).
+    fn guard(&self) -> stream_engine::GuardConfig {
+        stream_engine::GuardConfig::new(
+            self.guard_nan_burst.unwrap_or(0),
+            self.guard_flatline.unwrap_or(0),
+        )
     }
 }
 
@@ -473,7 +476,7 @@ struct RunTally {
 }
 
 /// Replays one univariate series (file-loaded or channel-extracted)
-/// with the `--guard-*` stream guard.
+/// behind the stream guard ([`DatasetsRunArgs::guard`]).
 fn replay_univariate_series(
     args: &DatasetsRunArgs,
     series: datasets::AnnotatedSeries,
@@ -492,7 +495,7 @@ fn replay_univariate_series(
         source = source.with_rate(rate);
     }
     let opts = stream_engine::StreamOptions {
-        guard: args.guard(),
+        guard: Some(args.guard()),
         name: Some(series.name.clone()),
         ..stream_engine::StreamOptions::default()
     };
@@ -655,7 +658,7 @@ fn replay_multivariate_series(
     // Per-channel degraded-input policy: a tripped channel is retired
     // inside the fused segmenter (votes re-quorumed) instead of taking
     // the whole stream down.
-    cfg.channel_guard = args.guard();
+    cfg.channel_guard = Some(args.guard());
 
     // --rate counts frames: each frame is `n_channels` ring records.
     let mut source =
@@ -1063,13 +1066,16 @@ fn serve_cmd(rest: &[String]) -> i32 {
             None => None,
         };
         let stats = server.net_stats();
+        let Some(limit) = idle_exit else {
+            // Serve until killed; the main thread has nothing to watch.
+            loop {
+                std::thread::park();
+            }
+        };
         let poll = std::time::Duration::from_millis(100);
         let mut idle_since: Option<std::time::Instant> = None;
         loop {
             std::thread::sleep(poll);
-            let Some(limit) = idle_exit else {
-                continue;
-            };
             let snap = stats.stats();
             if snap.accepted > 0 && snap.active == 0 {
                 let since = *idle_since.get_or_insert_with(std::time::Instant::now);

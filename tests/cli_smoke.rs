@@ -162,6 +162,56 @@ fn serve_and_feed_round_trip_over_tcp() {
     std::fs::remove_file(&data_path).ok();
 }
 
+/// Voluntary context switches summed over every thread of process `pid`.
+#[cfg(target_os = "linux")]
+fn voluntary_switches(pid: u32) -> u64 {
+    let mut total = 0;
+    for task in std::fs::read_dir(format!("/proc/{pid}/task")).expect("/proc/<pid>/task") {
+        // A thread may exit between the listing and the read.
+        let Ok(status) = std::fs::read_to_string(task.expect("task entry").path().join("status"))
+        else {
+            continue;
+        };
+        total += status
+            .lines()
+            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+            .map_or(0, |v| v.trim().parse::<u64>().expect("switch count"));
+    }
+    total
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn idle_serve_without_idle_exit_does_not_wake() {
+    // Without --idle-exit nothing needs watching: the shards wait on
+    // their bells, the listener in `accept`, and the main thread parks.
+    // A main loop that polled every 100 ms would switch about 10 times
+    // in the 1 s window.
+    use std::io::BufRead;
+    let mut serve = Command::new(CLI)
+        .args(["serve", "--listen", "127.0.0.1:0"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn class-cli serve");
+    let mut serve_err = std::io::BufReader::new(serve.stderr.take().expect("stderr piped"));
+    let mut first = String::new();
+    let listening = serve_err.read_line(&mut first).is_ok() && first.starts_with("listening on ");
+    let switches = listening.then(|| {
+        std::thread::sleep(std::time::Duration::from_millis(200));
+        let before = voluntary_switches(serve.id());
+        std::thread::sleep(std::time::Duration::from_secs(1));
+        voluntary_switches(serve.id()) - before
+    });
+    serve.kill().expect("kill serve");
+    serve.wait().expect("reap serve");
+    let switches = switches.unwrap_or_else(|| panic!("unexpected first stderr line: {first:?}"));
+    assert!(
+        switches < 5,
+        "idle serve woke {switches} times in 1 s: something polls"
+    );
+}
+
 #[test]
 fn serve_and_feed_usage_errors_exit_2() {
     let (_, stderr, code) = run_cli(&["serve"], "");
@@ -834,17 +884,20 @@ fn datasets_run_heals_a_short_nan_burst_and_trips_on_a_long_one() {
     };
 
     for extract in [&["--extract-channels"][..], &[][..]] {
-        // A burst threshold above the burst length heals it: the rows
-        // equal those of the hand-healed file, on the per-channel and the
-        // fused path alike.
-        let guard = [extract, &["--guard-nan-burst", "5"]].concat();
-        let (got, stderr, code) = run(&guard, &raw);
-        assert_eq!(code, 0, "{extract:?}: {stderr}");
-        assert!(!stderr.contains("quarantined"), "{extract:?}: {stderr}");
-        let (want, stderr, code) = run(&guard, &healed);
-        assert_eq!(code, 0, "{extract:?}: {stderr}");
-        assert_eq!(rows(&got), rows(&want), "{extract:?}");
-        assert_eq!(rows(&got).len(), if extract.is_empty() { 1 } else { 2 });
+        // A burst threshold above the burst length heals it, and so does
+        // the default guard, which has no threshold: the rows equal those
+        // of the hand-healed file, on the per-channel and the fused path
+        // alike.
+        for threshold in [&["--guard-nan-burst", "5"][..], &[][..]] {
+            let guard = [extract, threshold].concat();
+            let (got, stderr, code) = run(&guard, &raw);
+            assert_eq!(code, 0, "{guard:?}: {stderr}");
+            assert!(!stderr.contains("quarantined"), "{guard:?}: {stderr}");
+            let (want, stderr, code) = run(&guard, &healed);
+            assert_eq!(code, 0, "{guard:?}: {stderr}");
+            assert_eq!(rows(&got), rows(&want), "{guard:?}");
+            assert_eq!(rows(&got).len(), if extract.is_empty() { 1 } else { 2 });
+        }
     }
 
     // A threshold at the burst length trips on the burst's last frame.
