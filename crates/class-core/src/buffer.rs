@@ -1,16 +1,32 @@
 //! Contiguous sliding buffers used by the streaming algorithms.
 //!
 //! The hot path of ClaSS reads *all* buffered elements on every update, so
-//! the buffers trade a little memory (2x capacity) for a fully contiguous
-//! slice view with amortized O(1) push. This mirrors the advice in the Rust
+//! the buffers keep every live element in one contiguous slice. They
+//! allocate a quarter of slack past their capacity (`capacity +
+//! max(1, capacity / 4)` slots) and, when the live region reaches the end
+//! of the allocation, move it back to the front with one `copy_within`.
+//! A full buffer compacts once every `max(1, capacity / 4)` pushes, so a
+//! push moves about 4 elements amortised (at most `capacity - 1` once in a
+//! while) and allocates nothing. This mirrors the advice in the Rust
 //! performance guide: keep hot data linear and allocation-free.
+
+/// Divisor of the slack: a buffer of capacity `c` allocates
+/// `c + max(1, c / SLACK_DIV)` slots. A larger divisor saves memory and
+/// compacts more often; each compaction moves `c - 1` elements.
+const SLACK_DIV: usize = 4;
+
+/// Slots allocated for a buffer of capacity `capacity` (see [`SLACK_DIV`]).
+fn allocation(capacity: usize) -> usize {
+    capacity + (capacity / SLACK_DIV).max(1)
+}
 
 /// A fixed-capacity sliding window over `T` values with a contiguous view.
 ///
 /// `push` appends to the logical end; once `capacity` elements are stored the
-/// oldest element is evicted. Physically the buffer holds `2 * capacity`
-/// slots and compacts with a single `copy_within` every `capacity` pushes,
-/// which makes `push` amortized O(1) while `as_slice` stays contiguous.
+/// oldest element is evicted. Physically the buffer holds
+/// `capacity + max(1, capacity / 4)` slots and compacts with a single
+/// `copy_within` when the live region reaches the last slot, which makes
+/// `push` amortized O(1) while `as_slice` stays contiguous.
 #[derive(Debug, Clone)]
 pub struct ShiftBuffer<T: Copy + Default> {
     data: Vec<T>,
@@ -27,7 +43,7 @@ impl<T: Copy + Default> ShiftBuffer<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ShiftBuffer capacity must be positive");
         Self {
-            data: vec![T::default(); capacity * 2],
+            data: vec![T::default(); allocation(capacity)],
             capacity,
             start: 0,
             len: 0,
@@ -36,7 +52,9 @@ impl<T: Copy + Default> ShiftBuffer<T> {
 
     /// Appends `value`, evicting the oldest element if the buffer is full.
     ///
-    /// Returns `true` if an element was evicted.
+    /// Returns `true` if an element was evicted. Amortised O(1): a full
+    /// buffer moves its `capacity - 1` retained elements to the front once
+    /// every `max(1, capacity / 4)` pushes, about 4 moves per push.
     #[inline]
     pub fn push(&mut self, value: T) -> bool {
         let evicted = if self.len == self.capacity {
@@ -110,7 +128,8 @@ impl<T: Copy + Default> ShiftBuffer<T> {
 ///
 /// Rows are appended with [`ShiftMatrix::push_row`]; once `row_capacity` rows
 /// are live, the oldest row is evicted. Storage is a flat, contiguous
-/// row-major buffer, compacted lazily like [`ShiftBuffer`]. Used for the
+/// row-major buffer of `row_capacity + max(1, row_capacity / 4)` rows,
+/// compacted lazily like [`ShiftBuffer`]. Used for the
 /// k-NN index (`N`) and score (`C`) tables of the streaming k-NN, which are
 /// scanned fully on every stream update.
 #[derive(Debug, Clone)]
@@ -135,7 +154,7 @@ impl<T: Copy + Default> ShiftMatrix<T> {
             "ShiftMatrix row capacity must be positive"
         );
         Self {
-            data: vec![T::default(); row_capacity * cols * 2],
+            data: vec![T::default(); allocation(row_capacity) * cols],
             cols,
             row_capacity,
             start_row: 0,
@@ -145,7 +164,9 @@ impl<T: Copy + Default> ShiftMatrix<T> {
 
     /// Appends a row (padded/truncated semantics are the caller's concern;
     /// `row` must have exactly `cols` elements). Evicts the oldest row when
-    /// full. Returns `true` if a row was evicted.
+    /// full. Returns `true` if a row was evicted. Amortised O(`cols`): a
+    /// full matrix moves its `row_capacity - 1` retained rows to the front
+    /// once every `max(1, row_capacity / 4)` pushes.
     pub fn push_row(&mut self, row: &[T]) -> bool {
         debug_assert_eq!(row.len(), self.cols);
         let evicted = if self.rows == self.row_capacity {

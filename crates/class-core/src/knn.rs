@@ -158,12 +158,10 @@ pub struct StreamingKnn {
     m_max: usize,
     /// Raw window values.
     win: ShiftBuffer<f64>,
-    /// Per-subsequence moments, aligned with subsequence offsets.
-    mu: ShiftBuffer<f64>,
-    sig: ShiftBuffer<f64>,
-    ssq: ShiftBuffer<f64>,
-    /// Squared complexity estimates (only maintained for CID).
-    ce2: ShiftBuffer<f64>,
+    /// Per-subsequence moments, aligned with subsequence offsets: only the
+    /// columns the measure reads, `mu` and `sig` for Pearson, `ssq` for
+    /// Euclidean, `ssq` and `ce2` for CID.
+    moments: Moments,
     /// Slot-indexed (w-1)-length dot products (the `Q` of Algorithm 2).
     /// Values never move between slots; see module docs.
     q: Vec<f64>,
@@ -212,10 +210,7 @@ impl StreamingKnn {
             excl,
             m_max,
             win: ShiftBuffer::new(cfg.window_size),
-            mu: ShiftBuffer::new(m_max),
-            sig: ShiftBuffer::new(m_max),
-            ssq: ShiftBuffer::new(m_max),
-            ce2: ShiftBuffer::new(m_max),
+            moments: Moments::new(cfg.similarity, m_max),
             q: vec![0.0; m_max],
             scores: vec![0.0; m_max],
             nn_sid: ShiftMatrix::new(m_max, k),
@@ -252,7 +247,7 @@ impl StreamingKnn {
     /// Number of subsequences currently in the window.
     #[inline]
     pub fn n_subsequences(&self) -> usize {
-        self.mu.len()
+        (self.win.len() + 1).saturating_sub(self.cfg.width)
     }
 
     /// First slot holding a live subsequence (`m_max - n_subsequences`).
@@ -403,21 +398,7 @@ impl StreamingKnn {
         self.next_sid += 1;
 
         // --- Per-subsequence moments of the newest subsequence (O(w)). ---
-        {
-            let win = self.win.as_slice();
-            let newest = &win[l - w..];
-            let (sum, ssq) = simd::sum_sumsq(newest);
-            let mu = sum / w as f64;
-            let var = (ssq / w as f64 - mu * mu).max(0.0);
-            self.mu.push(mu);
-            self.sig.push(var.sqrt());
-            self.ssq.push(ssq);
-            if self.cfg.similarity == Similarity::Cid {
-                self.ce2.push(simd::diff_sumsq(newest));
-            } else {
-                self.ce2.push(0.0);
-            }
-        }
+        self.moments.push(&self.win.as_slice()[l - w..]);
 
         let n_subs = l - w + 1;
         let qstart = self.m_max - n_subs;
@@ -455,11 +436,6 @@ impl StreamingKnn {
             }
             let last = win[l - 1];
             let first_of_newest = win[l - w];
-            let wf = w as f64;
-            let mu = self.mu.as_slice();
-            let sig = self.sig.as_slice();
-            let ssq = self.ssq.as_slice();
-            let ce2 = self.ce2.as_slice();
             let o_new = n_subs - 1;
             // The rows still hold the previous update's subsequences: one
             // fewer than `n_subs` while the window grows, or all of them
@@ -477,14 +453,17 @@ impl StreamingKnn {
                 block_max: &mut self.block_max[..nblocks],
                 block_hits: &mut self.block_hits[..nblocks],
             };
-            match self.cfg.similarity {
-                Similarity::Pearson => {
-                    simd::qstep_pearson(io, mu, sig, wf, mu[o_new], sig[o_new]);
+            match &self.moments {
+                Moments::Pearson { mu, sig } => {
+                    let (mu, sig) = (mu.as_slice(), sig.as_slice());
+                    simd::qstep_pearson(io, mu, sig, w as f64, mu[o_new], sig[o_new]);
                 }
-                Similarity::Euclidean => {
+                Moments::Euclidean { ssq } => {
+                    let ssq = ssq.as_slice();
                     simd::qstep_euclidean(io, ssq, ssq[o_new]);
                 }
-                Similarity::Cid => {
+                Moments::Cid { ssq, ce2 } => {
+                    let (ssq, ce2) = (ssq.as_slice(), ce2.as_slice());
                     simd::qstep_cid(io, ssq, ce2, ssq[o_new], ce2[o_new]);
                 }
             }
@@ -643,6 +622,64 @@ impl StreamingKnn {
             self.counts.add(flip, sid, -1);
         }
         self.counts.raise(to);
+    }
+}
+
+/// The per-subsequence moment columns of one similarity measure, one
+/// entry per live subsequence, oldest first. Each measure keeps only the
+/// columns its Q-step kernel reads.
+#[derive(Debug, Clone)]
+enum Moments {
+    /// Pearson reads the mean `mu` and the standard deviation `sig`.
+    Pearson {
+        mu: ShiftBuffer<f64>,
+        sig: ShiftBuffer<f64>,
+    },
+    /// Euclidean reads the sum of squares `ssq`.
+    Euclidean { ssq: ShiftBuffer<f64> },
+    /// CID reads the sum of squares `ssq` and the squared complexity
+    /// estimate `ce2` (the sum of squared first differences).
+    Cid {
+        ssq: ShiftBuffer<f64>,
+        ce2: ShiftBuffer<f64>,
+    },
+}
+
+impl Moments {
+    fn new(similarity: Similarity, m_max: usize) -> Self {
+        let col = || ShiftBuffer::new(m_max);
+        match similarity {
+            Similarity::Pearson => Moments::Pearson {
+                mu: col(),
+                sig: col(),
+            },
+            Similarity::Euclidean => Moments::Euclidean { ssq: col() },
+            Similarity::Cid => Moments::Cid {
+                ssq: col(),
+                ce2: col(),
+            },
+        }
+    }
+
+    /// Appends the moments of the newest subsequence `newest` (O(w)).
+    fn push(&mut self, newest: &[f64]) {
+        let (sum, ssq_new) = simd::sum_sumsq(newest);
+        match self {
+            Moments::Pearson { mu, sig } => {
+                let w = newest.len() as f64;
+                let m = sum / w;
+                let var = (ssq_new / w - m * m).max(0.0);
+                mu.push(m);
+                sig.push(var.sqrt());
+            }
+            Moments::Euclidean { ssq } => {
+                ssq.push(ssq_new);
+            }
+            Moments::Cid { ssq, ce2 } => {
+                ssq.push(ssq_new);
+                ce2.push(simd::diff_sumsq(newest));
+            }
+        }
     }
 }
 

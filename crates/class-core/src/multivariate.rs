@@ -274,8 +274,10 @@ pub struct MultivariateClass {
     /// One segmenter per channel; `None` for channels dropped by selection
     /// or retired by the channel guard.
     channels: Vec<Option<ClassSegmenter>>,
-    /// Probe statistics for TopVariance selection.
-    probe_sums: Vec<(f64, f64)>,
+    /// Probe statistics for TopVariance selection, per channel: the count,
+    /// sum and sum of squares of its finite values (the guards heal
+    /// non-finite values only after the probe has seen them).
+    probe_sums: Vec<(usize, f64, f64)>,
     probe_seen: usize,
     selected: bool,
     fuser: VoteFuser,
@@ -304,7 +306,7 @@ impl MultivariateClass {
         Self {
             n_channels,
             channels,
-            probe_sums: vec![(0.0, 0.0); n_channels],
+            probe_sums: vec![(0, 0.0, 0.0); n_channels],
             probe_seen: 0,
             selected: matches!(cfg.selection, ChannelSelection::All),
             fuser: VoteFuser::new(cfg.fusion),
@@ -365,20 +367,27 @@ impl MultivariateClass {
         // Dimension selection probe.
         if !self.selected {
             if let ChannelSelection::TopVariance { k, probe } = self.cfg.selection {
-                for (i, &x) in xs.iter().enumerate() {
-                    self.probe_sums[i].0 += x;
-                    self.probe_sums[i].1 += x * x;
+                for (sums, &x) in self.probe_sums.iter_mut().zip(xs) {
+                    if x.is_finite() {
+                        sums.0 += 1;
+                        sums.1 += x;
+                        sums.2 += x * x;
+                    }
                 }
                 self.probe_seen += 1;
                 if self.probe_seen >= probe {
-                    let n = self.probe_seen as f64;
                     let mut vars: Vec<(usize, f64)> = self
                         .probe_sums
                         .iter()
                         .enumerate()
-                        .map(|(i, &(s, s2))| (i, (s2 / n - (s / n) * (s / n)).max(0.0)))
+                        .map(|(i, &(n, s, s2))| {
+                            let n = n as f64;
+                            // `max` turns the 0/0 of a channel without a
+                            // finite value into 0: it ranks as flat.
+                            (i, (s2 / n - (s / n) * (s / n)).max(0.0))
+                        })
                         .collect();
-                    vars.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+                    vars.sort_by(|a, b| b.1.total_cmp(&a.1));
                     let keep: Vec<usize> = vars.iter().take(k.max(1)).map(|&(i, _)| i).collect();
                     for (i, ch) in self.channels.iter_mut().enumerate() {
                         if !keep.contains(&i) {
@@ -512,6 +521,29 @@ mod tests {
         let active = mv.active_channels();
         assert_eq!(active.len(), 2);
         assert!(!active.contains(&1), "dead channel kept: {active:?}");
+    }
+
+    #[test]
+    fn top_variance_probe_skips_non_finite_values() {
+        // Channel 0 is informative, channel 1 nearly flat; a NaN in the
+        // informative channel's probe must not rank it as flat.
+        let run = |nan_at: Option<usize>| {
+            let mut cfg = MultivariateConfig::new(base_cfg(), 2);
+            cfg.selection = ChannelSelection::TopVariance { k: 1, probe: 200 };
+            let mut mv = MultivariateClass::new(cfg, 2);
+            let mut cps = Vec::new();
+            for i in 0..400 {
+                let x = if Some(i) == nan_at {
+                    f64::NAN
+                } else {
+                    (i as f64 * 0.2).sin()
+                };
+                mv.step(&[x, 0.01 * (i as f64 * 0.3).sin()], &mut cps);
+            }
+            mv.active_channels()
+        };
+        assert_eq!(run(None), vec![0]);
+        assert_eq!(run(Some(10)), vec![0]);
     }
 
     #[test]

@@ -31,35 +31,47 @@ proptest! {
 
     #[test]
     fn shift_buffer_behaves_like_vecdeque(
-        cap in 1usize..20,
+        cap in 1usize..40,
         ops in prop::collection::vec(-1000i64..1000, 0..400),
     ) {
+        // `cap` below 8 rounds the quarter of slack down to one slot, so
+        // those buffers compact on every push once full.
         let mut buf = ShiftBuffer::new(cap);
         let mut model: VecDeque<i64> = VecDeque::new();
         for v in ops {
-            buf.push(v);
+            prop_assert_eq!(buf.push(v), model.len() == cap);
             model.push_back(v);
             if model.len() > cap {
                 model.pop_front();
             }
             prop_assert_eq!(buf.len(), model.len());
-            let view: Vec<i64> = buf.as_slice().to_vec();
+            prop_assert_eq!(buf.is_full(), model.len() == cap);
+            // A write through the mutable view must survive compactions.
+            if v % 3 == 0 {
+                let i = v.unsigned_abs() as usize % model.len();
+                buf.as_mut_slice()[i] += 1;
+                model[i] += 1;
+            }
             let want: Vec<i64> = model.iter().copied().collect();
-            prop_assert_eq!(view, want);
+            prop_assert_eq!(buf.as_slice(), &want[..]);
+            prop_assert_eq!(&*buf.as_mut_slice(), &want[..]);
+            for (i, &w) in want.iter().enumerate() {
+                prop_assert_eq!(buf.get(i), w);
+            }
         }
     }
 
     #[test]
     fn shift_matrix_behaves_like_vecdeque_of_rows(
-        cap in 1usize..10,
+        cap in 1usize..40,
         cols in 1usize..5,
-        rows in prop::collection::vec(prop::collection::vec(-100i64..100, 1..5), 0..120),
+        rows in prop::collection::vec(prop::collection::vec(-100i64..100, 1..5), 0..200),
     ) {
         let mut m = ShiftMatrix::new(cap, cols);
         let mut model: VecDeque<Vec<i64>> = VecDeque::new();
         for mut row in rows {
             row.resize(cols, 0);
-            m.push_row(&row);
+            prop_assert_eq!(m.push_row(&row), model.len() == cap);
             model.push_back(row);
             if model.len() > cap {
                 model.pop_front();
@@ -68,6 +80,8 @@ proptest! {
             for (r, want) in model.iter().enumerate() {
                 prop_assert_eq!(m.row(r), &want[..]);
             }
+            let flat: Vec<i64> = model.iter().flatten().copied().collect();
+            prop_assert_eq!(m.as_slice(), &flat[..]);
         }
     }
 

@@ -736,6 +736,48 @@ fn datasets_run_channel_selection_survives_tiny_files() {
 }
 
 #[test]
+fn datasets_run_channel_selection_ignores_a_nan_in_the_probe() {
+    // A two-channel wide CSV: a sine switching frequency at frame 600 and
+    // a flat 0.01-amplitude sine, with one NaN in the informative channel
+    // at frame 10. The TopVariance probe once summed that NaN into the
+    // channel's variance, ranked the channel as flat and kept the other:
+    // Covering 0.4792, against 0.8342 for the same file without the NaN.
+    let dir = std::env::temp_dir().join("class-cli-smoke-probe-nan");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("Probe.csv");
+    let mut body = String::from("# window=20\na,b,label\n");
+    for i in 0..1200 {
+        let t = i as f64;
+        let a = if i == 10 {
+            f64::NAN
+        } else {
+            (t * if i < 600 { 0.3 } else { 0.7 }).sin()
+        };
+        let b = 0.01 * (t * 0.25).sin();
+        body.push_str(&format!("{a},{b},{}\n", usize::from(i >= 600)));
+    }
+    std::fs::write(&path, body).unwrap();
+    let file = path.display().to_string();
+    let (stdout, stderr, code) = run_cli(
+        &[
+            "datasets",
+            "run",
+            "--channels",
+            "1",
+            "--format",
+            "tsv",
+            &file,
+        ],
+        "",
+    );
+    assert_eq!(code, 0, "stderr: {stderr}");
+    let row: Vec<&str> = stdout.lines().nth(1).unwrap().split('\t').collect();
+    let covering: f64 = row[5].parse().unwrap();
+    assert!(covering >= 0.8, "covering {covering}: {stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn datasets_run_reports_malformed_multivariate_files() {
     // WFDB header with an unsupported signal format code.
     let (_, stderr, code) = run_cli(
