@@ -28,7 +28,6 @@ pub mod ddm;
 pub mod floss;
 pub mod hddm;
 pub mod newma;
-pub mod page_hinkley;
 pub mod util;
 pub mod window_seg;
 
@@ -39,16 +38,14 @@ pub use ddm::{Ddm, DdmConfig};
 pub use floss::{Floss, FlossConfig};
 pub use hddm::{Hddm, HddmConfig, HddmVariant};
 pub use newma::{Newma, NewmaConfig};
-pub use page_hinkley::{PageHinkley, PageHinkleyConfig};
 pub use window_seg::{WindowConfig, WindowCost, WindowSegmenter};
 
 use class_core::StreamingSegmenter;
 
-/// Identifier for any algorithm in the paper's comparison, including ClaSS.
+/// Identifier for one of the paper's eight baselines (ClaSS itself runs
+/// through the evaluation harness, not through [`build`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompetitorKind {
-    /// ClaSS itself (constructed by the evaluation harness, not here).
-    Class,
     /// FLOSS arc-curve segmentation.
     Floss,
     /// Bayesian online changepoint detection.
@@ -71,7 +68,6 @@ impl CompetitorKind {
     /// Display name matching the paper's tables.
     pub fn name(self) -> &'static str {
         match self {
-            CompetitorKind::Class => "ClaSS",
             CompetitorKind::Floss => "FLOSS",
             CompetitorKind::Bocd => "BOCD",
             CompetitorKind::ChangeFinder => "ChangeFinder",
@@ -83,7 +79,7 @@ impl CompetitorKind {
         }
     }
 
-    /// The eight baselines (everything except ClaSS).
+    /// The eight baselines.
     pub fn baselines() -> [CompetitorKind; 8] {
         [
             CompetitorKind::Floss,
@@ -118,14 +114,9 @@ impl Default for SeriesContext {
 }
 
 /// Constructs a baseline segmenter with the paper's tuned configuration.
-///
-/// # Panics
-/// Panics when asked to build [`CompetitorKind::Class`]; ClaSS lives in
-/// `class-core` and is constructed by the evaluation harness directly.
 pub fn build(kind: CompetitorKind, ctx: SeriesContext) -> Box<dyn StreamingSegmenter> {
     let width = ctx.width.max(4);
     match kind {
-        CompetitorKind::Class => panic!("ClaSS is constructed via class_core::ClassSegmenter"),
         CompetitorKind::Floss => {
             let window = ctx.window_size.max(4 * width);
             Box::new(Floss::new(FlossConfig::new(window, width)))
@@ -155,12 +146,6 @@ mod tests {
             let seg = build(kind, ctx);
             assert_eq!(seg.name(), kind.name());
         }
-    }
-
-    #[test]
-    #[should_panic]
-    fn build_rejects_class() {
-        let _ = build(CompetitorKind::Class, SeriesContext::default());
     }
 
     #[test]

@@ -22,14 +22,20 @@
 //! * Records travel through fixed-capacity [`crate::ring`] buffers whose
 //!   full-ring behaviour is the per-stream [`crate::Backpressure`] policy
 //!   (block / drop-oldest / error).
-//! * [`ServingEngine::stats`] takes a live [`ServingStats`] snapshot —
-//!   per-stream and per-shard p50/p99 latency, queue depth, and drop
-//!   counts — while the engine runs. [`ServingEngine::stats_handle`]
-//!   hands out a cloneable, `'static` [`StatsHandle`] to the same
-//!   snapshots, so an exporter thread (see [`crate::metrics`]) can keep
-//!   observing the engine from outside the serving scope, and
-//!   [`ServingEngine::serve_metrics`] binds a Prometheus/JSON HTTP
-//!   endpoint over it in one call.
+//! * **One ledger, one registry.** Each stream's `StreamMonitor` is its
+//!   only ledger: the shard adds to its counters, and the engine's live
+//!   snapshots, a detach and the stream's final [`StreamResult`] all read
+//!   it through one function. The engine's stats registry holds every
+//!   stream monitor and, once a [`crate::IngestServer`] is bound, every
+//!   producer connection's monitor too.
+//! * [`ServingEngine::stats`] takes a live [`ServingStats`] snapshot of
+//!   that registry — per-stream and per-shard p50/p99 latency, queue
+//!   depth, drop counts, and the ingest tier — while the engine runs.
+//!   [`ServingEngine::stats_handle`] hands out a cloneable, `'static`
+//!   [`StatsHandle`] to the same snapshots, so an exporter thread (see
+//!   [`crate::metrics`]) can keep observing the engine from outside the
+//!   serving scope, and [`ServingEngine::serve_metrics`] binds a
+//!   Prometheus/JSON HTTP endpoint over it in one call.
 //!
 //! ## Fault tolerance
 //!
@@ -74,6 +80,7 @@
 //! ```
 
 use crate::latency::{LatencyHistogram, ServingStats, ShardStats, StreamStats};
+use crate::net::{ConnMonitor, NetStats};
 use crate::operator::Operator;
 use crate::ring::{self, Bell, PushError, RingConfig, RingCounters};
 use crate::Record;
@@ -91,7 +98,7 @@ const DRAIN_BATCH: usize = 256;
 const FEED_CHUNK: usize = 64;
 /// How long [`feed_all`] waits for space in any of its rings before it
 /// reports the engine as wedged.
-const FEED_STALL: Duration = Duration::from_secs(20);
+pub(crate) const FEED_STALL: Duration = Duration::from_secs(20);
 /// The key a shard's bell is rung with when its inbox closes; no stream
 /// has it.
 const INBOX_CLOSED: usize = usize::MAX;
@@ -255,17 +262,17 @@ impl std::fmt::Display for IngestError {
 
 impl std::error::Error for IngestError {}
 
-/// Shared live-accounting cell, written by the shard and read by
-/// [`ServingEngine::stats`].
+/// A stream's ledger: written by its shard alone, read by live
+/// snapshots, a detach and the shard's final [`StreamResult`], all
+/// through [`StreamMonitor::row`].
 ///
 /// Ledger counters cross threads with release/acquire ordering: the
-/// shard publishes `records_in` / `quarantined_after` (and the ring its
-/// `drops`) with `Release` stores, and [`StatsRegistry::snapshot`] reads
-/// them with `Acquire` loads *before* reading `pushed` — so a live
-/// snapshot always satisfies
-/// `records_in + drops + quarantined_after <= pushed` even mid-batch
-/// (every consumed or evicted record's push happens-before the counter
-/// value the snapshot observed).
+/// shard adds to `records_in` / `quarantined_after` (and the ring to its
+/// `drops`) with `Release`, and [`StreamMonitor::row`] reads them with
+/// `Acquire` loads *before* reading `pushed` — so a live row always
+/// satisfies `records_in + drops + quarantined_after <= pushed` even
+/// mid-batch (every consumed or evicted record's push happens-before the
+/// counter value the row observed).
 #[derive(Debug, Default)]
 struct StreamMonitor {
     id: usize,
@@ -284,27 +291,56 @@ struct StreamMonitor {
 }
 
 impl StreamMonitor {
-    fn state(&self) -> StreamState {
-        if let Some((cause, at_record)) = lock_recover(&self.quarantine).clone() {
-            return StreamState::Quarantined { cause, at_record };
-        }
-        if self.done.load(Ordering::Relaxed) {
-            StreamState::Done
-        } else {
-            StreamState::Active
-        }
+    /// The stream's [`StreamStats`] row and the latency histogram it
+    /// summarises. Reads the ledger's left-hand side first (Acquire) and
+    /// `pushed` last: any record counted was pushed before these loads,
+    /// so the later `pushed` read can only be >= the sum.
+    fn row(&self) -> (StreamStats, LatencyHistogram) {
+        let latency = lock_recover(&self.latency).clone();
+        let records_in = self.records_in.load(Ordering::Acquire);
+        let drops = self.counters.drops.load(Ordering::Acquire);
+        let quarantined_after = self.quarantined_after.load(Ordering::Acquire);
+        let pushed = self.counters.pushed.load(Ordering::Acquire);
+        let done = self.done.load(Ordering::Relaxed);
+        let state = match lock_recover(&self.quarantine).clone() {
+            Some((cause, at_record)) => StreamState::Quarantined { cause, at_record },
+            None if done => StreamState::Done,
+            None => StreamState::Active,
+        };
+        let row = StreamStats {
+            stream: self.id,
+            name: self.name.clone(),
+            shard: self.shard,
+            records_in,
+            drops,
+            quarantined_after,
+            pushed,
+            healed: self.healed.load(Ordering::Relaxed),
+            skipped: self.skipped.load(Ordering::Relaxed),
+            queue_depth: self.counters.depth(),
+            done,
+            state,
+            p50: latency.quantile(0.5),
+            p99: latency.quantile(0.99),
+            mean: latency.mean(),
+        };
+        (row, latency)
     }
 }
 
-/// The engine's shared monitor table plus serving clock. Lives behind an
-/// `Arc` with no borrowed data, so [`StatsHandle`]s cloned from it are
-/// `'static`: a metrics exporter keeps snapshotting (final, frozen
+/// The engine's one monitor table — its streams and, once an ingest
+/// server is bound, its producer connections — plus serving clock. Lives
+/// behind an `Arc` with no borrowed data, so [`StatsHandle`]s cloned from
+/// it are `'static`: a metrics exporter keeps snapshotting (final, frozen
 /// stats) even after [`serve`] has returned and the workers are gone.
 #[derive(Debug)]
-struct StatsRegistry {
+pub(crate) struct StatsRegistry {
     shards: usize,
     started: Instant,
     monitors: Mutex<Vec<Arc<StreamMonitor>>>,
+    /// Producer connections in accept order; `None` until an ingest
+    /// server is bound.
+    conns: Mutex<Option<Vec<Arc<ConnMonitor>>>>,
 }
 
 impl StatsRegistry {
@@ -313,7 +349,30 @@ impl StatsRegistry {
             shards,
             started: Instant::now(),
             monitors: Mutex::new(Vec::new()),
+            conns: Mutex::new(None),
         }
+    }
+
+    /// Gives the engine an ingest tier: from now on every snapshot
+    /// carries [`ServingStats::net`].
+    pub(crate) fn open_ingest(&self) {
+        lock_recover(&self.conns).get_or_insert_with(Vec::new);
+    }
+
+    /// Registers the monitor of a newly accepted producer connection; its
+    /// id is its accept order.
+    pub(crate) fn register_conn(&self, peer: String) -> Arc<ConnMonitor> {
+        let mut conns = lock_recover(&self.conns);
+        let conns = conns.get_or_insert_with(Vec::new);
+        let monitor = Arc::new(ConnMonitor::new(conns.len() as u64, peer));
+        conns.push(Arc::clone(&monitor));
+        monitor
+    }
+
+    /// The ingest tier's snapshot, if an ingest server was ever bound.
+    pub(crate) fn net(&self) -> Option<NetStats> {
+        let conns = lock_recover(&self.conns).clone()?;
+        Some(NetStats::of(&conns))
     }
 
     /// Looks up one stream's monitor by id.
@@ -335,53 +394,20 @@ impl StatsRegistry {
         let mut shard_stats: Vec<ShardStats> = (0..shards)
             .map(|shard| ShardStats {
                 shard,
-                streams: 0,
-                active: 0,
-                quarantined: 0,
-                records_in: 0,
-                drops: 0,
-                queue_depth: 0,
-                p50: Duration::ZERO,
-                p99: Duration::ZERO,
+                ..ShardStats::default()
             })
             .collect();
         for m in monitors.iter() {
-            let hist = lock_recover(&m.latency).clone();
-            // Ledger left-hand side first (Acquire), `pushed` last: any
-            // record counted below was pushed before these loads, so the
-            // later `pushed` read can only be >= the sum.
-            let records_in = m.records_in.load(Ordering::Acquire);
-            let drops = m.counters.drops.load(Ordering::Acquire);
-            let quarantined_after = m.quarantined_after.load(Ordering::Acquire);
-            let pushed = m.counters.pushed.load(Ordering::Acquire);
-            let queue_depth = m.counters.depth();
-            let done = m.done.load(Ordering::Relaxed);
-            let state = m.state();
-            let agg = &mut shard_stats[m.shard];
+            let (row, hist) = m.row();
+            let agg = &mut shard_stats[row.shard];
             agg.streams += 1;
-            agg.active += usize::from(!done);
-            agg.quarantined += usize::from(state.is_quarantined());
-            agg.records_in += records_in;
-            agg.drops += drops;
-            agg.queue_depth += queue_depth;
-            shard_hists[m.shard].merge(&hist);
-            streams.push(StreamStats {
-                stream: m.id,
-                name: m.name.clone(),
-                shard: m.shard,
-                records_in,
-                drops,
-                quarantined_after,
-                pushed,
-                healed: m.healed.load(Ordering::Relaxed),
-                skipped: m.skipped.load(Ordering::Relaxed),
-                queue_depth,
-                done,
-                state,
-                p50: hist.quantile(0.5),
-                p99: hist.quantile(0.99),
-                mean: hist.mean(),
-            });
+            agg.active += usize::from(!row.done);
+            agg.quarantined += usize::from(row.state.is_quarantined());
+            agg.records_in += row.records_in;
+            agg.drops += row.drops;
+            agg.queue_depth += row.queue_depth;
+            shard_hists[row.shard].merge(&hist);
+            streams.push(row);
         }
         // Concurrent registrars may interleave monitor insertion, so the
         // table order is not guaranteed to be id order; the snapshot is.
@@ -394,6 +420,7 @@ impl StatsRegistry {
             streams,
             shards: shard_stats,
             uptime,
+            net: self.net(),
         }
     }
 }
@@ -407,7 +434,7 @@ impl StatsRegistry {
 /// snapshot writer run on a plain `std::thread::spawn` thread.
 #[derive(Debug, Clone)]
 pub struct StatsHandle {
-    registry: Arc<StatsRegistry>,
+    pub(crate) registry: Arc<StatsRegistry>,
 }
 
 impl StatsHandle {
@@ -635,36 +662,17 @@ where
         opts: StreamOptions,
         factory: impl FnOnce() -> Op + Send + 'env,
     ) -> StreamHandle {
-        self.register_stream(opts, factory)
+        self.registrar
+            .register_stream(opts, factory)
             .expect("registration inbox open: workers hold receivers until join()")
-    }
-
-    /// Registers a stream at runtime, returning a typed error instead of
-    /// panicking if the engine is no longer accepting registrations.
-    /// Equivalent to [`ServingEngine::register_with`] otherwise.
-    pub fn register_stream(
-        &mut self,
-        opts: StreamOptions,
-        factory: impl FnOnce() -> Op + Send + 'env,
-    ) -> Result<StreamHandle, RegisterError> {
-        self.registrar.register_stream(opts, factory)
-    }
-
-    /// Detaches a stream from the live engine: closes its handle, waits
-    /// for the owning shard to drain, flush, and retire it, and returns
-    /// the stream's final (exact) ledger. The engine keeps serving every
-    /// other stream throughout — this is the shard-safe handoff the
-    /// network tier uses when a producer sends DETACH.
-    pub fn detach_stream(&self, handle: StreamHandle) -> DetachReport {
-        self.registrar.detach_stream(handle)
     }
 
     /// A cloneable, `Send` registration surface over this engine.
     ///
     /// A [`Registrar`] can leave the body closure's thread — the network
     /// ingest tier hands one clone to each producer connection thread —
-    /// and registers/detaches streams on the live engine exactly like
-    /// [`ServingEngine::register_stream`] / [`ServingEngine::detach_stream`].
+    /// and registers/detaches streams on the live engine
+    /// ([`Registrar::register_stream`] / [`Registrar::detach_stream`]).
     ///
     /// **Shutdown contract:** every clone must be dropped before the
     /// [`serve`] body returns. Shard workers keep running while any
@@ -731,26 +739,6 @@ impl std::fmt::Display for RegisterError {
 
 impl std::error::Error for RegisterError {}
 
-/// Final per-stream accounting returned by a detach. The ledger is
-/// exact: `records_in + drops + quarantined_after == pushed` — the
-/// shard has drained, flushed, and retired the stream before the
-/// detach call returns.
-#[derive(Debug, Clone)]
-pub struct DetachReport {
-    /// Stream id (registration order).
-    pub stream: usize,
-    /// Records consumed while healthy.
-    pub records_in: u64,
-    /// Records evicted by the `drop-oldest` policy.
-    pub drops: u64,
-    /// Records drained and discarded after a fault.
-    pub quarantined_after: u64,
-    /// Records accepted into the ring over the stream's lifetime.
-    pub pushed: u64,
-    /// Terminal state: [`StreamState::Done`] or quarantined.
-    pub state: StreamState,
-}
-
 /// What every [`Registrar`] clone (the engine's own included) shares:
 /// the shards' inboxes and bells, the stats registry and the id counter.
 struct EngineShared<'env, Op> {
@@ -812,8 +800,9 @@ where
     Op: Operator<In = f64> + 'env,
     Op::Out: Send + 'env,
 {
-    /// Registers a stream on the live engine (see
-    /// [`ServingEngine::register_stream`]).
+    /// Registers a stream on the live engine like
+    /// [`ServingEngine::register_with`], but returns a typed error
+    /// instead of panicking once the engine no longer accepts streams.
     pub fn register_stream(
         &self,
         opts: StreamOptions,
@@ -856,9 +845,14 @@ where
         })
     }
 
-    /// Detaches a stream and waits for its shard to retire it (see
-    /// [`ServingEngine::detach_stream`]).
-    pub fn detach_stream(&self, handle: StreamHandle) -> DetachReport {
+    /// Detaches a stream from the live engine: closes its handle, waits
+    /// for the owning shard to drain, flush, and retire it, and returns
+    /// the stream's final row, whose ledger is exact
+    /// (`records_in + drops + quarantined_after == pushed`). The engine
+    /// keeps serving every other stream throughout — this is the
+    /// shard-safe handoff the network tier uses when a producer sends
+    /// DETACH.
+    pub fn detach_stream(&self, handle: StreamHandle) -> StreamStats {
         let id = handle.id();
         let monitor = self
             .shared
@@ -870,15 +864,8 @@ where
             monitor.retired.wait(&mut Vec::new(), None);
         }
         // Acquire on `done` paired with the shard's Release store makes the
-        // final counter values below visible: the ledger is exact.
-        DetachReport {
-            stream: id,
-            records_in: monitor.records_in.load(Ordering::Acquire),
-            drops: monitor.counters.drops.load(Ordering::Acquire),
-            quarantined_after: monitor.quarantined_after.load(Ordering::Acquire),
-            pushed: monitor.counters.pushed.load(Ordering::Acquire),
-            state: monitor.state(),
-        }
+        // final counter values visible: the ledger is exact.
+        monitor.row().0
     }
 
     /// The engine's default ring configuration, for callers (the wire
@@ -1008,30 +995,42 @@ pub fn feed_all(
         }
         let idle = ready.is_empty() && remaining > 0;
         report.backoff_rounds += u64::from(idle);
-        let timeout = if idle { FEED_STALL } else { Duration::ZERO };
-        space.wait(&mut rung, Some(timeout));
-        if idle && rung.is_empty() {
-            return Err(IngestError::Stalled {
-                waited: FEED_STALL,
-                pending: remaining,
-            });
-        }
+        await_space(&space, &mut rung, idle, FEED_STALL, remaining)?;
     }
     Ok(report)
 }
 
-/// One stream's live state on its shard. `op` is `None` once the stream
-/// is quarantined (the faulted operator is dropped immediately, under
-/// its own panic boundary).
+/// A feeder's wait step: moves the keys rung on `space` since the last
+/// look into `rung`, first waiting up to `stall` for one when the feeder
+/// is `idle` (no open ring took a record). An idle feeder that gets no
+/// key in `stall` faces a wedged engine: [`IngestError::Stalled`] with
+/// `pending` streams left.
+pub(crate) fn await_space(
+    space: &Bell,
+    rung: &mut Vec<usize>,
+    idle: bool,
+    stall: Duration,
+    pending: usize,
+) -> Result<(), IngestError> {
+    space.wait(rung, Some(if idle { stall } else { Duration::ZERO }));
+    if idle && rung.is_empty() {
+        return Err(IngestError::Stalled {
+            waited: stall,
+            pending,
+        });
+    }
+    Ok(())
+}
+
+/// One stream's live state on its shard; its ledger is `monitor`. `op`
+/// is `None` once the stream is quarantined (the faulted operator is
+/// dropped immediately, under its own panic boundary).
 struct ActiveStream<Op: Operator<In = f64>> {
     id: usize,
     consumer: ring::Consumer<Record<f64>>,
     op: Option<Op>,
     guard: Option<InputGuard>,
     output: Vec<Record<Op::Out>>,
-    records_in: u64,
-    quarantined_after: u64,
-    quarantine: Option<(QuarantineCause, u64)>,
     busy: Duration,
     monitor: Arc<StreamMonitor>,
     /// On the shard's run list (so a second ring does not add it twice).
@@ -1044,9 +1043,9 @@ impl<Op: Operator<In = f64>> ActiveStream<Op> {
     /// again in `Drop`), and from here on the shard drains-and-discards
     /// the ring so the producer never wedges.
     fn enter_quarantine(&mut self, cause: QuarantineCause) {
-        let at_record = self.records_in;
-        *lock_recover(&self.monitor.quarantine) = Some((cause.clone(), at_record));
-        self.quarantine = Some((cause, at_record));
+        // The shard is the only writer of `records_in`.
+        let at_record = self.monitor.records_in.load(Ordering::Relaxed);
+        *lock_recover(&self.monitor.quarantine) = Some((cause, at_record));
         let op = self.op.take();
         let _ = catch_unwind(AssertUnwindSafe(move || drop(op)));
     }
@@ -1064,10 +1063,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Steps one drained batch through the stream's guard and operator under
-/// a panic boundary, updating all per-stream accounting. On a fault
+/// a panic boundary, adding to the stream's ledger. On a fault
 /// (operator panic or guard trip) the stream enters quarantine: records
-/// consumed before the fault stay in `records_in`, the faulting record
-/// and the rest of the batch count into `quarantined_after`.
+/// consumed before the fault count into `records_in`, the faulting
+/// record and the rest of the batch into `quarantined_after`.
 ///
 /// `AssertUnwindSafe` invariant: on unwind the operator (the only
 /// not-unwind-safe capture) is dropped without being touched again —
@@ -1114,13 +1113,12 @@ where
         }
     }));
     st.busy += busy;
-    st.records_in += done.get();
-    // Release pairs with the Acquire loads in `StatsRegistry::snapshot`:
-    // the consumed records' pushes happen-before this store, so any
-    // snapshot that sees it also sees at least that many pushes.
+    // Release pairs with the Acquire loads in `StreamMonitor::row`: the
+    // consumed records' pushes happen-before this add, so any row that
+    // sees it also sees at least that many pushes.
     st.monitor
         .records_in
-        .store(st.records_in, Ordering::Release);
+        .fetch_add(done.get(), Ordering::Release);
     lock_recover(&st.monitor.latency).merge(&local);
     if let Some(g) = st.guard.as_ref() {
         st.monitor.healed.store(g.healed(), Ordering::Relaxed);
@@ -1135,10 +1133,9 @@ where
     if let Some(cause) = cause {
         // The faulting record and the rest of the batch were consumed
         // from the ring but never completed: they count as quarantined.
-        st.quarantined_after += n as u64 - done.get();
         st.monitor
             .quarantined_after
-            .store(st.quarantined_after, Ordering::Release);
+            .fetch_add(n as u64 - done.get(), Ordering::Release);
         st.enter_quarantine(cause);
     }
 }
@@ -1149,11 +1146,7 @@ fn retire<Op>(mut st: ActiveStream<Op>) -> StreamResult<Op::Out>
 where
     Op: Operator<In = f64>,
 {
-    if st.quarantine.is_none() {
-        let op = st
-            .op
-            .as_mut()
-            .expect("healthy streams keep their operator until flush");
+    if let Some(op) = st.op.as_mut() {
         let output = &mut st.output;
         let t0 = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| op.flush(output)));
@@ -1165,29 +1158,22 @@ where
         }
     }
     // Release pairs with a detach's Acquire load of `done`: once the close
-    // is observed, every final counter store above is too, so the detach
-    // report's ledger is exact.
+    // is observed, every final counter update above is too, so the row a
+    // detach reads is exact.
     st.monitor.done.store(true, Ordering::Release);
     st.monitor.retired.ring(st.id);
-    let latency = lock_recover(&st.monitor.latency).clone();
-    let state = match &st.quarantine {
-        Some((cause, at_record)) => StreamState::Quarantined {
-            cause: cause.clone(),
-            at_record: *at_record,
-        },
-        None => StreamState::Done,
-    };
+    let (row, latency) = st.monitor.row();
     StreamResult {
-        stream: st.id,
-        shard: st.monitor.shard,
+        stream: row.stream,
+        shard: row.shard,
         output: st.output,
-        records_in: st.records_in,
-        drops: st.monitor.counters.drops.load(Ordering::Relaxed),
-        quarantined_after: st.quarantined_after,
-        pushed: st.monitor.counters.pushed.load(Ordering::Relaxed),
-        healed: st.guard.as_ref().map_or(0, |g| g.healed()),
-        skipped: st.guard.as_ref().map_or(0, |g| g.skipped()),
-        state,
+        records_in: row.records_in,
+        drops: row.drops,
+        quarantined_after: row.quarantined_after,
+        pushed: row.pushed,
+        healed: row.healed,
+        skipped: row.skipped,
+        state: row.state,
         busy: st.busy,
         latency,
     }
@@ -1231,9 +1217,6 @@ where
                         op: None,
                         guard: ns.guard.map(InputGuard::new),
                         output: Vec::new(),
-                        records_in: 0,
-                        quarantined_after: 0,
-                        quarantine: None,
                         busy: Duration::ZERO,
                         monitor: ns.monitor,
                         scheduled: false,
@@ -1265,14 +1248,13 @@ where
             batch.clear();
             let n = st.consumer.drain_into(&mut batch, DRAIN_BATCH);
             if n > 0 {
-                if st.quarantine.is_some() {
+                if st.op.is_none() {
                     // Drain-and-discard: the producer must never wedge
                     // on a stream that is already out of service.
                     batch.clear();
-                    st.quarantined_after += n as u64;
                     st.monitor
                         .quarantined_after
-                        .store(st.quarantined_after, Ordering::Release);
+                        .fetch_add(n as u64, Ordering::Release);
                 } else {
                     step_batch(st, &mut batch, n);
                 }
@@ -1359,6 +1341,7 @@ mod tests {
         // The empty stream produced no latency samples anywhere.
         assert_eq!(observed.streams[1].records_in, 0);
         assert_eq!(observed.quarantined(), 0);
+        assert!(observed.net.is_none(), "no ingest server, no ingest tier");
     }
 
     #[test]
@@ -1510,6 +1493,65 @@ mod tests {
             matches!(cause, QuarantineCause::OperatorPanic { message } if message.contains("factory failed")),
             "{cause:?}"
         );
+    }
+
+    #[test]
+    fn detach_returns_the_row_of_the_final_result() {
+        let lossy = StreamOptions {
+            ring: RingConfig::new(4, Backpressure::DropOldest),
+            ..StreamOptions::default()
+        };
+        // A lossy healthy stream and one that faults at record 50.
+        let streams = [(lossy, f64::NEG_INFINITY), (StreamOptions::default(), 50.0)];
+        let (results, rows) = serve(EngineConfig::new(2), |engine| {
+            let registrar = engine.registrar();
+            streams.map(|(opts, sentinel)| {
+                let factory = move || PanicOn {
+                    sentinel,
+                    inner: TumblingWindowMean::new(4),
+                };
+                let mut h = registrar.register_stream(opts, factory).unwrap();
+                for v in 0..200 {
+                    h.push(v as f64).unwrap();
+                }
+                registrar.detach_stream(h)
+            })
+        });
+        for (row, r) in rows.iter().zip(&results) {
+            assert_eq!(row.stream, r.stream);
+            assert_eq!(
+                (row.records_in, row.drops, row.quarantined_after, row.pushed),
+                (r.records_in, r.drops, r.quarantined_after, r.pushed),
+                "stream {}",
+                r.stream
+            );
+            assert_eq!(row.state, r.state);
+            assert!(row.done);
+        }
+        assert_eq!(results[0].state, StreamState::Done);
+        assert_eq!(results[1].quarantine().map(|q| q.1), Some(50));
+    }
+
+    #[test]
+    fn await_space_stalls_on_a_silent_bell_and_returns_a_rung_key_at_once() {
+        let bell = Bell::default();
+        let mut rung = Vec::new();
+        let stall = Duration::from_millis(20);
+        let t0 = Instant::now();
+        let stalled = IngestError::Stalled {
+            waited: stall,
+            pending: 3,
+        };
+        assert_eq!(await_space(&bell, &mut rung, true, stall, 3), Err(stalled));
+        assert!(t0.elapsed() >= stall);
+        // A feeder that moved records does not wait, so it cannot stall.
+        assert_eq!(await_space(&bell, &mut rung, false, stall, 3), Ok(()));
+        bell.ring(5);
+        let t0 = Instant::now();
+        let long = Duration::from_secs(60);
+        assert_eq!(await_space(&bell, &mut rung, true, long, 3), Ok(()));
+        assert!(t0.elapsed() < Duration::from_secs(5), "{:?}", t0.elapsed());
+        assert_eq!(rung, [5]);
     }
 
     #[test]

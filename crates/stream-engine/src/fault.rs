@@ -16,7 +16,7 @@
 //! stream's ledger must balance exactly
 //! (`records_in + drops + quarantined_after == pushed`).
 
-use crate::engine::{IngestError, StreamHandle};
+use crate::engine::{await_space, IngestError, StreamHandle, FEED_STALL};
 use crate::operator::Operator;
 use crate::ring::PushError;
 use crate::Record;
@@ -286,7 +286,9 @@ const DRIVE_CHUNK: usize = 64;
 /// counted as `rejected`, not errors). Outside a storm every stream is
 /// fed in chunks that never block; when a round moves no record, every
 /// open ring is full and the feeder waits on the space bell its rings
-/// share. Data and operator faults must already be installed via
+/// share. Like [`crate::feed_all`], it returns [`IngestError::Stalled`]
+/// if no ring gains space for 20 s (an operator that never returns).
+/// Data and operator faults must already be installed via
 /// [`FaultPlan::corrupt`] / [`FaultingOperator`].
 pub fn drive(
     mut handles: Vec<StreamHandle>,
@@ -305,6 +307,7 @@ pub fn drive(
         rejected: vec![0; n],
     };
     let mut remaining = n;
+    let mut rung = Vec::new();
     while remaining > 0 {
         let mut progressed = false;
         for i in 0..n {
@@ -360,9 +363,10 @@ pub fn drive(
                 progressed |= accepted > 0;
             }
         }
-        // Take the space bell's keys; when every open ring is full, first
-        // wait for a drain to free space.
-        space.wait(&mut Vec::new(), progressed.then_some(Duration::ZERO));
+        // Every round retries every open ring, so the keys only say that
+        // a drain freed space; when every open ring is full, wait for one.
+        await_space(&space, &mut rung, !progressed, FEED_STALL, remaining)?;
+        rung.clear();
     }
     Ok(outcome)
 }

@@ -7,9 +7,10 @@
 //! accounting types ([`StreamStats`], [`ShardStats`], [`ServingStats`])
 //! the multi-stream engine exposes as a live snapshot: tail latency
 //! (p50/p99), queue depth, and backpressure drops per stream and
-//! aggregated per shard.
+//! aggregated per shard, plus the ingest tier's connections.
 
 use crate::engine::StreamState;
+use crate::net::NetStats;
 use std::time::Duration;
 
 /// A histogram of durations with power-of-two nanosecond buckets
@@ -137,7 +138,7 @@ pub struct StreamStats {
 }
 
 /// Aggregated accounting for one shard (its streams merged).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardStats {
     /// Shard index.
     pub shard: usize,
@@ -159,8 +160,8 @@ pub struct ShardStats {
     pub p99: Duration,
 }
 
-/// A point-in-time snapshot of the whole engine: one entry per stream
-/// and one aggregate per shard.
+/// A point-in-time snapshot of the whole engine: one entry per stream,
+/// one aggregate per shard, and the ingest tier.
 #[derive(Debug, Clone)]
 pub struct ServingStats {
     /// Per-stream accounting, indexed by stream id.
@@ -169,6 +170,9 @@ pub struct ServingStats {
     pub shards: Vec<ShardStats>,
     /// Time since the engine started serving, as of this snapshot.
     pub uptime: Duration,
+    /// The network ingest tier's connections; `None` until a
+    /// [`crate::IngestServer`] is bound to the engine.
+    pub net: Option<NetStats>,
 }
 
 impl ServingStats {
@@ -275,6 +279,7 @@ mod tests {
             streams: vec![mk(0, 100, 3, 7, false), mk(1, 50, 0, 0, true)],
             shards: Vec::new(),
             uptime: Duration::from_secs(10),
+            net: None,
         };
         assert_eq!(stats.records_in(), 150);
         assert_eq!(stats.drops(), 3);

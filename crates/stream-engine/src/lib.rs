@@ -16,7 +16,8 @@
 //!   [`Backpressure`] policies (block / drop-oldest / error) — Flink
 //!   task slots and bounded network buffers, with no thread per stream,
 //! * [`ServingStats`] snapshots per-stream and per-shard accounting
-//!   (p50/p99 operator latency, queue depth, backpressure drops) live,
+//!   (p50/p99 operator latency, queue depth, backpressure drops) and the
+//!   ingest tier's connections live, from the engine's one registry,
 //!   and [`metrics`] exports those snapshots as Prometheus text
 //!   exposition / JSON over a std-only HTTP listener
 //!   ([`ServingEngine::serve_metrics`]) or periodic file snapshots,
@@ -51,9 +52,8 @@ pub mod source;
 
 pub use class_core::{GuardConfig, GuardTrip, GuardVerdict, InputGuard};
 pub use engine::{
-    feed_all, serve, DetachReport, EngineConfig, FeedReport, IngestError, QuarantineCause,
-    RegisterError, Registrar, ServingEngine, StatsHandle, StreamHandle, StreamOptions,
-    StreamResult, StreamState,
+    feed_all, serve, EngineConfig, FeedReport, IngestError, QuarantineCause, RegisterError,
+    Registrar, ServingEngine, StatsHandle, StreamHandle, StreamOptions, StreamResult, StreamState,
 };
 #[cfg(feature = "fault-inject")]
 pub use fault::{

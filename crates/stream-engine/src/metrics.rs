@@ -3,8 +3,11 @@
 //!
 //! The paper's §5.6 deployment runs ClaSS as an always-on Flink
 //! operator; operating such a deployment means watching it. This module
-//! turns a [`ServingStats`] snapshot into the two formats operators
-//! actually consume:
+//! turns a [`ServingStats`] snapshot — the engine's one registry of
+//! streams, shards and, when an ingest server is bound, producer
+//! connections — into the two formats operators actually consume. Every
+//! exporter below takes that one snapshot, so each carries the ingest
+//! tier whenever the engine has one:
 //!
 //! * [`render_prometheus`] — Prometheus text exposition (format 0.0.4)
 //!   with **stable label sets**: every per-stream series carries
@@ -25,7 +28,7 @@
 
 use crate::engine::{lock_recover, StatsHandle};
 use crate::latency::{ServingStats, ShardStats, StreamStats};
-use crate::net::{accept_until, stop_listener, ConnStats, NetStats, NetStatsHandle};
+use crate::net::{accept_until, stop_listener, ConnStats, NetStats};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -121,10 +124,10 @@ fn stream_labels(s: &StreamStats) -> String {
 /// family are ordered by shard index / stream id, so two renders of the
 /// same snapshot are byte-identical (pinned by a golden-fixture test).
 ///
-/// With `net: Some(_)` the network ingestion tier's families
-/// (`class_net_*`) follow: engine-level connection/frame totals and one
-/// series per producer connection (`conn`/`peer` labels).
-pub fn render_prometheus(stats: &ServingStats, net: Option<&NetStats>) -> String {
+/// When the snapshot carries an ingest tier ([`ServingStats::net`]), its
+/// families (`class_net_*`) follow: engine-level connection/frame totals
+/// and one series per producer connection (`conn`/`peer` labels).
+pub fn render_prometheus(stats: &ServingStats) -> String {
     let mut out = String::with_capacity(4096);
     let engine = [
         (
@@ -269,7 +272,7 @@ pub fn render_prometheus(stats: &ServingStats, net: Option<&NetStats>) -> String
             .map(|s| (stream_labels(s), s.mean.as_secs_f64().to_string())),
     );
 
-    if let Some(net) = net {
+    if let Some(net) = &stats.net {
         render_net_families(&mut out, net);
     }
     out
@@ -362,11 +365,11 @@ fn render_net_families(out: &mut String, net: &NetStats) {
 /// JSON document — the payload behind `GET /stats.json`, the
 /// [`SnapshotWriter`] file, and `class-cli serve-status`.
 ///
-/// With `net: Some(_)` the document carries a `"net"` object describing
-/// the network ingestion tier (additive — the schema stays
-/// `class-serving-stats/v1` and the object is simply absent when no
-/// ingest server is attached).
-pub fn render_stats_json(stats: &ServingStats, net: Option<&NetStats>) -> String {
+/// When the snapshot carries an ingest tier ([`ServingStats::net`]), the
+/// document carries a `"net"` object describing it (additive — the
+/// schema stays `class-serving-stats/v1` and the object is simply absent
+/// when no ingest server is bound).
+pub fn render_stats_json(stats: &ServingStats) -> String {
     let mut out = String::with_capacity(4096);
     out.push_str("{\n");
     out.push_str(&format!("  \"schema\": \"{STATS_JSON_SCHEMA}\",\n"));
@@ -441,7 +444,7 @@ pub fn render_stats_json(stats: &ServingStats, net: Option<&NetStats>) -> String
             s.mean.as_nanos(),
         )
     })));
-    match net {
+    match &stats.net {
         None => out.push_str("  ]\n}\n"),
         Some(net) => {
             out.push_str("  ],\n");
@@ -500,8 +503,9 @@ pub fn vm_hwm_kb() -> Option<u64> {
 /// A minimal std-only HTTP metrics endpoint on its own thread.
 ///
 /// Serves `GET /metrics` (Prometheus text exposition) and
-/// `GET /stats.json` (the JSON snapshot) from the currently attached
-/// [`StatsHandle`]; `503` until one is attached, `404` elsewhere. The
+/// `GET /stats.json` (the JSON snapshot) from one snapshot of the
+/// currently attached [`StatsHandle`], ingest tier included; `503` until
+/// one is attached, `404` elsewhere. The
 /// listener thread sleeps in `accept` while idle and shuts down on
 /// [`Drop`].
 ///
@@ -519,7 +523,6 @@ pub struct MetricsServer {
 #[derive(Debug, Default)]
 struct Endpoint {
     source: Mutex<Option<StatsHandle>>,
-    net_source: Mutex<Option<NetStatsHandle>>,
     stop: AtomicBool,
     scrapes: AtomicU64,
 }
@@ -557,13 +560,6 @@ impl MetricsServer {
     /// Attaches (or replaces) the stats source served from now on.
     pub fn attach(&self, handle: StatsHandle) {
         *lock_recover(&self.shared.source) = Some(handle);
-    }
-
-    /// Attaches (or replaces) a network ingestion tier: `/metrics`
-    /// grows the `class_net_*` families and `/stats.json` a `"net"`
-    /// object (see [`crate::IngestServer::net_stats`]).
-    pub fn attach_net(&self, handle: NetStatsHandle) {
-        *lock_recover(&self.shared.net_source) = Some(handle);
     }
 
     /// How many `/metrics` scrapes have been answered.
@@ -606,23 +602,16 @@ fn handle_conn(mut conn: TcpStream, ep: &Endpoint) -> std::io::Result<()> {
     let request = String::from_utf8_lossy(&head);
     let path = request.split_whitespace().nth(1).unwrap_or("/").to_string();
     let snapshot = lock_recover(&ep.source).as_ref().map(StatsHandle::stats);
-    let net_snapshot = lock_recover(&ep.net_source)
-        .as_ref()
-        .map(NetStatsHandle::stats);
     let (status, content_type, body) = match (path.as_str(), snapshot) {
         ("/metrics", Some(stats)) => {
             ep.scrapes.fetch_add(1, Ordering::Relaxed);
             (
                 "200 OK",
                 "text/plain; version=0.0.4; charset=utf-8",
-                render_prometheus(&stats, net_snapshot.as_ref()),
+                render_prometheus(&stats),
             )
         }
-        ("/stats.json", Some(stats)) => (
-            "200 OK",
-            "application/json",
-            render_stats_json(&stats, net_snapshot.as_ref()),
-        ),
+        ("/stats.json", Some(stats)) => ("200 OK", "application/json", render_stats_json(&stats)),
         ("/metrics" | "/stats.json", None) => (
             "503 Service Unavailable",
             "text/plain; charset=utf-8",
@@ -695,7 +684,7 @@ fn write_snapshot(handle: &StatsHandle, path: &Path) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, render_stats_json(&handle.stats(), None))?;
+    std::fs::write(&tmp, render_stats_json(&handle.stats()))?;
     std::fs::rename(&tmp, path)
 }
 
@@ -726,12 +715,13 @@ mod tests {
             }],
             shards: Vec::new(),
             uptime: Duration::from_secs(2),
+            net: None,
         }
     }
 
     #[test]
     fn label_escaping_covers_quotes_backslashes_newlines() {
-        let rendered = render_prometheus(&one_stream("a \"quoted\\path\"\nline"), None);
+        let rendered = render_prometheus(&one_stream("a \"quoted\\path\"\nline"));
         assert!(
             rendered.contains(r#"name="a \"quoted\\path\"\nline""#),
             "{rendered}"
@@ -747,14 +737,14 @@ mod tests {
 
     #[test]
     fn json_escaping_keeps_document_single_value() {
-        let doc = render_stats_json(&one_stream("tab\there \"q\" \\"), None);
+        let doc = render_stats_json(&one_stream("tab\there \"q\" \\"));
         assert!(doc.contains(r#""name": "tab\there \"q\" \\""#), "{doc}");
     }
 
     #[test]
     fn counters_render_from_snapshot_fields() {
         let stats = one_stream("s");
-        let rendered = render_prometheus(&stats, None);
+        let rendered = render_prometheus(&stats);
         assert!(rendered
             .contains("class_stream_records_in_total{stream=\"0\",shard=\"0\",name=\"s\"} 10"));
         assert!(

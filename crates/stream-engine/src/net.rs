@@ -8,6 +8,12 @@
 //! running engine at runtime (via [`crate::Registrar`]), feeding them,
 //! and detaching them — while the engine keeps serving everything else.
 //!
+//! The ingest tier keeps no books of its own: each connection's monitor
+//! is registered, through the same [`crate::Registrar`], in the engine's
+//! one stats registry, so every [`crate::ServingStats`] snapshot — and
+//! every exporter rendering one — carries the connections as
+//! [`crate::ServingStats::net`].
+//!
 //! ## Wire protocol
 //!
 //! Every frame is `[type: u8][len: u32 LE][payload]`, `len` capped at
@@ -43,14 +49,14 @@
 //! * **error** — a `RECORDS` frame that overflows gets a typed
 //!   `ERROR` (`overflow`) and the connection is closed.
 
-use crate::engine::{lock_recover, Registrar, StreamHandle, StreamOptions};
+use crate::engine::{Registrar, StatsHandle, StreamHandle, StreamOptions};
 use crate::operator::Operator;
 use crate::ring::{Backpressure, RingConfig};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Protocol version carried in `HELLO`; mismatches are refused.
@@ -540,9 +546,9 @@ pub fn policy_to_byte(policy: Backpressure) -> u8 {
 }
 
 /// Per-connection counters, written by the connection thread and read
-/// by [`NetStatsHandle::stats`].
+/// by the engine's stats snapshots.
 #[derive(Debug)]
-struct ConnMonitor {
+pub(crate) struct ConnMonitor {
     conn: u64,
     peer: String,
     connected_at: Instant,
@@ -556,6 +562,41 @@ struct ConnMonitor {
 }
 
 impl ConnMonitor {
+    /// The monitor of connection `conn` from `peer`, connected now.
+    pub(crate) fn new(conn: u64, peer: String) -> Self {
+        Self {
+            conn,
+            peer,
+            connected_at: Instant::now(),
+            closed_after_nanos: AtomicU64::new(0),
+            frames: AtomicU64::new(0),
+            records: AtomicU64::new(0),
+            throttle_events: AtomicU64::new(0),
+            protocol_errors: AtomicU64::new(0),
+            streams: AtomicUsize::new(0),
+        }
+    }
+
+    fn stats(&self) -> ConnStats {
+        let closed = self.closed_after_nanos.load(Ordering::Acquire);
+        let open = closed == 0;
+        ConnStats {
+            conn: self.conn,
+            peer: self.peer.clone(),
+            open,
+            streams: self.streams.load(Ordering::Relaxed),
+            frames: self.frames.load(Ordering::Relaxed),
+            records: self.records.load(Ordering::Relaxed),
+            throttle_events: self.throttle_events.load(Ordering::Relaxed),
+            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
+            uptime: if open {
+                self.connected_at.elapsed()
+            } else {
+                Duration::from_nanos(closed)
+            },
+        }
+    }
+
     fn close(&self) {
         let nanos = self
             .connected_at
@@ -611,6 +652,17 @@ pub struct NetStats {
 }
 
 impl NetStats {
+    /// The snapshot of `conns`, every connection ever accepted in accept
+    /// order.
+    pub(crate) fn of(conns: &[Arc<ConnMonitor>]) -> NetStats {
+        let connections: Vec<ConnStats> = conns.iter().map(|m| m.stats()).collect();
+        NetStats {
+            accepted: connections.len() as u64,
+            active: connections.iter().filter(|c| c.open).count(),
+            connections,
+        }
+    }
+
     /// Total frames received across all connections.
     pub fn frames(&self) -> u64 {
         self.connections.iter().map(|c| c.frames).sum()
@@ -632,57 +684,18 @@ impl NetStats {
     }
 }
 
-#[derive(Debug, Default)]
-struct NetRegistry {
-    accepted: AtomicU64,
-    conns: Mutex<Vec<Arc<ConnMonitor>>>,
-}
-
-impl NetRegistry {
-    fn snapshot(&self) -> NetStats {
-        let conns = lock_recover(&self.conns).clone();
-        let connections: Vec<ConnStats> = conns
-            .iter()
-            .map(|m| {
-                let closed = m.closed_after_nanos.load(Ordering::Acquire);
-                let open = closed == 0;
-                ConnStats {
-                    conn: m.conn,
-                    peer: m.peer.clone(),
-                    open,
-                    streams: m.streams.load(Ordering::Relaxed),
-                    frames: m.frames.load(Ordering::Relaxed),
-                    records: m.records.load(Ordering::Relaxed),
-                    throttle_events: m.throttle_events.load(Ordering::Relaxed),
-                    protocol_errors: m.protocol_errors.load(Ordering::Relaxed),
-                    uptime: if open {
-                        m.connected_at.elapsed()
-                    } else {
-                        Duration::from_nanos(closed)
-                    },
-                }
-            })
-            .collect();
-        NetStats {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            active: connections.iter().filter(|c| c.open).count(),
-            connections,
-        }
-    }
-}
-
-/// A cloneable, `'static` window onto an [`IngestServer`]'s connection
-/// stats — the network analogue of [`crate::StatsHandle`]. Stays valid
-/// (frozen) after the server is dropped.
+/// A cloneable, `'static` window onto the ingest tier alone: the
+/// [`crate::ServingStats::net`] part of the engine's snapshots, without
+/// the per-stream rows. Stays valid (frozen) after the server is dropped.
 #[derive(Debug, Clone)]
 pub struct NetStatsHandle {
-    registry: Arc<NetRegistry>,
+    stats: StatsHandle,
 }
 
 impl NetStatsHandle {
     /// Takes a live snapshot of the ingestion tier.
     pub fn stats(&self) -> NetStats {
-        self.registry.snapshot()
+        self.stats.registry.net().unwrap_or_default()
     }
 }
 
@@ -691,6 +704,8 @@ impl NetStatsHandle {
 /// Accepts any number of producer connections, each serviced by its own
 /// thread holding a [`Registrar`] clone — so wire-path registration and
 /// feeding never block the engine's shard workers or other producers.
+/// Binding gives the engine an ingest tier: from then on its stats
+/// snapshots carry [`crate::ServingStats::net`].
 /// Dropping the server stops accepting, closes every connection, and
 /// joins all threads; streams fed by open connections are closed (their
 /// shards drain and retire them as usual).
@@ -703,7 +718,7 @@ pub struct IngestServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
-    registry: Arc<NetRegistry>,
+    stats: StatsHandle,
 }
 
 impl IngestServer {
@@ -723,8 +738,9 @@ impl IngestServer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let registry = Arc::new(NetRegistry::default());
-        let (accept_stop, accepted) = (Arc::clone(&stop), Arc::clone(&registry));
+        let stats = registrar.stats_handle();
+        stats.registry.open_ingest();
+        let (accept_stop, registry) = (Arc::clone(&stop), Arc::clone(&stats.registry));
         let factory = Arc::new(factory);
         // One thread per connection: a thread whose connection has ended
         // is joined when the next connection arrives, the rest before the
@@ -732,18 +748,7 @@ impl IngestServer {
         let accept_thread = std::thread::spawn(move || {
             let mut conn_threads = Vec::new();
             accept_until(&listener, &accept_stop, |sock, peer| {
-                let monitor = Arc::new(ConnMonitor {
-                    conn: accepted.accepted.fetch_add(1, Ordering::Relaxed),
-                    peer: peer.to_string(),
-                    connected_at: Instant::now(),
-                    closed_after_nanos: AtomicU64::new(0),
-                    frames: AtomicU64::new(0),
-                    records: AtomicU64::new(0),
-                    throttle_events: AtomicU64::new(0),
-                    protocol_errors: AtomicU64::new(0),
-                    streams: AtomicUsize::new(0),
-                });
-                lock_recover(&accepted.conns).push(Arc::clone(&monitor));
+                let monitor = registry.register_conn(peer.to_string());
                 let registrar = registrar.clone();
                 let factory = Arc::clone(&factory);
                 let stop = Arc::clone(&accept_stop);
@@ -771,7 +776,7 @@ impl IngestServer {
             addr,
             stop,
             accept_thread: Some(accept_thread),
-            registry,
+            stats,
         })
     }
 
@@ -783,7 +788,7 @@ impl IngestServer {
     /// A cloneable, `'static` handle onto per-connection stats.
     pub fn net_stats(&self) -> NetStatsHandle {
         NetStatsHandle {
-            registry: Arc::clone(&self.registry),
+            stats: self.stats.clone(),
         }
     }
 }

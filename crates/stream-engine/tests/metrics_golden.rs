@@ -7,8 +7,9 @@
 //! test diff, not as a silently broken dashboard. The render is pinned
 //! three ways:
 //!
-//! 1. **byte-exact** against a committed fixture
-//!    (`tests/golden/serving_stats.prom`; regenerate deliberately with
+//! 1. **byte-exact** against committed fixtures
+//!    (`tests/golden/serving_stats.prom` and, for the JSON document,
+//!    `tests/golden/serving_stats.json`; regenerate deliberately with
 //!    `UPDATE_GOLDEN=1 cargo test -p stream-engine --test
 //!    metrics_golden`);
 //! 2. **label escaping** for names carrying spaces, quotes, backslashes
@@ -91,6 +92,15 @@ fn fixture() -> ServingStats {
             },
         ],
         uptime: Duration::from_millis(12_345),
+        net: None,
+    }
+}
+
+/// [`fixture`] with the ingest tier of [`net_fixture`].
+fn fixture_with_net() -> ServingStats {
+    ServingStats {
+        net: Some(net_fixture()),
+        ..fixture()
     }
 }
 
@@ -119,32 +129,49 @@ fn net_fixture() -> NetStats {
     }
 }
 
-const GOLDEN_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/golden/serving_stats.prom"
-);
-
-#[test]
-fn render_matches_committed_golden_byte_for_byte() {
-    let rendered = render_prometheus(&fixture(), Some(&net_fixture()));
+/// Compares `rendered` with the committed fixture `tests/golden/<file>`
+/// (or rewrites the fixture under `UPDATE_GOLDEN=1`).
+fn assert_golden(rendered: &str, file: &str) {
+    let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(GOLDEN_PATH, &rendered).expect("writing golden fixture");
+        std::fs::write(&path, rendered).expect("writing golden fixture");
         return;
     }
-    let golden = std::fs::read_to_string(GOLDEN_PATH).expect(
+    let golden = std::fs::read_to_string(&path).expect(
         "golden fixture missing: run UPDATE_GOLDEN=1 cargo test -p stream-engine \
          --test metrics_golden and commit the result",
     );
     assert_eq!(
         rendered, golden,
-        "Prometheus exposition drifted from tests/golden/serving_stats.prom — \
+        "render drifted from tests/golden/{file} — \
          if the change is intentional, regenerate with UPDATE_GOLDEN=1 and commit"
     );
 }
 
 #[test]
+fn render_matches_committed_golden_byte_for_byte() {
+    assert_golden(
+        &render_prometheus(&fixture_with_net()),
+        "serving_stats.prom",
+    );
+}
+
+/// The JSON document is pinned too, with the ingest tier; without one the
+/// document is the same up to the streams array, closed without `"net"`.
+#[test]
+fn json_render_matches_committed_golden_byte_for_byte() {
+    let with_net = render_stats_json(&fixture_with_net());
+    assert_golden(&with_net, "serving_stats.json");
+    let streams_end = with_net
+        .find(",\n  \"net\": {")
+        .expect("the net object follows the streams array");
+    let plain = format!("{}\n}}\n", &with_net[..streams_end]);
+    assert_eq!(render_stats_json(&fixture()), plain);
+}
+
+#[test]
 fn label_values_escape_backslash_quote_and_newline() {
-    let out = render_prometheus(&fixture(), Some(&net_fixture()));
+    let out = render_prometheus(&fixture_with_net());
     // `sensor "B" \ west` must appear with escaped quotes + backslash.
     assert!(
         out.contains(r#"name="sensor \"B\" \\ west""#),
@@ -241,7 +268,7 @@ fn parse_sample(line: &str) -> Option<Sample> {
 
 #[test]
 fn every_line_is_valid_exposition_syntax() {
-    let out = render_prometheus(&fixture(), Some(&net_fixture()));
+    let out = render_prometheus(&fixture_with_net());
     let mut samples = 0usize;
     let mut helped: Vec<String> = Vec::new();
     let mut typed: Vec<String> = Vec::new();
@@ -294,7 +321,7 @@ fn every_line_is_valid_exposition_syntax() {
 #[test]
 fn counters_reconcile_with_the_snapshot() {
     let stats = fixture();
-    let out = render_prometheus(&stats, None);
+    let out = render_prometheus(&stats);
     let find = |name: &str, stream: &str| -> f64 {
         out.lines()
             .filter_map(parse_sample_line_for(name, stream))
@@ -327,14 +354,13 @@ fn counters_reconcile_with_the_snapshot() {
 
 #[test]
 fn net_families_reconcile_and_degrade_cleanly() {
-    let stats = fixture();
-    let net = net_fixture();
     // Without an ingest tier neither render carries a net section.
-    let plain = render_prometheus(&stats, None);
+    let plain = render_prometheus(&fixture());
     assert!(!plain.contains("class_net_"), "{plain}");
-    let plain_json = render_stats_json(&stats, None);
+    let plain_json = render_stats_json(&fixture());
     assert!(!plain_json.contains("\"net\""), "{plain_json}");
-    let out = render_prometheus(&stats, Some(&net));
+    let stats = fixture_with_net();
+    let out = render_prometheus(&stats);
     assert!(out.contains("class_net_connections 2\n"), "{out}");
     assert!(out.contains("class_net_connections_total 3\n"), "{out}");
     assert!(
@@ -347,7 +373,7 @@ fn net_families_reconcile_and_degrade_cleanly() {
         out.contains(r#"class_net_conn_open{conn="2",peer="127.0.0.1:50003"} 0"#),
         "closed connections stay listed: {out}"
     );
-    let json = render_stats_json(&stats, Some(&net));
+    let json = render_stats_json(&stats);
     assert!(json.contains("\"net\": {"), "{json}");
     assert!(json.contains("\"accepted\": 3, \"active\": 2"), "{json}");
     assert!(
@@ -448,7 +474,7 @@ fn live_endpoint_serves_scrapes_that_reconcile_with_stats() {
     };
     assert_eq!(
         stable(&json_body),
-        stable(&render_stats_json(&stats, None)),
+        stable(&render_stats_json(&stats)),
         "JSON route renders the live snapshot"
     );
     let (head, _) = http_get(server.addr(), "/nope");
@@ -551,10 +577,7 @@ fn snapshot_writer_maintains_a_parseable_file_and_flushes_on_drop() {
             .collect::<Vec<_>>()
             .join("\n")
     };
-    assert_eq!(
-        stable(&doc),
-        stable(&render_stats_json(&handle.stats(), None))
-    );
+    assert_eq!(stable(&doc), stable(&render_stats_json(&handle.stats())));
     assert!(!std::path::Path::new(&format!("{}.tmp", path.display())).exists());
     std::fs::remove_file(&path).ok();
 }

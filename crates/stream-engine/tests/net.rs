@@ -3,8 +3,8 @@
 //! socket-fed output bit-identical to [`feed_all`] under the block
 //! policy, runtime register → feed → detach ledger accounting, the
 //! per-policy backpressure semantics over the wire, protocol-violation
-//! handling (an oversized ring request included), and the metrics
-//! endpoints' net families.
+//! handling (an oversized ring request included), and the net families
+//! of the metrics endpoints and snapshot files.
 
 use class_core::{ClassConfig, ClassSegmenter, WidthSelection};
 use proptest::prelude::*;
@@ -15,7 +15,7 @@ use std::time::Duration;
 use stream_engine::{
     feed_all, serve, Backpressure, EngineConfig, ErrorCode, Frame, FrameError, IngestServer,
     MetricsServer, NetClient, NetError, Operator, Record, RegisterRequest, RingConfig,
-    SegmenterOperator, StreamOptions, StreamState,
+    SegmenterOperator, SnapshotWriter, StreamOptions, StreamState,
 };
 
 // ---------------------------------------------------------------------
@@ -669,7 +669,6 @@ fn metrics_endpoints_expose_net_families() {
         .expect("binding a loopback ingest listener");
         let metrics = MetricsServer::bind("127.0.0.1:0").expect("binding a metrics port");
         metrics.attach(engine.stats_handle());
-        metrics.attach_net(server.net_stats());
 
         let mut client = NetClient::connect(server.addr(), "scraped-producer").expect("connect");
         let id = client.register("metered", None).expect("register");
@@ -696,4 +695,38 @@ fn metrics_endpoints_expose_net_families() {
         drop(metrics);
         drop(server);
     });
+}
+
+/// A snapshot file of an engine with an ingest tier carries the `net`
+/// object: the writer renders the engine's one snapshot, connections
+/// included, with no second source to attach.
+#[test]
+fn snapshot_files_carry_the_ingest_tier() {
+    let path = std::env::temp_dir().join(format!(
+        "class_net_snapshot_test_{}.json",
+        std::process::id()
+    ));
+    serve(EngineConfig::new(1), |engine| {
+        let server = IngestServer::bind("127.0.0.1:0", engine.registrar(), |_req| segmenter())
+            .expect("binding a loopback ingest listener");
+        let mut client = NetClient::connect(server.addr(), "snapshotted").expect("connect");
+        let id = client.register("snap", None).expect("register");
+        client
+            .send_records(id, &stream_values(0, 64))
+            .expect("records acked");
+        // The writer's first and terminal snapshots, one producer open.
+        SnapshotWriter::start(engine.stats_handle(), path.clone(), Duration::from_secs(60)).stop();
+        client.detach(id).expect("detach acked");
+        drop(client);
+        drop(server);
+    });
+    let doc = std::fs::read_to_string(&path).expect("snapshot file exists after stop");
+    std::fs::remove_file(&path).ok();
+    assert!(doc.contains("\"net\": {"), "{doc}");
+    // HELLO, REGISTER and RECORDS were received, 64 values accepted.
+    assert!(
+        doc.contains("\"accepted\": 1, \"active\": 1, \"frames\": 3, \"records\": 64"),
+        "{doc}"
+    );
+    assert!(doc.contains("\"conn\": 0"), "{doc}");
 }

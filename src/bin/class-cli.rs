@@ -1054,7 +1054,6 @@ fn serve_cmd(rest: &[String]) -> i32 {
             Some(addr) => match stream_engine::MetricsServer::bind(addr) {
                 Ok(m) => {
                     m.attach(engine.stats_handle());
-                    m.attach_net(server.net_stats());
                     eprintln!("metrics: http://{}/metrics", m.addr());
                     Some(m)
                 }

@@ -1069,6 +1069,7 @@ fn serve_status_falls_back_to_a_snapshot_file_and_flags_quarantines() {
         streams: vec![mk(0, StreamState::Done, true)],
         shards: Vec::new(),
         uptime: Duration::from_secs(5),
+        net: None,
     };
     let degraded = ServingStats {
         streams: vec![
@@ -1086,12 +1087,13 @@ fn serve_status_falls_back_to_a_snapshot_file_and_flags_quarantines() {
         ],
         shards: Vec::new(),
         uptime: Duration::from_secs(5),
+        net: None,
     };
     let dir = std::env::temp_dir().join("class-cli-smoke-status");
     std::fs::create_dir_all(&dir).unwrap();
 
     let ok_path = dir.join("healthy.json");
-    std::fs::write(&ok_path, render_stats_json(&healthy, None)).unwrap();
+    std::fs::write(&ok_path, render_stats_json(&healthy)).unwrap();
     let (stdout, stderr, code) = run_cli(
         &["serve-status", "--snapshot", &ok_path.display().to_string()],
         "",
@@ -1100,7 +1102,7 @@ fn serve_status_falls_back_to_a_snapshot_file_and_flags_quarantines() {
     assert!(stdout.contains("records in:   900"), "{stdout}");
 
     let bad_path = dir.join("degraded.json");
-    std::fs::write(&bad_path, render_stats_json(&degraded, None)).unwrap();
+    std::fs::write(&bad_path, render_stats_json(&degraded)).unwrap();
     let (stdout, stderr, code) = run_cli(
         &[
             "serve-status",
